@@ -10,7 +10,7 @@ import os
 import sys
 
 from .channels import LossChannelParams
-from .core import ZeroTraceError, auto_n_max
+from .core import TruncationConfig, ZeroTraceError, auto_n_max
 from .protocol import NoConvergenceError
 from .sweep import RunConfig, run
 
@@ -101,7 +101,7 @@ def validate_config(ns):
     tau = math.inf
     if ns.tau is not None:
         if ns.tau > 1.0:
-            t = math.sqrt(1.0 - 1.0 / ns.tau)
+            t = LossChannelParams.from_tau(ns.tau).t
             tau = ns.tau
         else:
             errors.append(f"--tau must exceed 1, got {ns.tau}")
@@ -158,9 +158,10 @@ def validate_config(ns):
         n_max = auto_n_max(lam) if lam > 0 else 1
     else:
         tail = lam ** (2 * (n_max + 1))
-        if tail >= 1e-15:
+        if tail >= TruncationConfig.trace_tol:
             errors.append(
-                f"--n-max {n_max} keeps a truncated tail {tail:.3g} >= 1e-15 "
+                f"--n-max {n_max} keeps a truncated tail {tail:.3g} >= "
+                f"{TruncationConfig.trace_tol:.3g} "
                 f"at lambda={lam}; auto picks {auto_n_max(lam)}"
             )
 

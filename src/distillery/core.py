@@ -47,7 +47,7 @@ class TruncationConfig:
         return self.n_max + 1
 
 
-def auto_n_max(lam, trace_tol=1e-15):
+def auto_n_max(lam, trace_tol=TruncationConfig.trace_tol):
     """Smallest cutoff whose discarded squeezed-state tail stays below trace_tol.
 
     The tail weight of the geometric photon-number distribution beyond n_max

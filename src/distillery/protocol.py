@@ -74,6 +74,37 @@ class AvgEntanglement:
     terms: list  # (j, success probability, final negativity) per retained j
 
 
+def baseline_negativity(lam):
+    """Log-negativity of the undistilled two-mode squeezed resource,
+    log2((1 + lam) / (1 - lam)): the value a distilled state must beat."""
+    return math.log2((1.0 + lam) / (1.0 - lam))
+
+
+def _count_step(state, sub, outcomes, cycle):
+    """The counting half of one clock cycle, on a state that has had the
+    cycle's loss event: count outcome q on each arm whose entry in
+    outcomes = (q_A, q_B) is not None, A first.
+
+    Returns (normalized state, probability of this cycle's outcomes).
+    """
+    for mode, q in zip("AB", outcomes):
+        if q is None:
+            continue  # this arm already counted its phonon; loss only
+        state = detect_one_mode(state, sub, mode, q)
+        if trace_of(state) <= state.cfg.trace_tol:
+            raise ZeroTraceError(
+                f"outcome q={q} on arm {mode} at cycle {cycle} has vanishing probability"
+            )
+    return normalize(state)
+
+
+def _arm_outcome(cycle, m_arm):
+    # vacuum before the arm's success cycle, one count at it, None after
+    if cycle > m_arm:
+        return None
+    return 1 if cycle == m_arm else 0
+
+
 def malt(lam, schedule, cfg):
     """Run one malting trajectory; the returned state is normalized and
     joint_prob is the probability of the whole outcome sequence."""
@@ -82,34 +113,72 @@ def malt(lam, schedule, cfg):
     cycle_probs = []
     joint = 1.0
     for cycle in range(1, max(schedule.m_a, schedule.m_b) + 1):
+        outcomes = (_arm_outcome(cycle, schedule.m_a), _arm_outcome(cycle, schedule.m_b))
+        # rebind `state` so the previous cycle's state is freed before the
+        # counts: at large d every extra live state raises peak memory
         state = loss_event(state, schedule.loss)
-        for mode, m_arm in (("A", schedule.m_a), ("B", schedule.m_b)):
-            if cycle > m_arm:
-                continue  # this arm already counted its phonon; loss only
-            q = 1 if cycle == m_arm else 0
-            state = detect_one_mode(state, schedule.sub, mode, q)
-            if trace_of(state) <= cfg.trace_tol:
-                raise ZeroTraceError(
-                    f"outcome q={q} on arm {mode} at cycle {cycle} has vanishing probability"
-                )
-        state, p_cycle = normalize(state)
+        state, p_cycle = _count_step(state, schedule.sub, outcomes, cycle)
         joint *= p_cycle
         cycle_probs.append(p_cycle)
         trace.append((cycle, log_negativity(state).value))
     return MaltingRecord(state, joint, trace, cycle_probs)
 
 
+def _by_arm(trying, own, other):
+    # (arm A, arm B) pair from the value for arm `trying` and the other arm's
+    return (own, other) if trying == "A" else (other, own)
+
+
+def _first_counts(lossy, joint, loss, sub, cycle, i_last, j_last):
+    """Malting trajectories whose first count comes at `cycle`.
+
+    `lossy` is the state after cycles 1..cycle-1 of vacuum on both arms and
+    the loss event of `cycle`; `joint` is the probability of that prefix.
+    Yields (i, j, joint probability, normalized malted state) for arm A
+    counting at cycle i and arm B at cycle j: first (cycle, cycle), then
+    j = cycle+1..j_last with i = cycle, then the mirror i = cycle+1..i_last
+    with j = cycle. Each probability is the product of the cycle
+    probabilities along the path in cycle order, as in malt. Branches share
+    their prefix and each cycle's loss event, and the walk is lazy, so a
+    caller may stop early.
+    """
+    malted, p = _count_step(lossy, sub, (1, 1), cycle)
+    yield cycle, cycle, joint * p, malted
+    for trying, last in (("B", j_last), ("A", i_last)):
+        if last == cycle:
+            continue
+        # the other arm counts at `cycle` and only decays after it
+        running, p = _count_step(lossy, sub, _by_arm(trying, 0, 1), cycle)
+        p_run = joint * p
+        for c in range(cycle + 1, last + 1):
+            decayed = loss_event(running, loss)
+            malted, p = _count_step(decayed, sub, _by_arm(trying, 1, None), c)
+            i, j = _by_arm(trying, c, cycle)
+            yield i, j, p_run * p, malted
+            if c < last:
+                running, p = _count_step(decayed, sub, _by_arm(trying, 0, None), c)
+                p_run *= p
+
+
 def subtraction_probability_matrix(lam, loss, sub, cfg, i_max, j_max):
     """P[i-1, j-1] = probability that arm A succeeds at cycle i and arm B at
-    cycle j; each cell is an independent malting run."""
+    cycle j, from one walk over the tree of malting trajectories that shares
+    the both-vacuum prefix and each single-count streak."""
     import numpy as np
 
     if i_max < 1 or j_max < 1:
         raise ValueError("i_max and j_max must be >= 1")
     p = np.zeros((i_max, j_max))
-    for i in range(1, i_max + 1):
-        for j in range(1, j_max + 1):
-            p[i - 1, j - 1] = malt(lam, MaltingSchedule(i, j, loss, sub), cfg).joint_prob
+    state = tmss(lam, cfg)
+    joint = 1.0
+    last_shared = min(i_max, j_max)
+    for cycle in range(1, last_shared + 1):
+        lossy = loss_event(state, loss)
+        for i, j, p_ij, _ in _first_counts(lossy, joint, loss, sub, cycle, i_max, j_max):
+            p[i - 1, j - 1] = p_ij
+        if cycle < last_shared:
+            state, p_vac = _count_step(lossy, sub, (0, 0), cycle)
+            joint *= p_vac
     return p
 
 
@@ -158,29 +227,6 @@ def full_protocol(lam, schedule, cfg, max_iter=50):
     )
 
 
-def _arm_b_branches(lam, loss, sub, cfg, j_limit):
-    """Trajectories with arm A succeeding at cycle 1 and arm B at cycle j,
-    yielding (j, joint probability, normalized malted state) for j = 1..j_limit.
-
-    States are carried unnormalized so the running trace is the branch
-    probability; all branches share the common prefix instead of replaying it.
-    """
-    state = loss_event(tmss(lam, cfg), loss)
-    state = detect_one_mode(state, sub, "A", 1)
-    if trace_of(state) <= cfg.trace_tol:
-        raise ZeroTraceError("arm A count at cycle 1 has vanishing probability")
-    running = state
-    for j in range(1, j_limit + 1):
-        if j > 1:
-            running = detect_one_mode(running, sub, "B", 0)
-            if trace_of(running) <= cfg.trace_tol:
-                raise ZeroTraceError(f"arm B vacuum streak dies at cycle {j - 1}")
-            running = loss_event(running, loss)
-        branch = detect_one_mode(running, sub, "B", 1)
-        malted, p_j = normalize(branch)
-        yield j, p_j, malted
-
-
 def _scan_gain(lam, loss, sub, cfg, max_iter, gain_mode, safety_factor, mash_iterations):
     """Shared linear scan over arm-B success cycles.
 
@@ -189,15 +235,19 @@ def _scan_gain(lam, loss, sub, cfg, max_iter, gain_mode, safety_factor, mash_ite
     """
     if gain_mode not in ("full", "malt-only"):
         raise ValueError(f"unknown gain_mode {gain_mode!r}")
-    baseline = math.log2((1.0 + lam) / (1.0 - lam))
+    baseline = baseline_negativity(lam)
     if lam == 0.0:
         return 0, baseline, []
     if not math.isfinite(loss.tau):
         raise ValueError("critical-count scan needs finite tau (t < 1)")
     j_limit = math.ceil(loss.tau) * safety_factor
+    if j_limit < 1:
+        return 0, baseline, []
     m_c = 0
     terms = []
-    for j, p_j, malted in _arm_b_branches(lam, loss, sub, cfg, j_limit):
+    # arm A counts at cycle 1; the branches are arm B's success cycles j
+    lossy = loss_event(tmss(lam, cfg), loss)
+    for _, j, p_j, malted in _first_counts(lossy, 1.0, loss, sub, 1, 1, j_limit):
         if gain_mode == "malt-only":
             final_neg = log_negativity(malted).value
             p_total = p_j

@@ -1,11 +1,11 @@
 """Sweep execution and CSV emission for the command-line interface.
 
-Every command resolves to a list of parameter cells evaluated by pure
-top-level functions, so cells can go through a process pool; rows come back
-in cell order, which keeps the CSV body byte-stable for any thread count.
+The t_s sweeps (mc-sweep, avg-ent) resolve to a list of parameter cells
+evaluated by pure top-level functions, so cells can go through a process
+pool; rows come back in cell order, which keeps the CSV body byte-stable for
+any thread count. The other commands run in one process.
 """
 
-import math
 import os
 import tempfile
 import time
@@ -21,9 +21,11 @@ from .negativity import log_negativity
 from .protocol import (
     MaltingSchedule,
     average_entanglement,
+    baseline_negativity,
     critical_attempts,
     malt,
     mash_iterate,
+    subtraction_probability_matrix,
 )
 
 
@@ -99,13 +101,6 @@ def _pmap(fn, items, threads):
 # per-cell workers (top level so the process pool can pickle them)
 
 
-def _pij_cell(args):
-    lam, t, ts, n_max, i, j = args
-    cfg = TruncationConfig(n_max)
-    sched = MaltingSchedule(i, j, LossChannelParams(t), SubtractionParams(ts))
-    return malt(lam, sched, cfg).joint_prob
-
-
 def _mc_cell(args):
     lam, t, ts, n_max, max_iter, gain_mode = args
     cfg = TruncationConfig(n_max)
@@ -168,13 +163,19 @@ def _run_malt_trace(cfg):
 
 
 def _run_pij(cfg):
-    cells = [
-        (cfg.lam, cfg.t, cfg.ts_values[0], cfg.n_max, i, j)
+    p = subtraction_probability_matrix(
+        cfg.lam,
+        LossChannelParams(cfg.t),
+        SubtractionParams(cfg.ts_values[0]),
+        TruncationConfig(cfg.n_max),
+        cfg.imax,
+        cfg.jmax,
+    )
+    rows = [
+        (i, j, p[i - 1, j - 1])
         for i in range(1, cfg.imax + 1)
         for j in range(1, cfg.jmax + 1)
     ]
-    probs = _pmap(_pij_cell, cells, cfg.threads)
-    rows = [(c[4], c[5], p) for c, p in zip(cells, probs)]
     return ("i", "j", "p"), rows, {}
 
 
@@ -207,8 +208,7 @@ def _run_mc_sweep(cfg):
     ]
     counts = _pmap(_mc_cell, cells, cfg.threads)
     rows = [(ts, mc) for ts, mc in zip(cfg.ts_values, counts)]
-    baseline = math.log2((1.0 + cfg.lam) / (1.0 - cfg.lam))
-    return ("ts", "m_c"), rows, {"baseline_negativity": baseline}
+    return ("ts", "m_c"), rows, {"baseline_negativity": baseline_negativity(cfg.lam)}
 
 
 def _run_avg_ent(cfg):

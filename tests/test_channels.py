@@ -160,6 +160,20 @@ def test_double_subtraction_matches_frozen_oracle():
     assert np.abs(got.coeffs - want).max() < 1e-18
 
 
+@pytest.mark.parametrize("q_a, q_b", [(0, 0), (1, 0), (0, 2), (1, 1)])
+def test_detection_on_asymmetric_states_matches_oracle(q_a, q_b):
+    # random states are not A<->B symmetric, so a mode mix-up cannot pass
+    sub = SubtractionParams(0.8)
+    for seed in range(3):
+        st = _random_state(5, seed + 200)
+        got = detect_phonons(st, sub, q_a, q_b)
+        want, p = oracles.subtract_oracle(st.coeffs, 0.8, q_a, q_b)
+        assert np.abs(got.coeffs - want).max() < 1e-13
+        assert got.trace == pytest.approx(p, abs=1e-13)
+        seq = detect_one_mode(detect_one_mode(st, sub, "A", q_a), sub, "B", q_b)
+        assert np.abs(seq.coeffs - got.coeffs).max() < 1e-13
+
+
 def test_detect_one_mode_single_photon_traces():
     cfg = TruncationConfig(2)
     c = np.zeros((3, 3, 3, 3), dtype=complex)

@@ -25,7 +25,6 @@ from distillery import (
     trace_distance,
     vacuum,
 )
-from distillery.protocol import _arm_b_branches
 
 # malt(1,1) probability at lambda=0.1, tau=100, t_s=0.99, n_max=8:
 # one loss event, then single subtraction success on each arm, from the
@@ -96,6 +95,21 @@ def test_subtraction_matrix_structure():
     assert p[0, 0] == pytest.approx(rec.joint_prob, rel=1e-12)
 
 
+def test_subtraction_matrix_non_square_grids():
+    # P is symmetric, so only a non-square grid shows an i/j swap
+    p35 = subtraction_probability_matrix(LAM, LOSS, SUB, CFG, 3, 5)
+    p53 = subtraction_probability_matrix(LAM, LOSS, SUB, CFG, 5, 3)
+    assert p35.shape == (3, 5)
+    assert p53.shape == (5, 3)
+    for i in range(1, 4):
+        for j in range(1, 6):
+            rec = malt(LAM, MaltingSchedule(i, j, LOSS, SUB), CFG)
+            assert p35[i - 1, j - 1] == pytest.approx(rec.joint_prob, rel=1e-12)
+            rec = malt(LAM, MaltingSchedule(j, i, LOSS, SUB), CFG)
+            assert p53[j - 1, i - 1] == pytest.approx(rec.joint_prob, rel=1e-12)
+    np.testing.assert_allclose(p53, p35.T, rtol=1e-12, atol=0.0)
+
+
 def test_mash_iterate_vacuum_is_immediate_fixed_point():
     out = mash_iterate(vacuum(TruncationConfig(4)), TruncationConfig(4))
     assert out.converged
@@ -158,6 +172,8 @@ def test_critical_attempts_monotone_in_ts():
 
 def test_critical_attempts_zero_squeezing_and_lossless_guard():
     assert critical_attempts(0.0, LOSS, SUB, TruncationConfig(1)).m_c == 0
+    # a zero cap scans no cycle at all
+    assert critical_attempts(LAM, LOSS, SUB, CFG, safety_factor=0).m_c == 0
     with pytest.raises(ValueError):
         critical_attempts(LAM, LossChannelParams(1.0), SUB, CFG)
 
@@ -173,12 +189,14 @@ def test_critical_attempts_gain_matches_independent_protocol_runs():
 
 
 def test_arm_b_branches_match_independent_malts():
-    for j_want in (1, 2, 4):
-        for j, p_j, state in _arm_b_branches(LAM, LOSS, SUB, CFG, 4):
-            if j == j_want:
-                rec = malt(LAM, MaltingSchedule(1, j_want, LOSS, SUB), CFG)
-                assert p_j == pytest.approx(rec.joint_prob, rel=1e-10)
-                assert np.abs(state.coeffs - rec.state.coeffs).max() < 1e-12
+    # malt-only terms carry each arm-B branch's malting probability and the
+    # negativity of its malted state; both must match a malt run from scratch
+    avg = average_entanglement(LAM, LOSS, SUB, CFG, gain_mode="malt-only")
+    assert len(avg.terms) >= 4
+    for j, p_j, neg in avg.terms:
+        rec = malt(LAM, MaltingSchedule(1, j, LOSS, SUB), CFG)
+        assert p_j == pytest.approx(rec.joint_prob, rel=1e-10)
+        assert neg == pytest.approx(rec.negativity_trace[-1][1], rel=1e-12)
 
 
 def test_no_convergence_is_an_error_in_the_scan():
