@@ -18,8 +18,8 @@ from .core import TwoModeState, ZeroTraceError, state_from_coeffs
 
 @lru_cache(maxsize=None)
 def _sqrt_fact(n_top):
-    # sqrt(k!) for k = 0..n_top; float64 is fine up to the ~40 levels used here
-    return np.sqrt(np.array([math.factorial(k) for k in range(n_top + 1)], dtype=float))
+    # sqrt(k!) for k = 0..n_top as a running product: k! overflows float64 from k = 171
+    return np.concatenate(([1.0], np.cumprod(np.sqrt(np.arange(1.0, n_top + 1)))))
 
 
 @dataclass(frozen=True)
@@ -216,9 +216,9 @@ def _convolve_pairs(s0, si, od):
     flati = si.reshape(-1)
     nz0 = np.flatnonzero(flat0)
     nzi = np.flatnonzero(flati)
-    size = od**4
+    out = np.zeros(od**4)
     if nz0.size == 0 or nzi.size == 0:
-        return np.zeros((od, od, od, od), dtype=complex)
+        return out.reshape(od, od, od, od)
 
     def rebase(flat_idx):
         i0, i1, i2, i3 = np.unravel_index(flat_idx, (d, d, d, d))
@@ -228,18 +228,12 @@ def _convolve_pairs(s0, si, od):
     bi = rebase(nzi)
     v0 = flat0[nz0]
     vi = flati[nzi]
-    real_only = not (np.any(v0.imag) or np.any(vi.imag))
-    out_re = np.zeros(size)
-    out_im = np.zeros(size) if not real_only else None
     chunk = max(1, 4_000_000 // bi.size)
     for s in range(0, b0.size, chunk):
         idx = (b0[s : s + chunk, None] + bi[None, :]).ravel()
         vals = (v0[s : s + chunk, None] * vi[None, :]).ravel()
-        out_re += np.bincount(idx, weights=vals.real, minlength=size)
-        if out_im is not None:
-            out_im += np.bincount(idx, weights=vals.imag, minlength=size)
-    out = out_re if out_im is None else out_re + 1j * out_im
-    return out.astype(complex).reshape(od, od, od, od)
+        out += np.bincount(idx, weights=vals, minlength=out.size)
+    return out.reshape(od, od, od, od)
 
 
 def mash_step(rho_i, rho_0, projector="prose", _bs_sign=-1.0):
@@ -272,7 +266,7 @@ def mash_step(rho_i, rho_0, projector="prose", _bs_sign=-1.0):
         # vacuum; party B's pair then passes through its splitter unmeasured.
         t_pair = np.einsum("bd,fh->bfdh", rho_0.coeffs[0, :, 0, :], rho_i.coeffs[0, :, 0, :])
         w2 = _fock_bs_matrix(d, od, 1.0 / math.sqrt(2.0))
-        mat = w2 @ t_pair.reshape(d * d, d * d) @ w2.conj().T
+        mat = w2 @ t_pair.reshape(d * d, d * d) @ w2.T
         out = mat.reshape(od, od, od, od)
     else:
         # Vacuum on output 1 of each splitter leaves amplitudes that factor per
@@ -290,9 +284,9 @@ def mash_step(rho_i, rho_0, projector="prose", _bs_sign=-1.0):
             shape[axis] = od
             out = out * sf.reshape(shape)
 
-    p_full = float(np.einsum("nmnm->", out).real)
+    p_full = float(np.einsum("nmnm->", out))
     kept = out[:d, :d, :d, :d]
-    kept_tr = float(np.einsum("nmnm->", kept).real)
+    kept_tr = float(np.einsum("nmnm->", kept))
     if kept_tr <= cfg.trace_tol:
         raise ZeroTraceError(f"mash projection weight {kept_tr:.3g} at or below trace_tol")
     discarded = max(p_full - kept_tr, 0.0)

@@ -4,6 +4,8 @@ A state over modes A and B is stored as the rank-4 coefficient tensor
 p[n, m, k, l] of sum_{nmkl} p |n, m><k, l|, with n, k indexing mode A and
 m, l indexing mode B. Flattening (n, m) rows against (k, l) columns gives
 the usual dim^2 x dim^2 density matrix.
+Every Fock matrix element of the protocol is real, so coefficients are
+float64 and the density matrix is real symmetric.
 """
 
 import math
@@ -84,14 +86,17 @@ class TwoModeState:
 
 
 def state_from_coeffs(coeffs, cfg):
-    """Wrap a rank-4 coefficient tensor, computing its trace."""
-    c = np.asarray(coeffs, dtype=complex)
+    """Wrap a rank-4 coefficient tensor as a read-only float64 copy, computing
+    its trace. Complex input is accepted only with a zero imaginary part."""
+    c = np.asarray(coeffs)
+    if np.iscomplexobj(c) and np.any(c.imag):
+        raise ValueError("coefficients must be real, got a nonzero imaginary part")
     d = cfg.n_max + 1
     if c.shape != (d, d, d, d):
         raise ValueError(f"expected shape {(d, d, d, d)}, got {c.shape}")
-    c = c.copy()
+    c = np.array(c.real, dtype=np.float64, order="C")
     c.flags.writeable = False
-    tr = float(np.einsum("nmnm->", c).real)
+    tr = float(np.einsum("nmnm->", c))
     return TwoModeState(c, tr, cfg)
 
 
@@ -115,7 +120,7 @@ def tmss(lam, cfg, allow_truncation=False):
     d = cfg.dim
     amps = lam ** np.arange(d)
     amps /= math.sqrt(np.sum(amps * amps))
-    c = np.zeros((d, d, d, d), dtype=complex)
+    c = np.zeros((d, d, d, d))
     idx = np.arange(d)
     c[idx[:, None], idx[:, None], idx[None, :], idx[None, :]] = np.outer(amps, amps)
     return state_from_coeffs(c, cfg)
@@ -123,23 +128,23 @@ def tmss(lam, cfg, allow_truncation=False):
 
 def vacuum(cfg):
     d = cfg.dim
-    c = np.zeros((d, d, d, d), dtype=complex)
+    c = np.zeros((d, d, d, d))
     c[0, 0, 0, 0] = 1.0
     return state_from_coeffs(c, cfg)
 
 
 def trace_of(state):
     """Trace re-read from the coefficients (not the cached field)."""
-    return float(np.einsum("nmnm->", state.coeffs).real)
+    return float(np.einsum("nmnm->", state.coeffs))
 
 
 def normalize(state):
-    """Rescale to unit trace; returns (normalized state, original trace).
+    """Rescale by the cached trace; returns (normalized state, original trace).
 
     The original trace is the outcome probability when the input is an
     unnormalized conditional state.
     """
-    tr = trace_of(state)
+    tr = state.trace
     if tr <= state.cfg.trace_tol:
         raise ZeroTraceError(f"trace {tr:.3g} is at or below trace_tol")
     return state_from_coeffs(state.coeffs / tr, state.cfg), tr
@@ -151,9 +156,9 @@ def swap_modes(state):
 
 
 def hermiticity_defect(state):
-    """Largest |p[n,m,k,l] - conj(p[k,l,n,m])|."""
+    """Largest |p[n,m,k,l] - p[k,l,n,m]| (for real p, Hermitian is symmetric)."""
     c = state.coeffs
-    return float(np.abs(c - c.transpose(2, 3, 0, 1).conj()).max())
+    return float(np.abs(c - c.transpose(2, 3, 0, 1)).max())
 
 
 def min_eigenvalue(state):

@@ -19,7 +19,7 @@ from .channels import (
     loss_event,
     mash_step,
 )
-from .core import TwoModeState, ZeroTraceError, normalize, tmss, trace_of
+from .core import TwoModeState, ZeroTraceError, normalize, tmss
 from .negativity import log_negativity, trace_distance
 
 
@@ -91,7 +91,7 @@ def _count_step(state, sub, outcomes, cycle):
         if q is None:
             continue  # this arm already counted its phonon; loss only
         state = detect_one_mode(state, sub, mode, q)
-        if trace_of(state) <= state.cfg.trace_tol:
+        if state.trace <= state.cfg.trace_tol:
             raise ZeroTraceError(
                 f"outcome q={q} on arm {mode} at cycle {cycle} has vanishing probability"
             )
@@ -182,7 +182,7 @@ def subtraction_probability_matrix(lam, loss, sub, cfg, i_max, j_max):
     return p
 
 
-def mash_iterate(rho_0, cfg, max_iter=50, projector="prose", exact_iterations=None):
+def mash_iterate(rho_0, cfg, max_iter=50, exact_iterations=None):
     """Iterate mashing rounds against fresh copies of rho_0 until successive
     iterates are conv_tol-close in trace distance (or for exactly
     exact_iterations rounds when that override is given)."""
@@ -195,7 +195,7 @@ def mash_iterate(rho_0, cfg, max_iter=50, projector="prose", exact_iterations=No
     cur = rho_0
     converged = False
     for _ in range(n_rounds):
-        res = mash_step(cur, rho_0, projector=projector)
+        res = mash_step(cur, rho_0)
         probs.append(res.prob)
         negs.append(log_negativity(res.state).value)
         worst_cut = max(worst_cut, res.discarded_weight)

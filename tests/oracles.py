@@ -147,8 +147,12 @@ def p11_trajectory_oracle(lam, n_max, t, t_s):
 
 
 def random_state_coeffs(dim, rng):
-    """Random valid (Hermitian, PSD, trace-1) two-mode coefficient tensor."""
-    g = rng.normal(size=(dim * dim, dim * dim)) + 1j * rng.normal(size=(dim * dim, dim * dim))
-    rho = g @ g.conj().T
-    rho /= np.trace(rho).real
+    """Random valid (real symmetric, PSD, trace-1) two-mode coefficient tensor.
+
+    Dense, full rank and asymmetric between the modes, so it reaches every
+    index path of a kernel; real, like every state of the protocol.
+    """
+    g = rng.normal(size=(dim * dim, dim * dim))
+    rho = g @ g.T
+    rho /= np.trace(rho)
     return rho.reshape(dim, dim, dim, dim)

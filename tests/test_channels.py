@@ -24,6 +24,7 @@ from distillery import (
     trace_of,
     vacuum,
 )
+from distillery.channels import _sqrt_fact
 
 # double subtraction q_A=q_B=1 straight on tmss(0.1), t_s=0.99, n_max=8,
 # from the brute-force contraction in oracles.subtract_oracle
@@ -216,6 +217,18 @@ def test_fock_bs_sector_unitarity():
                     for m1 in range(n1 + n2 + 1)
                 )
                 assert abs(total - 1.0) < 1e-13
+
+
+def test_sqrt_fact_matches_exact_factorials():
+    sf = _sqrt_fact(40)
+    for k in range(41):
+        assert sf[k] == pytest.approx(math.sqrt(math.factorial(k)), rel=1e-14)
+
+
+def test_fock_bs_element_beyond_float_factorials():
+    # 172! overflows float64, so sqrt(172!) must be built without it
+    t = 0.7
+    assert fock_bs_element(172, 0, 172, 0, t) == pytest.approx(t**172, rel=1e-12)
 
 
 def test_fock_bs_hong_ou_mandel():

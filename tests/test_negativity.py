@@ -25,12 +25,12 @@ from distillery import (
 
 def _product_state(dim, seed):
     rng = np.random.default_rng(seed)
-    ga = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    gb = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    a = ga @ ga.conj().T
-    b = gb @ gb.conj().T
-    a /= np.trace(a).real
-    b /= np.trace(b).real
+    ga = rng.normal(size=(dim, dim))
+    gb = rng.normal(size=(dim, dim))
+    a = ga @ ga.T
+    b = gb @ gb.T
+    a /= np.trace(a)
+    b /= np.trace(b)
     return np.einsum("nk,ml->nmkl", a, b)
 
 

@@ -5,13 +5,19 @@ import pytest
 
 import oracles
 from distillery import (
+    LossChannelParams,
+    SubtractionParams,
     TruncationConfig,
     TwoModeState,
     ZeroTraceError,
     NotHermitianError,
     auto_n_max,
     check_state,
+    detect_one_mode,
+    detect_phonons,
     hermiticity_defect,
+    loss_event,
+    mash_step,
     min_eigenvalue,
     normalize,
     state_from_coeffs,
@@ -179,6 +185,40 @@ def test_states_are_immutable_values():
     assert st.coeffs[1, 1, 1, 1] == 0.0
     with pytest.raises(ValueError):
         st.coeffs[0, 0, 0, 0] = 2.0
+
+
+def test_state_from_coeffs_rejects_imaginary_part():
+    cfg = TruncationConfig(2)
+    c = vacuum(cfg).coeffs.astype(complex)
+    c[1, 0, 0, 1] = 1e-3j
+    c[0, 1, 1, 0] = -1e-3j  # Hermitian, but not real
+    with pytest.raises(ValueError, match="imaginary"):
+        state_from_coeffs(c, cfg)
+
+
+def test_state_from_coeffs_stores_real_part_of_complex_input():
+    cfg = TruncationConfig(3)
+    c = oracles.tmss_coeffs(0.1, 3)  # complex dtype, zero imaginary part
+    st = state_from_coeffs(c, cfg)
+    assert st.coeffs.dtype == np.float64
+    assert np.array_equal(st.coeffs, c.real)
+
+
+def test_every_op_returns_float64_coefficients():
+    cfg = TruncationConfig(4)
+    sub = SubtractionParams(0.9)
+    st = tmss(0.2, cfg, allow_truncation=True)
+    outs = [
+        st,
+        vacuum(cfg),
+        loss_event(st, LossChannelParams(0.95)),
+        detect_one_mode(st, sub, "B", 1),
+        detect_phonons(st, sub, 1, 1),
+        normalize(detect_phonons(st, sub, 1, 0))[0],
+        mash_step(st, st).state,
+    ]
+    for out in outs:
+        assert out.coeffs.dtype == np.float64
 
 
 def test_swap_modes_transposes_both_index_pairs():
