@@ -12,8 +12,9 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import TwoModeState, ZeroTraceError, state_from_coeffs
+from .core import TwoModeState, ZeroTraceError, _wrap_fresh, state_from_coeffs
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +153,7 @@ def detect_phonons(state, params, q_a, q_b):
             raise ValueError(f"outcome q must be an integer in [0, n_max], got {q}")
     c = _detect_mode(state.coeffs, int(q_a), params.t_s, "A")
     c = _detect_mode(c, int(q_b), params.t_s, "B")
-    return state_from_coeffs(c, state.cfg)
+    return _wrap_fresh(c, state.cfg)
 
 
 def detect_one_mode(state, params, mode, q):
@@ -161,40 +162,58 @@ def detect_one_mode(state, params, mode, q):
         raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
     if int(q) != q or not 0 <= q <= state.n_max:
         raise ValueError(f"outcome q must be an integer in [0, n_max], got {q}")
-    return state_from_coeffs(_detect_mode(state.coeffs, int(q), params.t_s, mode), state.cfg)
+    return _wrap_fresh(_detect_mode(state.coeffs, int(q), params.t_s, mode), state.cfg)
+
+
+def _bs_blocks(n_top, t):
+    """Yield B_N[m1, n1] = <m1, N-m1| B |n1, N-n1> for N = 0..n_top.
+
+    Each block follows from the last by the spin-1/2 coupling
+    |n> = (1/N) sum_s sqrt(n_s) a_s† |n - e_s> on both sides, with
+    B a1† B† = t a1† - r a2† and B a2† B† = r a1† + t a2†. Its weights are
+    products of two unit vectors' components, so rounding errors never grow,
+    where the alternating binomial sum cancels catastrophically at large N.
+    """
+    r = math.sqrt(max(0.0, 1.0 - t * t))
+    b = np.ones((1, 1))
+    yield b
+    for n in range(1, n_top + 1):
+        up = np.sqrt(np.arange(n + 1.0))  # sqrt(x) at x = 0..n
+        down = up[::-1]  # sqrt(n - x)
+        nb = np.zeros((n + 1, n + 1))
+        nb[1:, 1:] += t * b * np.outer(up[1:], up[1:])
+        nb[1:, :-1] += r * b * np.outer(up[1:], down[:-1])
+        nb[:-1, 1:] -= r * b * np.outer(down[:-1], up[1:])
+        nb[:-1, :-1] += t * b * np.outer(down[:-1], down[:-1])
+        b = nb / n
+        yield b
 
 
 def fock_bs_element(n1, n2, m1, m2, t):
     """<m1, m2| B |n1, n2> for a splitter whose reflection into output 2
     carries the minus sign. Zero unless photon number is conserved."""
-    if n1 + n2 != m1 + m2:
+    if n1 + n2 != m1 + m2 or min(n1, n2, m1, m2) < 0:
         return 0.0
-    r = math.sqrt(max(0.0, 1.0 - t * t))
-    sf = _sqrt_fact(max(n1 + n2, 1))
-    total = 0.0
-    for i in range(max(0, m1 - n2), min(n1, m1) + 1):
-        j = m1 - i
-        total += (
-            math.comb(n1, i)
-            * math.comb(n2, j)
-            * t ** (i + n2 - j)
-            * (-1.0) ** (n1 - i)
-            * r ** (n1 - i + j)
-        )
-    return total * sf[m1] * sf[m2] / (sf[n1] * sf[n2])
+    return float(_bs_block(n1 + n2, t)[m1, n1])
+
+
+@lru_cache(maxsize=64)
+def _bs_block(total, t):
+    # the last block of _bs_blocks, kept for repeated element lookups
+    for b in _bs_blocks(total, t):
+        pass
+    b.flags.writeable = False
+    return b
 
 
 @lru_cache(maxsize=None)
 def _fock_bs_matrix(dim_in, dim_out, t):
     # Full two-mode splitter matrix W[(m1, m2), (n1, n2)], inputs < dim_in.
     w = np.zeros((dim_out * dim_out, dim_in * dim_in))
-    for n1 in range(dim_in):
-        for n2 in range(dim_in):
-            for m1 in range(min(n1 + n2, dim_out - 1) + 1):
-                m2 = n1 + n2 - m1
-                if m2 >= dim_out:
-                    continue
-                w[m1 * dim_out + m2, n1 * dim_in + n2] = fock_bs_element(n1, n2, m1, m2, t)
+    for total, b in enumerate(_bs_blocks(2 * (dim_in - 1), t)):
+        for n1 in range(max(0, total - dim_in + 1), min(total, dim_in - 1) + 1):
+            for m1 in range(max(0, total - dim_out + 1), min(total, dim_out - 1) + 1):
+                w[m1 * dim_out + total - m1, n1 * dim_in + total - n1] = b[m1, n1]
     return w
 
 
@@ -204,36 +223,179 @@ class MashResult(NamedTuple):
     discarded_weight: float
 
 
-def _convolve_pairs(s0, si, od):
-    """Exact 4-index convolution out[a+e, b+f, c+g, d+h] += s0[abcd] si[efgh].
+# Sector coordinates. A coefficient p[n, m, k, l] has the sector label
+# delta = (n - k) - (m - l); every protocol state lives in delta = 0. Within a
+# sector l is implied, so a sector is a d^3 array indexed (n, m, k) with
+# l = m - n + k + delta, and mashing adds labels: inputs from sectors d0 and
+# di only feed output sector d0 + di. Index tables point one past the end of
+# a flattened d^4 array, at an appended zero, where the implied l is not a
+# level of the cutoff.
 
-    Runs over the nonzero entries of each factor only; states produced by
-    this protocol obey a photon-number-difference selection rule that keeps
-    them dim^3-sparse, which this exploits without assuming it.
+
+@lru_cache(maxsize=None)
+def _sector_labels(dim):
+    # delta of every coefficient; int16 keeps this table at a quarter of the
+    # size of one state
+    i = np.arange(dim, dtype=np.int16)
+    labels = (i[:, None, None, None] - i[None, None, :, None]) - (
+        i[None, :, None, None] - i[None, None, None, :]
+    )
+    labels.flags.writeable = False
+    return labels
+
+
+@lru_cache(maxsize=None)
+def _sector_index(dim, delta):
+    # flat position of p[n, m, k, m - n + k + delta], per (n, m, k)
+    n, m, k = np.indices((dim,) * 3)
+    l_ = m - n + k + delta
+    idx = np.where((l_ >= 0) & (l_ < dim), ((n * dim + m) * dim + k) * dim + l_, dim**4)
+    idx.flags.writeable = False
+    return idx
+
+
+@lru_cache(maxsize=None)
+def _diagonal_index(dim, delta):
+    # Flat position of p[n, m, k, l] per (j + dim - 1, p, q): mode A's pair
+    # (n, k) is entry p of the diagonal n - k = j, mode B's pair (m, l) entry
+    # q of the diagonal m - l = j - delta.
+    j, p, q = np.indices((2 * dim - 1, dim, dim))
+    j -= dim - 1
+    n, k = p + np.maximum(j, 0), p + np.maximum(-j, 0)
+    m, l_ = q + np.maximum(j - delta, 0), q + np.maximum(delta - j, 0)
+    ok = (n < dim) & (k < dim) & (m < dim) & (l_ < dim)
+    idx = np.where(ok, ((n * dim + m) * dim + k) * dim + l_, dim**4)
+    idx.flags.writeable = False
+    return idx
+
+
+@lru_cache(maxsize=None)
+def _vacuum_weights(dim, sign):
+    # V[j + dim - 1, p, p'] = sign^|j| sqrt(C(N, p + |j|) C(N, p)) / 2^N with
+    # N = p + p' + |j|: the weight with which rho_0's pair (n, k) (entry p of
+    # diagonal j) meets rho_i's pair (N - n, N - k) (entry p' of diagonal -j)
+    # in the vacuum-conditioned output N of one 50/50 splitter. Each factor
+    # sqrt(C(N, x) / 2^N) is an exact integer ratio, rounded once: at most 1,
+    # so nothing overflows at any cutoff.
+    top = 2 * (dim - 1)
+    root = np.zeros((top + 1, top + 1))
+    for n in range(top + 1):
+        for x in range(n + 1):
+            root[n, x] = math.sqrt(math.comb(n, x) / 2**n)
+    j, p, p2 = np.indices((2 * dim - 1, dim, dim))
+    a = np.abs(j - (dim - 1))
+    n = np.minimum(p + p2 + a, top)
+    ok = (p + a < dim) & (p2 + a < dim)
+    v = np.where(ok, sign**a * root[n, np.minimum(p + a, top)] * root[n, p], 0.0)
+    v.flags.writeable = False
+    return v
+
+
+def _padded(c):
+    # flattened copy of c with one zero appended, for the index tables above
+    flat = np.zeros(c.size + 1)
+    flat[:-1] = c.reshape(-1)
+    return flat
+
+
+def _sectors(c):
+    """{delta: d^3 array} over the sectors holding a nonzero entry of c."""
+    d = c.shape[0]
+    flat = _padded(c)
+    present = np.unique(_sector_labels(d)[c != 0])
+    return {int(delta): flat[_sector_index(d, delta)] for delta in present}
+
+
+def _truncated_convolution(x, y):
+    """out[N, M, K] = sum x[n, m, k] y[N - n, M - m, K - k] over N, M, K < d.
+
+    One matmul per first-axis shift e of y: the (M, K) part is a matrix of
+    shifted copies of y[e], read as a sliding-window view.
     """
-    d = s0.shape[0]
-    flat0 = s0.reshape(-1)
-    flati = si.reshape(-1)
-    nz0 = np.flatnonzero(flat0)
-    nzi = np.flatnonzero(flati)
-    out = np.zeros(od**4)
-    if nz0.size == 0 or nzi.size == 0:
-        return out.reshape(od, od, od, od)
+    d = x.shape[0]
+    pad = np.zeros((d, 2 * d - 1, 2 * d - 1))
+    pad[:, d - 1 :, d - 1 :] = y
+    # windows[e, m, k, M, K] = y[e, M - m, K - k], zero where M < m or K < k
+    windows = sliding_window_view(pad, (d, d), axis=(1, 2))[:, ::-1, ::-1]
+    x2 = x.reshape(d, d * d)
+    out = x2 @ windows[0].reshape(d * d, d * d)
+    for e in range(1, d):
+        out[e:] += x2[: d - e] @ windows[e].reshape(d * d, d * d)
+    return out.reshape(d, d, d)
 
-    def rebase(flat_idx):
-        i0, i1, i2, i3 = np.unravel_index(flat_idx, (d, d, d, d))
-        return ((i0 * od + i1) * od + i2) * od + i3
 
-    b0 = rebase(nz0)
-    bi = rebase(nzi)
-    v0 = flat0[nz0]
-    vi = flati[nzi]
-    chunk = max(1, 4_000_000 // bi.size)
-    for s in range(0, b0.size, chunk):
-        idx = (b0[s : s + chunk, None] + bi[None, :]).ravel()
-        vals = (v0[s : s + chunk, None] * vi[None, :]).ravel()
-        out += np.bincount(idx, weights=vals, minlength=out.size)
-    return out.reshape(od, od, od, od)
+@lru_cache(maxsize=None)
+def _mash_weights(dim, sign):
+    # Pair products w[a] w[b] of the per-index factors of the prose projector
+    # on the rho_0 side, the rho_i side and the output (see _mash_prose);
+    # d x d each, so the cache stays small at any cutoff.
+    sf = _sqrt_fact(dim - 1)
+    half = 1.0 / math.sqrt(2.0)
+    x = np.arange(dim)
+    pairs = []
+    for w in ((sign * half) ** x / sf, half**x / sf, sf):
+        pair = np.outer(w, w)
+        pair.flags.writeable = False
+        pairs.append(pair)
+    return tuple(pairs)
+
+
+def _weighted(c, pair):
+    # c[a, b, c, d] w[a] w[b] w[c] w[d] from the pair products w[a] w[b]
+    return c * (pair[:, :, None, None] * pair)
+
+
+def _mash_prose(c_i, c_0, sign):
+    """Kept block and untruncated trace of the prose projector's output.
+
+    Vacuum on output 1 of each splitter leaves amplitudes that factor per
+    input index: (sign r)^x / sqrt(x!) on the rho_0 side, t^x / sqrt(x!) on
+    the rho_i side, and sqrt(N!) on each output index (t = r here). The
+    kept block is a truncated convolution of the rescaled inputs, sector by
+    sector; the trace needs only output N = K, M = L, so only sectors d0 and
+    -d0 meet there, weighted by _vacuum_weights.
+    """
+    d = c_i.shape[0]
+    w_0, w_i, w_out = _mash_weights(d, sign)
+    s0 = _sectors(_weighted(c_0, w_0))
+    si = _sectors(_weighted(c_i, w_i))
+    by_sector = {}
+    for d_i, y in si.items():
+        for d_0, x0 in s0.items():
+            # outside |delta| <= 2(d - 1) every implied l leaves the cutoff
+            if abs(d_0 + d_i) <= 2 * (d - 1):
+                part = _truncated_convolution(x0, y)
+                by_sector[d_0 + d_i] = by_sector.get(d_0 + d_i, 0.0) + part
+    kept = np.zeros(d**4 + 1)
+    for delta, part in by_sector.items():
+        kept[_sector_index(d, delta)] = part  # dropped l land on the spare slot
+    kept = _weighted(kept[:-1].reshape(d, d, d, d), w_out)
+
+    flat_0, flat_i = _padded(c_0), _padded(c_i)
+    v = _vacuum_weights(d, sign)
+    p_full = 0.0
+    for delta in s0:
+        if -delta not in si:
+            continue
+        a = flat_0[_diagonal_index(d, delta)]
+        b = flat_i[_diagonal_index(d, -delta)][::-1]  # rho_i on diagonal -j, -(j - delta)
+        # mode B's diagonal j - delta; where it leaves the cutoff a is all zero
+        v_b = v[np.clip(np.arange(2 * d - 1) - delta, 0, 2 * d - 2)]
+        p_full += float(np.sum(a * (v @ b @ v_b.transpose(0, 2, 1))))
+    return kept, p_full
+
+
+def _mash_printed(c_i, c_0):
+    # Photon conservation pins both of party A's splitter inputs to vacuum;
+    # party B's pair then passes through its splitter unmeasured. Only the
+    # splitter rows whose two outputs are both below the cutoff are kept.
+    d = c_i.shape[0]
+    od = 2 * d - 1
+    t_pair = np.einsum("bd,fh->bfdh", c_0[0, :, 0, :], c_i[0, :, 0, :]).reshape(d * d, d * d)
+    w2 = _fock_bs_matrix(d, od, 1.0 / math.sqrt(2.0))
+    p_full = float(np.sum((w2 @ t_pair) * w2))  # trace of w2 t_pair w2^T
+    rows = w2.reshape(od, od, d * d)[:d, :d].reshape(d * d, d * d)
+    return (rows @ t_pair @ rows.T).reshape(d, d, d, d), p_full
 
 
 def mash_step(rho_i, rho_0, projector="prose", _bs_sign=-1.0):
@@ -247,7 +409,8 @@ def mash_step(rho_i, rho_0, projector="prose", _bs_sign=-1.0):
 
     Returns MashResult(state, prob, discarded_weight): the renormalized kept
     block, the projection probability before truncation, and the weight cut
-    by re-truncating combined indices beyond n_max.
+    by re-truncating combined indices beyond n_max. Only the kept block is
+    computed; prob comes from the closed-form trace of the untruncated output.
     """
     if rho_i.cfg != rho_0.cfg or rho_i.dim != rho_0.dim:
         raise ValueError("mash inputs must share dimension and truncation config")
@@ -256,38 +419,13 @@ def mash_step(rho_i, rho_0, projector="prose", _bs_sign=-1.0):
             raise ValueError(f"mash inputs must be normalized, got trace {s.trace}")
     if projector not in ("prose", "printed"):
         raise ValueError(f"unknown projector {projector!r}")
-    d = rho_i.dim
-    od = 2 * (d - 1) + 1
     cfg = rho_i.cfg
-    sf = _sqrt_fact(od - 1)
-
     if projector == "printed":
-        # Photon conservation pins both of party A's splitter inputs to
-        # vacuum; party B's pair then passes through its splitter unmeasured.
-        t_pair = np.einsum("bd,fh->bfdh", rho_0.coeffs[0, :, 0, :], rho_i.coeffs[0, :, 0, :])
-        w2 = _fock_bs_matrix(d, od, 1.0 / math.sqrt(2.0))
-        mat = w2 @ t_pair.reshape(d * d, d * d) @ w2.T
-        out = mat.reshape(od, od, od, od)
+        kept, p_full = _mash_printed(rho_i.coeffs, rho_0.coeffs)
     else:
-        # Vacuum on output 1 of each splitter leaves amplitudes that factor per
-        # input index: (sign r)^x / sqrt(x!) on the rho_0 side, t^x / sqrt(x!)
-        # on the rho_i side, and sqrt(N!) on each output index (t = r here).
-        half = 1.0 / math.sqrt(2.0)
-        x = np.arange(d)
-        w_res = (_bs_sign * half) ** x / sf[:d]
-        w_inp = half**x / sf[:d]
-        s0 = rho_0.coeffs * np.einsum("a,b,c,d->abcd", w_res, w_res, w_res, w_res)
-        si = rho_i.coeffs * np.einsum("a,b,c,d->abcd", w_inp, w_inp, w_inp, w_inp)
-        out = _convolve_pairs(s0, si, od)
-        for axis in range(4):
-            shape = [1, 1, 1, 1]
-            shape[axis] = od
-            out = out * sf.reshape(shape)
-
-    p_full = float(np.einsum("nmnm->", out))
-    kept = out[:d, :d, :d, :d]
+        kept, p_full = _mash_prose(rho_i.coeffs, rho_0.coeffs, _bs_sign)
     kept_tr = float(np.einsum("nmnm->", kept))
     if kept_tr <= cfg.trace_tol:
         raise ZeroTraceError(f"mash projection weight {kept_tr:.3g} at or below trace_tol")
     discarded = max(p_full - kept_tr, 0.0)
-    return MashResult(state_from_coeffs(kept / kept_tr, cfg), p_full, discarded)
+    return MashResult(_wrap_fresh(kept / kept_tr, cfg), p_full, discarded)

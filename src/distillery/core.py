@@ -94,10 +94,14 @@ def state_from_coeffs(coeffs, cfg):
     d = cfg.n_max + 1
     if c.shape != (d, d, d, d):
         raise ValueError(f"expected shape {(d, d, d, d)}, got {c.shape}")
-    c = np.array(c.real, dtype=np.float64, order="C")
+    return _wrap_fresh(np.array(c.real, dtype=np.float64, order="C"), cfg)
+
+
+def _wrap_fresh(c, cfg):
+    """Wrap a C-contiguous float64 array of the right shape that no one else
+    holds (an op's own output) without copying it: freeze it, read its trace."""
     c.flags.writeable = False
-    tr = float(np.einsum("nmnm->", c))
-    return TwoModeState(c, tr, cfg)
+    return TwoModeState(c, float(np.einsum("nmnm->", c)), cfg)
 
 
 def tmss(lam, cfg, allow_truncation=False):
@@ -147,7 +151,7 @@ def normalize(state):
     tr = state.trace
     if tr <= state.cfg.trace_tol:
         raise ZeroTraceError(f"trace {tr:.3g} is at or below trace_tol")
-    return state_from_coeffs(state.coeffs / tr, state.cfg), tr
+    return _wrap_fresh(state.coeffs / tr, state.cfg), tr
 
 
 def swap_modes(state):

@@ -66,12 +66,16 @@ class CriticalCount:
     m_c: int
     baseline_negativity: float
     fixed_arm_index: int = 1
+    mash_rounds: int = 0  # mashing rounds run over the whole scan
+    max_discarded: float = 0.0  # worst truncation discard of any of them
 
 
 @dataclass(frozen=True)
 class AvgEntanglement:
     value: float
     terms: list  # (j, success probability, final negativity) per retained j
+    mash_rounds: int = 0  # mashing rounds run over the whole scan
+    max_discarded: float = 0.0  # worst truncation discard of any of them
 
 
 def baseline_negativity(lam):
@@ -230,21 +234,24 @@ def full_protocol(lam, schedule, cfg, max_iter=50):
 def _scan_gain(lam, loss, sub, cfg, max_iter, gain_mode, safety_factor, mash_iterations):
     """Shared linear scan over arm-B success cycles.
 
-    Returns (m_c, baseline, terms) where terms holds one
-    (j, success probability, final negativity) triple per retained j.
+    Returns (m_c, baseline, terms, mash_rounds, max_discarded) where terms
+    holds one (j, success probability, final negativity) triple per retained
+    j, and the last two total the mashing rounds run (the failing j's
+    included) and give their worst truncation discard.
     """
     if gain_mode not in ("full", "malt-only"):
         raise ValueError(f"unknown gain_mode {gain_mode!r}")
     baseline = baseline_negativity(lam)
     if lam == 0.0:
-        return 0, baseline, []
+        return 0, baseline, [], 0, 0.0
     if not math.isfinite(loss.tau):
         raise ValueError("critical-count scan needs finite tau (t < 1)")
     j_limit = math.ceil(loss.tau) * safety_factor
     if j_limit < 1:
-        return 0, baseline, []
+        return 0, baseline, [], 0, 0.0
     m_c = 0
     terms = []
+    rounds, worst_cut = 0, 0.0
     # arm A counts at cycle 1; the branches are arm B's success cycles j
     lossy = loss_event(tmss(lam, cfg), loss)
     for _, j, p_j, malted in _first_counts(lossy, 1.0, loss, sub, 1, 1, j_limit):
@@ -259,6 +266,8 @@ def _scan_gain(lam, loss, sub, cfg, max_iter, gain_mode, safety_factor, mash_ite
             outcome = mash_iterate(
                 malted, cfg, max_iter=max_iter, exact_iterations=forced
             )
+            rounds += outcome.iterations
+            worst_cut = max(worst_cut, outcome.max_discarded)
             if not outcome.converged:
                 raise NoConvergenceError(
                     f"mashing did not converge within {max_iter} rounds at j={j}"
@@ -272,7 +281,7 @@ def _scan_gain(lam, loss, sub, cfg, max_iter, gain_mode, safety_factor, mash_ite
             break
         m_c = j
         terms.append((j, p_total, final_neg))
-    return m_c, baseline, terms
+    return m_c, baseline, terms, rounds, worst_cut
 
 
 def critical_attempts(
@@ -281,10 +290,10 @@ def critical_attempts(
     """Largest arm-B success cycle (arm A fixed at cycle 1) whose distilled
     negativity still beats the undistilled baseline; linear scan from j=1,
     stopping at the first failure, hard-capped at ceil(tau)*safety_factor."""
-    m_c, baseline, _ = _scan_gain(
+    m_c, baseline, _, rounds, worst_cut = _scan_gain(
         lam, loss, sub, cfg, max_iter, gain_mode, safety_factor, None
     )
-    return CriticalCount(m_c, baseline, 1)
+    return CriticalCount(m_c, baseline, 1, rounds, worst_cut)
 
 
 def average_entanglement(
@@ -305,10 +314,11 @@ def average_entanglement(
     are kept in terms, so the unnormalized sum is recoverable from them.
 
     The number of retained cycles is len(terms)."""
-    _, _, terms = _scan_gain(
+    _, _, terms, rounds, worst_cut = _scan_gain(
         lam, loss, sub, cfg, max_iter, gain_mode, safety_factor, mash_iterations
     )
     if not terms:
-        return AvgEntanglement(0.0, [])
+        return AvgEntanglement(0.0, [], rounds, worst_cut)
     weight = sum(p for _, p, _ in terms)
-    return AvgEntanglement(sum(p * n for _, p, n in terms) / weight, terms)
+    value = sum(p * n for _, p, n in terms) / weight
+    return AvgEntanglement(value, terms, rounds, worst_cut)

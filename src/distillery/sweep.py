@@ -112,7 +112,7 @@ def _mc_cell(args):
         max_iter=max_iter,
         gain_mode=gain_mode,
     )
-    return count.m_c
+    return count.m_c, count.mash_rounds, count.max_discarded
 
 
 def _avg_cell(args):
@@ -126,7 +126,7 @@ def _avg_cell(args):
         max_iter=max_iter,
         gain_mode=gain_mode,
     )
-    return len(avg.terms), avg.value
+    return len(avg.terms), avg.value, avg.mash_rounds, avg.max_discarded
 
 
 # ---------------------------------------------------------------------------
@@ -201,14 +201,26 @@ def _run_distill(cfg):
     return ("stage", "phase", "negativity", "prob"), rows, meta
 
 
+def _mash_diagnostics(per_cell):
+    # per_cell: (mashing rounds, worst discard) per t_s point, in row order.
+    # mash_rounds lists each point's rounds, ';'-separated; max_discarded is
+    # the worst over all points, the same key distill writes.
+    return {
+        "mash_rounds": ";".join(str(rounds) for rounds, _ in per_cell),
+        "max_discarded": max((cut for _, cut in per_cell), default=0.0),
+    }
+
+
 def _run_mc_sweep(cfg):
     gain_mode = "malt-only" if cfg.baseline == "malt-only" else "full"
     cells = [
         (cfg.lam, cfg.t, ts, cfg.n_max, cfg.max_iter, gain_mode) for ts in cfg.ts_values
     ]
-    counts = _pmap(_mc_cell, cells, cfg.threads)
-    rows = [(ts, mc) for ts, mc in zip(cfg.ts_values, counts)]
-    return ("ts", "m_c"), rows, {"baseline_negativity": baseline_negativity(cfg.lam)}
+    results = _pmap(_mc_cell, cells, cfg.threads)
+    rows = [(ts, mc) for ts, (mc, _, _) in zip(cfg.ts_values, results)]
+    meta = {"baseline_negativity": baseline_negativity(cfg.lam)}
+    meta.update(_mash_diagnostics([r[1:] for r in results]))
+    return ("ts", "m_c"), rows, meta
 
 
 def _run_avg_ent(cfg):
@@ -217,8 +229,8 @@ def _run_avg_ent(cfg):
         (cfg.lam, cfg.t, ts, cfg.n_max, cfg.max_iter, gain_mode) for ts in cfg.ts_values
     ]
     results = _pmap(_avg_cell, cells, cfg.threads)
-    rows = [(ts, mc, val) for ts, (mc, val) in zip(cfg.ts_values, results)]
-    return ("ts", "m_c", "avg_ent"), rows, {}
+    rows = [(ts, mc, val) for ts, (mc, val, _, _) in zip(cfg.ts_values, results)]
+    return ("ts", "m_c", "avg_ent"), rows, _mash_diagnostics([r[2:] for r in results])
 
 
 _RUNNERS = {

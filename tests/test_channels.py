@@ -17,6 +17,7 @@ from distillery import (
     loss_event,
     loss_kraus,
     mash_step,
+    normalize,
     repeated_loss,
     state_from_coeffs,
     swap_modes,
@@ -231,6 +232,18 @@ def test_fock_bs_element_beyond_float_factorials():
     assert fock_bs_element(172, 0, 172, 0, t) == pytest.approx(t**172, rel=1e-12)
 
 
+def test_fock_bs_element_without_cancellation():
+    # the alternating binomial sum lost 8 digits here: -C(30,15)/2^30 exactly
+    s = 1 / math.sqrt(2)
+    want = -math.comb(30, 15) / 2**30
+    assert fock_bs_element(30, 30, 30, 30, s) == pytest.approx(want, rel=1e-13)
+    for t in (0.3, s, 0.7071, 0.95):
+        for n1 in (0, 37, 50, 100):
+            n2 = 100 - n1
+            total = sum(fock_bs_element(n1, n2, m1, 100 - m1, t) ** 2 for m1 in range(101))
+            assert abs(total - 1.0) < 1e-12
+
+
 def test_fock_bs_hong_ou_mandel():
     s = 1 / math.sqrt(2)
     assert fock_bs_element(1, 1, 1, 1, s) == pytest.approx(0.0, abs=1e-14)
@@ -280,6 +293,34 @@ def test_mash_step_matches_four_mode_oracle():
         b = state_from_coeffs(oracles.random_state_coeffs(3, rng), cfg)
         res = mash_step(a, b)
         want, p_want, cut_want = _oracle_mash(a, b, "prose")
+        assert res.prob == pytest.approx(p_want, rel=1e-12)
+        assert np.abs(res.state.coeffs - want).max() < 1e-13
+        assert res.discarded_weight == pytest.approx(cut_want, abs=1e-14)
+
+
+def _malted_cutoff_two(lam):
+    # One malting cycle (loss, then a count on each arm) on a TMSS cut at
+    # n_max = 3. The count leaves levels <= 2 only, so the state is exact at
+    # n_max = 2, and every coefficient lies in the sector n - k = m - l.
+    st = tmss(lam, TruncationConfig(3), allow_truncation=True)
+    st = loss_event(st, LossChannelParams.from_tau(100.0))
+    st = detect_phonons(st, SubtractionParams(0.9), 1, 1)
+    return normalize(state_from_coeffs(st.coeffs[:3, :3, :3, :3], TruncationConfig(2)))[0]
+
+
+def test_mash_step_matches_oracle_on_sector_states():
+    # a malted state holds one sector, a dense random state every sector;
+    # both cases shed weight past the cutoff, so the closed-form prob is
+    # checked where the discarded tail is not empty
+    malted = _malted_cutoff_two(0.6)
+    n, m, k, l_ = np.indices(malted.coeffs.shape)
+    assert not np.any(malted.coeffs[n - k != m - l_])
+    rng = np.random.default_rng(13)
+    dense = state_from_coeffs(oracles.random_state_coeffs(3, rng), malted.cfg)
+    for a, b in ((malted, malted), (dense, malted)):
+        res = mash_step(a, b)
+        want, p_want, cut_want = _oracle_mash(a, b, "prose")
+        assert cut_want > 1e-6
         assert res.prob == pytest.approx(p_want, rel=1e-12)
         assert np.abs(res.state.coeffs - want).max() < 1e-13
         assert res.discarded_weight == pytest.approx(cut_want, abs=1e-14)

@@ -1,7 +1,9 @@
 """Property tests over drawn parameters: the photon-number selection rule of
-malted and mashed states, and the symmetry every channel preserves."""
+malted and mashed states, the symmetry every channel preserves, and mashing
+against the four-mode oracle."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +24,14 @@ from distillery import (
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
 
 
+def _off_sector_mask(dim):
+    # positions that break the rule n - k = m - l
+    n, m, k, l_ = np.indices((dim,) * 4)
+    return n - k != m - l_
+
+
 def _off_sector(coeffs):
-    # entries that break the rule n - k = m - l
-    n, m, k, l_ = np.indices(coeffs.shape)
-    return coeffs[n - k != m - l_]
+    return coeffs[_off_sector_mask(coeffs.shape[0])]
 
 
 def _asymmetry(coeffs):
@@ -71,3 +77,29 @@ def test_channels_keep_real_states_symmetric(dim, seed, t, t_s, mode, q):
     ]
     for out in outs:
         assert _asymmetry(out.coeffs) <= 1e-14
+
+
+@PROPERTY
+@given(
+    dim=st.integers(2, 3),
+    seed=st.integers(0, 2**32 - 1),
+    sector_clean=st.booleans(),
+)
+def test_mash_step_matches_oracle_on_drawn_states(dim, seed, sector_clean):
+    # dense random states hold every sector; with sector_clean the rho_0
+    # copy keeps only n - k = m - l, as malted states do
+    rng = np.random.default_rng(seed)
+    cfg = TruncationConfig(dim - 1)
+    c_i = oracles.random_state_coeffs(dim, rng)
+    c_0 = oracles.random_state_coeffs(dim, rng)
+    if sector_clean:
+        c_0 = np.where(_off_sector_mask(dim), 0.0, c_0)
+        c_0 /= np.einsum("nmnm->", c_0)
+    a, b = state_from_coeffs(c_i, cfg), state_from_coeffs(c_0, cfg)
+    res = mash_step(a, b)
+    full, p_want = oracles.mash_oracle(c_i, c_0)
+    kept = full[:dim, :dim, :dim, :dim]
+    kept_tr = np.einsum("nmnm->", kept).real
+    assert res.prob == pytest.approx(p_want, rel=1e-12)
+    assert np.abs(res.state.coeffs - kept / kept_tr).max() < 1e-13
+    assert res.discarded_weight == pytest.approx(p_want - kept_tr, abs=1e-14)

@@ -223,6 +223,20 @@ def test_average_entanglement_is_weighted_mean():
     assert avg.value > BASE
 
 
+def test_scan_reports_mash_rounds_and_worst_discard():
+    # the rounds of every mash_iterate the scan ran, the first failing j's too
+    avg = average_entanglement(LAM, LOSS, SUB, CFG)
+    cc = critical_attempts(LAM, LOSS, SUB, CFG)
+    want = 0
+    for j in range(1, cc.m_c + 2):
+        rec = malt(LAM, MaltingSchedule(1, j, LOSS, SUB), CFG)
+        want += mash_iterate(rec.state, CFG).iterations
+    assert avg.mash_rounds == cc.mash_rounds == want
+    assert 0.0 <= avg.max_discarded == cc.max_discarded < 1e-9
+    malt_only = average_entanglement(LAM, LOSS, SUB, CFG, gain_mode="malt-only")
+    assert (malt_only.mash_rounds, malt_only.max_discarded) == (0, 0.0)
+
+
 def test_average_entanglement_weights_shrink_with_postselection():
     # each weight carries the mashing vacuum probabilities on top of the
     # malting probability, so it can only be smaller

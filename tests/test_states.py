@@ -187,6 +187,18 @@ def test_states_are_immutable_values():
         st.coeffs[0, 0, 0, 0] = 2.0
 
 
+def test_state_from_coeffs_copies_a_float64_caller_array():
+    # the no-copy wrap is for arrays an op built itself; a caller's array,
+    # even one already C-ordered float64, is copied and left writable
+    cfg = TruncationConfig(2)
+    src = np.array(vacuum(cfg).coeffs)
+    st = state_from_coeffs(src, cfg)
+    assert st.coeffs is not src and not np.shares_memory(st.coeffs, src)
+    assert src.flags.writeable
+    src[1, 1, 1, 1] = 0.5
+    assert st.coeffs[1, 1, 1, 1] == 0.0
+
+
 def test_state_from_coeffs_rejects_imaginary_part():
     cfg = TruncationConfig(2)
     c = vacuum(cfg).coeffs.astype(complex)
@@ -219,6 +231,7 @@ def test_every_op_returns_float64_coefficients():
     ]
     for out in outs:
         assert out.coeffs.dtype == np.float64
+        assert out.coeffs.flags.c_contiguous and not out.coeffs.flags.writeable
 
 
 def test_swap_modes_transposes_both_index_pairs():

@@ -226,11 +226,31 @@ def test_avg_ent_csv(tmp_path):
     rc = main(["avg-ent", "--lambda", "0.1", "--tau", "100",
                "--ts", "0.75", "--out", str(out)])
     assert rc == 0
-    _, body = _split(out)
+    meta, body = _split(out)
     assert body[0] == "ts,m_c,avg_ent"
     ts, mc, val = body[1].split(",")
     assert int(mc) >= 1
     assert float(val) > math.log2(1.1 / 0.9)
+    # every retained j mashed, and so did the first j that failed
+    assert int(meta["mash_rounds"]) > int(mc)
+    assert 0.0 <= float(meta["max_discarded"]) < 1e-9
+
+
+def test_sweeps_report_mash_diagnostics_per_point(tmp_path):
+    argv = ["--lambda", "0.1", "--tau", "100", "--ts", "0.7:0.8:0.05"]
+    for command in ("mc-sweep", "avg-ent"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command] + argv + ["--out", str(out)]) == 0
+        meta, body = _split(out)
+        rounds = [int(r) for r in meta["mash_rounds"].split(";")]
+        assert len(rounds) == len(body) - 1  # one entry per t_s row, in order
+        assert all(r >= 1 for r in rounds)
+        assert 0.0 <= float(meta["max_discarded"]) < 1e-9
+    out = tmp_path / "mo.csv"
+    assert main(["mc-sweep"] + argv + ["--baseline", "malt-only", "--out", str(out)]) == 0
+    meta, _ = _split(out)
+    assert meta["mash_rounds"] == "0;0;0"
+    assert float(meta["max_discarded"]) == 0.0
 
 
 def test_baseline_flag_selects_malt_only_gain(tmp_path):
