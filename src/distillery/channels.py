@@ -80,12 +80,15 @@ def loss_kraus(t, dim):
 
 @lru_cache(maxsize=None)
 def _mode_superop(t, dim):
-    # One-mode loss channel as a dim^2 x dim^2 matrix acting on (ket, bra) pairs.
-    ks = loss_kraus(t, dim)
-    s = np.zeros((dim * dim, dim * dim))
+    # One-mode loss channel as a dim^2 x dim^2 matrix acting on (ket, bra)
+    # pairs, sum_q K_q (x) K_q filled directly: each (output, input) pair
+    # gets the one term q = n - n_out, sup[(n - q, k - q), (n, k)] = A(n, q) A(k, q).
+    s = np.zeros((dim,) * 4)
     for q in range(dim):
-        s += np.kron(ks[q], ks[q])
-    return s
+        x = np.arange(dim - q)
+        a = _kraus_weights(q, t, dim)
+        s[x[:, None], x, x[:, None] + q, x + q] = np.outer(a, a)
+    return s.reshape(dim * dim, dim * dim)
 
 
 def _apply_mode_channel(c, sup, mode):
@@ -117,8 +120,9 @@ def repeated_loss(state, params, m):
 
 
 @lru_cache(maxsize=None)
-def _detect_weights(q, t, dim):
-    # w[n] = A(n + q, q): amplitude of output level n after a q-count
+def _kraus_weights(q, t, dim):
+    # w[n] = A(n + q, q) = K_q[n, n + q]: amplitude of output level n after
+    # q quanta are removed (lost or counted)
     w = np.array([bs_amplitude(n + q, q, t) for n in range(dim - q)])
     w.flags.writeable = False
     return w
@@ -130,7 +134,7 @@ def _detect_mode(c, q, t, mode):
     # Elementwise on purpose: a BLAS contraction here raises peak RSS by an
     # extra OpenBLAS thread buffer at large d.
     d = c.shape[0]
-    w = _detect_weights(q, t, d)
+    w = _kraus_weights(q, t, d)
     out = np.zeros_like(c)
     if mode == "A":
         kept, src = out[: d - q, :, : d - q, :], c[q:, :, q:, :]
@@ -345,8 +349,17 @@ def _weighted(c, pair):
     return c * (pair[:, :, None, None] * pair)
 
 
-def _mash_prose(c_i, c_0, sign):
-    """Kept block and untruncated trace of the prose projector's output.
+def _prose_source(c_0, sign):
+    """rho_0's side of the prose projector, the same in every round against
+    fresh copies of one rho_0: its rescaled sectors and its padded flat
+    array."""
+    w_0 = _mash_weights(c_0.shape[0], sign)[0]
+    return _sectors(_weighted(c_0, w_0)), _padded(c_0)
+
+
+def _mash_prose(c_i, source, sign):
+    """Kept block and untruncated trace of the prose projector's output,
+    for rho_i against rho_0's _prose_source.
 
     Vacuum on output 1 of each splitter leaves amplitudes that factor per
     input index: (sign r)^x / sqrt(x!) on the rho_0 side, t^x / sqrt(x!) on
@@ -356,8 +369,8 @@ def _mash_prose(c_i, c_0, sign):
     -d0 meet there, weighted by _vacuum_weights.
     """
     d = c_i.shape[0]
-    w_0, w_i, w_out = _mash_weights(d, sign)
-    s0 = _sectors(_weighted(c_0, w_0))
+    _, w_i, w_out = _mash_weights(d, sign)
+    s0, flat_0 = source
     si = _sectors(_weighted(c_i, w_i))
     by_sector = {}
     for d_i, y in si.items():
@@ -371,7 +384,7 @@ def _mash_prose(c_i, c_0, sign):
         kept[_sector_index(d, delta)] = part  # dropped l land on the spare slot
     kept = _weighted(kept[:-1].reshape(d, d, d, d), w_out)
 
-    flat_0, flat_i = _padded(c_0), _padded(c_i)
+    flat_i = _padded(c_i)
     v = _vacuum_weights(d, sign)
     p_full = 0.0
     for delta in s0:
@@ -398,7 +411,11 @@ def _mash_printed(c_i, c_0):
     return (rows @ t_pair @ rows.T).reshape(d, d, d, d), p_full
 
 
-def mash_step(rho_i, rho_0, projector="prose", _bs_sign=-1.0):
+# sign of the reflection into output 2 in mash_step's splitters
+_BS_SIGN = -1.0
+
+
+def mash_step(rho_i, rho_0, projector="prose", _bs_sign=_BS_SIGN, _source=None):
     """One mashing round: interfere rho_i with a fresh copy of rho_0 on 50/50
     splitters (one per party) and condition on vacuum.
 
@@ -411,6 +428,8 @@ def mash_step(rho_i, rho_0, projector="prose", _bs_sign=-1.0):
     block, the projection probability before truncation, and the weight cut
     by re-truncating combined indices beyond n_max. Only the kept block is
     computed; prob comes from the closed-form trace of the untruncated output.
+    A caller that mashes against one rho_0 many times may pass its
+    _prose_source(rho_0.coeffs, _bs_sign) as _source.
     """
     if rho_i.cfg != rho_0.cfg or rho_i.dim != rho_0.dim:
         raise ValueError("mash inputs must share dimension and truncation config")
@@ -423,7 +442,9 @@ def mash_step(rho_i, rho_0, projector="prose", _bs_sign=-1.0):
     if projector == "printed":
         kept, p_full = _mash_printed(rho_i.coeffs, rho_0.coeffs)
     else:
-        kept, p_full = _mash_prose(rho_i.coeffs, rho_0.coeffs, _bs_sign)
+        if _source is None:
+            _source = _prose_source(rho_0.coeffs, _bs_sign)
+        kept, p_full = _mash_prose(rho_i.coeffs, _source, _bs_sign)
     kept_tr = float(np.einsum("nmnm->", kept))
     if kept_tr <= cfg.trace_tol:
         raise ZeroTraceError(f"mash projection weight {kept_tr:.3g} at or below trace_tol")

@@ -80,6 +80,22 @@ _NEEDS = {
     "avg-ent": (),
 }
 _SWEEPABLE = ("mc-sweep", "avg-ent")
+_MASHING = ("distill", "mc-sweep", "avg-ent")
+
+# A dense state holds d^4 float64 coefficients. Peak RSS beyond the
+# interpreter measured about 4.5 such arrays when malting (d = 49 and 78) and
+# 8 when mashing (d = 34); cutoffs whose estimate exceeds the budget are
+# refused before any run.
+MEMORY_BUDGET_BYTES = 4 * 2**30
+_LIVE_DENSE_ARRAYS = 8
+# mash_step's output weights reach ((d - 1)!)^2, which is inf in float64
+# from d = 100, so mashing runs at n_max <= 98 only
+_MASH_MAX_N_MAX = 98
+
+
+def working_set_bytes(n_max):
+    """Estimated peak memory of the dense arrays at cutoff n_max."""
+    return _LIVE_DENSE_ARRAYS * 8 * (n_max + 1) ** 4
 
 
 def validate_config(ns):
@@ -163,6 +179,21 @@ def validate_config(ns):
                 f"--n-max {n_max} keeps a truncated tail {tail:.3g} >= "
                 f"{TruncationConfig.trace_tol:.3g} "
                 f"at lambda={lam}; auto picks {auto_n_max(lam)}"
+            )
+
+    if n_max >= 1:
+        need = working_set_bytes(n_max)
+        if need > MEMORY_BUDGET_BYTES:
+            errors.append(
+                f"n_max={n_max} needs a dense working set of about "
+                f"{need / 2**30:.3g} GiB ({_LIVE_DENSE_ARRAYS} arrays of "
+                f"{n_max + 1}^4 float64), over the "
+                f"{MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget"
+            )
+        if command in _MASHING and n_max > _MASH_MAX_N_MAX:
+            errors.append(
+                f"{command} mashes, and at n_max={n_max} its weights "
+                f"((n_max)!)^2 overflow float64; n_max must be <= {_MASH_MAX_N_MAX}"
             )
 
     threads = ns.threads

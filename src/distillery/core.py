@@ -10,6 +10,7 @@ float64 and the density matrix is real symmetric.
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -165,9 +166,87 @@ def hermiticity_defect(state):
     return float(np.abs(c - c.transpose(2, 3, 0, 1)).max())
 
 
+@lru_cache(maxsize=None)
+def _block_tables(dim, kind):
+    """Gather tables for the 2d-1 blocks of the density matrix (kind "rho")
+    or of its partial transpose on mode A (kind "pt"), each padded to d x d.
+
+    Returns (index, pad, keep): the flat position in the d^4 coefficient
+    tensor of every block entry (shape (2d-1, d, d)), the mask of padding
+    entries, and keep[b, i] = i < size of block b.
+    Block b of "rho" holds rows (n, m) and columns (k, l) with
+    n - m = k - l = b - (d - 1); block N of "pt" is
+    B_N[m, l] = c[N - l, m, N - m, l]. Both cover exactly the entries with
+    n - k = m - l, each once.
+    """
+    # broadcast ranges and in-place arithmetic keep the returned arrays the
+    # only full-size ones: freed full-size temporaries here fragmented the
+    # heap and raised a malting run's peak memory at d = 34 by 6 MiB
+    b, i, j = np.ogrid[: 2 * dim - 1, :dim, :dim]
+    size = dim - np.abs(b - (dim - 1))
+    if kind == "rho":
+        shift = b - (dim - 1)  # J = n - m
+        n, m = i + np.maximum(shift, 0), i + np.maximum(-shift, 0)
+        k, l_ = j + np.maximum(shift, 0), j + np.maximum(-shift, 0)
+    else:  # "pt", block b = N = k + m
+        low = np.maximum(b - (dim - 1), 0)  # smallest m (and l) with N - m < d
+        m, l_ = i + low, j + low
+        n, k = b - l_, b - m
+    index = np.zeros((2 * dim - 1, dim, dim), dtype=np.intp)
+    for part in (n, m, k, l_):
+        index *= dim
+        index += part
+    pad = (i >= size) | (j >= size)
+    index[pad] = 0
+    keep = i[..., 0] < size[..., 0]
+    for arr in (index, pad, keep):
+        arr.flags.writeable = False
+    return index, pad, keep
+
+
+def _check_hermitian(mat, herm_tol):
+    # on one matrix or a stack of them
+    defect = float(np.abs(mat - mat.conj().swapaxes(-1, -2)).max())
+    if defect > herm_tol:
+        raise NotHermitianError(f"hermiticity defect {defect:.3g} > {herm_tol:.3g}")
+
+
+def _block_eigvalsh(c, kind, herm_tol=None):
+    """Ascending eigenvalues of the d^2 x d^2 matrix of the rank-4 tensor c
+    (kind "rho") or of its partial transpose on mode A (kind "pt").
+
+    Where every nonzero of c obeys n - k = m - l, as in every protocol
+    state, that matrix is block-diagonal: in n - m for "rho" and in the
+    total photon number for "pt". The 2d-1 blocks, each padded to d x d
+    with a diagonal sentinel above its Gershgorin bound, are then solved in
+    one batched call, and the first `size` eigenvalues of each are that
+    block's spectrum. Any nonzero off the blocks takes the dense solve.
+    With herm_tol, Hermiticity is checked first (on the blocks when the
+    input is block-diagonal) and NotHermitianError raised beyond it.
+    """
+    d = c.shape[0]
+    index, pad, keep = _block_tables(d, kind)
+    blocks = c.reshape(-1)[index]
+    blocks[pad] = 0.0
+    if np.count_nonzero(blocks) != np.count_nonzero(c):
+        # a nonzero off the blocks: the only branch that forms the d^4 matrix
+        mat = (c if kind == "rho" else c.transpose(2, 1, 0, 3)).reshape(d * d, d * d)
+        if herm_tol is not None:
+            _check_hermitian(mat, herm_tol)
+        return np.linalg.eigvalsh(mat)
+    if herm_tol is not None:
+        _check_hermitian(blocks, herm_tol)
+    # the sum of |entries| bounds every eigenvalue of the matrix that
+    # eigvalsh reads from the lower triangle; the sentinel sits above it
+    sentinel = 2.0 * np.abs(blocks).sum(axis=(1, 2)) + 1.0
+    r = np.arange(d)
+    blocks[:, r, r] = np.where(keep, blocks[:, r, r], sentinel[:, None])
+    return np.sort(np.linalg.eigvalsh(blocks)[keep])
+
+
 def min_eigenvalue(state):
     """Smallest eigenvalue of the density matrix (negative means non-PSD)."""
-    return float(np.linalg.eigvalsh(state.as_matrix())[0])
+    return float(_block_eigvalsh(state.coeffs, "rho")[0])
 
 
 def check_state(state, psd=True):

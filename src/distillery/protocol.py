@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from .channels import (
     LossChannelParams,
     SubtractionParams,
+    _BS_SIGN,
+    _prose_source,
     detect_one_mode,
     loss_event,
     mash_step,
@@ -198,8 +200,9 @@ def mash_iterate(rho_0, cfg, max_iter=50, exact_iterations=None):
     worst_cut = 0.0
     cur = rho_0
     converged = False
+    source = _prose_source(rho_0.coeffs, _BS_SIGN)
     for _ in range(n_rounds):
-        res = mash_step(cur, rho_0)
+        res = mash_step(cur, rho_0, _source=source)
         probs.append(res.prob)
         negs.append(log_negativity(res.state).value)
         worst_cut = max(worst_cut, res.discarded_weight)

@@ -25,7 +25,8 @@ from distillery import (
     trace_of,
     vacuum,
 )
-from distillery.channels import _sqrt_fact
+from distillery import channels, protocol
+from distillery.channels import _BS_SIGN, _mode_superop, _prose_source, _sqrt_fact
 
 # double subtraction q_A=q_B=1 straight on tmss(0.1), t_s=0.99, n_max=8,
 # from the brute-force contraction in oracles.subtract_oracle
@@ -133,6 +134,19 @@ def test_loss_kraus_completeness():
             for q in range(dim):
                 acc += ks[q].T @ ks[q]
             assert np.abs(acc - np.eye(dim)).max() < 1e-13
+
+
+def test_mode_superop_equals_kron_sum_bitwise():
+    # the direct fill puts each (output, input) pair's single q term where
+    # the sum of K_q (x) K_q over q put it, with the same product
+    for dim in (9, 19, 34):
+        for t in (LossChannelParams.from_tau(100).t, 0.6):
+            ks = loss_kraus(t, dim)
+            want = np.zeros((dim * dim, dim * dim))
+            for q in range(dim):
+                want += np.kron(ks[q], ks[q])
+            got = _mode_superop(t, dim)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_detect_vacuum_outcomes():
@@ -377,3 +391,38 @@ def test_mash_step_reports_truncation_discard():
     res = mash_step(st, st)
     assert res.discarded_weight > 1e-6
     assert res.prob >= trace_of(res.state) * 0  # prob counts the full block
+
+
+def _one_cycle_state(cfg):
+    # one loss-and-double-count malting cycle of a truncated TMSS, normalized
+    lossy = loss_event(tmss(0.3, cfg, allow_truncation=True), LossChannelParams.from_tau(50))
+    return normalize(detect_phonons(lossy, SubtractionParams(0.9), 1, 1))[0]
+
+
+def test_mash_step_with_prepared_source_is_bitwise_equal():
+    cfg = TruncationConfig(3)
+    malted = _one_cycle_state(cfg)
+    dense = _random_state(4, 11)
+    dense = state_from_coeffs(dense.coeffs / dense.trace, cfg)
+    for rho_i, rho_0 in ((malted, malted), (dense, malted), (malted, dense)):
+        plain = mash_step(rho_i, rho_0)
+        prepared = mash_step(rho_i, rho_0, _source=_prose_source(rho_0.coeffs, _BS_SIGN))
+        assert prepared.state.coeffs.tobytes() == plain.state.coeffs.tobytes()
+        assert (prepared.prob, prepared.discarded_weight) == (
+            plain.prob, plain.discarded_weight)
+
+
+def test_mash_iterate_prepares_rho_0_once(monkeypatch):
+    calls = []
+
+    def counting(c_0, sign):
+        calls.append(sign)
+        return _prose_source(c_0, sign)
+
+    monkeypatch.setattr(channels, "_prose_source", counting)
+    monkeypatch.setattr(protocol, "_prose_source", counting)
+    cfg = TruncationConfig(3)
+    malted = _one_cycle_state(cfg)
+    out = protocol.mash_iterate(malted, cfg, exact_iterations=4)
+    assert out.iterations == 4
+    assert calls == [_BS_SIGN]

@@ -13,6 +13,7 @@ from distillery import (
     detect_phonons,
     log_negativity,
     loss_event,
+    min_eigenvalue,
     partial_transpose,
     state_from_coeffs,
     swap_modes,
@@ -166,3 +167,65 @@ def test_trace_distance_basics():
     assert trace_distance(a, a) == pytest.approx(0.0, abs=1e-15)
     assert trace_distance(a, b) == pytest.approx(1.0, rel=1e-13)
     assert trace_distance(a, b) == pytest.approx(trace_distance(b, a), rel=1e-13)
+
+
+def _dense_pt_eigs(st):
+    d = st.dim
+    return np.linalg.eigvalsh(partial_transpose(st).reshape(d * d, d * d))
+
+
+def test_protocol_states_take_the_block_solve(monkeypatch):
+    # sector-clean input never reaches a dense d^2 x d^2 solve; dense random
+    # input does, and only there
+    shapes = []
+    real_eigvalsh = np.linalg.eigvalsh
+
+    def recording(a):
+        shapes.append(np.shape(a))
+        return real_eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    cfg = TruncationConfig(7)
+    raw = detect_phonons(loss_event(tmss(0.3, cfg, allow_truncation=True),
+                                    LossChannelParams.from_tau(100)),
+                         SubtractionParams(0.9), 1, 1)
+    st = state_from_coeffs(raw.coeffs / raw.trace, cfg)
+    log_negativity(st)
+    trace_distance(st, tmss(0.3, cfg, allow_truncation=True))
+    min_eigenvalue(st)
+    assert shapes == [(15, 8, 8)] * 3
+    shapes.clear()
+    rng = np.random.default_rng(5)
+    dense = state_from_coeffs(oracles.random_state_coeffs(4, rng), TruncationConfig(3))
+    log_negativity(dense)
+    min_eigenvalue(dense)
+    assert shapes == [(16, 16)] * 2
+
+
+def test_block_solve_raises_on_asymmetric_sector_clean_input():
+    # the asymmetric entry lies inside a block (n - k = m - l), so the
+    # Hermiticity check runs on the blocks and reports the dense defect
+    cfg = TruncationConfig(4)
+    good = tmss(0.2, cfg, allow_truncation=True)
+    c = good.coeffs.copy()
+    c[2, 1, 1, 0] += 0.3
+    with pytest.raises(NotHermitianError, match=r"^hermiticity defect 0\.3 > 1e-10$"):
+        trace_norm(c)
+    bad = state_from_coeffs(c, cfg)
+    with pytest.raises(NotHermitianError, match="hermiticity defect 0.3"):
+        trace_distance(bad, good)
+
+
+def test_trunc_warning_state_diagnostics_match_dense_solve():
+    # the state of test_trunc_warning_flags_lost_weight: its trace is far
+    # below one, and min_eig must be the dense solve's
+    cfg = TruncationConfig(7)
+    raw = detect_phonons(tmss(0.1, cfg), SubtractionParams(0.99), 1, 1)
+    res = log_negativity(raw)
+    dense = _dense_pt_eigs(raw)
+    assert res.min_eig == pytest.approx(dense[0], abs=1e-18)
+    assert res.trunc_warning == (np.abs(dense).sum() < 1.0 - cfg.eig_tol)
+    assert res.trunc_warning and res.value == 0.0
+    assert min_eigenvalue(raw) == pytest.approx(
+        np.linalg.eigvalsh(raw.as_matrix())[0], abs=1e-18
+    )

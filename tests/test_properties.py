@@ -1,6 +1,9 @@
 """Property tests over drawn parameters: the photon-number selection rule of
-malted and mashed states, the symmetry every channel preserves, and mashing
-against the four-mode oracle."""
+malted and mashed states, the symmetry every channel preserves, mashing
+against the four-mode oracle, and the sector-block eigensolves against dense
+solves and the singular-value oracle."""
+
+import math
 
 import numpy as np
 import pytest
@@ -15,11 +18,19 @@ from distillery import (
     TruncationConfig,
     auto_n_max,
     detect_one_mode,
+    detect_phonons,
+    log_negativity,
     loss_event,
     malt,
     mash_step,
+    min_eigenvalue,
+    normalize,
     state_from_coeffs,
+    tmss,
+    trace_distance,
+    trace_norm,
 )
+from distillery.core import _block_eigvalsh
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
 
@@ -103,3 +114,55 @@ def test_mash_step_matches_oracle_on_drawn_states(dim, seed, sector_clean):
     assert res.prob == pytest.approx(p_want, rel=1e-12)
     assert np.abs(res.state.coeffs - kept / kept_tr).max() < 1e-13
     assert res.discarded_weight == pytest.approx(p_want - kept_tr, abs=1e-14)
+
+
+def _drawn_state(kind, dim, lam, tau, t_s, q_a, q_b, rng):
+    """A normalized state at cutoff dim - 1: one malting cycle (loss, then
+    counts q_a, q_b) of a TMSS, the same mashed with itself, a dense random
+    state (nonzeros off the blocks) or its sector-clean part (the pinching of
+    a PSD matrix, so still a state)."""
+    cfg = TruncationConfig(dim - 1)
+    if kind in ("malted", "mashed"):
+        lossy = loss_event(tmss(lam, cfg, allow_truncation=True), LossChannelParams.from_tau(tau))
+        st, _ = normalize(detect_phonons(lossy, SubtractionParams(t_s), q_a, q_b))
+        return mash_step(st, st).state if kind == "mashed" else st
+    c = oracles.random_state_coeffs(dim, rng)
+    if kind == "clean":
+        c = np.where(_off_sector_mask(dim), 0.0, c)
+        c /= np.einsum("nmnm->", c)
+    return state_from_coeffs(c, cfg)
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from(["malted", "mashed", "dense", "clean"]),
+    dim=st.integers(2, 6),
+    lam=st.floats(0.05, 0.6),
+    tau=st.floats(10.0, 1000.0),
+    t_s=st.floats(0.5, 0.99),
+    q_a=st.integers(0, 1),
+    q_b=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_eigensolves_match_dense_and_oracle(kind, dim, lam, tau, t_s, q_a, q_b, seed):
+    rng = np.random.default_rng(seed)
+    a = _drawn_state(kind, dim, lam, tau, t_s, q_a, q_b, rng)
+    b = _drawn_state(kind, dim, lam, tau, t_s, 1 - q_a, q_b, rng)
+    n = dim * dim
+    rho = a.coeffs.reshape(n, n)
+    pt = a.coeffs.transpose(2, 1, 0, 3).reshape(n, n)
+    assert np.abs(_block_eigvalsh(a.coeffs, "rho") - np.linalg.eigvalsh(rho)).max() < 1e-14
+    dense_pt = np.linalg.eigvalsh(pt)
+    assert np.abs(_block_eigvalsh(a.coeffs, "pt") - dense_pt).max() < 1e-14
+    assert min_eigenvalue(a) == pytest.approx(np.linalg.eigvalsh(rho)[0], abs=1e-14)
+
+    assert trace_norm(a.coeffs) == pytest.approx(oracles.trace_norm_oracle(rho), rel=1e-12)
+    tn_pt = oracles.trace_norm_oracle(pt)
+    res = log_negativity(a)
+    assert res.min_eig == pytest.approx(dense_pt[0], abs=1e-14)
+    want = max(math.log2(tn_pt), 0.0) if dense_pt[0] < -a.cfg.eig_tol else 0.0
+    assert res.value == pytest.approx(want, abs=1e-12)
+    diff = (a.coeffs - b.coeffs).reshape(n, n)
+    assert trace_distance(a, b) == pytest.approx(
+        0.5 * oracles.trace_norm_oracle(diff), rel=1e-12, abs=1e-15
+    )

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from distillery import cli
+from distillery import auto_n_max, channels, cli
 from distillery.cli import ConfigError, build_parser, main, parse_ts, validate_config
 from distillery.sweep import _fmt
 
@@ -279,6 +279,50 @@ def test_exit_code_one_on_config_error(tmp_path):
     assert not (tmp_path / "x.csv").exists()
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
+
+
+def test_cutoff_over_memory_budget_fails_fast(tmp_path, capsys):
+    # lambda = 0.9 auto-picks n_max = 163: d^4 float64 arrays of 5.8 GB each
+    rc = main(["malt-trace", "--lambda", "0.9", "--tau", "100", "--ts", "0.99",
+               "--ma", "1", "--mb", "1", "--out", str(tmp_path / "big.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    need = cli.working_set_bytes(163)
+    assert need > cli.MEMORY_BUDGET_BYTES
+    assert f"n_max=163 needs a dense working set of about {need / 2**30:.3g} GiB" in err
+    assert not (tmp_path / "big.csv").exists()
+    # the auto cutoffs the benchmark and the acceptance suite run stay inside
+    assert cli.working_set_bytes(auto_n_max(0.6)) < cli.MEMORY_BUDGET_BYTES
+
+
+def test_mashing_commands_refuse_overflowing_cutoffs(tmp_path, capsys):
+    argv = ["--lambda", "0.1", "--tau", "100", "--ts", "0.99", "--ma", "1", "--mb", "1"]
+    for command in ("distill", "mc-sweep", "avg-ent"):
+        out = tmp_path / f"{command}.csv"
+        rc = main([command] + argv + ["--n-max", "99", "--out", str(out)])
+        assert rc == 1
+        assert f"{command} mashes, and at n_max=99" in capsys.readouterr().err
+        assert not out.exists()
+    # malting alone has no such limit; only the memory budget refuses it
+    rc = main(["malt-trace"] + argv + ["--n-max", "99", "--out", str(tmp_path / "m.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "mashes" not in err and "budget" in err
+    with pytest.raises(ConfigError) as exc:
+        validate_config(_parse(["distill"] + argv + ["--n-max", "98",
+                                                    "--out", str(tmp_path / "d.csv")]))
+    assert "mashes" not in str(exc.value)
+
+
+def test_mash_limit_is_where_the_output_weights_overflow():
+    # the largest output weight of mash_step is sf[d-1]^4 = ((d - 1)!)^2
+    def top(dim):
+        pair = channels._mash_weights(dim, -1.0)[2]
+        with np.errstate(over="ignore"):
+            return pair[-1, -1] * pair[-1, -1]
+
+    assert np.isfinite(top(cli._MASH_MAX_N_MAX + 1))
+    assert np.isinf(top(cli._MASH_MAX_N_MAX + 2))
 
 
 def test_exit_code_two_on_numerical_failure(tmp_path):
