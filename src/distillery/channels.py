@@ -14,7 +14,15 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import TwoModeState, ZeroTraceError, _wrap_fresh, state_from_coeffs
+from .core import (
+    TwoModeState,
+    ZeroTraceError,
+    _pair_rows,
+    _sector_entries,
+    _slot,
+    _wrap_fresh,
+    _zero_slot,
+)
 
 
 @lru_cache(maxsize=None)
@@ -79,35 +87,25 @@ def loss_kraus(t, dim):
 
 
 @lru_cache(maxsize=None)
-def _mode_superop(t, dim):
-    # One-mode loss channel as a dim^2 x dim^2 matrix acting on (ket, bra)
-    # pairs, sum_q K_q (x) K_q filled directly: each (output, input) pair
-    # gets the one term q = n - n_out, sup[(n - q, k - q), (n, k)] = A(n, q) A(k, q).
-    s = np.zeros((dim,) * 4)
+def _loss_maps(t, dim):
+    # L[j + d - 1] is the one-mode loss channel on coherence diagonal j in
+    # the stored layout: sum_q K_q |n><k| K_q† moves entry p of the diagonal
+    # to p - q with weight A(n, q) A(k, q), so L[j][p - q, p] is entry p - q
+    # of row j of the q-count weights (_count_rows, built uncached here so
+    # that only the maps stay in memory).
+    maps = np.zeros((2 * dim - 1, dim, dim))
     for q in range(dim):
         x = np.arange(dim - q)
-        a = _kraus_weights(q, t, dim)
-        s[x[:, None], x, x[:, None] + q, x + q] = np.outer(a, a)
-    return s.reshape(dim * dim, dim * dim)
-
-
-def _apply_mode_channel(c, sup, mode):
-    d = c.shape[0]
-    if mode == "A":
-        x = c.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        y = (sup @ x).reshape(d, d, d, d)
-        return y.transpose(0, 2, 1, 3)
-    x = c.transpose(1, 3, 0, 2).reshape(d * d, d * d)
-    y = (sup @ x).reshape(d, d, d, d)
-    return y.transpose(2, 0, 3, 1)
+        maps[:, x, x + q] = _pair_rows(_kraus_weights(q, t, dim), dim)[:, : dim - q]
+    maps.flags.writeable = False
+    return maps
 
 
 def loss_event(state, params):
-    """One clock cycle of memory loss on both modes (trace preserving)."""
-    sup = _mode_superop(params.t, state.dim)
-    c = _apply_mode_channel(state.coeffs, sup, "A")
-    c = _apply_mode_channel(c, sup, "B")
-    return state_from_coeffs(c, state.cfg)
+    """One clock cycle of memory loss on both modes (trace preserving): on
+    every diagonal j, X_j <- L_j X_j L_j^T, mode A on the left, B on the right."""
+    maps = _loss_maps(params.t, state.dim)
+    return _wrap_fresh(maps @ state.sector @ maps.transpose(0, 2, 1), state.cfg)
 
 
 def repeated_loss(state, params, m):
@@ -128,22 +126,28 @@ def _kraus_weights(q, t, dim):
     return w
 
 
-def _detect_mode(c, q, t, mode):
+@lru_cache(maxsize=None)
+def _count_rows(q, t, dim):
+    # u[j + d - 1, p] = A(n + q, q) A(k + q, q) for output pair (n, k) = entry
+    # p of diagonal j: the weight K_q |n + q><k + q| K_q† puts on it
+    u = _pair_rows(_kraus_weights(q, t, dim), dim)[:, : dim - q]
+    u.flags.writeable = False
+    return u
+
+
+def _count(x, q, t, mode):
     # K rho K† for the q-count operator K[n - q, n] = A(n, q) on one mode: a
-    # shift by q of that mode's ket and bra indices, scaled by w[n] w[k].
-    # Elementwise on purpose: a BLAS contraction here raises peak RSS by an
-    # extra OpenBLAS thread buffer at large d.
-    d = c.shape[0]
-    w = _kraus_weights(q, t, d)
-    out = np.zeros_like(c)
+    # shift by q along that mode's axis of the stored layout (1 for A, 2 for
+    # B), scaled by the per-diagonal weight rows. Elementwise on purpose: no
+    # BLAS call, no temporaries of the state's size.
+    d = x.shape[1]
+    u = _count_rows(q, t, d)
+    out = np.zeros_like(x)
     if mode == "A":
-        kept, src = out[: d - q, :, : d - q, :], c[q:, :, q:, :]
-        ket, bra = w[:, None, None, None], w[None, None, :, None]
+        kept, src, w = out[:, : d - q, :], x[:, q:, :], u[:, :, None]
     else:
-        kept, src = out[:, : d - q, :, : d - q], c[:, q:, :, q:]
-        ket, bra = w[None, :, None, None], w[None, None, None, :]
-    np.multiply(src, ket, out=kept)
-    kept *= bra
+        kept, src, w = out[:, :, : d - q], x[:, :, q:], u[:, None, :]
+    np.multiply(src, w, out=kept)
     return out
 
 
@@ -155,9 +159,8 @@ def detect_phonons(state, params, q_a, q_b):
     for q in (q_a, q_b):
         if int(q) != q or not 0 <= q <= state.n_max:
             raise ValueError(f"outcome q must be an integer in [0, n_max], got {q}")
-    c = _detect_mode(state.coeffs, int(q_a), params.t_s, "A")
-    c = _detect_mode(c, int(q_b), params.t_s, "B")
-    return _wrap_fresh(c, state.cfg)
+    x = _count(state.sector, int(q_a), params.t_s, "A")
+    return _wrap_fresh(_count(x, int(q_b), params.t_s, "B"), state.cfg)
 
 
 def detect_one_mode(state, params, mode, q):
@@ -166,7 +169,7 @@ def detect_one_mode(state, params, mode, q):
         raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
     if int(q) != q or not 0 <= q <= state.n_max:
         raise ValueError(f"outcome q must be an integer in [0, n_max], got {q}")
-    return _wrap_fresh(_detect_mode(state.coeffs, int(q), params.t_s, mode), state.cfg)
+    return _wrap_fresh(_count(state.sector, int(q), params.t_s, mode), state.cfg)
 
 
 def _bs_blocks(n_top, t):
@@ -210,67 +213,30 @@ def _bs_block(total, t):
     return b
 
 
-@lru_cache(maxsize=None)
-def _fock_bs_matrix(dim_in, dim_out, t):
-    # Full two-mode splitter matrix W[(m1, m2), (n1, n2)], inputs < dim_in.
-    w = np.zeros((dim_out * dim_out, dim_in * dim_in))
-    for total, b in enumerate(_bs_blocks(2 * (dim_in - 1), t)):
-        for n1 in range(max(0, total - dim_in + 1), min(total, dim_in - 1) + 1):
-            for m1 in range(max(0, total - dim_out + 1), min(total, dim_out - 1) + 1):
-                w[m1 * dim_out + total - m1, n1 * dim_in + total - n1] = b[m1, n1]
-    return w
-
-
 class MashResult(NamedTuple):
     state: TwoModeState
     prob: float
     discarded_weight: float
 
 
-# Sector coordinates. A coefficient p[n, m, k, l] has the sector label
-# delta = (n - k) - (m - l); every protocol state lives in delta = 0. Within a
-# sector l is implied, so a sector is a d^3 array indexed (n, m, k) with
-# l = m - n + k + delta, and mashing adds labels: inputs from sectors d0 and
-# di only feed output sector d0 + di. Index tables point one past the end of
-# a flattened d^4 array, at an appended zero, where the implied l is not a
-# level of the cutoff.
+# Mashing coordinates. The kernel reads a stored array as a d^3 array
+# indexed (n, m, k), with l = m - n + k implied by the sector rule, where its
+# truncated convolution adds indices.
 
 
 @lru_cache(maxsize=None)
-def _sector_labels(dim):
-    # delta of every coefficient; int16 keeps this table at a quarter of the
-    # size of one state
-    i = np.arange(dim, dtype=np.int16)
-    labels = (i[:, None, None, None] - i[None, None, :, None]) - (
-        i[None, :, None, None] - i[None, None, None, :]
-    )
-    labels.flags.writeable = False
-    return labels
-
-
-@lru_cache(maxsize=None)
-def _sector_index(dim, delta):
-    # flat position of p[n, m, k, m - n + k + delta], per (n, m, k)
-    n, m, k = np.indices((dim,) * 3)
-    l_ = m - n + k + delta
-    idx = np.where((l_ >= 0) & (l_ < dim), ((n * dim + m) * dim + k) * dim + l_, dim**4)
-    idx.flags.writeable = False
-    return idx
-
-
-@lru_cache(maxsize=None)
-def _diagonal_index(dim, delta):
-    # Flat position of p[n, m, k, l] per (j + dim - 1, p, q): mode A's pair
-    # (n, k) is entry p of the diagonal n - k = j, mode B's pair (m, l) entry
-    # q of the diagonal m - l = j - delta.
-    j, p, q = np.indices((2 * dim - 1, dim, dim))
-    j -= dim - 1
-    n, k = p + np.maximum(j, 0), p + np.maximum(-j, 0)
-    m, l_ = q + np.maximum(j - delta, 0), q + np.maximum(delta - j, 0)
-    ok = (n < dim) & (k < dim) & (m < dim) & (l_ < dim)
-    idx = np.where(ok, ((n * dim + m) * dim + k) * dim + l_, dim**4)
-    idx.flags.writeable = False
-    return idx
+def _mash_tables(dim):
+    # gather[n, m, k]: slot of p[n, m, k, m - n + k] in the stored layout,
+    # the zero slot where that l leaves the cutoff; (slot, nmk): the slot of
+    # every stored entry and its flat (n, m, k) position, to scatter back
+    n, m, k = np.ogrid[:dim, :dim, :dim]
+    l_ = m - n + k
+    gather = np.where((l_ >= 0) & (l_ < dim), _slot(dim, n, m, k, l_), _zero_slot(dim))
+    slot, dense = _sector_entries(dim)
+    nmk = dense // dim  # drops l from ((n d + m) d + k) d + l
+    for arr in (gather, nmk):
+        arr.flags.writeable = False
+    return gather, slot, nmk
 
 
 @lru_cache(maxsize=None)
@@ -295,21 +261,6 @@ def _vacuum_weights(dim, sign):
     return v
 
 
-def _padded(c):
-    # flattened copy of c with one zero appended, for the index tables above
-    flat = np.zeros(c.size + 1)
-    flat[:-1] = c.reshape(-1)
-    return flat
-
-
-def _sectors(c):
-    """{delta: d^3 array} over the sectors holding a nonzero entry of c."""
-    d = c.shape[0]
-    flat = _padded(c)
-    present = np.unique(_sector_labels(d)[c != 0])
-    return {int(delta): flat[_sector_index(d, delta)] for delta in present}
-
-
 def _truncated_convolution(x, y):
     """out[N, M, K] = sum x[n, m, k] y[N - n, M - m, K - k] over N, M, K < d.
 
@@ -330,122 +281,87 @@ def _truncated_convolution(x, y):
 
 @lru_cache(maxsize=None)
 def _mash_weights(dim, sign):
-    # Pair products w[a] w[b] of the per-index factors of the prose projector
-    # on the rho_0 side, the rho_i side and the output (see _mash_prose);
-    # d x d each, so the cache stays small at any cutoff.
+    # The per-index factors of the prose projector on the rho_0 side, the
+    # rho_i side and the output (see _mash_prose), as per-diagonal weight
+    # rows of the stored layout; (2d-1) x d each.
     sf = _sqrt_fact(dim - 1)
     half = 1.0 / math.sqrt(2.0)
     x = np.arange(dim)
-    pairs = []
+    rows = []
     for w in ((sign * half) ** x / sf, half**x / sf, sf):
-        pair = np.outer(w, w)
-        pair.flags.writeable = False
-        pairs.append(pair)
-    return tuple(pairs)
+        u = _pair_rows(w, dim)
+        u.flags.writeable = False
+        rows.append(u)
+    return tuple(rows)
 
 
-def _weighted(c, pair):
-    # c[a, b, c, d] w[a] w[b] w[c] w[d] from the pair products w[a] w[b]
-    return c * (pair[:, :, None, None] * pair)
+def _weighted(x, u):
+    # x[j, p, q] u[j, p] u[j, q]: the weight w[n] w[k] w[m] w[l] of each entry
+    y = x * u[:, :, None]
+    y *= u[:, None, :]
+    return y
 
 
-def _prose_source(c_0, sign):
+def _prose_source(x_0, sign):
     """rho_0's side of the prose projector, the same in every round against
-    fresh copies of one rho_0: its rescaled sectors and its padded flat
-    array."""
-    w_0 = _mash_weights(c_0.shape[0], sign)[0]
-    return _sectors(_weighted(c_0, w_0)), _padded(c_0)
+    fresh copies of one rho_0: its rescaled (n, m, k) array and its stored
+    array x_0."""
+    gather = _mash_tables(x_0.shape[1])[0]
+    u_0 = _mash_weights(x_0.shape[1], sign)[0]
+    return _weighted(x_0, u_0).reshape(-1)[gather], x_0
 
 
-def _mash_prose(c_i, source, sign):
-    """Kept block and untruncated trace of the prose projector's output,
-    for rho_i against rho_0's _prose_source.
+def _mash_prose(x_i, source, sign):
+    """Kept block (stored layout) and untruncated trace of the prose
+    projector's output, for rho_i's stored array against rho_0's
+    _prose_source.
 
     Vacuum on output 1 of each splitter leaves amplitudes that factor per
     input index: (sign r)^x / sqrt(x!) on the rho_0 side, t^x / sqrt(x!) on
     the rho_i side, and sqrt(N!) on each output index (t = r here). The
-    kept block is a truncated convolution of the rescaled inputs, sector by
-    sector; the trace needs only output N = K, M = L, so only sectors d0 and
-    -d0 meet there, weighted by _vacuum_weights.
+    kept block is a truncated convolution of the rescaled inputs in (n, m, k)
+    coordinates; the trace needs only output N = K, M = L, where rho_0's
+    diagonal j meets rho_i's diagonal -j, weighted by _vacuum_weights.
     """
-    d = c_i.shape[0]
-    _, w_i, w_out = _mash_weights(d, sign)
-    s0, flat_0 = source
-    si = _sectors(_weighted(c_i, w_i))
-    by_sector = {}
-    for d_i, y in si.items():
-        for d_0, x0 in s0.items():
-            # outside |delta| <= 2(d - 1) every implied l leaves the cutoff
-            if abs(d_0 + d_i) <= 2 * (d - 1):
-                part = _truncated_convolution(x0, y)
-                by_sector[d_0 + d_i] = by_sector.get(d_0 + d_i, 0.0) + part
-    kept = np.zeros(d**4 + 1)
-    for delta, part in by_sector.items():
-        kept[_sector_index(d, delta)] = part  # dropped l land on the spare slot
-    kept = _weighted(kept[:-1].reshape(d, d, d, d), w_out)
-
-    flat_i = _padded(c_i)
+    d = x_i.shape[1]
+    _, u_i, u_out = _mash_weights(d, sign)
+    gather, slot, nmk = _mash_tables(d)
+    y_0, x_0 = source
+    part = _truncated_convolution(y_0, _weighted(x_i, u_i).reshape(-1)[gather])
+    kept = np.zeros_like(x_i)
+    kept.reshape(-1)[slot] = part.reshape(-1)[nmk]
+    kept = _weighted(kept, u_out)
     v = _vacuum_weights(d, sign)
-    p_full = 0.0
-    for delta in s0:
-        if -delta not in si:
-            continue
-        a = flat_0[_diagonal_index(d, delta)]
-        b = flat_i[_diagonal_index(d, -delta)][::-1]  # rho_i on diagonal -j, -(j - delta)
-        # mode B's diagonal j - delta; where it leaves the cutoff a is all zero
-        v_b = v[np.clip(np.arange(2 * d - 1) - delta, 0, 2 * d - 2)]
-        p_full += float(np.sum(a * (v @ b @ v_b.transpose(0, 2, 1))))
+    p_full = float(np.sum(x_0 * (v @ x_i[::-1] @ v.transpose(0, 2, 1))))
     return kept, p_full
-
-
-def _mash_printed(c_i, c_0):
-    # Photon conservation pins both of party A's splitter inputs to vacuum;
-    # party B's pair then passes through its splitter unmeasured. Only the
-    # splitter rows whose two outputs are both below the cutoff are kept.
-    d = c_i.shape[0]
-    od = 2 * d - 1
-    t_pair = np.einsum("bd,fh->bfdh", c_0[0, :, 0, :], c_i[0, :, 0, :]).reshape(d * d, d * d)
-    w2 = _fock_bs_matrix(d, od, 1.0 / math.sqrt(2.0))
-    p_full = float(np.sum((w2 @ t_pair) * w2))  # trace of w2 t_pair w2^T
-    rows = w2.reshape(od, od, d * d)[:d, :d].reshape(d * d, d * d)
-    return (rows @ t_pair @ rows.T).reshape(d, d, d, d), p_full
 
 
 # sign of the reflection into output 2 in mash_step's splitters
 _BS_SIGN = -1.0
 
 
-def mash_step(rho_i, rho_0, projector="prose", _bs_sign=_BS_SIGN, _source=None):
+def mash_step(rho_i, rho_0, _bs_sign=_BS_SIGN, _source=None):
     """One mashing round: interfere rho_i with a fresh copy of rho_0 on 50/50
-    splitters (one per party) and condition on vacuum.
-
-    projector="prose" detects vacuum on one output of each splitter and keeps
-    the other two (the production setting). projector="printed" detects
-    vacuum on both outputs of party A's splitter and keeps party B's output
-    pair unmeasured, for comparison.
+    splitters (one per party), detect vacuum on one output of each splitter
+    and keep the other two.
 
     Returns MashResult(state, prob, discarded_weight): the renormalized kept
     block, the projection probability before truncation, and the weight cut
     by re-truncating combined indices beyond n_max. Only the kept block is
     computed; prob comes from the closed-form trace of the untruncated output.
     A caller that mashes against one rho_0 many times may pass its
-    _prose_source(rho_0.coeffs, _bs_sign) as _source.
+    _prose_source(rho_0.sector, _bs_sign) as _source.
     """
     if rho_i.cfg != rho_0.cfg or rho_i.dim != rho_0.dim:
         raise ValueError("mash inputs must share dimension and truncation config")
     for s in (rho_i, rho_0):
         if abs(s.trace - 1.0) > 1e-9:
             raise ValueError(f"mash inputs must be normalized, got trace {s.trace}")
-    if projector not in ("prose", "printed"):
-        raise ValueError(f"unknown projector {projector!r}")
     cfg = rho_i.cfg
-    if projector == "printed":
-        kept, p_full = _mash_printed(rho_i.coeffs, rho_0.coeffs)
-    else:
-        if _source is None:
-            _source = _prose_source(rho_0.coeffs, _bs_sign)
-        kept, p_full = _mash_prose(rho_i.coeffs, _source, _bs_sign)
-    kept_tr = float(np.einsum("nmnm->", kept))
+    if _source is None:
+        _source = _prose_source(rho_0.sector, _bs_sign)
+    kept, p_full = _mash_prose(rho_i.sector, _source, _bs_sign)
+    kept_tr = float(kept[cfg.n_max].sum())
     if kept_tr <= cfg.trace_tol:
         raise ZeroTraceError(f"mash projection weight {kept_tr:.3g} at or below trace_tol")
     discarded = max(p_full - kept_tr, 0.0)

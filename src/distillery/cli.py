@@ -82,20 +82,28 @@ _NEEDS = {
 _SWEEPABLE = ("mc-sweep", "avg-ent")
 _MASHING = ("distill", "mc-sweep", "avg-ent")
 
-# A dense state holds d^4 float64 coefficients. Peak RSS beyond the
-# interpreter measured about 4.5 such arrays when malting (d = 49 and 78) and
-# 8 when mashing (d = 34); cutoffs whose estimate exceeds the budget are
-# refused before any run.
+# A state stores (2d - 1) d^2 float64 coefficients. Peak RSS beyond the
+# interpreter measured 5.1-5.3 such arrays when malting (d = 78 and 164),
+# counted here as 6. Mashing adds the d^2 x d^2 window matrices of its
+# truncated convolution, measured at 1.4-1.8 d^4 float64 arrays (d = 34 and
+# 49), counted as 2. Cutoffs whose estimate exceeds the budget are refused
+# before any run.
 MEMORY_BUDGET_BYTES = 4 * 2**30
-_LIVE_DENSE_ARRAYS = 8
+_LIVE_STATE_ARRAYS = 6
+_LIVE_WINDOW_ARRAYS = 2
 # mash_step's output weights reach ((d - 1)!)^2, which is inf in float64
 # from d = 100, so mashing runs at n_max <= 98 only
 _MASH_MAX_N_MAX = 98
 
 
-def working_set_bytes(n_max):
-    """Estimated peak memory of the dense arrays at cutoff n_max."""
-    return _LIVE_DENSE_ARRAYS * 8 * (n_max + 1) ** 4
+def working_set_bytes(n_max, mashing):
+    """Estimated peak memory of the arrays at cutoff n_max, for a command
+    that only malts or one that also mashes."""
+    d = n_max + 1
+    need = _LIVE_STATE_ARRAYS * 8 * (2 * d - 1) * d * d
+    if mashing:
+        need += _LIVE_WINDOW_ARRAYS * 8 * d**4
+    return need
 
 
 def validate_config(ns):
@@ -182,12 +190,11 @@ def validate_config(ns):
             )
 
     if n_max >= 1:
-        need = working_set_bytes(n_max)
+        need = working_set_bytes(n_max, command in _MASHING)
         if need > MEMORY_BUDGET_BYTES:
             errors.append(
-                f"n_max={n_max} needs a dense working set of about "
-                f"{need / 2**30:.3g} GiB ({_LIVE_DENSE_ARRAYS} arrays of "
-                f"{n_max + 1}^4 float64), over the "
+                f"n_max={n_max} needs a working set of about "
+                f"{need / 2**30:.3g} GiB, over the "
                 f"{MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget"
             )
         if command in _MASHING and n_max > _MASH_MAX_N_MAX:

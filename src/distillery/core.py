@@ -1,9 +1,10 @@
 """Truncated two-mode Fock-space density operators.
 
-A state over modes A and B is stored as the rank-4 coefficient tensor
-p[n, m, k, l] of sum_{nmkl} p |n, m><k, l|, with n, k indexing mode A and
-m, l indexing mode B. Flattening (n, m) rows against (k, l) columns gives
-the usual dim^2 x dim^2 density matrix.
+A state over modes A and B has the coefficients p[n, m, k, l] of
+sum_{nmkl} p |n, m><k, l|, with n, k indexing mode A and m, l indexing
+mode B. Flattening (n, m) rows against (k, l) columns gives the usual
+dim^2 x dim^2 density matrix. Only the entries with n - k = m - l are
+stored, in the layout below.
 Every Fock matrix element of the protocol is real, so coefficients are
 float64 and the density matrix is real symmetric.
 """
@@ -64,21 +65,76 @@ def auto_n_max(lam, trace_tol=TruncationConfig.trace_tol):
     return n
 
 
+# The stored layout. Every protocol state commutes with N_A - N_B, so its
+# coefficients p[n, m, k, l] vanish unless n - k = m - l. The coherence
+# diagonal j = n - k of mode A then fixes that of mode B, and a state is the
+# (2d-1, d, d) array X[j + d - 1, p, q]: mode A's pair (n, k) is entry
+# p = min(n, k) of diagonal j, mode B's pair (m, l) entry q = min(m, l) of
+# the same diagonal. Diagonal j has d - |j| entries per mode; the rest of
+# its d x d slice is padding and always zero.
+
+
+def _slot(dim, n, m, k, l_):
+    """Flat position in the stored layout of p[n, m, k, l] (n - k = m - l)."""
+    return ((n - k + dim - 1) * dim + np.minimum(n, k)) * dim + np.minimum(m, l_)
+
+
+def _zero_slot(dim):
+    # X[0, d - 1, d - 1]: diagonal 1 - d has one entry, so this padding slot
+    # is zero in every stored array (dim >= 2)
+    return dim * dim - 1
+
+
+@lru_cache(maxsize=None)
+def _sector_entries(dim):
+    """(slot, dense) for every coefficient of the sector n - k = m - l: its
+    flat position in the stored layout and in the d^4 tensor p[n, m, k, l]."""
+    j, p, q = np.ogrid[1 - dim : dim, :dim, :dim]
+    size = dim - np.abs(j)
+    ok = (p < size) & (q < size)
+    a, b = np.maximum(j, 0), np.maximum(-j, 0)
+    n, k, m, l_ = p + a, p + b, q + a, q + b
+    slot = np.flatnonzero(ok)
+    dense = (((n * dim + m) * dim + k) * dim + l_)[ok]
+    for arr in (slot, dense):
+        arr.flags.writeable = False
+    return slot, dense
+
+
+def _dense(sector):
+    """The d^4 coefficient tensor p[n, m, k, l] of a stored array."""
+    dim = sector.shape[1]
+    slot, dense = _sector_entries(dim)
+    c = np.zeros((dim,) * 4)
+    c.reshape(-1)[dense] = sector.reshape(-1)[slot]
+    c.flags.writeable = False
+    return c
+
+
 @dataclass(frozen=True, eq=False)
 class TwoModeState:
-    """Immutable two-mode density operator plus its numerical policy."""
+    """Immutable two-mode density operator plus its numerical policy.
 
-    coeffs: np.ndarray
+    sector is the stored (2d-1, d, d) layout described above; coeffs and
+    as_matrix() expand it to the d^4 tensor and cost O(d^4) per call.
+    """
+
+    sector: np.ndarray
     trace: float
     cfg: TruncationConfig = field(repr=False)
 
     @property
     def dim(self):
-        return self.coeffs.shape[0]
+        return self.sector.shape[1]
 
     @property
     def n_max(self):
-        return self.coeffs.shape[0] - 1
+        return self.sector.shape[1] - 1
+
+    @property
+    def coeffs(self):
+        """Read-only d^4 tensor p[n, m, k, l] of sum p |n, m><k, l|."""
+        return _dense(self.sector)
 
     def as_matrix(self):
         """Density-matrix view, rows (n, m) against columns (k, l)."""
@@ -87,22 +143,32 @@ class TwoModeState:
 
 
 def state_from_coeffs(coeffs, cfg):
-    """Wrap a rank-4 coefficient tensor as a read-only float64 copy, computing
-    its trace. Complex input is accepted only with a zero imaginary part."""
+    """Store a rank-4 coefficient tensor p[n, m, k, l] as a state, computing
+    its trace. Complex input is accepted only with a zero imaginary part,
+    and every nonzero must obey n - k = m - l."""
     c = np.asarray(coeffs)
     if np.iscomplexobj(c) and np.any(c.imag):
         raise ValueError("coefficients must be real, got a nonzero imaginary part")
     d = cfg.n_max + 1
     if c.shape != (d, d, d, d):
         raise ValueError(f"expected shape {(d, d, d, d)}, got {c.shape}")
-    return _wrap_fresh(np.array(c.real, dtype=np.float64, order="C"), cfg)
+    slot, dense = _sector_entries(d)
+    values = c.real.reshape(-1)[dense]
+    if np.count_nonzero(values) != np.count_nonzero(c):
+        raise ValueError(
+            "coefficients must obey n - k = m - l, got a nonzero entry off that sector"
+        )
+    x = np.zeros((2 * d - 1, d, d))
+    x.reshape(-1)[slot] = values
+    return _wrap_fresh(x, cfg)
 
 
-def _wrap_fresh(c, cfg):
-    """Wrap a C-contiguous float64 array of the right shape that no one else
-    holds (an op's own output) without copying it: freeze it, read its trace."""
-    c.flags.writeable = False
-    return TwoModeState(c, float(np.einsum("nmnm->", c)), cfg)
+def _wrap_fresh(x, cfg):
+    """Wrap a C-contiguous float64 stored array that no one else holds (an
+    op's own output) without copying it: freeze it, read its trace, the sum
+    of diagonal j = 0."""
+    x.flags.writeable = False
+    return TwoModeState(x, float(x[cfg.n_max].sum()), cfg)
 
 
 def tmss(lam, cfg, allow_truncation=False):
@@ -125,22 +191,29 @@ def tmss(lam, cfg, allow_truncation=False):
     d = cfg.dim
     amps = lam ** np.arange(d)
     amps /= math.sqrt(np.sum(amps * amps))
-    c = np.zeros((d, d, d, d))
-    idx = np.arange(d)
-    c[idx[:, None], idx[:, None], idx[None, :], idx[None, :]] = np.outer(amps, amps)
-    return state_from_coeffs(c, cfg)
+    # |n, n><k, k| is entry (p, p) of diagonal n - k
+    x = np.zeros((2 * d - 1, d, d))
+    r = np.arange(d)
+    x[:, r, r] = _pair_rows(amps, d)
+    return _wrap_fresh(x, cfg)
 
 
 def vacuum(cfg):
     d = cfg.dim
-    c = np.zeros((d, d, d, d))
-    c[0, 0, 0, 0] = 1.0
-    return state_from_coeffs(c, cfg)
+    x = np.zeros((2 * d - 1, d, d))
+    x[d - 1, 0, 0] = 1.0
+    return _wrap_fresh(x, cfg)
 
 
-def trace_of(state):
-    """Trace re-read from the coefficients (not the cached field)."""
-    return float(np.einsum("nmnm->", state.coeffs))
+def _pair_rows(w, dim):
+    """u[j + d - 1, p] = w[n] w[k] for entry p of diagonal j = n - k, or 0
+    where n or k lies beyond w: a one-mode weight w[n] w[k] in the stored
+    layout, to scale axis 1 (mode A) or axis 2 (mode B) with."""
+    j, p = np.ogrid[1 - dim : dim, :dim]
+    n, k = p + np.maximum(j, 0), p + np.maximum(-j, 0)
+    top = len(w)
+    ext = np.append(w, 0.0)
+    return ext[np.minimum(n, top)] * ext[np.minimum(k, top)]
 
 
 def normalize(state):
@@ -152,18 +225,7 @@ def normalize(state):
     tr = state.trace
     if tr <= state.cfg.trace_tol:
         raise ZeroTraceError(f"trace {tr:.3g} is at or below trace_tol")
-    return _wrap_fresh(state.coeffs / tr, state.cfg), tr
-
-
-def swap_modes(state):
-    """Exchange the roles of modes A and B."""
-    return state_from_coeffs(state.coeffs.transpose(1, 0, 3, 2), state.cfg)
-
-
-def hermiticity_defect(state):
-    """Largest |p[n,m,k,l] - p[k,l,n,m]| (for real p, Hermitian is symmetric)."""
-    c = state.coeffs
-    return float(np.abs(c - c.transpose(2, 3, 0, 1)).max())
+    return _wrap_fresh(state.sector / tr, state.cfg), tr
 
 
 @lru_cache(maxsize=None)
@@ -171,17 +233,14 @@ def _block_tables(dim, kind):
     """Gather tables for the 2d-1 blocks of the density matrix (kind "rho")
     or of its partial transpose on mode A (kind "pt"), each padded to d x d.
 
-    Returns (index, pad, keep): the flat position in the d^4 coefficient
-    tensor of every block entry (shape (2d-1, d, d)), the mask of padding
-    entries, and keep[b, i] = i < size of block b.
+    Returns (index, keep): the flat position in the stored layout of every
+    block entry (shape (2d-1, d, d)), padding entries at the zero slot, and
+    keep[b, i] = i < size of block b.
     Block b of "rho" holds rows (n, m) and columns (k, l) with
     n - m = k - l = b - (d - 1); block N of "pt" is
     B_N[m, l] = c[N - l, m, N - m, l]. Both cover exactly the entries with
     n - k = m - l, each once.
     """
-    # broadcast ranges and in-place arithmetic keep the returned arrays the
-    # only full-size ones: freed full-size temporaries here fragmented the
-    # heap and raised a malting run's peak memory at d = 34 by 6 MiB
     b, i, j = np.ogrid[: 2 * dim - 1, :dim, :dim]
     size = dim - np.abs(b - (dim - 1))
     if kind == "rho":
@@ -192,16 +251,11 @@ def _block_tables(dim, kind):
         low = np.maximum(b - (dim - 1), 0)  # smallest m (and l) with N - m < d
         m, l_ = i + low, j + low
         n, k = b - l_, b - m
-    index = np.zeros((2 * dim - 1, dim, dim), dtype=np.intp)
-    for part in (n, m, k, l_):
-        index *= dim
-        index += part
-    pad = (i >= size) | (j >= size)
-    index[pad] = 0
+    index = np.where((i < size) & (j < size), _slot(dim, n, m, k, l_), _zero_slot(dim))
     keep = i[..., 0] < size[..., 0]
-    for arr in (index, pad, keep):
+    for arr in (index, keep):
         arr.flags.writeable = False
-    return index, pad, keep
+    return index, keep
 
 
 def _check_hermitian(mat, herm_tol):
@@ -211,29 +265,20 @@ def _check_hermitian(mat, herm_tol):
         raise NotHermitianError(f"hermiticity defect {defect:.3g} > {herm_tol:.3g}")
 
 
-def _block_eigvalsh(c, kind, herm_tol=None):
-    """Ascending eigenvalues of the d^2 x d^2 matrix of the rank-4 tensor c
-    (kind "rho") or of its partial transpose on mode A (kind "pt").
+def _block_eigvalsh(x, kind, herm_tol=None):
+    """Ascending eigenvalues of the d^2 x d^2 density matrix of the stored
+    array x (kind "rho") or of its partial transpose on mode A (kind "pt").
 
-    Where every nonzero of c obeys n - k = m - l, as in every protocol
-    state, that matrix is block-diagonal: in n - m for "rho" and in the
-    total photon number for "pt". The 2d-1 blocks, each padded to d x d
-    with a diagonal sentinel above its Gershgorin bound, are then solved in
+    The sector rule makes that matrix block-diagonal: in n - m for "rho" and
+    in the total photon number for "pt". The 2d-1 blocks, each padded to
+    d x d with a diagonal sentinel above its Gershgorin bound, are solved in
     one batched call, and the first `size` eigenvalues of each are that
-    block's spectrum. Any nonzero off the blocks takes the dense solve.
-    With herm_tol, Hermiticity is checked first (on the blocks when the
-    input is block-diagonal) and NotHermitianError raised beyond it.
+    block's spectrum. With herm_tol, Hermiticity is checked on the blocks
+    first and NotHermitianError raised beyond it.
     """
-    d = c.shape[0]
-    index, pad, keep = _block_tables(d, kind)
-    blocks = c.reshape(-1)[index]
-    blocks[pad] = 0.0
-    if np.count_nonzero(blocks) != np.count_nonzero(c):
-        # a nonzero off the blocks: the only branch that forms the d^4 matrix
-        mat = (c if kind == "rho" else c.transpose(2, 1, 0, 3)).reshape(d * d, d * d)
-        if herm_tol is not None:
-            _check_hermitian(mat, herm_tol)
-        return np.linalg.eigvalsh(mat)
+    d = x.shape[1]
+    index, keep = _block_tables(d, kind)
+    blocks = x.reshape(-1)[index]
     if herm_tol is not None:
         _check_hermitian(blocks, herm_tol)
     # the sum of |entries| bounds every eigenvalue of the matrix that
@@ -246,18 +291,4 @@ def _block_eigvalsh(c, kind, herm_tol=None):
 
 def min_eigenvalue(state):
     """Smallest eigenvalue of the density matrix (negative means non-PSD)."""
-    return float(_block_eigvalsh(state.coeffs, "rho")[0])
-
-
-def check_state(state, psd=True):
-    """Validate Hermiticity, positivity and trace consistency; raise on failure."""
-    tol = state.cfg.eig_tol
-    defect = hermiticity_defect(state)
-    if defect > tol:
-        raise NotHermitianError(f"hermiticity defect {defect:.3g} > eig_tol {tol:.3g}")
-    if abs(trace_of(state) - state.trace) > max(state.cfg.trace_tol, 1e-12):
-        raise ValueError("cached trace disagrees with coefficients")
-    if psd:
-        low = min_eigenvalue(state)
-        if low < -tol:
-            raise ValueError(f"state has eigenvalue {low:.3g} < -eig_tol")
+    return float(_block_eigvalsh(state.sector, "rho")[0])

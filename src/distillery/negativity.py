@@ -23,20 +23,15 @@ class NegativityResult:
     trunc_warning: bool
 
 
-def partial_transpose(state):
-    """Transpose on mode A only; returns a rank-4 tensor, not a state."""
-    return state.coeffs.transpose(2, 1, 0, 3)
-
-
 def trace_norm(arr, herm_tol=1e-10):
-    """Sum of absolute eigenvalues of a Hermitian matrix (rank-4 input ok)."""
+    """Sum of absolute eigenvalues of a Hermitian matrix; a rank-4 tensor
+    p[n, m, k, l] is read as its matrix, rows (n, m) against columns (k, l).
+    States take the block solve through trace_distance and log_negativity."""
     a = np.asarray(arr)
     if a.ndim == 4:
-        eigs = _block_eigvalsh(a, "rho", herm_tol)
-    else:
-        _check_hermitian(a, herm_tol)
-        eigs = np.linalg.eigvalsh(a)
-    return float(np.abs(eigs).sum())
+        a = a.reshape(a.shape[0] * a.shape[1], -1)
+    _check_hermitian(a, herm_tol)
+    return float(np.abs(np.linalg.eigvalsh(a)).sum())
 
 
 def log_negativity(state):
@@ -46,7 +41,7 @@ def log_negativity(state):
     numerical noise and reported as exactly 0.
     """
     tol = state.cfg.eig_tol
-    eigs = _block_eigvalsh(state.coeffs, "pt")
+    eigs = _block_eigvalsh(state.sector, "pt")
     min_eig = float(eigs[0])
     tn = float(np.abs(eigs).sum())
     if min_eig >= -tol:
@@ -60,4 +55,5 @@ def trace_distance(state_a, state_b):
     """(1/2) trace norm of the difference of two states."""
     if state_a.dim != state_b.dim:
         raise ValueError("states must share dimension")
-    return 0.5 * trace_norm(state_a.coeffs - state_b.coeffs)
+    eigs = _block_eigvalsh(state_a.sector - state_b.sector, "rho", herm_tol=1e-10)
+    return 0.5 * float(np.abs(eigs).sum())

@@ -200,7 +200,7 @@ def mash_iterate(rho_0, cfg, max_iter=50, exact_iterations=None):
     worst_cut = 0.0
     cur = rho_0
     converged = False
-    source = _prose_source(rho_0.coeffs, _BS_SIGN)
+    source = _prose_source(rho_0.sector, _BS_SIGN)
     for _ in range(n_rounds):
         res = mash_step(cur, rho_0, _source=source)
         probs.append(res.prob)

@@ -1,0 +1,45 @@
+"""Checks and transforms of two-mode states on their dense expansion.
+
+Each helper reads `state.coeffs`, the d^4 tensor p[n, m, k, l], so it costs
+O(d^4) and serves the tests only; the package itself works on the stored
+sector layout.
+"""
+
+import numpy as np
+
+from distillery import NotHermitianError, min_eigenvalue, state_from_coeffs
+
+
+def swap_modes(state):
+    """Exchange the roles of modes A and B."""
+    return state_from_coeffs(state.coeffs.transpose(1, 0, 3, 2), state.cfg)
+
+
+def partial_transpose(state):
+    """Transpose on mode A only; returns a rank-4 tensor, not a state."""
+    return state.coeffs.transpose(2, 1, 0, 3)
+
+
+def trace_of(state):
+    """Trace re-read from the coefficients (not the cached field)."""
+    return float(np.einsum("nmnm->", state.coeffs))
+
+
+def hermiticity_defect(state):
+    """Largest |p[n,m,k,l] - p[k,l,n,m]| (for real p, Hermitian is symmetric)."""
+    c = state.coeffs
+    return float(np.abs(c - c.transpose(2, 3, 0, 1)).max())
+
+
+def check_state(state, psd=True):
+    """Validate Hermiticity, positivity and trace consistency; raise on failure."""
+    tol = state.cfg.eig_tol
+    defect = hermiticity_defect(state)
+    if defect > tol:
+        raise NotHermitianError(f"hermiticity defect {defect:.3g} > eig_tol {tol:.3g}")
+    if abs(trace_of(state) - state.trace) > max(state.cfg.trace_tol, 1e-12):
+        raise ValueError("cached trace disagrees with coefficients")
+    if psd:
+        low = min_eigenvalue(state)
+        if low < -tol:
+            raise ValueError(f"state has eigenvalue {low:.3g} < -eig_tol")

@@ -103,12 +103,13 @@ def bs_unitary_2mode(dim, t):
     return vecs @ np.diag(np.exp(-1j * theta * evals)) @ vecs.conj().T
 
 
-def mash_oracle(c_i, c_0, projector="prose"):
+def mash_oracle(c_i, c_0):
     """Brute-force four-mode mashing round at 50/50 splitting.
 
     Embeds both states in per-mode dimension 2*n_max+1, applies the full
-    two-splitter unitary as a dense matrix, projects vacuum, and returns
-    (projected 2-mode tensor at the enlarged dimension, projected trace).
+    two-splitter unitary as a dense matrix, projects vacuum on output 1 of
+    each splitter, and returns (projected 2-mode tensor at the enlarged
+    dimension, projected trace).
     """
     d = c_i.shape[0]
     big = 2 * (d - 1) + 1
@@ -121,10 +122,7 @@ def mash_oracle(c_i, c_0, projector="prose"):
     w = np.kron(b2, b2)  # acts on (A1,A2) then (B1,B2)
     rho_m = w @ rho_m @ w.conj().T
     rho4 = rho_m.reshape((big,) * 8)
-    if projector == "prose":
-        out = rho4[0, :, 0, :, 0, :, 0, :]
-    else:  # vacuum on both A-side outputs, keep the B pair
-        out = rho4[0, 0, :, :, 0, 0, :, :]
+    out = rho4[0, :, 0, :, 0, :, 0, :]
     tr = sum(out[n, m, n, m] for n in range(big) for m in range(big)).real
     return out, tr
 
@@ -147,12 +145,18 @@ def p11_trajectory_oracle(lam, n_max, t, t_s):
 
 
 def random_state_coeffs(dim, rng):
-    """Random valid (real symmetric, PSD, trace-1) two-mode coefficient tensor.
+    """Random valid (real symmetric, PSD, trace-1) two-mode coefficient tensor
+    in the sector n - k = m - l, where every protocol state lives.
 
-    Dense, full rank and asymmetric between the modes, so it reaches every
-    index path of a kernel; real, like every state of the protocol.
+    The pinching of a dense draw: every entry with n - k != m - l is zeroed.
+    That is the twirl by the local phases exp(i theta N_A) (x)
+    exp(-i theta N_B), so it keeps the trace, positivity and separability.
+    Every entry of the sector is filled, and the draw is asymmetric between
+    the modes, so it reaches every index path of a kernel; real, like every
+    state of the protocol.
     """
     g = rng.normal(size=(dim * dim, dim * dim))
-    rho = g @ g.T
-    rho /= np.trace(rho)
-    return rho.reshape(dim, dim, dim, dim)
+    rho = (g @ g.T).reshape(dim, dim, dim, dim)
+    n, m, k, l_ = np.indices(rho.shape)
+    rho[n - k != m - l_] = 0.0
+    return rho / np.einsum("nmnm->", rho)

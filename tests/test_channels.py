@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from dense import swap_modes, trace_of
 from distillery import (
     LossChannelParams,
     SubtractionParams,
@@ -20,13 +21,11 @@ from distillery import (
     normalize,
     repeated_loss,
     state_from_coeffs,
-    swap_modes,
     tmss,
-    trace_of,
     vacuum,
 )
 from distillery import channels, protocol
-from distillery.channels import _BS_SIGN, _mode_superop, _prose_source, _sqrt_fact
+from distillery.channels import _BS_SIGN, _loss_maps, _prose_source, _sqrt_fact
 
 # double subtraction q_A=q_B=1 straight on tmss(0.1), t_s=0.99, n_max=8,
 # from the brute-force contraction in oracles.subtract_oracle
@@ -136,17 +135,25 @@ def test_loss_kraus_completeness():
             assert np.abs(acc - np.eye(dim)).max() < 1e-13
 
 
-def test_mode_superop_equals_kron_sum_bitwise():
-    # the direct fill puts each (output, input) pair's single q term where
-    # the sum of K_q (x) K_q over q put it, with the same product
+def test_loss_maps_equal_kron_sum_bitwise():
+    # L[j][p_out, p_in] is the one-mode superoperator sum_q K_q (x) K_q at
+    # (ket, bra) pairs (p_out + a, p_out + b) <- (p_in + a, p_in + b), with
+    # a = max(j, 0), b = max(-j, 0): each entry the same single-q product,
+    # and zero wherever a pair leaves the cutoff
     for dim in (9, 19, 34):
         for t in (LossChannelParams.from_tau(100).t, 0.6):
             ks = loss_kraus(t, dim)
-            want = np.zeros((dim * dim, dim * dim))
+            sup = np.zeros((dim,) * 4)
             for q in range(dim):
-                want += np.kron(ks[q], ks[q])
-            got = _mode_superop(t, dim)
-            assert got.tobytes() == want.tobytes()
+                sup += np.kron(ks[q], ks[q]).reshape((dim,) * 4)
+            j, p_out, p_in = np.indices((2 * dim - 1, dim, dim))
+            j -= dim - 1
+            a, b = np.maximum(j, 0), np.maximum(-j, 0)
+            ok = (p_out + abs(j) < dim) & (p_in + abs(j) < dim)
+            top = dim - 1
+            want = np.where(ok, sup[np.minimum(p_out + a, top), np.minimum(p_out + b, top),
+                                    np.minimum(p_in + a, top), np.minimum(p_in + b, top)], 0.0)
+            assert _loss_maps(t, dim).tobytes() == want.tobytes()
 
 
 def test_detect_vacuum_outcomes():
@@ -288,10 +295,10 @@ def test_mash_step_vacuum_fixed_point():
     assert res.discarded_weight == pytest.approx(0.0, abs=1e-15)
 
 
-def _oracle_mash(a, b, projector):
+def _oracle_mash(a, b):
     # split the enlarged-dimension oracle output into the kept block and
     # the weight shed past the cutoff, mirroring what mash_step reports
-    full, p_full = oracles.mash_oracle(a.coeffs, b.coeffs, projector)
+    full, p_full = oracles.mash_oracle(a.coeffs, b.coeffs)
     d = a.dim
     kept = full[:d, :d, :d, :d]
     kept_tr = np.einsum("nmnm->", kept).real
@@ -299,14 +306,15 @@ def _oracle_mash(a, b, projector):
 
 
 def test_mash_step_matches_four_mode_oracle():
-    # dense random inputs exercise every index path of the contraction
+    # random inputs fill the whole sector, so they reach every index path
+    # of the contraction
     cfg = TruncationConfig(2)
     rng = np.random.default_rng(11)
     for _ in range(3):
         a = state_from_coeffs(oracles.random_state_coeffs(3, rng), cfg)
         b = state_from_coeffs(oracles.random_state_coeffs(3, rng), cfg)
         res = mash_step(a, b)
-        want, p_want, cut_want = _oracle_mash(a, b, "prose")
+        want, p_want, cut_want = _oracle_mash(a, b)
         assert res.prob == pytest.approx(p_want, rel=1e-12)
         assert np.abs(res.state.coeffs - want).max() < 1e-13
         assert res.discarded_weight == pytest.approx(cut_want, abs=1e-14)
@@ -323,35 +331,21 @@ def _malted_cutoff_two(lam):
 
 
 def test_mash_step_matches_oracle_on_sector_states():
-    # a malted state holds one sector, a dense random state every sector;
+    # a malted state fills part of the sector, a random state all of it;
     # both cases shed weight past the cutoff, so the closed-form prob is
     # checked where the discarded tail is not empty
     malted = _malted_cutoff_two(0.6)
     n, m, k, l_ = np.indices(malted.coeffs.shape)
     assert not np.any(malted.coeffs[n - k != m - l_])
     rng = np.random.default_rng(13)
-    dense = state_from_coeffs(oracles.random_state_coeffs(3, rng), malted.cfg)
-    for a, b in ((malted, malted), (dense, malted)):
+    full = state_from_coeffs(oracles.random_state_coeffs(3, rng), malted.cfg)
+    for a, b in ((malted, malted), (full, malted)):
         res = mash_step(a, b)
-        want, p_want, cut_want = _oracle_mash(a, b, "prose")
+        want, p_want, cut_want = _oracle_mash(a, b)
         assert cut_want > 1e-6
         assert res.prob == pytest.approx(p_want, rel=1e-12)
         assert np.abs(res.state.coeffs - want).max() < 1e-13
         assert res.discarded_weight == pytest.approx(cut_want, abs=1e-14)
-
-
-def test_mash_step_printed_projector_variant():
-    cfg = TruncationConfig(2)
-    rng = np.random.default_rng(12)
-    a = state_from_coeffs(oracles.random_state_coeffs(3, rng), cfg)
-    b = state_from_coeffs(oracles.random_state_coeffs(3, rng), cfg)
-    res = mash_step(a, b, projector="printed")
-    want, p_want, cut_want = _oracle_mash(a, b, "printed")
-    assert res.prob == pytest.approx(p_want, rel=1e-12)
-    assert np.abs(res.state.coeffs - want).max() < 1e-13
-    assert res.discarded_weight == pytest.approx(cut_want, abs=1e-14)
-    with pytest.raises(ValueError):
-        mash_step(a, b, projector="nonsense")
 
 
 def test_mash_step_insensitive_to_bs_sign_convention():
@@ -402,12 +396,11 @@ def _one_cycle_state(cfg):
 def test_mash_step_with_prepared_source_is_bitwise_equal():
     cfg = TruncationConfig(3)
     malted = _one_cycle_state(cfg)
-    dense = _random_state(4, 11)
-    dense = state_from_coeffs(dense.coeffs / dense.trace, cfg)
-    for rho_i, rho_0 in ((malted, malted), (dense, malted), (malted, dense)):
+    drawn = _random_state(4, 11)
+    for rho_i, rho_0 in ((malted, malted), (drawn, malted), (malted, drawn)):
         plain = mash_step(rho_i, rho_0)
-        prepared = mash_step(rho_i, rho_0, _source=_prose_source(rho_0.coeffs, _BS_SIGN))
-        assert prepared.state.coeffs.tobytes() == plain.state.coeffs.tobytes()
+        prepared = mash_step(rho_i, rho_0, _source=_prose_source(rho_0.sector, _BS_SIGN))
+        assert prepared.state.sector.tobytes() == plain.state.sector.tobytes()
         assert (prepared.prob, prepared.discarded_weight) == (
             plain.prob, plain.discarded_weight)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
+from dense import partial_transpose, swap_modes
 from distillery import (
     LossChannelParams,
     NotHermitianError,
@@ -14,9 +15,7 @@ from distillery import (
     log_negativity,
     loss_event,
     min_eigenvalue,
-    partial_transpose,
     state_from_coeffs,
-    swap_modes,
     tmss,
     trace_distance,
     trace_norm,
@@ -25,6 +24,8 @@ from distillery import (
 
 
 def _product_state(dim, seed):
+    # the pinching (entries with n - k != m - l zeroed) of a random product
+    # state: a twirl by local phases, so still separable
     rng = np.random.default_rng(seed)
     ga = rng.normal(size=(dim, dim))
     gb = rng.normal(size=(dim, dim))
@@ -32,7 +33,10 @@ def _product_state(dim, seed):
     b = gb @ gb.T
     a /= np.trace(a)
     b /= np.trace(b)
-    return np.einsum("nk,ml->nmkl", a, b)
+    c = np.einsum("nk,ml->nmkl", a, b)
+    n, m, k, l_ = np.indices(c.shape)
+    c[n - k != m - l_] = 0.0
+    return c
 
 
 def test_partial_transpose_is_involution():
@@ -175,8 +179,8 @@ def _dense_pt_eigs(st):
 
 
 def test_protocol_states_take_the_block_solve(monkeypatch):
-    # sector-clean input never reaches a dense d^2 x d^2 solve; dense random
-    # input does, and only there
+    # states never reach a dense d^2 x d^2 solve, and input off the sector
+    # cannot become a state
     shapes = []
     real_eigvalsh = np.linalg.eigvalsh
 
@@ -194,17 +198,17 @@ def test_protocol_states_take_the_block_solve(monkeypatch):
     trace_distance(st, tmss(0.3, cfg, allow_truncation=True))
     min_eigenvalue(st)
     assert shapes == [(15, 8, 8)] * 3
-    shapes.clear()
     rng = np.random.default_rng(5)
-    dense = state_from_coeffs(oracles.random_state_coeffs(4, rng), TruncationConfig(3))
-    log_negativity(dense)
-    min_eigenvalue(dense)
-    assert shapes == [(16, 16)] * 2
+    g = rng.normal(size=(16, 16))
+    dense = (g @ g.T).reshape(4, 4, 4, 4)
+    with pytest.raises(ValueError, match="off that sector"):
+        state_from_coeffs(dense, TruncationConfig(3))
 
 
 def test_block_solve_raises_on_asymmetric_sector_clean_input():
-    # the asymmetric entry lies inside a block (n - k = m - l), so the
-    # Hermiticity check runs on the blocks and reports the dense defect
+    # the asymmetric entry lies inside a block (n - k = m - l): the dense
+    # check of trace_norm and the block check of trace_distance report the
+    # same defect
     cfg = TruncationConfig(4)
     good = tmss(0.2, cfg, allow_truncation=True)
     c = good.coeffs.copy()

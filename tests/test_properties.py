@@ -1,5 +1,5 @@
-"""Property tests over drawn parameters: the photon-number selection rule of
-malted and mashed states, the symmetry every channel preserves, mashing
+"""Property tests over drawn parameters: the zero padding of malted and
+mashed states in the stored layout, the symmetry every channel preserves, mashing
 against the four-mode oracle, and the sector-block eigensolves against dense
 solves and the singular-value oracle."""
 
@@ -35,14 +35,13 @@ from distillery.core import _block_eigvalsh
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
 
 
-def _off_sector_mask(dim):
-    # positions that break the rule n - k = m - l
-    n, m, k, l_ = np.indices((dim,) * 4)
-    return n - k != m - l_
-
-
-def _off_sector(coeffs):
-    return coeffs[_off_sector_mask(coeffs.shape[0])]
+def _padding(sector):
+    # the slots of the stored layout that hold no coefficient: entry p or q
+    # of diagonal j at or past its length d - |j|
+    d = sector.shape[1]
+    j, p, q = np.indices(sector.shape)
+    size = d - np.abs(j - (d - 1))
+    return sector[(p >= size) | (q >= size)]
 
 
 def _asymmetry(coeffs):
@@ -61,10 +60,12 @@ def _asymmetry(coeffs):
 def test_malted_and_mashed_states_obey_sector_rule(lam, tau, t_s, m_a, m_b):
     cfg = TruncationConfig(auto_n_max(lam))
     schedule = MaltingSchedule(m_a, m_b, LossChannelParams.from_tau(tau), SubtractionParams(t_s))
+    # the stored layout holds the sector n - k = m - l only; its padding
+    # must stay zero through every kernel
     malted = malt(lam, schedule, cfg).state
-    assert np.count_nonzero(_off_sector(malted.coeffs)) == 0
+    assert np.count_nonzero(_padding(malted.sector)) == 0
     mashed = mash_step(malted, malted).state
-    assert np.count_nonzero(_off_sector(mashed.coeffs)) == 0
+    assert np.count_nonzero(_padding(mashed.sector)) == 0
 
 
 @PROPERTY
@@ -94,18 +95,12 @@ def test_channels_keep_real_states_symmetric(dim, seed, t, t_s, mode, q):
 @given(
     dim=st.integers(2, 3),
     seed=st.integers(0, 2**32 - 1),
-    sector_clean=st.booleans(),
 )
-def test_mash_step_matches_oracle_on_drawn_states(dim, seed, sector_clean):
-    # dense random states hold every sector; with sector_clean the rho_0
-    # copy keeps only n - k = m - l, as malted states do
+def test_mash_step_matches_oracle_on_drawn_states(dim, seed):
     rng = np.random.default_rng(seed)
     cfg = TruncationConfig(dim - 1)
     c_i = oracles.random_state_coeffs(dim, rng)
     c_0 = oracles.random_state_coeffs(dim, rng)
-    if sector_clean:
-        c_0 = np.where(_off_sector_mask(dim), 0.0, c_0)
-        c_0 /= np.einsum("nmnm->", c_0)
     a, b = state_from_coeffs(c_i, cfg), state_from_coeffs(c_0, cfg)
     res = mash_step(a, b)
     full, p_want = oracles.mash_oracle(c_i, c_0)
@@ -118,24 +113,19 @@ def test_mash_step_matches_oracle_on_drawn_states(dim, seed, sector_clean):
 
 def _drawn_state(kind, dim, lam, tau, t_s, q_a, q_b, rng):
     """A normalized state at cutoff dim - 1: one malting cycle (loss, then
-    counts q_a, q_b) of a TMSS, the same mashed with itself, a dense random
-    state (nonzeros off the blocks) or its sector-clean part (the pinching of
-    a PSD matrix, so still a state)."""
+    counts q_a, q_b) of a TMSS, the same mashed with itself, or a random
+    state (the pinching of a PSD matrix, which fills the whole sector)."""
     cfg = TruncationConfig(dim - 1)
     if kind in ("malted", "mashed"):
         lossy = loss_event(tmss(lam, cfg, allow_truncation=True), LossChannelParams.from_tau(tau))
         st, _ = normalize(detect_phonons(lossy, SubtractionParams(t_s), q_a, q_b))
         return mash_step(st, st).state if kind == "mashed" else st
-    c = oracles.random_state_coeffs(dim, rng)
-    if kind == "clean":
-        c = np.where(_off_sector_mask(dim), 0.0, c)
-        c /= np.einsum("nmnm->", c)
-    return state_from_coeffs(c, cfg)
+    return state_from_coeffs(oracles.random_state_coeffs(dim, rng), cfg)
 
 
 @PROPERTY
 @given(
-    kind=st.sampled_from(["malted", "mashed", "dense", "clean"]),
+    kind=st.sampled_from(["malted", "mashed", "random"]),
     dim=st.integers(2, 6),
     lam=st.floats(0.05, 0.6),
     tau=st.floats(10.0, 1000.0),
@@ -151,9 +141,9 @@ def test_block_eigensolves_match_dense_and_oracle(kind, dim, lam, tau, t_s, q_a,
     n = dim * dim
     rho = a.coeffs.reshape(n, n)
     pt = a.coeffs.transpose(2, 1, 0, 3).reshape(n, n)
-    assert np.abs(_block_eigvalsh(a.coeffs, "rho") - np.linalg.eigvalsh(rho)).max() < 1e-14
+    assert np.abs(_block_eigvalsh(a.sector, "rho") - np.linalg.eigvalsh(rho)).max() < 1e-14
     dense_pt = np.linalg.eigvalsh(pt)
-    assert np.abs(_block_eigvalsh(a.coeffs, "pt") - dense_pt).max() < 1e-14
+    assert np.abs(_block_eigvalsh(a.sector, "pt") - dense_pt).max() < 1e-14
     assert min_eigenvalue(a) == pytest.approx(np.linalg.eigvalsh(rho)[0], abs=1e-14)
 
     assert trace_norm(a.coeffs) == pytest.approx(oracles.trace_norm_oracle(rho), rel=1e-12)

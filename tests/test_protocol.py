@@ -275,3 +275,21 @@ def test_malt_only_gain_mode():
     assert cc.m_c <= full.m_c
     with pytest.raises(ValueError):
         critical_attempts(LAM, LOSS, SUB, CFG, gain_mode="bogus")
+
+
+def test_protocol_never_expands_to_dense(monkeypatch):
+    # malting, the pij walk and mashing work on the stored sector layout
+    # alone; the d^4 expansion is for tests and oracles
+    from distillery import core
+
+    def refuse(sector):
+        raise AssertionError("dense expansion in the protocol path")
+
+    monkeypatch.setattr(core, "_dense", refuse)
+    with pytest.raises(AssertionError):
+        tmss(LAM, CFG).coeffs
+    rec = malt(LAM, MaltingSchedule(1, 3, LOSS, SUB), CFG)
+    p = subtraction_probability_matrix(LAM, LOSS, SUB, CFG, 3, 3)
+    assert p[0, 0] == pytest.approx(P11_TRAJ_NMAX8, rel=1e-10)
+    out = mash_iterate(rec.state, CFG)
+    assert out.converged and out.iterations > 1

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import oracles
+from dense import check_state, hermiticity_defect, swap_modes, trace_of
 from distillery import (
     LossChannelParams,
     SubtractionParams,
@@ -12,18 +15,14 @@ from distillery import (
     ZeroTraceError,
     NotHermitianError,
     auto_n_max,
-    check_state,
     detect_one_mode,
     detect_phonons,
-    hermiticity_defect,
     loss_event,
     mash_step,
     min_eigenvalue,
     normalize,
     state_from_coeffs,
-    swap_modes,
     tmss,
-    trace_of,
     vacuum,
 )
 
@@ -208,6 +207,27 @@ def test_state_from_coeffs_rejects_imaginary_part():
         state_from_coeffs(c, cfg)
 
 
+def test_state_from_coeffs_rejects_entries_off_the_sector():
+    cfg = TruncationConfig(2)
+    c = vacuum(cfg).coeffs.copy()
+    c[1, 0, 0, 1] = 1e-300  # n - k = 1, m - l = -1
+    with pytest.raises(ValueError) as err:
+        state_from_coeffs(c, cfg)
+    assert str(err.value) == (
+        "coefficients must obey n - k = m - l, got a nonzero entry off that sector"
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(dim=hst.integers(2, 6), seed=hst.integers(0, 2**32 - 1))
+def test_dense_round_trip_is_exact(dim, seed):
+    # dense -> stored -> dense puts every coefficient back bit for bit
+    c = oracles.random_state_coeffs(dim, np.random.default_rng(seed))
+    st = state_from_coeffs(c, TruncationConfig(dim - 1))
+    assert st.coeffs.tobytes() == np.ascontiguousarray(c).tobytes()
+    assert np.array_equal(state_from_coeffs(st.coeffs, st.cfg).sector, st.sector)
+
+
 def test_state_from_coeffs_stores_real_part_of_complex_input():
     cfg = TruncationConfig(3)
     c = oracles.tmss_coeffs(0.1, 3)  # complex dtype, zero imaginary part
@@ -217,7 +237,9 @@ def test_state_from_coeffs_stores_real_part_of_complex_input():
 
 
 def test_every_op_returns_float64_coefficients():
-    cfg = TruncationConfig(4)
+    # each op stores a read-only float64 array in the (2d - 1, d, d) layout
+    d = 5
+    cfg = TruncationConfig(d - 1)
     sub = SubtractionParams(0.9)
     st = tmss(0.2, cfg, allow_truncation=True)
     outs = [
@@ -230,6 +252,9 @@ def test_every_op_returns_float64_coefficients():
         mash_step(st, st).state,
     ]
     for out in outs:
+        x = out.sector
+        assert x.shape == (2 * d - 1, d, d) and x.dtype == np.float64
+        assert x.flags.c_contiguous and not x.flags.writeable
         assert out.coeffs.dtype == np.float64
         assert out.coeffs.flags.c_contiguous and not out.coeffs.flags.writeable
 
