@@ -262,21 +262,27 @@ def _vacuum_weights(dim, sign):
 
 
 def _truncated_convolution(x, y):
-    """out[N, M, K] = sum x[n, m, k] y[N - n, M - m, K - k] over N, M, K < d.
+    """out[..., N, M, K] = sum x[..., n, m, k] y[..., N - n, M - m, K - k]
+    over N, M, K < d, for each array of two stacks (..., d, d, d) whose
+    leading axes broadcast.
 
-    One matmul per first-axis shift e of y: the (M, K) part is a matrix of
-    shifted copies of y[e], read as a sliding-window view.
+    One batched matmul per first-axis shift e of y: the (M, K) part is a
+    matrix of shifted copies of y[..., e, :, :], read as a sliding-window
+    view. Each shift copies one d^2 x d^2 window matrix per array of y.
     """
-    d = x.shape[0]
-    pad = np.zeros((d, 2 * d - 1, 2 * d - 1))
-    pad[:, d - 1 :, d - 1 :] = y
-    # windows[e, m, k, M, K] = y[e, M - m, K - k], zero where M < m or K < k
-    windows = sliding_window_view(pad, (d, d), axis=(1, 2))[:, ::-1, ::-1]
-    x2 = x.reshape(d, d * d)
-    out = x2 @ windows[0].reshape(d * d, d * d)
+    d = x.shape[-1]
+    pad = np.zeros((*y.shape[:-3], d, 2 * d - 1, 2 * d - 1))
+    pad[..., d - 1 :, d - 1 :] = y
+    # windows[..., e, m, k, M, K] = y[..., e, M - m, K - k], zero where M < m or K < k
+    windows = sliding_window_view(pad, (d, d), axis=(-2, -1))[..., ::-1, ::-1, :, :]
+    lead = windows.shape[:-5]
+    x2 = x.reshape(*x.shape[:-3], d, d * d)
+    out = x2 @ windows[..., 0, :, :, :, :].reshape(*lead, d * d, d * d)
     for e in range(1, d):
-        out[e:] += x2[: d - e] @ windows[e].reshape(d * d, d * d)
-    return out.reshape(d, d, d)
+        out[..., e:, :] += x2[..., : d - e, :] @ windows[..., e, :, :, :, :].reshape(
+            *lead, d * d, d * d
+        )
+    return out.reshape(*out.shape[:-2], d, d, d)
 
 
 @lru_cache(maxsize=None)
@@ -296,25 +302,30 @@ def _mash_weights(dim, sign):
 
 
 def _weighted(x, u):
-    # x[j, p, q] u[j, p] u[j, q]: the weight w[n] w[k] w[m] w[l] of each entry
+    # x[..., j, p, q] u[j, p] u[j, q]: the weight w[n] w[k] w[m] w[l] of each entry
     y = x * u[:, :, None]
     y *= u[:, None, :]
     return y
 
 
+def _gathered(x, index):
+    # x[..., index] over the flattened stored layout of each array of a stack
+    return x.reshape(*x.shape[:-3], -1)[..., index]
+
+
 def _prose_source(x_0, sign):
     """rho_0's side of the prose projector, the same in every round against
     fresh copies of one rho_0: its rescaled (n, m, k) array and its stored
-    array x_0."""
-    gather = _mash_tables(x_0.shape[1])[0]
-    u_0 = _mash_weights(x_0.shape[1], sign)[0]
-    return _weighted(x_0, u_0).reshape(-1)[gather], x_0
+    array x_0; for a stack x_0 (..., 2d-1, d, d), a stack of each."""
+    d = x_0.shape[-1]
+    u_0 = _mash_weights(d, sign)[0]
+    return _gathered(_weighted(x_0, u_0), _mash_tables(d)[0]), x_0
 
 
 def _mash_prose(x_i, source, sign):
     """Kept block (stored layout) and untruncated trace of the prose
     projector's output, for rho_i's stored array against rho_0's
-    _prose_source.
+    _prose_source; elementwise for stacks whose leading axes broadcast.
 
     Vacuum on output 1 of each splitter leaves amplitudes that factor per
     input index: (sign r)^x / sqrt(x!) on the rho_0 side, t^x / sqrt(x!) on
@@ -323,21 +334,48 @@ def _mash_prose(x_i, source, sign):
     coordinates; the trace needs only output N = K, M = L, where rho_0's
     diagonal j meets rho_i's diagonal -j, weighted by _vacuum_weights.
     """
-    d = x_i.shape[1]
+    d = x_i.shape[-1]
     _, u_i, u_out = _mash_weights(d, sign)
     gather, slot, nmk = _mash_tables(d)
     y_0, x_0 = source
-    part = _truncated_convolution(y_0, _weighted(x_i, u_i).reshape(-1)[gather])
-    kept = np.zeros_like(x_i)
-    kept.reshape(-1)[slot] = part.reshape(-1)[nmk]
+    part = _truncated_convolution(y_0, _gathered(_weighted(x_i, u_i), gather))
+    lead = part.shape[:-3]
+    kept = np.zeros((*lead, 2 * d - 1, d, d))
+    kept.reshape(*lead, -1)[..., slot] = part.reshape(*lead, -1)[..., nmk]
     kept = _weighted(kept, u_out)
     v = _vacuum_weights(d, sign)
-    p_full = float(np.sum(x_0 * (v @ x_i[::-1] @ v.transpose(0, 2, 1))))
+    p_full = np.sum(x_0 * (v @ x_i[..., ::-1, :, :] @ v.transpose(0, 2, 1)), axis=(-3, -2, -1))
     return kept, p_full
 
 
 # sign of the reflection into output 2 in mash_step's splitters
 _BS_SIGN = -1.0
+
+
+def _mash_round(x_i, source, cfg, sign=_BS_SIGN):
+    """One mashing round on a stack of stored arrays x_i (b, 2d-1, d, d),
+    each against its rho_0 in the stack `source` (_prose_source of the
+    rho_0 stack, or of one rho_0 for all).
+
+    Returns (kept, prob, discarded, weight) per array: the kept block
+    renormalized by its trace `weight` (left as is where weight is at or
+    below trace_tol, which _zero_weight_error reports), the projection
+    probability before truncation, and the weight cut by re-truncating
+    combined indices beyond n_max.
+    """
+    kept, p_full = _mash_prose(x_i, source, sign)
+    weight = kept[:, cfg.n_max].sum(axis=(-2, -1))
+    kept /= np.where(weight > cfg.trace_tol, weight, 1.0)[:, None, None, None]
+    return kept, p_full, np.maximum(p_full - weight, 0.0), weight
+
+
+def _zero_weight_error(weight):
+    return ZeroTraceError(f"mash projection weight {weight:.3g} at or below trace_tol")
+
+
+def _check_normalized(state):
+    if abs(state.trace - 1.0) > 1e-9:
+        raise ValueError(f"mash inputs must be normalized, got trace {state.trace}")
 
 
 def mash_step(rho_i, rho_0, _bs_sign=_BS_SIGN, _source=None):
@@ -355,14 +393,11 @@ def mash_step(rho_i, rho_0, _bs_sign=_BS_SIGN, _source=None):
     if rho_i.cfg != rho_0.cfg or rho_i.dim != rho_0.dim:
         raise ValueError("mash inputs must share dimension and truncation config")
     for s in (rho_i, rho_0):
-        if abs(s.trace - 1.0) > 1e-9:
-            raise ValueError(f"mash inputs must be normalized, got trace {s.trace}")
+        _check_normalized(s)
     cfg = rho_i.cfg
     if _source is None:
         _source = _prose_source(rho_0.sector, _bs_sign)
-    kept, p_full = _mash_prose(rho_i.sector, _source, _bs_sign)
-    kept_tr = float(kept[cfg.n_max].sum())
-    if kept_tr <= cfg.trace_tol:
-        raise ZeroTraceError(f"mash projection weight {kept_tr:.3g} at or below trace_tol")
-    discarded = max(p_full - kept_tr, 0.0)
-    return MashResult(_wrap_fresh(kept / kept_tr, cfg), p_full, discarded)
+    kept, prob, discarded, weight = _mash_round(rho_i.sector[None], _source, cfg, _bs_sign)
+    if weight[0] <= cfg.trace_tol:
+        raise _zero_weight_error(weight[0])
+    return MashResult(_wrap_fresh(kept[0], cfg), float(prob[0]), float(discarded[0]))

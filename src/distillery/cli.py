@@ -11,7 +11,7 @@ import sys
 
 from .channels import LossChannelParams
 from .core import TruncationConfig, ZeroTraceError, auto_n_max
-from .protocol import NoConvergenceError
+from .protocol import NoConvergenceError, _chunk_width
 from .sweep import RunConfig, run
 
 
@@ -86,8 +86,11 @@ _MASHING = ("distill", "mc-sweep", "avg-ent")
 # interpreter measured 5.1-5.3 such arrays when malting (d = 78 and 164),
 # counted here as 6. Mashing adds the d^2 x d^2 window matrices of its
 # truncated convolution, measured at 1.4-1.8 d^4 float64 arrays (d = 34 and
-# 49), counted as 2. Cutoffs whose estimate exceeds the budget are refused
-# before any run.
+# 49), counted as 2, for each branch of a chunk of the arm-B scan: the
+# convolution of a chunk of w branches peaked at 1.5-1.9 w d^4 at d = 6-11
+# (w = 25-2), and below 1 MiB at any smaller d; from d = 12 on a chunk is
+# one branch. Cutoffs whose estimate exceeds the budget are refused before
+# any run.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 _LIVE_STATE_ARRAYS = 6
 _LIVE_WINDOW_ARRAYS = 2
@@ -102,7 +105,7 @@ def working_set_bytes(n_max, mashing):
     d = n_max + 1
     need = _LIVE_STATE_ARRAYS * 8 * (2 * d - 1) * d * d
     if mashing:
-        need += _LIVE_WINDOW_ARRAYS * 8 * d**4
+        need += _LIVE_WINDOW_ARRAYS * 8 * _chunk_width(d) * d**4
     return need
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _block_eigvalsh, _check_hermitian
+from .core import _block_eigvalsh, _hermiticity_error
 
 
 @dataclass(frozen=True)
@@ -23,15 +23,37 @@ class NegativityResult:
     trunc_warning: bool
 
 
-def trace_norm(arr, herm_tol=1e-10):
+# Hermiticity slack of trace_norm and trace_distance
+_HERM_TOL = 1e-10
+
+
+def trace_norm(arr, herm_tol=_HERM_TOL):
     """Sum of absolute eigenvalues of a Hermitian matrix; a rank-4 tensor
     p[n, m, k, l] is read as its matrix, rows (n, m) against columns (k, l).
     States take the block solve through trace_distance and log_negativity."""
     a = np.asarray(arr)
     if a.ndim == 4:
         a = a.reshape(a.shape[0] * a.shape[1], -1)
-    _check_hermitian(a, herm_tol)
+    error = _hermiticity_error(float(np.abs(a - a.conj().T).max()), herm_tol)
+    if error:
+        raise error
     return float(np.abs(np.linalg.eigvalsh(a)).sum())
+
+
+def _log_negativities(x, eig_tol):
+    """NegativityResult of a stored array, or of each array of a stack x,
+    from one batched block solve; a list either way."""
+    eigs = _block_eigvalsh(x, "pt")
+    eigs = eigs.reshape(-1, eigs.shape[-1])
+    norms = np.abs(eigs).sum(axis=-1).tolist()
+    return [
+        NegativityResult(
+            0.0 if min_eig >= -eig_tol else max(math.log2(tn), 0.0),
+            min_eig,
+            tn < 1.0 - eig_tol,
+        )
+        for min_eig, tn in zip(eigs[:, 0].tolist(), norms)
+    ]
 
 
 def log_negativity(state):
@@ -40,20 +62,26 @@ def log_negativity(state):
     Spectra whose negative part sits within eig_tol of zero are treated as
     numerical noise and reported as exactly 0.
     """
-    tol = state.cfg.eig_tol
-    eigs = _block_eigvalsh(state.sector, "pt")
-    min_eig = float(eigs[0])
-    tn = float(np.abs(eigs).sum())
-    if min_eig >= -tol:
-        value = 0.0
-    else:
-        value = max(math.log2(tn), 0.0)
-    return NegativityResult(value, min_eig, tn < 1.0 - tol)
+    return _log_negativities(state.sector, state.cfg.eig_tol)[0]
+
+
+def _trace_distances(x_a, x_b):
+    """(1/2) trace norm of x_a - x_b and the Hermiticity defect of that
+    difference, for two stored arrays or elementwise for two stacks. The
+    transpose of a stored array swaps diagonal j with -j, so the defect is
+    the largest |X[j] - X[-j]|."""
+    diff = x_a - x_b
+    defect = np.abs(diff - diff[..., ::-1, :, :]).max(axis=(-3, -2, -1))
+    eigs = _block_eigvalsh(diff, "rho")
+    return 0.5 * np.abs(eigs).sum(axis=-1), defect
 
 
 def trace_distance(state_a, state_b):
     """(1/2) trace norm of the difference of two states."""
     if state_a.dim != state_b.dim:
         raise ValueError("states must share dimension")
-    eigs = _block_eigvalsh(state_a.sector - state_b.sector, "rho", herm_tol=1e-10)
-    return 0.5 * float(np.abs(eigs).sum())
+    dist, defect = _trace_distances(state_a.sector, state_b.sector)
+    error = _hermiticity_error(float(defect), _HERM_TOL)
+    if error:
+        raise error
+    return float(dist)

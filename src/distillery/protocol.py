@@ -10,19 +10,31 @@ malted copy, conditioned on vacuum, iterated to a fixed point.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
+
+import numpy as np
 
 from .channels import (
     LossChannelParams,
     SubtractionParams,
     _BS_SIGN,
+    _check_normalized,
+    _mash_round,
     _prose_source,
+    _zero_weight_error,
     detect_one_mode,
     loss_event,
-    mash_step,
 )
-from .core import TwoModeState, ZeroTraceError, normalize, tmss
-from .negativity import log_negativity, trace_distance
+from .core import (
+    TwoModeState,
+    ZeroTraceError,
+    _hermiticity_error,
+    _wrap_fresh,
+    normalize,
+    tmss,
+)
+from .negativity import _HERM_TOL, _log_negativities, _trace_distances, log_negativity
 
 
 class NoConvergenceError(RuntimeError):
@@ -61,6 +73,7 @@ class DistillationOutcome:
     negativity_by_stage: list
     converged: bool
     max_discarded: float = 0.0
+    tail: float = 0.0  # last round's trace distance / 3: the distance left to the fixed point
 
 
 @dataclass(frozen=True)
@@ -70,6 +83,7 @@ class CriticalCount:
     fixed_arm_index: int = 1
     mash_rounds: int = 0  # mashing rounds run over the whole scan
     max_discarded: float = 0.0  # worst truncation discard of any of them
+    max_tail: float = 0.0  # worst tail of the scan's mashing runs
 
 
 @dataclass(frozen=True)
@@ -78,6 +92,7 @@ class AvgEntanglement:
     terms: list  # (j, success probability, final negativity) per retained j
     mash_rounds: int = 0  # mashing rounds run over the whole scan
     max_discarded: float = 0.0  # worst truncation discard of any of them
+    max_tail: float = 0.0  # worst tail of the scan's mashing runs
 
 
 def baseline_negativity(lam):
@@ -188,32 +203,101 @@ def subtraction_probability_matrix(lam, loss, sub, cfg, i_max, j_max):
     return p
 
 
+class _Mashed(NamedTuple):
+    final: np.ndarray  # stored array of the last iterate
+    probs: list  # vacuum probability of each round run
+    negs: list  # negativities, see _mash_stack
+    max_discarded: float
+    tail: float
+    converged: bool
+    error: Exception  # the failure that stopped this branch, or None
+
+
+def _mash_stack(x_0, cfg, max_iter, exact_iterations, every_round):
+    """Mash each normalized stored array of the stack x_0 (b, 2d-1, d, d)
+    against fresh copies of itself until successive iterates are
+    conv_tol-close in trace distance (or for exactly exact_iterations rounds
+    when that override is given), as one stacked iteration: each round is
+    one call per kernel for the branches still running, and a branch leaves
+    the stack when it stops. A ZeroTraceError or NotHermitianError stops
+    only its own branch and is kept in that branch's record, not raised.
+
+    Returns one _Mashed per branch, in order. Its negativities are the
+    input's and each round's with every_round, else the last iterate's alone.
+    """
+    n_rounds = max_iter if exact_iterations is None else exact_iterations
+    b = len(x_0)
+    y_0 = _prose_source(x_0, _BS_SIGN)[0]
+    final = list(x_0)
+    probs = [[] for _ in range(b)]
+    negs = [[] for _ in range(b)]
+    if every_round:
+        for neg, res in zip(negs, _log_negativities(x_0, cfg.eig_tol)):
+            neg.append(res.value)
+    cut, dist, error = [0.0] * b, [0.0] * b, [None] * b
+    converged = [exact_iterations is not None] * b  # a fixed count is deliberate
+    live, cur = np.arange(b), x_0
+    for _ in range(n_rounds):
+        new, prob, discarded, weight = _mash_round(cur, (y_0[live], x_0[live]), cfg)
+        step, defect = _trace_distances(new, cur)
+        round_negs = _log_negativities(new, cfg.eig_tol) if every_round else None
+        going = []
+        for a, i in enumerate(live.tolist()):
+            if weight[a] <= cfg.trace_tol:
+                error[i] = _zero_weight_error(weight[a])
+                continue
+            probs[i].append(float(prob[a]))
+            cut[i] = max(cut[i], float(discarded[a]))
+            if every_round:
+                negs[i].append(round_negs[a].value)
+            error[i] = _hermiticity_error(float(defect[a]), _HERM_TOL)
+            if error[i]:
+                continue
+            final[i], dist[i] = new[a], float(step[a])
+            if exact_iterations is None and dist[i] < cfg.conv_tol:
+                converged[i] = True
+            else:
+                going.append(a)
+        live, cur = live[going], new[going]
+        if not going:
+            break
+    if not every_round:
+        done = [i for i in range(b) if error[i] is None]
+        if done:
+            finals = np.stack([final[i] for i in done])
+            for i, res in zip(done, _log_negativities(finals, cfg.eig_tol)):
+                negs[i].append(res.value)
+    return [
+        _Mashed(final[i], probs[i], negs[i], cut[i], dist[i] / 3.0, converged[i], error[i])
+        for i in range(b)
+    ]
+
+
 def mash_iterate(rho_0, cfg, max_iter=50, exact_iterations=None):
     """Iterate mashing rounds against fresh copies of rho_0 until successive
     iterates are conv_tol-close in trace distance (or for exactly
-    exact_iterations rounds when that override is given)."""
+    exact_iterations rounds when that override is given). The outcome's
+    tail, the last round's trace distance over 3, bounds the distance left
+    to the fixed point while the iterates close in by 1/4 per round."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    n_rounds = max_iter if exact_iterations is None else exact_iterations
-    negs = [log_negativity(rho_0).value]
-    probs = []
-    worst_cut = 0.0
-    cur = rho_0
-    converged = False
-    source = _prose_source(rho_0.sector, _BS_SIGN)
-    for _ in range(n_rounds):
-        res = mash_step(cur, rho_0, _source=source)
-        probs.append(res.prob)
-        negs.append(log_negativity(res.state).value)
-        worst_cut = max(worst_cut, res.discarded_weight)
-        dist = trace_distance(res.state, cur)
-        cur = res.state
-        if exact_iterations is None and dist < cfg.conv_tol:
-            converged = True
-            break
-    if exact_iterations is not None:
-        converged = True  # caller fixed the count deliberately
-    return DistillationOutcome(cur, len(probs), probs, negs, converged, worst_cut)
+    _check_normalized(rho_0)
+    # rho_0's cutoff and tolerances, the caller's conv_tol
+    run_cfg = replace(rho_0.cfg, conv_tol=cfg.conv_tol)
+    (run,) = _mash_stack(
+        rho_0.sector[None], run_cfg, max_iter, exact_iterations, every_round=True
+    )
+    if run.error:
+        raise run.error
+    return DistillationOutcome(
+        _wrap_fresh(run.final, rho_0.cfg),
+        len(run.probs),
+        run.probs,
+        run.negs,
+        run.converged,
+        run.max_discarded,
+        run.tail,
+    )
 
 
 def full_protocol(lam, schedule, cfg, max_iter=50):
@@ -224,67 +308,106 @@ def full_protocol(lam, schedule, cfg, max_iter=50):
     stages = [n for _, n in record.negativity_trace] + list(
         outcome.negativity_by_stage[1:]
     )
-    return DistillationOutcome(
-        outcome.rho_final,
-        outcome.iterations,
-        outcome.mash_probs,
-        stages,
-        outcome.converged,
-        outcome.max_discarded,
-    )
+    return replace(outcome, negativity_by_stage=stages)
+
+
+# The scan mashes arm-B branches in chunks of widths 1, 2, 4, ... up to
+# _chunk_width(d). A chunk's window matrices, one d^2 x d^2 matrix per
+# branch at a time (channels._truncated_convolution), stay within
+# _CHUNK_WINDOW_FLOATS float64 (256 KiB): width 8 at d = 8, and 1 from
+# d = 12 on, where the scan mashes one branch at a time.
+_CHUNK_WINDOW_FLOATS = 8 * 8**4
+
+
+def _chunk_width(dim):
+    return max(1, _CHUNK_WINDOW_FLOATS // dim**4)
+
+
+def _chunks(branches, cap):
+    """Lists of successive items of `branches`, of widths 1, 2, 4, ... up
+    to cap. A ZeroTraceError raised while pulling an item ends its list, as
+    the last entry, so that the scan raises it only if it reaches it."""
+    width = 1
+    while True:
+        chunk = []
+        try:
+            for item in branches:
+                chunk.append(item)
+                if len(chunk) == width:
+                    break
+        except ZeroTraceError as exc:
+            chunk.append(exc)
+        if not chunk:
+            return
+        yield chunk
+        width = min(2 * width, cap)
 
 
 def _scan_gain(lam, loss, sub, cfg, max_iter, gain_mode, safety_factor, mash_iterations):
     """Shared linear scan over arm-B success cycles.
 
-    Returns (m_c, baseline, terms, mash_rounds, max_discarded) where terms
-    holds one (j, success probability, final negativity) triple per retained
-    j, and the last two total the mashing rounds run (the failing j's
-    included) and give their worst truncation discard.
+    Returns (m_c, baseline, terms, mash_rounds, max_discarded, max_tail)
+    where terms holds one (j, success probability, final negativity) triple
+    per retained j, and the last three total the mashing rounds run and give
+    their worst truncation discard and tail, over the retained j's and the
+    first failing one. The branches are mashed in chunks (see _chunks), and
+    those past the first failing j are dropped, their rounds, discards and
+    failures uncounted.
     """
     if gain_mode not in ("full", "malt-only"):
         raise ValueError(f"unknown gain_mode {gain_mode!r}")
     baseline = baseline_negativity(lam)
     if lam == 0.0:
-        return 0, baseline, [], 0, 0.0
+        return 0, baseline, [], 0, 0.0, 0.0
     if not math.isfinite(loss.tau):
         raise ValueError("critical-count scan needs finite tau (t < 1)")
     j_limit = math.ceil(loss.tau) * safety_factor
     if j_limit < 1:
-        return 0, baseline, [], 0, 0.0
+        return 0, baseline, [], 0, 0.0, 0.0
+    if gain_mode == "full" and max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     m_c = 0
     terms = []
-    rounds, worst_cut = 0, 0.0
+    rounds, worst_cut, worst_tail = 0, 0.0, 0.0
+    # mash_iterations caps how many vacuum probabilities enter the weight:
+    # None takes every converged round, 0 treats the vacuum detections as
+    # certain (the state still mashes to convergence).
+    forced = mash_iterations if mash_iterations else None
     # arm A counts at cycle 1; the branches are arm B's success cycles j
     lossy = loss_event(tmss(lam, cfg), loss)
-    for _, j, p_j, malted in _first_counts(lossy, 1.0, loss, sub, 1, 1, j_limit):
-        if gain_mode == "malt-only":
-            final_neg = log_negativity(malted).value
-            p_total = p_j
-        else:
-            # mash_iterations caps how many vacuum probabilities enter the
-            # weight: None takes every converged round, 0 treats the vacuum
-            # detections as certain (the state still mashes to convergence).
-            forced = mash_iterations if mash_iterations else None
-            outcome = mash_iterate(
-                malted, cfg, max_iter=max_iter, exact_iterations=forced
-            )
-            rounds += outcome.iterations
-            worst_cut = max(worst_cut, outcome.max_discarded)
-            if not outcome.converged:
-                raise NoConvergenceError(
-                    f"mashing did not converge within {max_iter} rounds at j={j}"
-                )
-            final_neg = outcome.negativity_by_stage[-1]
-            if mash_iterations == 0:
-                p_total = p_j
+    branches = _first_counts(lossy, 1.0, loss, sub, 1, 1, j_limit)
+    for chunk in _chunks(branches, _chunk_width(cfg.dim)):
+        malted = [item for item in chunk if not isinstance(item, ZeroTraceError)]
+        if malted:
+            x = np.stack([state.sector for *_, state in malted])
+            if gain_mode == "malt-only":
+                negs = [res.value for res in _log_negativities(x, cfg.eig_tol)]
             else:
-                p_total = p_j * math.prod(outcome.mash_probs)
-        if final_neg <= baseline:
-            break
-        m_c = j
-        terms.append((j, p_total, final_neg))
-    return m_c, baseline, terms, rounds, worst_cut
+                runs = _mash_stack(x, cfg, max_iter, forced, every_round=False)
+        for k, item in enumerate(chunk):
+            if isinstance(item, ZeroTraceError):
+                raise item
+            _, j, p_j, _ = item
+            if gain_mode == "malt-only":
+                final_neg, p_total = negs[k], p_j
+            else:
+                run = runs[k]
+                if run.error:
+                    raise run.error
+                rounds += len(run.probs)
+                worst_cut = max(worst_cut, run.max_discarded)
+                worst_tail = max(worst_tail, run.tail)
+                if not run.converged:
+                    raise NoConvergenceError(
+                        f"mashing did not converge within {max_iter} rounds at j={j}"
+                    )
+                final_neg = run.negs[-1]
+                p_total = p_j if mash_iterations == 0 else p_j * math.prod(run.probs)
+            if final_neg <= baseline:
+                return m_c, baseline, terms, rounds, worst_cut, worst_tail
+            m_c = j
+            terms.append((j, p_total, final_neg))
+    return m_c, baseline, terms, rounds, worst_cut, worst_tail
 
 
 def critical_attempts(
@@ -293,10 +416,10 @@ def critical_attempts(
     """Largest arm-B success cycle (arm A fixed at cycle 1) whose distilled
     negativity still beats the undistilled baseline; linear scan from j=1,
     stopping at the first failure, hard-capped at ceil(tau)*safety_factor."""
-    m_c, baseline, _, rounds, worst_cut = _scan_gain(
+    m_c, baseline, _, rounds, worst_cut, worst_tail = _scan_gain(
         lam, loss, sub, cfg, max_iter, gain_mode, safety_factor, None
     )
-    return CriticalCount(m_c, baseline, 1, rounds, worst_cut)
+    return CriticalCount(m_c, baseline, 1, rounds, worst_cut, worst_tail)
 
 
 def average_entanglement(
@@ -317,11 +440,11 @@ def average_entanglement(
     are kept in terms, so the unnormalized sum is recoverable from them.
 
     The number of retained cycles is len(terms)."""
-    _, _, terms, rounds, worst_cut = _scan_gain(
+    _, _, terms, rounds, worst_cut, worst_tail = _scan_gain(
         lam, loss, sub, cfg, max_iter, gain_mode, safety_factor, mash_iterations
     )
     if not terms:
-        return AvgEntanglement(0.0, [], rounds, worst_cut)
+        return AvgEntanglement(0.0, [], rounds, worst_cut, worst_tail)
     weight = sum(p for _, p, _ in terms)
     value = sum(p * n for _, p, n in terms) / weight
-    return AvgEntanglement(value, terms, rounds, worst_cut)
+    return AvgEntanglement(value, terms, rounds, worst_cut, worst_tail)

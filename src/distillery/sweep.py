@@ -9,7 +9,6 @@ any thread count. The other commands run in one process.
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +92,10 @@ def write_csv(path, columns, rows, metadata):
 def _pmap(fn, items, threads):
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here: it pulls in multiprocessing, pickle and socket, which
+    # a run without a pool never needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 
@@ -112,7 +115,7 @@ def _mc_cell(args):
         max_iter=max_iter,
         gain_mode=gain_mode,
     )
-    return count.m_c, count.mash_rounds, count.max_discarded
+    return count.m_c, count.mash_rounds, count.max_discarded, count.max_tail
 
 
 def _avg_cell(args):
@@ -126,7 +129,7 @@ def _avg_cell(args):
         max_iter=max_iter,
         gain_mode=gain_mode,
     )
-    return len(avg.terms), avg.value, avg.mash_rounds, avg.max_discarded
+    return len(avg.terms), avg.value, avg.mash_rounds, avg.max_discarded, avg.max_tail
 
 
 # ---------------------------------------------------------------------------
@@ -197,17 +200,20 @@ def _run_distill(cfg):
         "mash_iterations": outcome.iterations,
         "converged": outcome.converged,
         "max_discarded": outcome.max_discarded,
+        "tail": outcome.tail,
     }
     return ("stage", "phase", "negativity", "prob"), rows, meta
 
 
 def _mash_diagnostics(per_cell):
-    # per_cell: (mashing rounds, worst discard) per t_s point, in row order.
-    # mash_rounds lists each point's rounds, ';'-separated; max_discarded is
-    # the worst over all points, the same key distill writes.
+    # per_cell: (mashing rounds, worst discard, worst tail) per t_s point, in
+    # row order. mash_rounds lists each point's rounds, ';'-separated;
+    # max_discarded and max_tail are the worst over all points, the
+    # counterparts of distill's max_discarded and tail.
     return {
-        "mash_rounds": ";".join(str(rounds) for rounds, _ in per_cell),
-        "max_discarded": max((cut for _, cut in per_cell), default=0.0),
+        "mash_rounds": ";".join(str(rounds) for rounds, _, _ in per_cell),
+        "max_discarded": max((cut for _, cut, _ in per_cell), default=0.0),
+        "max_tail": max((tail for _, _, tail in per_cell), default=0.0),
     }
 
 
@@ -217,7 +223,7 @@ def _run_mc_sweep(cfg):
         (cfg.lam, cfg.t, ts, cfg.n_max, cfg.max_iter, gain_mode) for ts in cfg.ts_values
     ]
     results = _pmap(_mc_cell, cells, cfg.threads)
-    rows = [(ts, mc) for ts, (mc, _, _) in zip(cfg.ts_values, results)]
+    rows = [(ts, mc) for ts, (mc, *_) in zip(cfg.ts_values, results)]
     meta = {"baseline_negativity": baseline_negativity(cfg.lam)}
     meta.update(_mash_diagnostics([r[1:] for r in results]))
     return ("ts", "m_c"), rows, meta
@@ -229,7 +235,7 @@ def _run_avg_ent(cfg):
         (cfg.lam, cfg.t, ts, cfg.n_max, cfg.max_iter, gain_mode) for ts in cfg.ts_values
     ]
     results = _pmap(_avg_cell, cells, cfg.threads)
-    rows = [(ts, mc, val) for ts, (mc, val, _, _) in zip(cfg.ts_values, results)]
+    rows = [(ts, mc, val) for ts, (mc, val, *_) in zip(cfg.ts_values, results)]
     return ("ts", "m_c", "avg_ent"), rows, _mash_diagnostics([r[2:] for r in results])
 
 

@@ -419,3 +419,34 @@ def test_mash_iterate_prepares_rho_0_once(monkeypatch):
     out = protocol.mash_iterate(malted, cfg, exact_iterations=4)
     assert out.iterations == 4
     assert calls == [_BS_SIGN]
+
+
+def test_scan_prepares_one_source_per_branch(monkeypatch):
+    # the scan prepares each chunk's sources in one call, one per branch it
+    # mashes: m_c + 1 counted branches, plus those the last chunk mashed
+    # past the first failing j
+    sizes = []
+
+    def counting(x_0, sign):
+        sizes.append(len(x_0))
+        return _prose_source(x_0, sign)
+
+    monkeypatch.setattr(protocol, "_prose_source", counting)
+    cfg = TruncationConfig(7)
+    loss, sub = LossChannelParams.from_tau(100.0), SubtractionParams(0.9)
+    assert protocol.critical_attempts(0.1, loss, sub, cfg).m_c == 4
+    assert sizes == [1, 2, 4]  # j = 1, 2-3, 4-7: j = 6 and 7 past j = 5
+
+
+def test_stacked_mash_round_equals_batch_of_one_bitwise():
+    # every branch of a stack gets exactly what mash_step gives it alone:
+    # kept block, prob and discarded weight (the scan's max_discarded)
+    cfg = TruncationConfig(3)
+    states = [_one_cycle_state(cfg), _random_state(4, 11), _random_state(4, 12)]
+    x = np.stack([st.sector for st in states])
+    kept, prob, discarded, weight = channels._mash_round(x, _prose_source(x, _BS_SIGN), cfg)
+    for i, st in enumerate(states):
+        alone = mash_step(st, st)
+        assert kept[i].tobytes() == alone.state.sector.tobytes()
+        assert (prob[i], discarded[i]) == (alone.prob, alone.discarded_weight)
+        assert weight[i] > cfg.trace_tol

@@ -21,6 +21,7 @@ from distillery import (
     trace_norm,
     vacuum,
 )
+from distillery.negativity import _log_negativities, _trace_distances
 
 
 def _product_state(dim, seed):
@@ -218,6 +219,29 @@ def test_block_solve_raises_on_asymmetric_sector_clean_input():
     bad = state_from_coeffs(c, cfg)
     with pytest.raises(NotHermitianError, match="hermiticity defect 0.3"):
         trace_distance(bad, good)
+
+
+def test_stacked_solves_equal_lone_solves_bitwise():
+    # the scan solves a stack of states in one call; each gets exactly the
+    # negativity, trace distance and Hermiticity defect it gets alone
+    cfg = TruncationConfig(7)
+    lossy = loss_event(tmss(0.3, cfg, allow_truncation=True), LossChannelParams.from_tau(100))
+    raw = detect_phonons(lossy, SubtractionParams(0.9), 1, 1)
+    states = [
+        state_from_coeffs(raw.coeffs / raw.trace, cfg),
+        state_from_coeffs(_product_state(8, 4), cfg),
+        tmss(0.3, cfg, allow_truncation=True),
+    ]
+    x = np.stack([st.sector for st in states])
+    assert _log_negativities(x, cfg.eig_tol) == [log_negativity(st) for st in states]
+    c = states[2].coeffs.copy()
+    c[2, 1, 1, 0] += 0.3
+    y = np.stack([states[1].sector, states[2].sector, state_from_coeffs(c, cfg).sector])
+    dist, defect = _trace_distances(x, y)
+    assert dist[0] == trace_distance(states[0], states[1])
+    assert dist[1] == trace_distance(states[1], states[2])
+    # only the pair with the asymmetric entry is flagged
+    assert list(defect) == [0.0, 0.0, pytest.approx(0.3, rel=1e-15)]
 
 
 def test_trunc_warning_state_diagnostics_match_dense_solve():

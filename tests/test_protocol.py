@@ -10,6 +10,7 @@ from distillery import (
     LossChannelParams,
     MaltingSchedule,
     NoConvergenceError,
+    NotHermitianError,
     SubtractionParams,
     TruncationConfig,
     ZeroTraceError,
@@ -17,6 +18,7 @@ from distillery import (
     critical_attempts,
     full_protocol,
     log_negativity,
+    loss_event,
     malt,
     mash_iterate,
     mash_step,
@@ -25,6 +27,7 @@ from distillery import (
     trace_distance,
     vacuum,
 )
+from distillery import protocol
 
 # malt(1,1) probability at lambda=0.1, tau=100, t_s=0.99, n_max=8:
 # one loss event, then single subtraction success on each arm, from the
@@ -223,18 +226,141 @@ def test_average_entanglement_is_weighted_mean():
     assert avg.value > BASE
 
 
+def _arm_b_branches(sub, j_last):
+    # (malting probability, malted state) of the scan's branches, from the
+    # walk the scan itself takes
+    lossy = loss_event(tmss(LAM, CFG), LOSS)
+    walk = protocol._first_counts(lossy, 1.0, LOSS, sub, 1, 1, j_last)
+    return [(p, st) for *_, p, st in walk]
+
+
 def test_scan_reports_mash_rounds_and_worst_discard():
-    # the rounds of every mash_iterate the scan ran, the first failing j's too
+    # the chunked scan against the branch-by-branch reference, for every
+    # retained j and the first failing one
     avg = average_entanglement(LAM, LOSS, SUB, CFG)
     cc = critical_attempts(LAM, LOSS, SUB, CFG)
-    want = 0
+    assert len(avg.terms) == cc.m_c
+    rounds = []
     for j in range(1, cc.m_c + 2):
         rec = malt(LAM, MaltingSchedule(1, j, LOSS, SUB), CFG)
-        want += mash_iterate(rec.state, CFG).iterations
-    assert avg.mash_rounds == cc.mash_rounds == want
-    assert 0.0 <= avg.max_discarded == cc.max_discarded < 1e-9
+        out = mash_iterate(rec.state, CFG)
+        rounds.append(out.iterations)
+        neg = out.negativity_by_stage[-1]
+        if j > cc.m_c:
+            assert neg <= BASE
+            continue
+        jj, p, n = avg.terms[j - 1]
+        assert jj == j
+        assert p == pytest.approx(rec.joint_prob * math.prod(out.mash_probs), rel=1e-12)
+        assert n == pytest.approx(neg, rel=1e-12)
+    assert avg.mash_rounds == cc.mash_rounds == sum(rounds)
+    # on the scan's own malted states the batch-of-1 path gives every
+    # reduction bit for bit: rounds, worst discard, worst tail and terms
+    branches = _arm_b_branches(SUB, cc.m_c + 1)
+    runs = [mash_iterate(st, CFG) for _, st in branches]
+    assert [r.iterations for r in runs] == rounds
+    assert avg.max_discarded == cc.max_discarded == max(r.max_discarded for r in runs)
+    assert avg.max_tail == cc.max_tail == max(r.tail for r in runs)
+    assert avg.terms == [
+        (j, p_j * math.prod(r.mash_probs), r.negativity_by_stage[-1])
+        for j, ((p_j, _), r) in enumerate(zip(branches[:-1], runs), start=1)
+    ]
+    assert 0.0 <= cc.max_discarded < 1e-9
+    assert 0.0 < cc.max_tail < CFG.conv_tol / 3
     malt_only = average_entanglement(LAM, LOSS, SUB, CFG, gain_mode="malt-only")
-    assert (malt_only.mash_rounds, malt_only.max_discarded) == (0, 0.0)
+    diagnostics = (malt_only.mash_rounds, malt_only.max_discarded, malt_only.max_tail)
+    assert diagnostics == (0, 0.0, 0.0)
+
+
+def _poison(monkeypatch, failure, x_0):
+    # Make the branch mashed from x_0 fail in every round: its trace
+    # distance never falls below conv_tol ("step"), its Hermiticity defect
+    # is 1 ("defect"), or its kept weight is 0 ("weight"). The branch is
+    # followed by content from round to round; the returned list grows by
+    # one entry per round that reached it.
+    followed = [x_0]
+
+    def rows(cur):
+        return [r for r in range(len(cur)) if np.array_equal(cur[r], followed[-1])]
+
+    if failure == "weight":
+        real_round = protocol._mash_round
+
+        def poisoned_round(cur, source, cfg):
+            kept, prob, discarded, weight = real_round(cur, source, cfg)
+            for r in rows(cur):
+                weight[r] = 0.0
+                followed.append(None)
+            return kept, prob, discarded, weight
+
+        monkeypatch.setattr(protocol, "_mash_round", poisoned_round)
+        return followed
+    real_distances = protocol._trace_distances
+
+    def poisoned_distances(new, cur):
+        step, defect = real_distances(new, cur)
+        for r in rows(cur):
+            (step if failure == "step" else defect)[r] = 1.0
+            followed.append(new[r].copy())
+        return step, defect
+
+    monkeypatch.setattr(protocol, "_trace_distances", poisoned_distances)
+    return followed
+
+
+@pytest.mark.parametrize(
+    "failure, error, message",
+    [
+        ("step", NoConvergenceError, "within 50 rounds at j=5"),
+        ("defect", NotHermitianError, "hermiticity defect 1 > 1e-10"),
+        ("weight", ZeroTraceError, "mash projection weight 0 at or below trace_tol"),
+    ],
+)
+def test_scan_drops_branches_past_the_first_failing_j(monkeypatch, failure, error, message):
+    # at t_s = 0.9 the first failing j is 5, and the chunk j = 4..7 mashes
+    # j = 6 and 7 as well; a failure there must not reach the result
+    sub = SubtractionParams(0.9)
+    ref = critical_attempts(LAM, LOSS, sub, CFG)
+    ref_avg = average_entanglement(LAM, LOSS, sub, CFG)
+    assert ref.m_c == 4
+    states = [st for _, st in _arm_b_branches(sub, 6)]
+    followed = _poison(monkeypatch, failure, states[5].sector)
+    assert critical_attempts(LAM, LOSS, sub, CFG) == ref
+    assert len(followed) == (51 if failure == "step" else 2)  # j = 6 was mashed
+    del followed[1:]
+    assert average_entanglement(LAM, LOSS, sub, CFG) == ref_avg
+    # on its own the branch fails, and at the first failing j the scan does
+    del followed[1:]
+    if failure == "step":
+        assert not mash_iterate(states[5], CFG).converged
+    else:
+        with pytest.raises(error, match=message):
+            mash_iterate(states[5], CFG)
+    followed[:] = [states[4].sector]
+    with pytest.raises(error, match=message):
+        critical_attempts(LAM, LOSS, sub, CFG)
+
+
+def test_scan_chunks_double_and_keep_a_malting_failure_last():
+    def walk():
+        yield from range(1, 6)
+        raise ZeroTraceError("vanishing branch")
+
+    chunks = list(protocol._chunks(walk(), 4))
+    assert chunks[:2] == [[1], [2, 3]]
+    assert chunks[2][:2] == [4, 5] and isinstance(chunks[2][2], ZeroTraceError)
+    assert len(chunks) == 3
+    assert [len(c) for c in protocol._chunks(iter(range(20)), 4)] == [1, 2, 4, 4, 4, 4, 1]
+
+
+def test_mash_iterate_reports_its_tail():
+    rec = malt(LAM, MaltingSchedule(1, 1, LOSS, SUB), CFG)
+    out = mash_iterate(rec.state, CFG)
+    assert 0.0 < out.tail < CFG.conv_tol / 3
+    two = mash_iterate(rec.state, CFG, exact_iterations=2)
+    three = mash_iterate(rec.state, CFG, exact_iterations=3)
+    assert three.tail == trace_distance(three.rho_final, two.rho_final) / 3
+    assert full_protocol(LAM, MaltingSchedule(1, 1, LOSS, SUB), CFG).tail == out.tail
 
 
 def test_average_entanglement_weights_shrink_with_postselection():

@@ -2,12 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from distillery import auto_n_max, channels, cli
+from distillery import auto_n_max, channels, cli, protocol
 from distillery.cli import ConfigError, build_parser, main, parse_ts, validate_config
 from distillery.sweep import _fmt
 
@@ -204,6 +205,7 @@ def test_distill_csv_stages(tmp_path):
     assert phases == sorted(phases, key=lambda p: (p != "malt"))  # malt block first
     assert meta["converged"] == "1"
     assert int(meta["mash_iterations"]) >= 1
+    assert 0.0 < float(meta["tail"]) < float(meta["conv_tol"]) / 3
     negs = [float(r.split(",")[2]) for r in body[1:]]
     assert negs[-1] > negs[0]
 
@@ -246,11 +248,13 @@ def test_sweeps_report_mash_diagnostics_per_point(tmp_path):
         assert len(rounds) == len(body) - 1  # one entry per t_s row, in order
         assert all(r >= 1 for r in rounds)
         assert 0.0 <= float(meta["max_discarded"]) < 1e-9
+        assert 0.0 < float(meta["max_tail"]) < float(meta["conv_tol"]) / 3
     out = tmp_path / "mo.csv"
     assert main(["mc-sweep"] + argv + ["--baseline", "malt-only", "--out", str(out)]) == 0
     meta, _ = _split(out)
     assert meta["mash_rounds"] == "0;0;0"
     assert float(meta["max_discarded"]) == 0.0
+    assert float(meta["max_tail"]) == 0.0
 
 
 def test_baseline_flag_selects_malt_only_gain(tmp_path):
@@ -279,6 +283,32 @@ def test_exit_code_one_on_config_error(tmp_path):
     assert not (tmp_path / "x.csv").exists()
     assert main(["no-such-command"]) == 1
     assert main([]) == 1
+
+
+def test_scan_chunk_windows_fit_the_memory_budget():
+    # the arm-B scan mashes chunks of up to _chunk_width(d) branches; their
+    # window matrices, one d^2 x d^2 float64 matrix per branch at a time,
+    # must stay within the share working_set_bytes budgets for them
+    for d in range(2, cli._MASH_MAX_N_MAX + 2):
+        width = protocol._chunk_width(d)
+        share = cli.working_set_bytes(d - 1, True) - cli.working_set_bytes(d - 1, False)
+        assert 8 * width * d**4 * cli._LIVE_WINDOW_ARRAYS <= share, d
+        assert width == 1 or width * d**4 <= protocol._CHUNK_WINDOW_FLOATS, d
+    # from d = 12 on a chunk is one branch, so the budget where it bites is
+    # the one-branch estimate
+    assert [protocol._chunk_width(d) for d in (8, 9, 10, 11, 12, 99)] == [8, 4, 3, 2, 1, 1]
+    # and the convolution of a whole chunk peaks within that share
+    rng = np.random.default_rng(3)
+    for d in (8, 11, 12):
+        width = protocol._chunk_width(d)
+        x, y = rng.random((2, width, d, d, d))
+        tracemalloc.start()
+        try:
+            channels._truncated_convolution(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli.working_set_bytes(d - 1, True) - cli.working_set_bytes(d - 1, False)
 
 
 def test_cutoff_over_memory_budget_fails_fast(tmp_path, capsys):
