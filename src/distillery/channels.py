@@ -240,8 +240,8 @@ def _mash_tables(dim):
 
 
 @lru_cache(maxsize=None)
-def _vacuum_weights(dim, sign):
-    # V[j + dim - 1, p, p'] = sign^|j| sqrt(C(N, p + |j|) C(N, p)) / 2^N with
+def _vacuum_weights(dim):
+    # V[j + dim - 1, p, p'] = sqrt(C(N, p + |j|) C(N, p)) / 2^N with
     # N = p + p' + |j|: the weight with which rho_0's pair (n, k) (entry p of
     # diagonal j) meets rho_i's pair (N - n, N - k) (entry p' of diagonal -j)
     # in the vacuum-conditioned output N of one 50/50 splitter. Each factor
@@ -256,7 +256,7 @@ def _vacuum_weights(dim, sign):
     a = np.abs(j - (dim - 1))
     n = np.minimum(p + p2 + a, top)
     ok = (p + a < dim) & (p2 + a < dim)
-    v = np.where(ok, sign**a * root[n, np.minimum(p + a, top)] * root[n, p], 0.0)
+    v = np.where(ok, root[n, np.minimum(p + a, top)] * root[n, p], 0.0)
     v.flags.writeable = False
     return v
 
@@ -286,15 +286,13 @@ def _truncated_convolution(x, y):
 
 
 @lru_cache(maxsize=None)
-def _mash_weights(dim, sign):
-    # The per-index factors of the prose projector on the rho_0 side, the
-    # rho_i side and the output (see _mash_prose), as per-diagonal weight
-    # rows of the stored layout; (2d-1) x d each.
+def _mash_weights(dim):
+    # The per-index factors of the projector (see _mash_round) on both
+    # inputs and on the output, as per-diagonal weight rows of the stored
+    # layout; (2d-1) x d each.
     sf = _sqrt_fact(dim - 1)
-    half = 1.0 / math.sqrt(2.0)
-    x = np.arange(dim)
     rows = []
-    for w in ((sign * half) ** x / sf, half**x / sf, sf):
+    for w in ((1.0 / math.sqrt(2.0)) ** np.arange(dim) / sf, sf):
         u = _pair_rows(w, dim)
         u.flags.writeable = False
         rows.append(u)
@@ -308,54 +306,34 @@ def _weighted(x, u):
     return y
 
 
-def _gathered(x, index):
-    # x[..., index] over the flattened stored layout of each array of a stack
-    return x.reshape(*x.shape[:-3], -1)[..., index]
+def _rescaled(x):
+    # the projector's input side of stored arrays: each entry times
+    # 2^(-(n+m+k+l)/2) / sqrt(n! m! k! l!), read as (n, m, k) arrays
+    d = x.shape[-1]
+    y = _weighted(x, _mash_weights(d)[0])
+    return y.reshape(*y.shape[:-3], -1)[..., _mash_tables(d)[0]]
 
 
-def _prose_source(x_0, sign):
-    """rho_0's side of the prose projector, the same in every round against
-    fresh copies of one rho_0: its rescaled (n, m, k) array and its stored
-    array x_0; for a stack x_0 (..., 2d-1, d, d), a stack of each."""
-    d = x_0.shape[-1]
-    u_0 = _mash_weights(d, sign)[0]
-    return _gathered(_weighted(x_0, u_0), _mash_tables(d)[0]), x_0
+def _mash_source(x_0):
+    """rho_0's side of the projector, the same in every round against
+    fresh copies of one rho_0: its _rescaled array and its stored array
+    x_0; for a stack x_0 (..., 2d-1, d, d), a stack of each."""
+    return _rescaled(x_0), x_0
 
 
-def _mash_prose(x_i, source, sign):
-    """Kept block (stored layout) and untruncated trace of the prose
-    projector's output, for rho_i's stored array against rho_0's
-    _prose_source; elementwise for stacks whose leading axes broadcast.
+def _mash_round(x_i, source, cfg):
+    """One mashing round on a stack of stored arrays x_i (b, 2d-1, d, d),
+    each against its rho_0 in the stack `source` (_mash_source of the
+    rho_0 stack, or of one rho_0 for all).
 
     Vacuum on output 1 of each splitter leaves amplitudes that factor per
-    input index: (sign r)^x / sqrt(x!) on the rho_0 side, t^x / sqrt(x!) on
-    the rho_i side, and sqrt(N!) on each output index (t = r here). The
-    kept block is a truncated convolution of the rescaled inputs in (n, m, k)
-    coordinates; the trace needs only output N = K, M = L, where rho_0's
-    diagonal j meets rho_i's diagonal -j, weighted by _vacuum_weights.
-    """
-    d = x_i.shape[-1]
-    _, u_i, u_out = _mash_weights(d, sign)
-    gather, slot, nmk = _mash_tables(d)
-    y_0, x_0 = source
-    part = _truncated_convolution(y_0, _gathered(_weighted(x_i, u_i), gather))
-    lead = part.shape[:-3]
-    kept = np.zeros((*lead, 2 * d - 1, d, d))
-    kept.reshape(*lead, -1)[..., slot] = part.reshape(*lead, -1)[..., nmk]
-    kept = _weighted(kept, u_out)
-    v = _vacuum_weights(d, sign)
-    p_full = np.sum(x_0 * (v @ x_i[..., ::-1, :, :] @ v.transpose(0, 2, 1)), axis=(-3, -2, -1))
-    return kept, p_full
-
-
-# sign of the reflection into output 2 in mash_step's splitters
-_BS_SIGN = -1.0
-
-
-def _mash_round(x_i, source, cfg, sign=_BS_SIGN):
-    """One mashing round on a stack of stored arrays x_i (b, 2d-1, d, d),
-    each against its rho_0 in the stack `source` (_prose_source of the
-    rho_0 stack, or of one rho_0 for all).
+    index: r^x / sqrt(x!) on the rho_0 side, t^x / sqrt(x!) on the rho_i
+    side, and sqrt(N!) on each output index (t = r here). The kept block is
+    a truncated convolution of the rescaled inputs in (n, m, k) coordinates;
+    the untruncated trace needs only output N = K, M = L, where rho_0's
+    diagonal j meets rho_i's diagonal -j, weighted by _vacuum_weights. The
+    reflection sign would enter as (-1)^(n+m+k+l), which is 1 on the sector
+    n - k = m - l, so the kernel carries none.
 
     Returns (kept, prob, discarded, weight) per array: the kept block
     renormalized by its trace `weight` (left as is where weight is at or
@@ -363,7 +341,15 @@ def _mash_round(x_i, source, cfg, sign=_BS_SIGN):
     probability before truncation, and the weight cut by re-truncating
     combined indices beyond n_max.
     """
-    kept, p_full = _mash_prose(x_i, source, sign)
+    d = x_i.shape[-1]
+    _, slot, nmk = _mash_tables(d)
+    y_0, x_0 = source
+    part = _truncated_convolution(y_0, _rescaled(x_i))
+    kept = np.zeros((len(part), 2 * d - 1, d, d))
+    kept.reshape(len(part), -1)[:, slot] = part.reshape(len(part), -1)[:, nmk]
+    kept = _weighted(kept, _mash_weights(d)[1])
+    v = _vacuum_weights(d)
+    p_full = np.sum(x_0 * (v @ x_i[..., ::-1, :, :] @ v.transpose(0, 2, 1)), axis=(-3, -2, -1))
     weight = kept[:, cfg.n_max].sum(axis=(-2, -1))
     kept /= np.where(weight > cfg.trace_tol, weight, 1.0)[:, None, None, None]
     return kept, p_full, np.maximum(p_full - weight, 0.0), weight
@@ -378,7 +364,7 @@ def _check_normalized(state):
         raise ValueError(f"mash inputs must be normalized, got trace {state.trace}")
 
 
-def mash_step(rho_i, rho_0, _bs_sign=_BS_SIGN, _source=None):
+def mash_step(rho_i, rho_0):
     """One mashing round: interfere rho_i with a fresh copy of rho_0 on 50/50
     splitters (one per party), detect vacuum on one output of each splitter
     and keep the other two.
@@ -387,17 +373,14 @@ def mash_step(rho_i, rho_0, _bs_sign=_BS_SIGN, _source=None):
     block, the projection probability before truncation, and the weight cut
     by re-truncating combined indices beyond n_max. Only the kept block is
     computed; prob comes from the closed-form trace of the untruncated output.
-    A caller that mashes against one rho_0 many times may pass its
-    _prose_source(rho_0.sector, _bs_sign) as _source.
     """
     if rho_i.cfg != rho_0.cfg or rho_i.dim != rho_0.dim:
         raise ValueError("mash inputs must share dimension and truncation config")
     for s in (rho_i, rho_0):
         _check_normalized(s)
     cfg = rho_i.cfg
-    if _source is None:
-        _source = _prose_source(rho_0.sector, _bs_sign)
-    kept, prob, discarded, weight = _mash_round(rho_i.sector[None], _source, cfg, _bs_sign)
+    source = _mash_source(rho_0.sector)
+    kept, prob, discarded, weight = _mash_round(rho_i.sector[None], source, cfg)
     if weight[0] <= cfg.trace_tol:
         raise _zero_weight_error(weight[0])
     return MashResult(_wrap_fresh(kept[0], cfg), float(prob[0]), float(discarded[0]))

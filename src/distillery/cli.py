@@ -53,6 +53,9 @@ def build_parser():
     return parser
 
 
+_MAX_TS_POINTS = 10_000
+
+
 def parse_ts(spec):
     """A t_s value, or an inclusive range 'start:stop:step'."""
     parts = spec.split(":")
@@ -61,11 +64,17 @@ def parse_ts(spec):
     if len(parts) != 3:
         raise ValueError(f"ts range must be start:stop:step, got {spec!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(x) for x in (start, stop, step)):
+        raise ValueError(f"ts range start, stop and step must be finite, got {spec!r}")
     if step <= 0:
         raise ValueError(f"ts range step must be > 0, got {step}")
     if stop < start:
         raise ValueError(f"ts range stop {stop} is below start {start}")
-    count = int(math.floor((stop - start) / step + 0.5)) + 1
+    # counted before any is built; a float, since a tiny step overflows it
+    last = (stop - start) / step + 0.5
+    if last >= _MAX_TS_POINTS:
+        raise ValueError(f"ts range has more than {_MAX_TS_POINTS} points")
+    count = int(last) + 1
     vals = tuple(start + i * step for i in range(count))
     return tuple(v for v in vals if v <= stop + step / 2)
 

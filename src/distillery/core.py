@@ -258,10 +258,10 @@ def _block_tables(dim, kind):
     return index, keep
 
 
-def _hermiticity_error(defect, herm_tol):
-    """The NotHermitianError for a defect beyond herm_tol, else None."""
-    if defect > herm_tol:
-        return NotHermitianError(f"hermiticity defect {defect:.3g} > {herm_tol:.3g}")
+def _hermiticity_error(defect, tol):
+    """The NotHermitianError for a defect beyond tol, else None."""
+    if defect > tol:
+        return NotHermitianError(f"hermiticity defect {defect:.3g} > {tol:.3g}")
     return None
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _block_eigvalsh, _hermiticity_error
+from .core import TruncationConfig, _block_eigvalsh, _hermiticity_error
 
 
 @dataclass(frozen=True)
@@ -23,18 +23,15 @@ class NegativityResult:
     trunc_warning: bool
 
 
-# Hermiticity slack of trace_norm and trace_distance
-_HERM_TOL = 1e-10
-
-
-def trace_norm(arr, herm_tol=_HERM_TOL):
-    """Sum of absolute eigenvalues of a Hermitian matrix; a rank-4 tensor
-    p[n, m, k, l] is read as its matrix, rows (n, m) against columns (k, l).
-    States take the block solve through trace_distance and log_negativity."""
+def trace_norm(arr):
+    """Sum of absolute eigenvalues of a Hermitian matrix, Hermitian to the
+    default eig_tol; a rank-4 tensor p[n, m, k, l] is read as its matrix,
+    rows (n, m) against columns (k, l). States take the block solve through
+    trace_distance and log_negativity."""
     a = np.asarray(arr)
     if a.ndim == 4:
         a = a.reshape(a.shape[0] * a.shape[1], -1)
-    error = _hermiticity_error(float(np.abs(a - a.conj().T).max()), herm_tol)
+    error = _hermiticity_error(float(np.abs(a - a.conj().T).max()), TruncationConfig.eig_tol)
     if error:
         raise error
     return float(np.abs(np.linalg.eigvalsh(a)).sum())
@@ -77,11 +74,12 @@ def _trace_distances(x_a, x_b):
 
 
 def trace_distance(state_a, state_b):
-    """(1/2) trace norm of the difference of two states."""
+    """(1/2) trace norm of the difference of two states, whose difference
+    must be Hermitian to state_a's eig_tol."""
     if state_a.dim != state_b.dim:
         raise ValueError("states must share dimension")
     dist, defect = _trace_distances(state_a.sector, state_b.sector)
-    error = _hermiticity_error(float(defect), _HERM_TOL)
+    error = _hermiticity_error(float(defect), state_a.cfg.eig_tol)
     if error:
         raise error
     return float(dist)

@@ -18,10 +18,9 @@ import numpy as np
 from .channels import (
     LossChannelParams,
     SubtractionParams,
-    _BS_SIGN,
     _check_normalized,
     _mash_round,
-    _prose_source,
+    _mash_source,
     _zero_weight_error,
     detect_one_mode,
     loss_event,
@@ -34,7 +33,7 @@ from .core import (
     normalize,
     tmss,
 )
-from .negativity import _HERM_TOL, _log_negativities, _trace_distances, log_negativity
+from .negativity import _log_negativities, _trace_distances, log_negativity
 
 
 class NoConvergenceError(RuntimeError):
@@ -185,8 +184,6 @@ def subtraction_probability_matrix(lam, loss, sub, cfg, i_max, j_max):
     """P[i-1, j-1] = probability that arm A succeeds at cycle i and arm B at
     cycle j, from one walk over the tree of malting trajectories that shares
     the both-vacuum prefix and each single-count streak."""
-    import numpy as np
-
     if i_max < 1 or j_max < 1:
         raise ValueError("i_max and j_max must be >= 1")
     p = np.zeros((i_max, j_max))
@@ -213,31 +210,29 @@ class _Mashed(NamedTuple):
     error: Exception  # the failure that stopped this branch, or None
 
 
-def _mash_stack(x_0, cfg, max_iter, exact_iterations, every_round):
+def _mash_stack(x_0, cfg, max_iter, every_round):
     """Mash each normalized stored array of the stack x_0 (b, 2d-1, d, d)
     against fresh copies of itself until successive iterates are
-    conv_tol-close in trace distance (or for exactly exact_iterations rounds
-    when that override is given), as one stacked iteration: each round is
-    one call per kernel for the branches still running, and a branch leaves
-    the stack when it stops. A ZeroTraceError or NotHermitianError stops
-    only its own branch and is kept in that branch's record, not raised.
+    conv_tol-close in trace distance, for at most max_iter rounds, as one
+    stacked iteration: each round is one call per kernel for the branches
+    still running, and a branch leaves the stack when it stops. A
+    ZeroTraceError or NotHermitianError stops only its own branch and is
+    kept in that branch's record, not raised.
 
     Returns one _Mashed per branch, in order. Its negativities are the
     input's and each round's with every_round, else the last iterate's alone.
     """
-    n_rounds = max_iter if exact_iterations is None else exact_iterations
     b = len(x_0)
-    y_0 = _prose_source(x_0, _BS_SIGN)[0]
+    y_0 = _mash_source(x_0)[0]
     final = list(x_0)
     probs = [[] for _ in range(b)]
     negs = [[] for _ in range(b)]
     if every_round:
         for neg, res in zip(negs, _log_negativities(x_0, cfg.eig_tol)):
             neg.append(res.value)
-    cut, dist, error = [0.0] * b, [0.0] * b, [None] * b
-    converged = [exact_iterations is not None] * b  # a fixed count is deliberate
+    cut, dist, error, converged = [0.0] * b, [0.0] * b, [None] * b, [False] * b
     live, cur = np.arange(b), x_0
-    for _ in range(n_rounds):
+    for _ in range(max_iter):
         new, prob, discarded, weight = _mash_round(cur, (y_0[live], x_0[live]), cfg)
         step, defect = _trace_distances(new, cur)
         round_negs = _log_negativities(new, cfg.eig_tol) if every_round else None
@@ -250,11 +245,11 @@ def _mash_stack(x_0, cfg, max_iter, exact_iterations, every_round):
             cut[i] = max(cut[i], float(discarded[a]))
             if every_round:
                 negs[i].append(round_negs[a].value)
-            error[i] = _hermiticity_error(float(defect[a]), _HERM_TOL)
+            error[i] = _hermiticity_error(float(defect[a]), cfg.eig_tol)
             if error[i]:
                 continue
             final[i], dist[i] = new[a], float(step[a])
-            if exact_iterations is None and dist[i] < cfg.conv_tol:
+            if dist[i] < cfg.conv_tol:
                 converged[i] = True
             else:
                 going.append(a)
@@ -273,20 +268,18 @@ def _mash_stack(x_0, cfg, max_iter, exact_iterations, every_round):
     ]
 
 
-def mash_iterate(rho_0, cfg, max_iter=50, exact_iterations=None):
+def mash_iterate(rho_0, cfg, max_iter=50):
     """Iterate mashing rounds against fresh copies of rho_0 until successive
-    iterates are conv_tol-close in trace distance (or for exactly
-    exact_iterations rounds when that override is given). The outcome's
-    tail, the last round's trace distance over 3, bounds the distance left
-    to the fixed point while the iterates close in by 1/4 per round."""
+    iterates are conv_tol-close in trace distance, for at most max_iter
+    rounds. The outcome's tail, the last round's trace distance over 3,
+    bounds the distance left to the fixed point while the iterates close in
+    by 1/4 per round."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     _check_normalized(rho_0)
     # rho_0's cutoff and tolerances, the caller's conv_tol
     run_cfg = replace(rho_0.cfg, conv_tol=cfg.conv_tol)
-    (run,) = _mash_stack(
-        rho_0.sector[None], run_cfg, max_iter, exact_iterations, every_round=True
-    )
+    (run,) = _mash_stack(rho_0.sector[None], run_cfg, max_iter, every_round=True)
     if run.error:
         raise run.error
     return DistillationOutcome(
@@ -343,38 +336,42 @@ def _chunks(branches, cap):
         width = min(2 * width, cap)
 
 
-def _scan_gain(lam, loss, sub, cfg, max_iter, gain_mode, safety_factor, mash_iterations):
-    """Shared linear scan over arm-B success cycles.
+# The scan stops at arm-B cycle ceil(tau) * _SCAN_CAP_FACTOR at the latest.
+_SCAN_CAP_FACTOR = 3
 
-    Returns (m_c, baseline, terms, mash_rounds, max_discarded, max_tail)
-    where terms holds one (j, success probability, final negativity) triple
-    per retained j, and the last three total the mashing rounds run and give
-    their worst truncation discard and tail, over the retained j's and the
-    first failing one. The branches are mashed in chunks (see _chunks), and
-    those past the first failing j are dropped, their rounds, discards and
-    failures uncounted.
+
+def average_entanglement(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
+    """Success-weighted mean of the distilled negativity over the retained
+    arm-B cycles j = 1..m_c (arm A fixed at cycle 1), zero when none is
+    retained. The scan runs j = 1, 2, ... and stops at the first j whose
+    distilled negativity does not beat the undistilled baseline, at
+    ceil(tau) * _SCAN_CAP_FACTOR at the latest; m_c is len(terms).
+
+    Each weight is the malting probability times the product of the mashing
+    vacuum probabilities over the converged rounds; gain_mode "malt-only"
+    scores the malted state with its malting probability alone. The raw
+    weights are kept in terms, so the unnormalized sum is recoverable.
+
+    mash_rounds totals the mashing rounds run, and max_discarded and
+    max_tail give their worst truncation discard and tail, over the retained
+    j's and the first failing one. The branches are mashed in chunks (see
+    _chunks), and those past the first failing j are dropped, their rounds,
+    discards and failures uncounted.
     """
     if gain_mode not in ("full", "malt-only"):
         raise ValueError(f"unknown gain_mode {gain_mode!r}")
-    baseline = baseline_negativity(lam)
     if lam == 0.0:
-        return 0, baseline, [], 0, 0.0, 0.0
+        return AvgEntanglement(0.0, [])
     if not math.isfinite(loss.tau):
         raise ValueError("critical-count scan needs finite tau (t < 1)")
-    j_limit = math.ceil(loss.tau) * safety_factor
-    if j_limit < 1:
-        return 0, baseline, [], 0, 0.0, 0.0
     if gain_mode == "full" and max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    m_c = 0
+    baseline = baseline_negativity(lam)
     terms = []
     rounds, worst_cut, worst_tail = 0, 0.0, 0.0
-    # mash_iterations caps how many vacuum probabilities enter the weight:
-    # None takes every converged round, 0 treats the vacuum detections as
-    # certain (the state still mashes to convergence).
-    forced = mash_iterations if mash_iterations else None
     # arm A counts at cycle 1; the branches are arm B's success cycles j
     lossy = loss_event(tmss(lam, cfg), loss)
+    j_limit = math.ceil(loss.tau) * _SCAN_CAP_FACTOR
     branches = _first_counts(lossy, 1.0, loss, sub, 1, 1, j_limit)
     for chunk in _chunks(branches, _chunk_width(cfg.dim)):
         malted = [item for item in chunk if not isinstance(item, ZeroTraceError)]
@@ -383,7 +380,7 @@ def _scan_gain(lam, loss, sub, cfg, max_iter, gain_mode, safety_factor, mash_ite
             if gain_mode == "malt-only":
                 negs = [res.value for res in _log_negativities(x, cfg.eig_tol)]
             else:
-                runs = _mash_stack(x, cfg, max_iter, forced, every_round=False)
+                runs = _mash_stack(x, cfg, max_iter, every_round=False)
         for k, item in enumerate(chunk):
             if isinstance(item, ZeroTraceError):
                 raise item
@@ -401,50 +398,29 @@ def _scan_gain(lam, loss, sub, cfg, max_iter, gain_mode, safety_factor, mash_ite
                     raise NoConvergenceError(
                         f"mashing did not converge within {max_iter} rounds at j={j}"
                     )
-                final_neg = run.negs[-1]
-                p_total = p_j if mash_iterations == 0 else p_j * math.prod(run.probs)
+                final_neg, p_total = run.negs[-1], p_j * math.prod(run.probs)
             if final_neg <= baseline:
-                return m_c, baseline, terms, rounds, worst_cut, worst_tail
-            m_c = j
+                break
             terms.append((j, p_total, final_neg))
-    return m_c, baseline, terms, rounds, worst_cut, worst_tail
-
-
-def critical_attempts(
-    lam, loss, sub, cfg, max_iter=50, gain_mode="full", safety_factor=3
-):
-    """Largest arm-B success cycle (arm A fixed at cycle 1) whose distilled
-    negativity still beats the undistilled baseline; linear scan from j=1,
-    stopping at the first failure, hard-capped at ceil(tau)*safety_factor."""
-    m_c, baseline, _, rounds, worst_cut, worst_tail = _scan_gain(
-        lam, loss, sub, cfg, max_iter, gain_mode, safety_factor, None
-    )
-    return CriticalCount(m_c, baseline, 1, rounds, worst_cut, worst_tail)
-
-
-def average_entanglement(
-    lam,
-    loss,
-    sub,
-    cfg,
-    max_iter=50,
-    mash_iterations=None,
-    gain_mode="full",
-    safety_factor=3,
-):
-    """Success-weighted mean of the distilled negativity over the retained
-    arm-B cycles j = 1..m_c, zero when no cycle beats the baseline. Each
-    weight is the malting probability times the product of the mashing
-    vacuum probabilities (over the converged round count; mash_iterations=0
-    drops the mashing factor, k forces exactly k rounds). The raw weights
-    are kept in terms, so the unnormalized sum is recoverable from them.
-
-    The number of retained cycles is len(terms)."""
-    _, _, terms, rounds, worst_cut, worst_tail = _scan_gain(
-        lam, loss, sub, cfg, max_iter, gain_mode, safety_factor, mash_iterations
-    )
-    if not terms:
-        return AvgEntanglement(0.0, [], rounds, worst_cut, worst_tail)
-    weight = sum(p for _, p, _ in terms)
-    value = sum(p * n for _, p, n in terms) / weight
+        else:
+            continue
+        break  # the first failing j ends the scan
+    value = 0.0
+    if terms:
+        value = sum(p * n for _, p, n in terms) / sum(p for _, p, _ in terms)
     return AvgEntanglement(value, terms, rounds, worst_cut, worst_tail)
+
+
+def critical_attempts(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
+    """Largest arm-B success cycle m_c (arm A fixed at cycle 1) whose
+    distilled negativity still beats the undistilled baseline: the number
+    of attempts the average_entanglement scan retains."""
+    avg = average_entanglement(lam, loss, sub, cfg, max_iter, gain_mode)
+    return CriticalCount(
+        len(avg.terms),
+        baseline_negativity(lam),
+        1,
+        avg.mash_rounds,
+        avg.max_discarded,
+        avg.max_tail,
+    )

@@ -21,7 +21,6 @@ from .protocol import (
     MaltingSchedule,
     average_entanglement,
     baseline_negativity,
-    critical_attempts,
     malt,
     mash_iterate,
     subtraction_probability_matrix,
@@ -90,13 +89,16 @@ def write_csv(path, columns, rows, metadata):
 
 
 def _pmap(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
+    # the pool starts all its workers at once, so it gets no more than there
+    # are items and CPUs
+    workers = min(threads, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(x) for x in items]
     # imported here: it pulls in multiprocessing, pickle and socket, which
     # a run without a pool never needs
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -104,32 +106,17 @@ def _pmap(fn, items, threads):
 # per-cell workers (top level so the process pool can pickle them)
 
 
-def _mc_cell(args):
+def _scan_cell(args):
+    # the AvgEntanglement of one t_s point of mc-sweep or avg-ent
     lam, t, ts, n_max, max_iter, gain_mode = args
-    cfg = TruncationConfig(n_max)
-    count = critical_attempts(
+    return average_entanglement(
         lam,
         LossChannelParams(t),
         SubtractionParams(ts),
-        cfg,
+        TruncationConfig(n_max),
         max_iter=max_iter,
         gain_mode=gain_mode,
     )
-    return count.m_c, count.mash_rounds, count.max_discarded, count.max_tail
-
-
-def _avg_cell(args):
-    lam, t, ts, n_max, max_iter, gain_mode = args
-    cfg = TruncationConfig(n_max)
-    avg = average_entanglement(
-        lam,
-        LossChannelParams(t),
-        SubtractionParams(ts),
-        cfg,
-        max_iter=max_iter,
-        gain_mode=gain_mode,
-    )
-    return len(avg.terms), avg.value, avg.mash_rounds, avg.max_discarded, avg.max_tail
 
 
 # ---------------------------------------------------------------------------
@@ -205,38 +192,27 @@ def _run_distill(cfg):
     return ("stage", "phase", "negativity", "prob"), rows, meta
 
 
-def _mash_diagnostics(per_cell):
-    # per_cell: (mashing rounds, worst discard, worst tail) per t_s point, in
-    # row order. mash_rounds lists each point's rounds, ';'-separated;
+def _run_scan(cfg):
+    # m_c per t_s point is the number of attempts the average retains;
+    # avg-ent adds the average. The metadata gives the mashing diagnostics:
+    # mash_rounds lists each point's rounds, ';'-separated in row order;
     # max_discarded and max_tail are the worst over all points, the
     # counterparts of distill's max_discarded and tail.
-    return {
-        "mash_rounds": ";".join(str(rounds) for rounds, _, _ in per_cell),
-        "max_discarded": max((cut for _, cut, _ in per_cell), default=0.0),
-        "max_tail": max((tail for _, _, tail in per_cell), default=0.0),
-    }
-
-
-def _run_mc_sweep(cfg):
     gain_mode = "malt-only" if cfg.baseline == "malt-only" else "full"
     cells = [
         (cfg.lam, cfg.t, ts, cfg.n_max, cfg.max_iter, gain_mode) for ts in cfg.ts_values
     ]
-    results = _pmap(_mc_cell, cells, cfg.threads)
-    rows = [(ts, mc) for ts, (mc, *_) in zip(cfg.ts_values, results)]
-    meta = {"baseline_negativity": baseline_negativity(cfg.lam)}
-    meta.update(_mash_diagnostics([r[1:] for r in results]))
-    return ("ts", "m_c"), rows, meta
-
-
-def _run_avg_ent(cfg):
-    gain_mode = "malt-only" if cfg.baseline == "malt-only" else "full"
-    cells = [
-        (cfg.lam, cfg.t, ts, cfg.n_max, cfg.max_iter, gain_mode) for ts in cfg.ts_values
-    ]
-    results = _pmap(_avg_cell, cells, cfg.threads)
-    rows = [(ts, mc, val) for ts, (mc, val, *_) in zip(cfg.ts_values, results)]
-    return ("ts", "m_c", "avg_ent"), rows, _mash_diagnostics([r[2:] for r in results])
+    avgs = _pmap(_scan_cell, cells, cfg.threads)
+    rows = [(ts, len(avg.terms), avg.value) for ts, avg in zip(cfg.ts_values, avgs)]
+    columns = ("ts", "m_c", "avg_ent")
+    meta = {}
+    if cfg.command == "mc-sweep":
+        columns, rows = columns[:2], [row[:2] for row in rows]
+        meta["baseline_negativity"] = baseline_negativity(cfg.lam)
+    meta["mash_rounds"] = ";".join(str(avg.mash_rounds) for avg in avgs)
+    meta["max_discarded"] = max((avg.max_discarded for avg in avgs), default=0.0)
+    meta["max_tail"] = max((avg.max_tail for avg in avgs), default=0.0)
+    return columns, rows, meta
 
 
 _RUNNERS = {
@@ -244,8 +220,8 @@ _RUNNERS = {
     "malt-trace": _run_malt_trace,
     "pij": _run_pij,
     "distill": _run_distill,
-    "mc-sweep": _run_mc_sweep,
-    "avg-ent": _run_avg_ent,
+    "mc-sweep": _run_scan,
+    "avg-ent": _run_scan,
 }
 
 

@@ -85,31 +85,33 @@ def _destroy(dim):
     return a
 
 
-def bs_unitary_2mode(dim, t):
+def bs_unitary_2mode(dim, t, reflection_sign=-1):
     """Fock-basis beam-splitter unitary on two dim-level modes.
 
     Built by exponentiating the generator, so it is independent of any
     closed-form matrix element formula. Convention: mode-1 input mixes as
-    B a1+ B' = t a1+ - r a2+ (minus sign on the reflection to output 2).
+    B a1+ B' = t a1+ + reflection_sign r a2+ (by default the minus sign on
+    the reflection to output 2); reflection_sign=+1 is the rotation by -theta.
     """
     a = _destroy(dim)
     idm = np.eye(dim, dtype=complex)
     a1 = np.kron(a, idm)
     a2 = np.kron(idm, a)
     gen = a1.conj().T @ a2 - a2.conj().T @ a1
-    theta = math.atan2(math.sqrt(max(0.0, 1.0 - t * t)), t)
+    theta = -reflection_sign * math.atan2(math.sqrt(max(0.0, 1.0 - t * t)), t)
     herm = 1j * gen
     evals, vecs = np.linalg.eigh(herm)
     return vecs @ np.diag(np.exp(-1j * theta * evals)) @ vecs.conj().T
 
 
-def mash_oracle(c_i, c_0):
+def mash_oracle(c_i, c_0, reflection_sign=-1):
     """Brute-force four-mode mashing round at 50/50 splitting.
 
     Embeds both states in per-mode dimension 2*n_max+1, applies the full
-    two-splitter unitary as a dense matrix, projects vacuum on output 1 of
-    each splitter, and returns (projected 2-mode tensor at the enlarged
-    dimension, projected trace).
+    two-splitter unitary (bs_unitary_2mode with the given reflection sign)
+    as a dense matrix, projects vacuum on output 1 of each splitter, and
+    returns (projected 2-mode tensor at the enlarged dimension, projected
+    trace).
     """
     d = c_i.shape[0]
     big = 2 * (d - 1) + 1
@@ -118,7 +120,7 @@ def mash_oracle(c_i, c_0):
         "abcd,pqrs->apbqcrds", c_0, c_i
     )  # joint state, mode order (A1, A2, B1, B2); c_0 feeds port 1 of each splitter
     rho_m = rho.reshape(big**4, big**4)
-    b2 = bs_unitary_2mode(big, 1.0 / math.sqrt(2.0))
+    b2 = bs_unitary_2mode(big, 1.0 / math.sqrt(2.0), reflection_sign)
     w = np.kron(b2, b2)  # acts on (A1,A2) then (B1,B2)
     rho_m = w @ rho_m @ w.conj().T
     rho4 = rho_m.reshape((big,) * 8)

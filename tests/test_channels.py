@@ -25,7 +25,7 @@ from distillery import (
     vacuum,
 )
 from distillery import channels, protocol
-from distillery.channels import _BS_SIGN, _loss_maps, _prose_source, _sqrt_fact
+from distillery.channels import _loss_maps, _mash_source, _sqrt_fact
 
 # double subtraction q_A=q_B=1 straight on tmss(0.1), t_s=0.99, n_max=8,
 # from the brute-force contraction in oracles.subtract_oracle
@@ -295,10 +295,10 @@ def test_mash_step_vacuum_fixed_point():
     assert res.discarded_weight == pytest.approx(0.0, abs=1e-15)
 
 
-def _oracle_mash(a, b):
+def _oracle_mash(a, b, reflection_sign=-1):
     # split the enlarged-dimension oracle output into the kept block and
     # the weight shed past the cutoff, mirroring what mash_step reports
-    full, p_full = oracles.mash_oracle(a.coeffs, b.coeffs)
+    full, p_full = oracles.mash_oracle(a.coeffs, b.coeffs, reflection_sign)
     d = a.dim
     kept = full[:d, :d, :d, :d]
     kept_tr = np.einsum("nmnm->", kept).real
@@ -350,13 +350,20 @@ def test_mash_step_matches_oracle_on_sector_states():
 
 def test_mash_step_insensitive_to_bs_sign_convention():
     # the protocol's states have even total parity, so flipping the
-    # reflection sign of the mashing splitters cannot change the output
-    cfg = TruncationConfig(7)
-    st = tmss(0.1, cfg)
-    default = mash_step(st, st)
-    flipped = mash_step(st, st, _bs_sign=+1.0)
-    assert np.abs(default.state.coeffs - flipped.state.coeffs).max() < 1e-14
-    assert default.prob == pytest.approx(flipped.prob, rel=1e-13)
+    # reflection sign of the mashing splitters cannot change the output:
+    # the sign enters as (-1)^(n+m+k+l), which is 1 on the sector
+    # n - k = m - l, so the kernel carries none and must match the
+    # oracle under either sign
+    cfg = TruncationConfig(2)
+    st = tmss(0.1, cfg, allow_truncation=True)
+    malted = _malted_cutoff_two(0.6)
+    for a, b in ((st, st), (malted, malted)):
+        res = mash_step(a, b)
+        outs = [_oracle_mash(a, b, sign) for sign in (-1, +1)]
+        for want, p_want, _ in outs:
+            assert np.abs(res.state.coeffs - want).max() < 1e-14
+            assert res.prob == pytest.approx(p_want, rel=1e-13)
+        assert np.abs(outs[0][0] - outs[1][0]).max() < 1e-14
 
 
 def test_mash_step_requires_normalized_inputs():
@@ -393,32 +400,20 @@ def _one_cycle_state(cfg):
     return normalize(detect_phonons(lossy, SubtractionParams(0.9), 1, 1))[0]
 
 
-def test_mash_step_with_prepared_source_is_bitwise_equal():
-    cfg = TruncationConfig(3)
-    malted = _one_cycle_state(cfg)
-    drawn = _random_state(4, 11)
-    for rho_i, rho_0 in ((malted, malted), (drawn, malted), (malted, drawn)):
-        plain = mash_step(rho_i, rho_0)
-        prepared = mash_step(rho_i, rho_0, _source=_prose_source(rho_0.sector, _BS_SIGN))
-        assert prepared.state.sector.tobytes() == plain.state.sector.tobytes()
-        assert (prepared.prob, prepared.discarded_weight) == (
-            plain.prob, plain.discarded_weight)
-
-
 def test_mash_iterate_prepares_rho_0_once(monkeypatch):
     calls = []
 
-    def counting(c_0, sign):
-        calls.append(sign)
-        return _prose_source(c_0, sign)
+    def counting(c_0):
+        calls.append(len(c_0))
+        return _mash_source(c_0)
 
-    monkeypatch.setattr(channels, "_prose_source", counting)
-    monkeypatch.setattr(protocol, "_prose_source", counting)
+    monkeypatch.setattr(channels, "_mash_source", counting)
+    monkeypatch.setattr(protocol, "_mash_source", counting)
     cfg = TruncationConfig(3)
     malted = _one_cycle_state(cfg)
-    out = protocol.mash_iterate(malted, cfg, exact_iterations=4)
+    out = protocol.mash_iterate(malted, cfg, max_iter=4)
     assert out.iterations == 4
-    assert calls == [_BS_SIGN]
+    assert calls == [1]
 
 
 def test_scan_prepares_one_source_per_branch(monkeypatch):
@@ -427,11 +422,11 @@ def test_scan_prepares_one_source_per_branch(monkeypatch):
     # past the first failing j
     sizes = []
 
-    def counting(x_0, sign):
+    def counting(x_0):
         sizes.append(len(x_0))
-        return _prose_source(x_0, sign)
+        return _mash_source(x_0)
 
-    monkeypatch.setattr(protocol, "_prose_source", counting)
+    monkeypatch.setattr(protocol, "_mash_source", counting)
     cfg = TruncationConfig(7)
     loss, sub = LossChannelParams.from_tau(100.0), SubtractionParams(0.9)
     assert protocol.critical_attempts(0.1, loss, sub, cfg).m_c == 4
@@ -444,7 +439,7 @@ def test_stacked_mash_round_equals_batch_of_one_bitwise():
     cfg = TruncationConfig(3)
     states = [_one_cycle_state(cfg), _random_state(4, 11), _random_state(4, 12)]
     x = np.stack([st.sector for st in states])
-    kept, prob, discarded, weight = channels._mash_round(x, _prose_source(x, _BS_SIGN), cfg)
+    kept, prob, discarded, weight = channels._mash_round(x, _mash_source(x), cfg)
     for i, st in enumerate(states):
         alone = mash_step(st, st)
         assert kept[i].tobytes() == alone.state.sector.tobytes()

@@ -221,6 +221,20 @@ def test_block_solve_raises_on_asymmetric_sector_clean_input():
         trace_distance(bad, good)
 
 
+def test_trace_distance_checks_hermiticity_against_the_state_eig_tol():
+    cfg = TruncationConfig(4, eig_tol=1e-6)
+    good = tmss(0.2, cfg, allow_truncation=True)
+    for bump in (1e-8, 1e-5):
+        c = good.coeffs.copy()
+        c[2, 1, 1, 0] += bump
+        bad = state_from_coeffs(c, cfg)
+        if bump < cfg.eig_tol:
+            assert trace_distance(bad, good) > 0.0
+        else:
+            with pytest.raises(NotHermitianError, match=r"1e-05 > 1e-06$"):
+                trace_distance(bad, good)
+
+
 def test_stacked_solves_equal_lone_solves_bitwise():
     # the scan solves a stack of states in one call; each gets exactly the
     # negativity, trace distance and Hermiticity defect it gets alone

@@ -137,9 +137,9 @@ def test_mash_iterate_converges_and_gains():
 
 def test_mash_iterate_forced_round_count():
     rec = malt(LAM, MaltingSchedule(1, 1, LOSS, SUB), CFG)
-    out = mash_iterate(rec.state, CFG, exact_iterations=3)
+    out = mash_iterate(rec.state, CFG, max_iter=3)
     assert out.iterations == 3
-    assert out.converged
+    assert not out.converged
     assert len(out.mash_probs) == 3
 
 
@@ -175,8 +175,6 @@ def test_critical_attempts_monotone_in_ts():
 
 def test_critical_attempts_zero_squeezing_and_lossless_guard():
     assert critical_attempts(0.0, LOSS, SUB, TruncationConfig(1)).m_c == 0
-    # a zero cap scans no cycle at all
-    assert critical_attempts(LAM, LOSS, SUB, CFG, safety_factor=0).m_c == 0
     with pytest.raises(ValueError):
         critical_attempts(LAM, LossChannelParams(1.0), SUB, CFG)
 
@@ -341,6 +339,26 @@ def test_scan_drops_branches_past_the_first_failing_j(monkeypatch, failure, erro
         critical_attempts(LAM, LOSS, sub, CFG)
 
 
+def test_mashing_checks_hermiticity_against_the_run_eig_tol(monkeypatch):
+    # each round's Hermiticity defect, raised by a fixed amount, against a
+    # cutoff whose eig_tol is 1e-6
+    cfg = TruncationConfig(CFG.n_max, eig_tol=1e-6)
+    rec = malt(LAM, MaltingSchedule(1, 1, LOSS, SUB), cfg)
+    real_distances = protocol._trace_distances
+    for bump in (1e-8, 1e-5):
+
+        def bumped(new, cur, bump=bump):
+            step, defect = real_distances(new, cur)
+            return step, defect + bump
+
+        monkeypatch.setattr(protocol, "_trace_distances", bumped)
+        if bump < cfg.eig_tol:
+            assert mash_iterate(rec.state, cfg).converged
+        else:
+            with pytest.raises(NotHermitianError, match=r"> 1e-06$"):
+                mash_iterate(rec.state, cfg)
+
+
 def test_scan_chunks_double_and_keep_a_malting_failure_last():
     def walk():
         yield from range(1, 6)
@@ -357,8 +375,8 @@ def test_mash_iterate_reports_its_tail():
     rec = malt(LAM, MaltingSchedule(1, 1, LOSS, SUB), CFG)
     out = mash_iterate(rec.state, CFG)
     assert 0.0 < out.tail < CFG.conv_tol / 3
-    two = mash_iterate(rec.state, CFG, exact_iterations=2)
-    three = mash_iterate(rec.state, CFG, exact_iterations=3)
+    two = mash_iterate(rec.state, CFG, max_iter=2)
+    three = mash_iterate(rec.state, CFG, max_iter=3)
     assert three.tail == trace_distance(three.rho_final, two.rho_final) / 3
     assert full_protocol(LAM, MaltingSchedule(1, 1, LOSS, SUB), CFG).tail == out.tail
 
@@ -371,26 +389,6 @@ def test_average_entanglement_weights_shrink_with_postselection():
         rec = malt(LAM, MaltingSchedule(1, j, LOSS, SUB), CFG)
         assert p < rec.joint_prob
         assert p > 0.0
-
-
-def test_average_entanglement_certain_mash_mode():
-    # mash_iterations=0 keeps the converged state but weights by the
-    # malting probability alone
-    avg0 = average_entanglement(LAM, LOSS, SUB, CFG, mash_iterations=0)
-    dflt = average_entanglement(LAM, LOSS, SUB, CFG)
-    assert len(avg0.terms) == len(dflt.terms)
-    for (j0, p0, n0), (j1, p1, n1) in zip(avg0.terms, dflt.terms):
-        assert j0 == j1
-        assert n0 == pytest.approx(n1, rel=1e-12)
-        assert p0 > p1
-        rec = malt(LAM, MaltingSchedule(1, j0, LOSS, SUB), CFG)
-        assert p0 == pytest.approx(rec.joint_prob, rel=1e-10)
-
-
-def test_average_entanglement_forced_round_count():
-    forced = average_entanglement(LAM, LOSS, SUB, CFG, mash_iterations=3)
-    assert forced.terms
-    assert forced.value > BASE
 
 
 def test_malt_only_gain_mode():

@@ -10,7 +10,7 @@ import pytest
 import oracles
 from distillery import auto_n_max, channels, cli, protocol
 from distillery.cli import ConfigError, build_parser, main, parse_ts, validate_config
-from distillery.sweep import _fmt
+from distillery.sweep import _fmt, _pmap
 
 P11_TRAJ_NMAX8 = 3.993432960736389e-06
 
@@ -61,6 +61,34 @@ def test_parse_ts_rejects_malformed():
     for bad in ("", "0.6:0.8", "0.8:0.6:0.05", "0.6:0.8:0", "0.6:0.8:-0.1", "a:b:c"):
         with pytest.raises(ValueError):
             parse_ts(bad)
+
+
+def test_parse_ts_rejects_non_finite_ranges(tmp_path, capsys):
+    for bad in ("0.5:inf:0.1", "nan:0.9:0.1", "0.5:0.9:inf", "-inf:0.9:0.1"):
+        with pytest.raises(ValueError, match="must be finite"):
+            parse_ts(bad)
+    rc = main(["mc-sweep", "--lambda", "0.1", "--tau", "100", "--ts", "0.5:inf:0.1",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert "--ts: ts range start, stop and step must be finite" in capsys.readouterr().err
+
+
+def test_parse_ts_counts_points_before_building_the_grid(monkeypatch, tmp_path, capsys):
+    # a range over the cap is refused before any grid point exists: a
+    # module-level `range` in cli that refuses to run stands in for the grid
+    def refuse(*args):
+        raise AssertionError("the t_s grid was built")
+
+    monkeypatch.setattr(cli, "range", refuse, raising=False)
+    for spec in ("0.6:0.99:1e-7", "0.6:0.99:1e-300", "0.6:0.99:5e-324", "0:0.99:0.00009"):
+        with pytest.raises(ValueError, match="more than 10000 points"):
+            parse_ts(spec)
+    rc = main(["avg-ent", "--lambda", "0.1", "--tau", "100", "--ts", "0.6:0.99:1e-300",
+               "--out", str(tmp_path / "x.csv")])
+    assert rc == 1
+    assert "--ts: ts range has more than 10000 points" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert len(parse_ts("0:0.9999:0.0001")) == 10000  # the largest range accepted
 
 
 def test_validate_collects_every_error():
@@ -351,7 +379,7 @@ def test_mash_limit_is_where_the_output_weights_overflow():
     # the largest output weight of mash_step is sf[d-1]^4 = ((d - 1)!)^2,
     # the square of entry d - 1 of diagonal 0 of the output weight rows
     def top(dim):
-        rows = channels._mash_weights(dim, -1.0)[2]
+        rows = channels._mash_weights(dim)[-1]
         with np.errstate(over="ignore"):
             return rows[dim - 1, -1] * rows[dim - 1, -1]
 
@@ -368,6 +396,40 @@ def test_exit_code_two_on_numerical_failure(tmp_path):
 
 
 # --- determinism -----------------------------------------------------------
+
+
+def test_pool_gets_no_more_workers_than_items_and_cpus(monkeypatch):
+    # a stand-in pool that records its size and starts no process
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _pmap(abs, [-1, -2, -3], 100_000) == [1, 2, 3]
+    assert _pmap(abs, list(range(-9, 0)), 8) == list(range(9, 0, -1))
+    assert _pmap(abs, list(range(-9, 0)), 2) == list(range(9, 0, -1))
+    assert sizes == [3, 4, 2]
+    # one usable worker runs the items in process, without a pool
+    assert _pmap(abs, [-1], 8) == [1]
+    assert _pmap(abs, [-1, -2], 1) == [1, 2]
+    for cpus in (1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert _pmap(abs, [-1, -2, -3], 8) == [1, 2, 3]
+    assert sizes == [3, 4, 2]
 
 
 def test_repeated_runs_are_bit_stable(tmp_path):
@@ -395,12 +457,17 @@ def test_thread_count_does_not_change_the_body(tmp_path):
 
 def test_module_entry_point(tmp_path):
     out = tmp_path / "m.csv"
+    # the child imports the package the tests import, whether or not the
+    # suite was started with PYTHONPATH set
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-m", "distillery", "malt-trace", "--lambda", "0.1",
          "--tau", "100", "--ts", "0.99", "--ma", "1", "--mb", "1",
          "--out", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
