@@ -98,21 +98,25 @@ _MASHING = ("distill", "mc-sweep", "avg-ent")
 # 49), counted as 2, for each branch of a chunk of the arm-B scan: the
 # convolution of a chunk of w branches peaked at 1.5-1.9 w d^4 at d = 6-11
 # (w = 25-2), and below 1 MiB at any smaller d; from d = 12 on a chunk is
-# one branch. Cutoffs whose estimate exceeds the budget are refused before
-# any run.
+# one branch. A pij grid adds its cells: the matrix and the CSV row tuples
+# peaked at 110-122 bytes per cell (grids of 300^2 and 600^2), counted as
+# 128. Invocations whose estimate exceeds the budget are refused before any
+# run.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 _LIVE_STATE_ARRAYS = 6
 _LIVE_WINDOW_ARRAYS = 2
+_PIJ_CELL_BYTES = 128
 # mash_step's output weights reach ((d - 1)!)^2, which is inf in float64
 # from d = 100, so mashing runs at n_max <= 98 only
 _MASH_MAX_N_MAX = 98
 
 
-def working_set_bytes(n_max, mashing):
+def working_set_bytes(n_max, mashing, cells=0):
     """Estimated peak memory of the arrays at cutoff n_max, for a command
-    that only malts or one that also mashes."""
+    that only malts or one that also mashes, plus that of a pij grid of
+    `cells` cells."""
     d = n_max + 1
-    need = _LIVE_STATE_ARRAYS * 8 * (2 * d - 1) * d * d
+    need = _LIVE_STATE_ARRAYS * 8 * (2 * d - 1) * d * d + _PIJ_CELL_BYTES * cells
     if mashing:
         need += _LIVE_WINDOW_ARRAYS * 8 * _chunk_width(d) * d**4
     return need
@@ -183,6 +187,9 @@ def validate_config(ns):
             errors.append(f"--{name} is required for {command}")
         elif val < 1:
             errors.append(f"--{name} must be >= 1, got {val}")
+    cells = 0
+    if command == "pij" and min(ns.imax or 0, ns.jmax or 0) >= 1:
+        cells = ns.imax * ns.jmax
 
     if ns.max_iter < 1:
         errors.append(f"--max-iter must be >= 1, got {ns.max_iter}")
@@ -202,10 +209,11 @@ def validate_config(ns):
             )
 
     if n_max >= 1:
-        need = working_set_bytes(n_max, command in _MASHING)
+        need = working_set_bytes(n_max, command in _MASHING, cells)
         if need > MEMORY_BUDGET_BYTES:
+            grid = f" and a {ns.imax} x {ns.jmax} grid" if cells else ""
             errors.append(
-                f"n_max={n_max} needs a working set of about "
+                f"n_max={n_max}{grid} needs a working set of about "
                 f"{need / 2**30:.3g} GiB, over the "
                 f"{MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget"
             )

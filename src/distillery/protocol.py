@@ -19,6 +19,8 @@ from .channels import (
     LossChannelParams,
     SubtractionParams,
     _check_normalized,
+    _count_rows,
+    _loss_maps,
     _mash_round,
     _mash_source,
     _zero_weight_error,
@@ -79,7 +81,6 @@ class DistillationOutcome:
 class CriticalCount:
     m_c: int
     baseline_negativity: float
-    fixed_arm_index: int = 1
     mash_rounds: int = 0  # mashing rounds run over the whole scan
     max_discarded: float = 0.0  # worst truncation discard of any of them
     max_tail: float = 0.0  # worst tail of the scan's mashing runs
@@ -144,60 +145,52 @@ def malt(lam, schedule, cfg):
     return MaltingRecord(state, joint, trace, cycle_probs)
 
 
-def _by_arm(trying, own, other):
-    # (arm A, arm B) pair from the value for arm `trying` and the other arm's
-    return (own, other) if trying == "A" else (other, own)
-
-
-def _first_counts(lossy, joint, loss, sub, cycle, i_last, j_last):
-    """Malting trajectories whose first count comes at `cycle`.
-
-    `lossy` is the state after cycles 1..cycle-1 of vacuum on both arms and
-    the loss event of `cycle`; `joint` is the probability of that prefix.
-    Yields (i, j, joint probability, normalized malted state) for arm A
-    counting at cycle i and arm B at cycle j: first (cycle, cycle), then
-    j = cycle+1..j_last with i = cycle, then the mirror i = cycle+1..i_last
-    with j = cycle. Each probability is the product of the cycle
-    probabilities along the path in cycle order, as in malt. Branches share
-    their prefix and each cycle's loss event, and the walk is lazy, so a
-    caller may stop early.
+def _arm_b_branches(lam, loss, sub, cfg, j_last):
+    """The malting trajectories of the arm-B scan: arm A counts at cycle 1,
+    arm B at cycle j = 1..j_last. Yields (j, joint probability, normalized
+    malted state). Each probability is the product of the cycle
+    probabilities in cycle order, as in malt. The branches share arm B's
+    vacuum streak and its loss events, and the walk is lazy, so a caller
+    may stop early.
     """
-    malted, p = _count_step(lossy, sub, (1, 1), cycle)
-    yield cycle, cycle, joint * p, malted
-    for trying, last in (("B", j_last), ("A", i_last)):
-        if last == cycle:
-            continue
-        # the other arm counts at `cycle` and only decays after it
-        running, p = _count_step(lossy, sub, _by_arm(trying, 0, 1), cycle)
-        p_run = joint * p
-        for c in range(cycle + 1, last + 1):
-            decayed = loss_event(running, loss)
-            malted, p = _count_step(decayed, sub, _by_arm(trying, 1, None), c)
-            i, j = _by_arm(trying, c, cycle)
-            yield i, j, p_run * p, malted
-            if c < last:
-                running, p = _count_step(decayed, sub, _by_arm(trying, 0, None), c)
-                p_run *= p
+    lossy = loss_event(tmss(lam, cfg), loss)
+    malted, p = _count_step(lossy, sub, (1, 1), 1)
+    yield 1, p, malted
+    # arm A counts at cycle 1 and only decays after it
+    running, p_run = _count_step(lossy, sub, (1, 0), 1)
+    for j in range(2, j_last + 1):
+        decayed = loss_event(running, loss)
+        malted, p = _count_step(decayed, sub, (None, 1), j)
+        yield j, p_run * p, malted
+        if j < j_last:
+            running, p = _count_step(decayed, sub, (None, 0), j)
+            p_run *= p
 
 
 def subtraction_probability_matrix(lam, loss, sub, cfg, i_max, j_max):
     """P[i-1, j-1] = probability that arm A succeeds at cycle i and arm B at
-    cycle j, from one walk over the tree of malting trajectories that shares
-    the both-vacuum prefix and each single-count streak."""
+    cycle j.
+
+    Loss and counting act on each mode alone and are phase covariant, so an
+    outcome's probability reads only the photon-number populations: the
+    j = 0 diagonal of the stored layout, on which each map's j = 0 row acts.
+    The squeezed state holds n phonons in both modes with weight w[n], and
+    an arm's loss after its success preserves the trace, so
+    P[i-1, j-1] = sum_n w[n] f_i[n] f_j[n], where f_c[n] is the probability
+    that one mode holding n phonons first counts a single phonon at cycle c.
+    """
     if i_max < 1 or j_max < 1:
         raise ValueError("i_max and j_max must be >= 1")
-    p = np.zeros((i_max, j_max))
-    state = tmss(lam, cfg)
-    joint = 1.0
-    last_shared = min(i_max, j_max)
-    for cycle in range(1, last_shared + 1):
-        lossy = loss_event(state, loss)
-        for i, j, p_ij, _ in _first_counts(lossy, joint, loss, sub, cycle, i_max, j_max):
-            p[i - 1, j - 1] = p_ij
-        if cycle < last_shared:
-            state, p_vac = _count_step(lossy, sub, (0, 0), cycle)
-            joint *= p_vac
-    return p
+    d = cfg.dim
+    w = tmss(lam, cfg).sector[d - 1].diagonal()
+    lost = _loss_maps(loss.t, d)[d - 1]  # lost[a, n]: n phonons become a
+    vac = _count_rows(0, sub.t_s, d)[d - 1]  # vac[a]: a phonons, none counted
+    single = np.append(0.0, _count_rows(1, sub.t_s, d)[d - 1])  # one counted
+    f = np.empty((max(i_max, j_max), d))
+    f[0] = lost.T @ single
+    for c in range(1, len(f)):
+        f[c] = lost.T @ (vac * f[c - 1])
+    return (f[:i_max] * w) @ f[:j_max].T
 
 
 class _Mashed(NamedTuple):
@@ -268,18 +261,16 @@ def _mash_stack(x_0, cfg, max_iter, every_round):
     ]
 
 
-def mash_iterate(rho_0, cfg, max_iter=50):
+def mash_iterate(rho_0, max_iter=50):
     """Iterate mashing rounds against fresh copies of rho_0 until successive
-    iterates are conv_tol-close in trace distance, for at most max_iter
-    rounds. The outcome's tail, the last round's trace distance over 3,
-    bounds the distance left to the fixed point while the iterates close in
-    by 1/4 per round."""
+    iterates are within rho_0's conv_tol in trace distance, for at most
+    max_iter rounds. The outcome's tail, the last round's trace distance
+    over 3, bounds the distance left to the fixed point while the iterates
+    close in by 1/4 per round."""
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     _check_normalized(rho_0)
-    # rho_0's cutoff and tolerances, the caller's conv_tol
-    run_cfg = replace(rho_0.cfg, conv_tol=cfg.conv_tol)
-    (run,) = _mash_stack(rho_0.sector[None], run_cfg, max_iter, every_round=True)
+    (run,) = _mash_stack(rho_0.sector[None], rho_0.cfg, max_iter, every_round=True)
     if run.error:
         raise run.error
     return DistillationOutcome(
@@ -297,7 +288,7 @@ def full_protocol(lam, schedule, cfg, max_iter=50):
     """Malting followed by iterated mashing; negativity_by_stage concatenates
     the per-cycle malting trace with the per-round mashing values."""
     record = malt(lam, schedule, cfg)
-    outcome = mash_iterate(record.state, cfg, max_iter=max_iter)
+    outcome = mash_iterate(record.state, max_iter=max_iter)
     stages = [n for _, n in record.negativity_trace] + list(
         outcome.negativity_by_stage[1:]
     )
@@ -369,10 +360,8 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
     baseline = baseline_negativity(lam)
     terms = []
     rounds, worst_cut, worst_tail = 0, 0.0, 0.0
-    # arm A counts at cycle 1; the branches are arm B's success cycles j
-    lossy = loss_event(tmss(lam, cfg), loss)
     j_limit = math.ceil(loss.tau) * _SCAN_CAP_FACTOR
-    branches = _first_counts(lossy, 1.0, loss, sub, 1, 1, j_limit)
+    branches = _arm_b_branches(lam, loss, sub, cfg, j_limit)
     for chunk in _chunks(branches, _chunk_width(cfg.dim)):
         malted = [item for item in chunk if not isinstance(item, ZeroTraceError)]
         if malted:
@@ -384,7 +373,7 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
         for k, item in enumerate(chunk):
             if isinstance(item, ZeroTraceError):
                 raise item
-            _, j, p_j, _ = item
+            j, p_j, _ = item
             if gain_mode == "malt-only":
                 final_neg, p_total = negs[k], p_j
             else:
@@ -419,7 +408,6 @@ def critical_attempts(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
     return CriticalCount(
         len(avg.terms),
         baseline_negativity(lam),
-        1,
         avg.mash_rounds,
         avg.max_discarded,
         avg.max_tail,

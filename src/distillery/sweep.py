@@ -175,7 +175,7 @@ def _run_distill(cfg):
         cfg.ma, cfg.mb, LossChannelParams(cfg.t), SubtractionParams(cfg.ts_values[0])
     )
     rec = malt(cfg.lam, sched, tcfg)
-    outcome = mash_iterate(rec.state, tcfg, max_iter=cfg.max_iter)
+    outcome = mash_iterate(rec.state, max_iter=cfg.max_iter)
     rows = [(0, "malt", rec.negativity_trace[0][1], 1.0)]
     for m, neg in rec.negativity_trace[1:]:
         rows.append((m, "malt", neg, rec.cycle_probs[m - 1]))

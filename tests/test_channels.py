@@ -411,7 +411,7 @@ def test_mash_iterate_prepares_rho_0_once(monkeypatch):
     monkeypatch.setattr(protocol, "_mash_source", counting)
     cfg = TruncationConfig(3)
     malted = _one_cycle_state(cfg)
-    out = protocol.mash_iterate(malted, cfg, max_iter=4)
+    out = protocol.mash_iterate(malted, max_iter=4)
     assert out.iterations == 4
     assert calls == [1]
 

@@ -18,7 +18,6 @@ from distillery import (
     critical_attempts,
     full_protocol,
     log_negativity,
-    loss_event,
     malt,
     mash_iterate,
     mash_step,
@@ -113,8 +112,21 @@ def test_subtraction_matrix_non_square_grids():
     np.testing.assert_allclose(p53, p35.T, rtol=1e-12, atol=0.0)
 
 
+def test_subtraction_matrix_reaches_late_cycles():
+    # cells far down the grid are small but computable, down to 1e-16
+    p = subtraction_probability_matrix(LAM, LOSS, SUB, CFG, 400, 400)
+    assert p.shape == (400, 400)
+    assert (p > 0.0).all()
+    assert np.abs(p - p.T).max() < 1e-10
+    assert (np.diff(p, axis=0) < 0.0).all()
+    assert (np.diff(p, axis=1) < 0.0).all()
+    for i, j in ((300, 2), (2, 300), (367, 3)):
+        rec = malt(LAM, MaltingSchedule(i, j, LOSS, SUB), CFG)
+        assert p[i - 1, j - 1] == pytest.approx(rec.joint_prob, rel=1e-12)
+
+
 def test_mash_iterate_vacuum_is_immediate_fixed_point():
-    out = mash_iterate(vacuum(TruncationConfig(4)), TruncationConfig(4))
+    out = mash_iterate(vacuum(TruncationConfig(4)))
     assert out.converged
     assert out.iterations == 1
     assert out.mash_probs == [pytest.approx(1.0, abs=1e-14)]
@@ -123,7 +135,7 @@ def test_mash_iterate_vacuum_is_immediate_fixed_point():
 
 def test_mash_iterate_converges_and_gains():
     rec = malt(LAM, MaltingSchedule(1, 1, LOSS, SUB), CFG)
-    out = mash_iterate(rec.state, CFG)
+    out = mash_iterate(rec.state)
     assert out.converged
     assert out.iterations <= 50
     assert len(out.negativity_by_stage) == out.iterations + 1
@@ -137,7 +149,7 @@ def test_mash_iterate_converges_and_gains():
 
 def test_mash_iterate_forced_round_count():
     rec = malt(LAM, MaltingSchedule(1, 1, LOSS, SUB), CFG)
-    out = mash_iterate(rec.state, CFG, max_iter=3)
+    out = mash_iterate(rec.state, max_iter=3)
     assert out.iterations == 3
     assert not out.converged
     assert len(out.mash_probs) == 3
@@ -159,7 +171,6 @@ def test_critical_attempts_below_threshold():
     assert isinstance(cc, CriticalCount)
     assert cc.m_c == 0
     assert cc.baseline_negativity == pytest.approx(BASE, rel=1e-12)
-    assert cc.fixed_arm_index == 1
 
 
 def test_critical_attempts_monotone_in_ts():
@@ -227,9 +238,8 @@ def test_average_entanglement_is_weighted_mean():
 def _arm_b_branches(sub, j_last):
     # (malting probability, malted state) of the scan's branches, from the
     # walk the scan itself takes
-    lossy = loss_event(tmss(LAM, CFG), LOSS)
-    walk = protocol._first_counts(lossy, 1.0, LOSS, sub, 1, 1, j_last)
-    return [(p, st) for *_, p, st in walk]
+    walk = protocol._arm_b_branches(LAM, LOSS, sub, CFG, j_last)
+    return [(p, st) for _, p, st in walk]
 
 
 def test_scan_reports_mash_rounds_and_worst_discard():
@@ -241,7 +251,7 @@ def test_scan_reports_mash_rounds_and_worst_discard():
     rounds = []
     for j in range(1, cc.m_c + 2):
         rec = malt(LAM, MaltingSchedule(1, j, LOSS, SUB), CFG)
-        out = mash_iterate(rec.state, CFG)
+        out = mash_iterate(rec.state)
         rounds.append(out.iterations)
         neg = out.negativity_by_stage[-1]
         if j > cc.m_c:
@@ -255,7 +265,7 @@ def test_scan_reports_mash_rounds_and_worst_discard():
     # on the scan's own malted states the batch-of-1 path gives every
     # reduction bit for bit: rounds, worst discard, worst tail and terms
     branches = _arm_b_branches(SUB, cc.m_c + 1)
-    runs = [mash_iterate(st, CFG) for _, st in branches]
+    runs = [mash_iterate(st) for _, st in branches]
     assert [r.iterations for r in runs] == rounds
     assert avg.max_discarded == cc.max_discarded == max(r.max_discarded for r in runs)
     assert avg.max_tail == cc.max_tail == max(r.tail for r in runs)
@@ -330,10 +340,10 @@ def test_scan_drops_branches_past_the_first_failing_j(monkeypatch, failure, erro
     # on its own the branch fails, and at the first failing j the scan does
     del followed[1:]
     if failure == "step":
-        assert not mash_iterate(states[5], CFG).converged
+        assert not mash_iterate(states[5]).converged
     else:
         with pytest.raises(error, match=message):
-            mash_iterate(states[5], CFG)
+            mash_iterate(states[5])
     followed[:] = [states[4].sector]
     with pytest.raises(error, match=message):
         critical_attempts(LAM, LOSS, sub, CFG)
@@ -353,10 +363,10 @@ def test_mashing_checks_hermiticity_against_the_run_eig_tol(monkeypatch):
 
         monkeypatch.setattr(protocol, "_trace_distances", bumped)
         if bump < cfg.eig_tol:
-            assert mash_iterate(rec.state, cfg).converged
+            assert mash_iterate(rec.state).converged
         else:
             with pytest.raises(NotHermitianError, match=r"> 1e-06$"):
-                mash_iterate(rec.state, cfg)
+                mash_iterate(rec.state)
 
 
 def test_scan_chunks_double_and_keep_a_malting_failure_last():
@@ -373,10 +383,10 @@ def test_scan_chunks_double_and_keep_a_malting_failure_last():
 
 def test_mash_iterate_reports_its_tail():
     rec = malt(LAM, MaltingSchedule(1, 1, LOSS, SUB), CFG)
-    out = mash_iterate(rec.state, CFG)
+    out = mash_iterate(rec.state)
     assert 0.0 < out.tail < CFG.conv_tol / 3
-    two = mash_iterate(rec.state, CFG, max_iter=2)
-    three = mash_iterate(rec.state, CFG, max_iter=3)
+    two = mash_iterate(rec.state, max_iter=2)
+    three = mash_iterate(rec.state, max_iter=3)
     assert three.tail == trace_distance(three.rho_final, two.rho_final) / 3
     assert full_protocol(LAM, MaltingSchedule(1, 1, LOSS, SUB), CFG).tail == out.tail
 
@@ -402,7 +412,7 @@ def test_malt_only_gain_mode():
 
 
 def test_protocol_never_expands_to_dense(monkeypatch):
-    # malting, the pij walk and mashing work on the stored sector layout
+    # malting, the pij grid and mashing work on the stored sector layout
     # alone; the d^4 expansion is for tests and oracles
     from distillery import core
 
@@ -415,5 +425,5 @@ def test_protocol_never_expands_to_dense(monkeypatch):
     rec = malt(LAM, MaltingSchedule(1, 3, LOSS, SUB), CFG)
     p = subtraction_probability_matrix(LAM, LOSS, SUB, CFG, 3, 3)
     assert p[0, 0] == pytest.approx(P11_TRAJ_NMAX8, rel=1e-10)
-    out = mash_iterate(rec.state, CFG)
+    out = mash_iterate(rec.state)
     assert out.converged and out.iterations > 1

@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 
 import oracles
-from distillery import auto_n_max, channels, cli, protocol
+from distillery import auto_n_max, channels, cli, protocol, sweep
 from distillery.cli import ConfigError, build_parser, main, parse_ts, validate_config
 from distillery.sweep import _fmt, _pmap
 
@@ -220,6 +222,37 @@ def test_pij_single_cell_matches_trajectory_oracle(tmp_path):
     assert p == pytest.approx(live, rel=1e-10)
 
 
+def test_pij_zero_squeezing_writes_a_zero_grid(tmp_path):
+    # vacuum holds no phonon to count: every cell is 0, not a failure
+    out = tmp_path / "p0.csv"
+    rc = main(["pij", "--lambda", "0", "--tau", "100", "--ts", "0.99",
+               "--imax", "2", "--jmax", "3", "--out", str(out)])
+    assert rc == 0
+    _, body = _split(out)
+    assert [float(r.split(",")[2]) for r in body[1:]] == [0.0] * 6
+
+
+def _perfbench_harness(monkeypatch):
+    # perfbench/run.py as a module: its workloads, references and checks
+    here = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    monkeypatch.syspath_prepend(str(here))  # run.py imports traced.py beside it
+    spec = importlib.util.spec_from_file_location("perfbench_run", here / "run.py")
+    harness = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(harness)
+    return harness
+
+
+def test_pij_grid_workload_matches_its_benchmark_reference(monkeypatch, tmp_path):
+    # the benchmark's pij-grid run, in-process, against refs/pij-grid.csv at
+    # the harness tolerance |x - ref| <= 1e-9 |ref| + 1e-15, plus its anchor
+    harness = _perfbench_harness(monkeypatch)
+    assert (harness.REL_TOL, harness.ABS_TOL) == (1e-9, 1e-15)
+    workload = harness.WORKLOADS["pij-grid"]
+    out = tmp_path / "pij-grid.csv"
+    assert main([*workload.argv, "--threads", "1", "--out", str(out)]) == 0
+    assert harness.check_output(workload, out, harness.REFS / "pij-grid.csv") == []
+
+
 def test_distill_csv_stages(tmp_path):
     out = tmp_path / "d.csv"
     rc = main(["distill", "--lambda", "0.1", "--tau", "100", "--ts", "0.99",
@@ -354,6 +387,40 @@ def test_cutoff_over_memory_budget_fails_fast(tmp_path, capsys):
     # cutoffs the benchmark and the acceptance suite mash at
     assert cli.working_set_bytes(auto_n_max(0.9), mashing=False) < cli.MEMORY_BUDGET_BYTES
     assert cli.working_set_bytes(auto_n_max(0.6), mashing=True) < cli.MEMORY_BUDGET_BYTES
+
+
+def test_pij_grid_over_memory_budget_fails_fast(monkeypatch, tmp_path, capsys):
+    # the grid's cells count in the working set, so a 10^5 x 10^5 grid is
+    # refused before any of it exists: stand-ins that refuse to run take the
+    # place of the matrix and of the rows
+    def refuse(*args):
+        raise AssertionError("the pij grid was built")
+
+    monkeypatch.setattr(sweep, "subtraction_probability_matrix", refuse)
+    monkeypatch.setattr(sweep, "range", refuse, raising=False)
+    argv = ["pij", "--lambda", "0.1", "--tau", "100", "--ts", "0.99"]
+    out = tmp_path / "big.csv"
+    rc = main(argv + ["--imax", "100000", "--jmax", "100000", "--out", str(out)])
+    assert rc == 1
+    need = cli.working_set_bytes(7, False, 100000 * 100000)
+    assert need > cli.MEMORY_BUDGET_BYTES
+    assert (
+        f"n_max=7 and a 100000 x 100000 grid needs a working set of about "
+        f"{need / 2**30:.3g} GiB" in capsys.readouterr().err
+    )
+    assert not out.exists()
+    # the largest square grid within the budget is accepted, the next refused
+    side = math.isqrt(
+        (cli.MEMORY_BUDGET_BYTES - cli.working_set_bytes(7, False)) // cli._PIJ_CELL_BYTES
+    )
+    grid = ["--imax", str(side), "--jmax", str(side), "--out", str(out)]
+    assert validate_config(_parse(argv + grid)).imax == side
+    grid[1] = grid[3] = str(side + 1)
+    with pytest.raises(ConfigError, match="grid needs a working set"):
+        validate_config(_parse(argv + grid))
+    # the grid flags count only for pij
+    other = ["malt-trace", *argv[1:], "--ma", "1", "--mb", "1", *grid]
+    assert validate_config(_parse(other)).command == "malt-trace"
 
 
 def test_mashing_commands_refuse_overflowing_cutoffs(tmp_path, capsys):
