@@ -153,7 +153,8 @@ def validate_config(ns):
             errors.append(f"--t must lie in (0, 1], got {ns.t}")
     else:
         errors.append("one of --tau or --t is required")
-    if command in _SWEEPABLE and not math.isfinite(tau):
+    # a finite tau can still round t to 1 (tau = 1e17), so check t itself
+    if command in _SWEEPABLE and not t < 1.0:
         errors.append(f"{command} needs finite tau (t < 1)")
 
     ts_values = ()
@@ -235,6 +236,8 @@ def validate_config(ns):
         parent = os.path.dirname(os.path.abspath(ns.out))
         if not os.path.isdir(parent):
             errors.append(f"--out directory does not exist: {parent}")
+        elif os.path.isdir(ns.out):
+            errors.append(f"--out names a directory, not a file: {ns.out}")
 
     if errors:
         raise ConfigError("\n".join(errors))

@@ -55,11 +55,17 @@ def auto_n_max(lam, trace_tol=TruncationConfig.trace_tol):
     """Smallest cutoff whose discarded squeezed-state tail stays below trace_tol.
 
     The tail weight of the geometric photon-number distribution beyond n_max
-    is lam^(2*(n_max + 1)).
+    is lam^(2*(n_max + 1)). The cutoff is the first n_max >= 1 whose float
+    tail falls below trace_tol: estimated from logarithms, then corrected
+    with that float test, so lam near 1 costs a few steps, not one per cutoff.
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
-    n = 1
+    if lam**4 < trace_tol:
+        return 1
+    n = max(1, math.ceil(math.log(trace_tol) / (2.0 * math.log(lam))) - 1)
+    while n > 1 and lam ** (2 * n) < trace_tol:
+        n -= 1
     while lam ** (2 * (n + 1)) >= trace_tol:
         n += 1
     return n
@@ -171,13 +177,9 @@ def _wrap_fresh(x, cfg):
     return TwoModeState(x, float(x[cfg.n_max].sum()), cfg)
 
 
-def tmss(lam, cfg, allow_truncation=False):
-    """Truncated, renormalized two-mode squeezed state.
-
-    Refuses (lam, n_max) pairs whose discarded tail weight lam^(2*(n_max+1))
-    reaches cfg.trace_tol unless allow_truncation is set; auto_n_max() gives
-    the smallest admissible cutoff.
-    """
+def _tmss_amplitudes(lam, cfg, allow_truncation=False):
+    """The photon-number amplitudes lam^n of the truncated squeezed state,
+    n < dim, normalized; refuses the (lam, n_max) pairs tmss refuses."""
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
     tail = lam ** (2 * (cfg.n_max + 1))
@@ -188,9 +190,20 @@ def tmss(lam, cfg, allow_truncation=False):
             f"(auto_n_max gives {auto_n_max(lam, cfg.trace_tol)}) or pass "
             "allow_truncation=True"
         )
-    d = cfg.dim
-    amps = lam ** np.arange(d)
+    amps = lam ** np.arange(cfg.dim)
     amps /= math.sqrt(np.sum(amps * amps))
+    return amps
+
+
+def tmss(lam, cfg, allow_truncation=False):
+    """Truncated, renormalized two-mode squeezed state.
+
+    Refuses (lam, n_max) pairs whose discarded tail weight lam^(2*(n_max+1))
+    reaches cfg.trace_tol unless allow_truncation is set; auto_n_max() gives
+    the smallest admissible cutoff.
+    """
+    amps = _tmss_amplitudes(lam, cfg, allow_truncation)
+    d = cfg.dim
     # |n, n><k, k| is entry (p, p) of diagonal n - k
     x = np.zeros((2 * d - 1, d, d))
     r = np.arange(d)

@@ -11,7 +11,6 @@ malted copy, conditioned on vacuum, iterated to a fixed point.
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -19,8 +18,7 @@ from .channels import (
     LossChannelParams,
     SubtractionParams,
     _check_normalized,
-    _count_rows,
-    _loss_maps,
+    _kraus_weights,
     _mash_round,
     _mash_source,
     _zero_weight_error,
@@ -31,6 +29,7 @@ from .core import (
     TwoModeState,
     ZeroTraceError,
     _hermiticity_error,
+    _tmss_amplitudes,
     _wrap_fresh,
     normalize,
     tmss,
@@ -172,20 +171,23 @@ def subtraction_probability_matrix(lam, loss, sub, cfg, i_max, j_max):
     cycle j.
 
     Loss and counting act on each mode alone and are phase covariant, so an
-    outcome's probability reads only the photon-number populations: the
-    j = 0 diagonal of the stored layout, on which each map's j = 0 row acts.
-    The squeezed state holds n phonons in both modes with weight w[n], and
-    an arm's loss after its success preserves the trace, so
+    outcome's probability reads only the photon-number populations, which
+    each one-mode Kraus operator K_q moves from n to n - q with weight
+    A(n, q)^2. The squeezed state holds n phonons in both modes with weight
+    w[n], and an arm's loss after its success preserves the trace, so
     P[i-1, j-1] = sum_n w[n] f_i[n] f_j[n], where f_c[n] is the probability
     that one mode holding n phonons first counts a single phonon at cycle c.
     """
     if i_max < 1 or j_max < 1:
         raise ValueError("i_max and j_max must be >= 1")
     d = cfg.dim
-    w = tmss(lam, cfg).sector[d - 1].diagonal()
-    lost = _loss_maps(loss.t, d)[d - 1]  # lost[a, n]: n phonons become a
-    vac = _count_rows(0, sub.t_s, d)[d - 1]  # vac[a]: a phonons, none counted
-    single = np.append(0.0, _count_rows(1, sub.t_s, d)[d - 1])  # one counted
+    w = _tmss_amplitudes(lam, cfg) ** 2
+    lost = np.zeros((d, d))  # lost[a, n]: n phonons become a
+    for q in range(d):
+        a = np.arange(d - q)
+        lost[a, a + q] = _kraus_weights(q, loss.t, d) ** 2
+    vac = _kraus_weights(0, sub.t_s, d) ** 2  # vac[a]: a phonons, none counted
+    single = np.append(0.0, _kraus_weights(1, sub.t_s, d) ** 2)  # one counted
     f = np.empty((max(i_max, j_max), d))
     f[0] = lost.T @ single
     for c in range(1, len(f)):
@@ -193,27 +195,18 @@ def subtraction_probability_matrix(lam, loss, sub, cfg, i_max, j_max):
     return (f[:i_max] * w) @ f[:j_max].T
 
 
-class _Mashed(NamedTuple):
-    final: np.ndarray  # stored array of the last iterate
-    probs: list  # vacuum probability of each round run
-    negs: list  # negativities, see _mash_stack
-    max_discarded: float
-    tail: float
-    converged: bool
-    error: Exception  # the failure that stopped this branch, or None
-
-
 def _mash_stack(x_0, cfg, max_iter, every_round):
     """Mash each normalized stored array of the stack x_0 (b, 2d-1, d, d)
     against fresh copies of itself until successive iterates are
-    conv_tol-close in trace distance, for at most max_iter rounds, as one
-    stacked iteration: each round is one call per kernel for the branches
-    still running, and a branch leaves the stack when it stops. A
-    ZeroTraceError or NotHermitianError stops only its own branch and is
-    kept in that branch's record, not raised.
+    conv_tol-close in trace distance, for at most max_iter rounds (0 leaves
+    each array as it is), as one stacked iteration: each round is one call
+    per kernel for the branches still running, and a branch leaves the
+    stack when it stops.
 
-    Returns one _Mashed per branch, in order. Its negativities are the
-    input's and each round's with every_round, else the last iterate's alone.
+    Returns one entry per branch, in order: its DistillationOutcome, or the
+    ZeroTraceError or NotHermitianError that stopped it, not raised. The
+    negativities are the input's and each round's with every_round, else
+    the last iterate's alone.
     """
     b = len(x_0)
     y_0 = _mash_source(x_0)[0]
@@ -256,7 +249,16 @@ def _mash_stack(x_0, cfg, max_iter, every_round):
             for i, res in zip(done, _log_negativities(finals, cfg.eig_tol)):
                 negs[i].append(res.value)
     return [
-        _Mashed(final[i], probs[i], negs[i], cut[i], dist[i] / 3.0, converged[i], error[i])
+        error[i]
+        or DistillationOutcome(
+            _wrap_fresh(final[i], cfg),
+            len(probs[i]),
+            probs[i],
+            negs[i],
+            converged[i],
+            cut[i],
+            dist[i] / 3.0,
+        )
         for i in range(b)
     ]
 
@@ -271,17 +273,9 @@ def mash_iterate(rho_0, max_iter=50):
         raise ValueError("max_iter must be >= 1")
     _check_normalized(rho_0)
     (run,) = _mash_stack(rho_0.sector[None], rho_0.cfg, max_iter, every_round=True)
-    if run.error:
-        raise run.error
-    return DistillationOutcome(
-        _wrap_fresh(run.final, rho_0.cfg),
-        len(run.probs),
-        run.probs,
-        run.negs,
-        run.converged,
-        run.max_discarded,
-        run.tail,
-    )
+    if isinstance(run, Exception):
+        raise run
+    return run
 
 
 def full_protocol(lam, schedule, cfg, max_iter=50):
@@ -309,8 +303,9 @@ def _chunk_width(dim):
 
 def _chunks(branches, cap):
     """Lists of successive items of `branches`, of widths 1, 2, 4, ... up
-    to cap. A ZeroTraceError raised while pulling an item ends its list, as
-    the last entry, so that the scan raises it only if it reaches it."""
+    to cap. A ZeroTraceError raised while pulling an item ends its list
+    early and is raised on the next pull, so that the scan raises it only
+    if it reaches that item."""
     width = 1
     while True:
         chunk = []
@@ -319,8 +314,10 @@ def _chunks(branches, cap):
                 chunk.append(item)
                 if len(chunk) == width:
                     break
-        except ZeroTraceError as exc:
-            chunk.append(exc)
+        except ZeroTraceError:
+            if chunk:
+                yield chunk
+            raise
         if not chunk:
             return
         yield chunk
@@ -339,15 +336,16 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
     ceil(tau) * _SCAN_CAP_FACTOR at the latest; m_c is len(terms).
 
     Each weight is the malting probability times the product of the mashing
-    vacuum probabilities over the converged rounds; gain_mode "malt-only"
-    scores the malted state with its malting probability alone. The raw
-    weights are kept in terms, so the unnormalized sum is recoverable.
+    vacuum probabilities over the converged rounds. gain_mode "malt-only"
+    runs the same scan with zero mashing rounds, so it scores each malted
+    state with its malting probability alone. The raw weights are kept in
+    terms, so the unnormalized sum is recoverable.
 
     mash_rounds totals the mashing rounds run, and max_discarded and
     max_tail give their worst truncation discard and tail, over the retained
     j's and the first failing one. The branches are mashed in chunks (see
     _chunks), and those past the first failing j are dropped, their rounds,
-    discards and failures uncounted.
+    discards and failures, malting ones included, uncounted.
     """
     if gain_mode not in ("full", "malt-only"):
         raise ValueError(f"unknown gain_mode {gain_mode!r}")
@@ -357,47 +355,36 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
         raise ValueError("critical-count scan needs finite tau (t < 1)")
     if gain_mode == "full" and max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    rounds = max_iter if gain_mode == "full" else 0
     baseline = baseline_negativity(lam)
     terms = []
-    rounds, worst_cut, worst_tail = 0, 0.0, 0.0
+    total_rounds, worst_cut, worst_tail = 0, 0.0, 0.0
     j_limit = math.ceil(loss.tau) * _SCAN_CAP_FACTOR
     branches = _arm_b_branches(lam, loss, sub, cfg, j_limit)
     for chunk in _chunks(branches, _chunk_width(cfg.dim)):
-        malted = [item for item in chunk if not isinstance(item, ZeroTraceError)]
-        if malted:
-            x = np.stack([state.sector for *_, state in malted])
-            if gain_mode == "malt-only":
-                negs = [res.value for res in _log_negativities(x, cfg.eig_tol)]
-            else:
-                runs = _mash_stack(x, cfg, max_iter, every_round=False)
-        for k, item in enumerate(chunk):
-            if isinstance(item, ZeroTraceError):
-                raise item
-            j, p_j, _ = item
-            if gain_mode == "malt-only":
-                final_neg, p_total = negs[k], p_j
-            else:
-                run = runs[k]
-                if run.error:
-                    raise run.error
-                rounds += len(run.probs)
-                worst_cut = max(worst_cut, run.max_discarded)
-                worst_tail = max(worst_tail, run.tail)
-                if not run.converged:
-                    raise NoConvergenceError(
-                        f"mashing did not converge within {max_iter} rounds at j={j}"
-                    )
-                final_neg, p_total = run.negs[-1], p_j * math.prod(run.probs)
+        x = np.stack([state.sector for *_, state in chunk])
+        runs = _mash_stack(x, cfg, rounds, every_round=False)
+        for (j, p_j, _), run in zip(chunk, runs):
+            if isinstance(run, Exception):
+                raise run
+            total_rounds += run.iterations
+            worst_cut = max(worst_cut, run.max_discarded)
+            worst_tail = max(worst_tail, run.tail)
+            if rounds and not run.converged:
+                raise NoConvergenceError(
+                    f"mashing did not converge within {max_iter} rounds at j={j}"
+                )
+            final_neg = run.negativity_by_stage[-1]
             if final_neg <= baseline:
                 break
-            terms.append((j, p_total, final_neg))
+            terms.append((j, p_j * math.prod(run.mash_probs), final_neg))
         else:
             continue
         break  # the first failing j ends the scan
     value = 0.0
     if terms:
         value = sum(p * n for _, p, n in terms) / sum(p for _, p, _ in terms)
-    return AvgEntanglement(value, terms, rounds, worst_cut, worst_tail)
+    return AvgEntanglement(value, terms, total_rounds, worst_cut, worst_tail)
 
 
 def critical_attempts(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):

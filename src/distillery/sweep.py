@@ -7,7 +7,6 @@ any thread count. The other commands run in one process.
 """
 
 import os
-import tempfile
 import time
 from dataclasses import dataclass
 
@@ -72,8 +71,10 @@ def write_csv(path, columns, rows, metadata):
 
     UTF-8, comma delimited, LF line endings, 15 significant digits.
     """
-    dirn = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=dirn, suffix=".part")
+    # created as open() would create the file, 0o666 less the umask, in the
+    # target's directory so that os.replace is atomic
+    tmp = f"{os.path.abspath(path)}.{os.urandom(8).hex()}.part"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as f:
             for key, value in metadata.items():

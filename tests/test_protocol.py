@@ -369,16 +369,68 @@ def test_mashing_checks_hermiticity_against_the_run_eig_tol(monkeypatch):
                 mash_iterate(rec.state)
 
 
-def test_scan_chunks_double_and_keep_a_malting_failure_last():
-    def walk():
-        yield from range(1, 6)
+def test_scan_chunks_double_and_end_before_a_malting_failure():
+    # a failure while pulling a branch ends its chunk early and is raised on
+    # the next pull: no chunk holds an exception, and none is empty
+    def walk(last):
+        yield from range(1, last + 1)
         raise ZeroTraceError("vanishing branch")
 
-    chunks = list(protocol._chunks(walk(), 4))
-    assert chunks[:2] == [[1], [2, 3]]
-    assert chunks[2][:2] == [4, 5] and isinstance(chunks[2][2], ZeroTraceError)
-    assert len(chunks) == 3
+    chunks = protocol._chunks(walk(5), 4)
+    assert [next(chunks) for _ in range(3)] == [[1], [2, 3], [4, 5]]
+    with pytest.raises(ZeroTraceError, match="vanishing branch"):
+        next(chunks)
+    chunks = protocol._chunks(walk(3), 4)
+    assert [next(chunks) for _ in range(2)] == [[1], [2, 3]]
+    with pytest.raises(ZeroTraceError, match="vanishing branch"):
+        next(chunks)
     assert [len(c) for c in protocol._chunks(iter(range(20)), 4)] == [1, 2, 4, 4, 4, 4, 1]
+
+
+@pytest.mark.parametrize("gain_mode", ["full", "malt-only"])
+@pytest.mark.parametrize("bad_j", [5, 6, 8])
+def test_scan_raises_a_malting_failure_only_if_it_reaches_it(monkeypatch, gain_mode, bad_j):
+    # at t_s = 0.9 the first failing j is 5 in both modes. A walk that fails
+    # at j = 5 fails the scan; one that fails at j = 6 (inside the chunk
+    # j = 4..7) or at j = 8 (the next chunk) leaves the result as it was
+    sub = SubtractionParams(0.9)
+    ref = average_entanglement(LAM, LOSS, sub, CFG, gain_mode=gain_mode)
+    assert len(ref.terms) == 4
+    real_walk = protocol._arm_b_branches
+
+    def failing_walk(*args):
+        for branch in real_walk(*args):
+            if branch[0] == bad_j:
+                raise ZeroTraceError(f"vanishing branch j={bad_j}")
+            yield branch
+
+    monkeypatch.setattr(protocol, "_arm_b_branches", failing_walk)
+    if bad_j == 5:
+        with pytest.raises(ZeroTraceError, match="j=5"):
+            average_entanglement(LAM, LOSS, sub, CFG, gain_mode=gain_mode)
+    else:
+        assert average_entanglement(LAM, LOSS, sub, CFG, gain_mode=gain_mode) == ref
+
+
+def test_pij_reads_one_mode_vectors(monkeypatch):
+    # the grid needs the squeezed state's photon-number weights and the
+    # one-mode loss weights only: stand-ins that refuse to run take the place
+    # of the two-mode state and of the two-mode loss maps
+    from distillery import channels, core
+
+    cfg = TruncationConfig(8)
+    populations = tmss(LAM, cfg).sector[cfg.dim - 1].diagonal()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a two-mode array was built for the pij grid")
+
+    monkeypatch.setattr(protocol, "tmss", refuse)
+    monkeypatch.setattr(channels, "_loss_maps", refuse)
+    monkeypatch.setattr(protocol, "_loss_maps", refuse, raising=False)
+    p = subtraction_probability_matrix(LAM, LOSS, SUB, cfg, 3, 3)
+    # the weights are the squeezed state's populations, bit for bit
+    assert np.array_equal(core._tmss_amplitudes(LAM, cfg) ** 2, populations)
+    assert p[0, 0] == pytest.approx(P11_TRAJ_NMAX8, rel=1e-10)
 
 
 def test_mash_iterate_reports_its_tail():

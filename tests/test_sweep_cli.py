@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -155,6 +156,48 @@ def test_validate_sweep_needs_finite_tau(tmp_path):
         validate_config(ns)
 
 
+def _refuse_run(monkeypatch):
+    # a stand-in runner that refuses to start: validation must stop the run
+    def refuse(cfg):
+        raise AssertionError(f"{cfg.command} ran past validation")
+
+    monkeypatch.setattr(cli, "run", refuse)
+
+
+def _fails_fast(argv, capsys, message):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["mc-sweep", "avg-ent"])
+def test_sweeps_refuse_a_tau_that_rounds_t_to_one(monkeypatch, tmp_path, capsys, command):
+    # tau = 1e17 is finite, but t = sqrt(1 - 1/tau) rounds to 1.0
+    _refuse_run(monkeypatch)
+    argv = [command, "--lambda", "0.1", "--tau", "1e17", "--ts", "0.9",
+            "--out", str(tmp_path / "o.csv")]
+    _fails_fast(argv, capsys, f"{command} needs finite tau (t < 1)")
+
+
+def test_out_naming_a_directory_fails_fast(monkeypatch, tmp_path, capsys):
+    _refuse_run(monkeypatch)
+    argv = ["decay", "--lambda", "0.1", "--tau", "100", "--ts", "0.99",
+            "--steps", "1", "--out", str(tmp_path)]
+    _fails_fast(argv, capsys, f"--out names a directory, not a file: {tmp_path}")
+
+
+def test_squeezing_near_one_fails_fast(monkeypatch, tmp_path, capsys):
+    # the automatic cutoff at lambda = 0.999999999 is about 1.7e10; it must
+    # come from logarithms, not from a loop over every cutoff
+    _refuse_run(monkeypatch)
+    argv = ["pij", "--lambda", "0.999999999", "--tau", "100", "--ts", "0.99",
+            "--imax", "2", "--jmax", "2", "--out", str(tmp_path / "o.csv")]
+    start = time.perf_counter()
+    _fails_fast(argv, capsys, "needs a working set of about")
+    assert time.perf_counter() - start < 0.5
+
+
 # --- output contract -------------------------------------------------------
 
 
@@ -242,15 +285,19 @@ def _perfbench_harness(monkeypatch):
     return harness
 
 
-def test_pij_grid_workload_matches_its_benchmark_reference(monkeypatch, tmp_path):
-    # the benchmark's pij-grid run, in-process, against refs/pij-grid.csv at
-    # the harness tolerance |x - ref| <= 1e-9 |ref| + 1e-15, plus its anchor
+@pytest.mark.parametrize("name", ["pij-grid", "distill-mid", "avg-ent-long", "malt-wide"])
+def test_workload_matches_its_benchmark_reference(monkeypatch, tmp_path, name):
+    # each benchmark run, in-process, against refs/<name>.csv at the harness
+    # tolerance |x - ref| <= 1e-9 |ref| + 1e-15, plus its anchor
     harness = _perfbench_harness(monkeypatch)
     assert (harness.REL_TOL, harness.ABS_TOL) == (1e-9, 1e-15)
-    workload = harness.WORKLOADS["pij-grid"]
-    out = tmp_path / "pij-grid.csv"
+    assert sorted(harness.WORKLOADS) == sorted(
+        ["pij-grid", "distill-mid", "avg-ent-long", "malt-wide"]
+    )
+    workload = harness.WORKLOADS[name]
+    out = tmp_path / f"{name}.csv"
     assert main([*workload.argv, "--threads", "1", "--out", str(out)]) == 0
-    assert harness.check_output(workload, out, harness.REFS / "pij-grid.csv") == []
+    assert harness.check_output(workload, out, harness.REFS / f"{name}.csv") == []
 
 
 def test_distill_csv_stages(tmp_path):
@@ -329,6 +376,34 @@ def test_baseline_flag_selects_malt_only_gain(tmp_path):
 
 
 # --- exit codes ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_csv_gets_the_permissions_open_would_give(tmp_path, umask):
+    # a new CSV is 0o666 less the umask, as open() creates files, and the
+    # write leaves no temp file behind
+    path = tmp_path / "perm.csv"
+    old = os.umask(umask)
+    try:
+        sweep.write_csv(str(path), ("a",), [(1,)], {"k": 1})
+    finally:
+        os.umask(old)
+    assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+    assert os.listdir(tmp_path) == ["perm.csv"]
+    assert _split(path) == ({"k": "1"}, ["a", "1"])
+
+
+def test_csv_write_is_atomic_and_cleans_up_on_failure(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cannot format")
+
+    path = tmp_path / "keep.csv"
+    path.write_text("old\n")
+    with pytest.raises(RuntimeError, match="cannot format"):
+        sweep.write_csv(str(path), ("a",), [(1,), (Unprintable(),)], {})
+    assert path.read_text() == "old\n"
+    assert os.listdir(tmp_path) == ["keep.csv"]
 
 
 def test_exit_code_zero_on_success(tmp_path):
