@@ -261,28 +261,65 @@ def _vacuum_weights(dim):
     return v
 
 
+def _block_count(dim):
+    # blocks per (m, k) axis of _truncated_convolution at cutoff dim: of the
+    # counts whose blocks are at least 8 wide (narrower ones make matmuls too
+    # small to pay for their calls), the one with the fewest multiply-adds,
+    # (B (B + 1) / 2)^2 block products of s^4 each at block side s = ceil(d / B)
+    return min(
+        range(1, max(1, dim // 8) + 1),
+        key=lambda b: (b * (b + 1)) ** 2 * (-(-dim // b)) ** 4,
+    )
+
+
 def _truncated_convolution(x, y):
     """out[..., N, M, K] = sum x[..., n, m, k] y[..., N - n, M - m, K - k]
     over N, M, K < d, for each array of two stacks (..., d, d, d) whose
     leading axes broadcast.
 
-    One batched matmul per first-axis shift e of y: the (M, K) part is a
-    matrix of shifted copies of y[..., e, :, :], read as a sliding-window
-    view. Each shift copies one d^2 x d^2 window matrix per array of y.
+    One loop over the first-axis shift e of y. The (M, K) part of shift e is
+    x[..., :d - e, :, :] times the window matrix W[(m, k), (M, K)] =
+    y[..., e, M - m, K - k], zero where M < m or K < k. With the (m, k) axes
+    split into B x B blocks of side s (zero-padded to B s), W is block upper
+    triangular and block Toeplitz: the block from input block (a, b) to
+    output block (A, C) is zero unless A >= a and C >= b, and depends only on
+    (A - a, C - b). So each shift copies the B^2 distinct s^2 x s^2 blocks,
+    read from a sliding-window view, and makes one batched matmul per block:
+    (B (B + 1) / 2)^2 block products of s^4 multiply-adds, against d^4 for
+    the whole matrix. B = _block_count(d); B = 1 is the whole matrix.
     """
     d = x.shape[-1]
-    pad = np.zeros((*y.shape[:-3], d, 2 * d - 1, 2 * d - 1))
-    pad[..., d - 1 :, d - 1 :] = y
-    # windows[..., e, m, k, M, K] = y[..., e, M - m, K - k], zero where M < m or K < k
-    windows = sliding_window_view(pad, (d, d), axis=(-2, -1))[..., ::-1, ::-1, :, :]
-    lead = windows.shape[:-5]
-    x2 = x.reshape(*x.shape[:-3], d, d * d)
-    out = x2 @ windows[..., 0, :, :, :, :].reshape(*lead, d * d, d * d)
-    for e in range(1, d):
-        out[..., e:, :] += x2[..., : d - e, :] @ windows[..., e, :, :, :, :].reshape(
-            *lead, d * d, d * d
-        )
-    return out.reshape(*out.shape[:-2], d, d, d)
+    nb = _block_count(d)
+    s = -(-d // nb)
+    w = nb * s
+    lead = np.broadcast_shapes(x.shape[:-3], y.shape[:-3])
+    if w > d:
+        xw = np.zeros((*x.shape[:-2], w, w))
+        xw[..., :d, :d] = x
+        x = xw
+    # xb[..., a, b, n, (i, j)] = x[..., n, a s + i, b s + j]
+    xb = np.moveaxis(x.reshape(*x.shape[:-2], nb, s, nb, s), (-4, -2), (-5, -4))
+    xb = xb.reshape(*xb.shape[:-5], nb, nb, d, s * s)
+    pad = np.zeros((*y.shape[:-3], d, s - 1 + w, s - 1 + w))
+    pad[..., s - 1 : s - 1 + d, s - 1 : s - 1 + d] = y
+    # windows[e, ..., A - a, C - b, i, j, I, J] = y[..., e, (A - a) s + I - i,
+    # (C - b) s + J - j], zero where that index is negative or past d - 1
+    view = sliding_window_view(pad, (s, s), axis=(-2, -1))[..., ::-1, ::-1]
+    view = view.reshape(*view.shape[:-4], nb, s, nb, s, s, s)
+    windows = np.moveaxis(view, (-7, -5, -3), (0, -2, -1))
+    # one buffer for the blocks of every shift, so that one shift's copy is
+    # live at a time
+    buf = np.empty(windows.shape[1:])
+    blocks = buf.reshape(*buf.shape[:-4], 1, 1, s * s, s * s)
+    ob = np.zeros((*lead, nb, nb, d, s * s))
+    for e in range(d):
+        buf[...] = windows[e]
+        for da in range(nb):
+            for db in range(nb):
+                src = xb[..., : nb - da, : nb - db, : d - e, :]
+                ob[..., da:, db:, e:, :] += src @ blocks[..., da, db, :, :, :, :]
+    out = np.moveaxis(ob.reshape(*lead, nb, nb, d, s, s), (-5, -4), (-4, -2))
+    return out.reshape(*lead, d, w, w)[..., :d, :d]
 
 
 @lru_cache(maxsize=None)

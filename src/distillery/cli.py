@@ -93,30 +93,36 @@ _MASHING = ("distill", "mc-sweep", "avg-ent")
 
 # A state stores (2d - 1) d^2 float64 coefficients. Peak RSS beyond the
 # interpreter measured 5.1-5.3 such arrays when malting (d = 78 and 164),
-# counted here as 6. Mashing adds the d^2 x d^2 window matrices of its
-# truncated convolution, measured at 1.4-1.8 d^4 float64 arrays (d = 34 and
-# 49), counted as 2, for each branch of a chunk of the arm-B scan: the
-# convolution of a chunk of w branches peaked at 1.5-1.9 w d^4 at d = 6-11
-# (w = 25-2), and below 1 MiB at any smaller d; from d = 12 on a chunk is
-# one branch. A pij grid adds its cells: the matrix and the CSV row tuples
-# peaked at 110-122 bytes per cell (grids of 300^2 and 600^2), counted as
-# 128. Invocations whose estimate exceeds the budget are refused before any
-# run.
+# counted here as 6. Mashing adds the window matrices of its truncated
+# convolution, counted as 2 d^4 float64 arrays for each branch of a chunk
+# of the arm-B scan: the convolution of a chunk of w branches peaked at
+# 1.5-1.9 w d^4 at d = 6-12 (w = 25-1), and below 1 MiB at any smaller d;
+# from d = 12 on a chunk is one branch. From d = 16 on the kernel copies
+# blocks of the window matrix, not all of it, and peaked at 0.69-0.77 d^4
+# (d = 16, 19), 0.27 d^4 (d = 34) and 0.16 d^4 (d = 49), so there the
+# count is an upper bound. A pij grid adds its cells: the matrix and the
+# CSV row tuples peaked at 110-122 bytes per cell (grids of 300^2 and
+# 600^2), counted as 128. decay keeps a row per step until the CSV is
+# written, a tuple of an int and three floats in a list: 180 bytes by
+# sys.getsizeof, counted as 192. Invocations whose estimate exceeds the
+# budget are refused before any run.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 _LIVE_STATE_ARRAYS = 6
 _LIVE_WINDOW_ARRAYS = 2
 _PIJ_CELL_BYTES = 128
+_DECAY_ROW_BYTES = 192
 # mash_step's output weights reach ((d - 1)!)^2, which is inf in float64
 # from d = 100, so mashing runs at n_max <= 98 only
 _MASH_MAX_N_MAX = 98
 
 
-def working_set_bytes(n_max, mashing, cells=0):
+def working_set_bytes(n_max, mashing, cells=0, rows=0):
     """Estimated peak memory of the arrays at cutoff n_max, for a command
     that only malts or one that also mashes, plus that of a pij grid of
-    `cells` cells."""
+    `cells` cells and of `rows` decay rows."""
     d = n_max + 1
-    need = _LIVE_STATE_ARRAYS * 8 * (2 * d - 1) * d * d + _PIJ_CELL_BYTES * cells
+    need = _LIVE_STATE_ARRAYS * 8 * (2 * d - 1) * d * d
+    need += _PIJ_CELL_BYTES * cells + _DECAY_ROW_BYTES * rows
     if mashing:
         need += _LIVE_WINDOW_ARRAYS * 8 * _chunk_width(d) * d**4
     return need
@@ -142,7 +148,9 @@ def validate_config(ns):
     if ns.tau is not None:
         if ns.tau > 1.0:
             t = LossChannelParams.from_tau(ns.tau).t
-            tau = ns.tau
+            # a finite tau can round t to 1 (tau = 1e17); record the tau of
+            # the t the run uses
+            tau = ns.tau if t < 1.0 else LossChannelParams(t).tau
         else:
             errors.append(f"--tau must exceed 1, got {ns.tau}")
     elif ns.t is not None:
@@ -153,7 +161,7 @@ def validate_config(ns):
             errors.append(f"--t must lie in (0, 1], got {ns.t}")
     else:
         errors.append("one of --tau or --t is required")
-    # a finite tau can still round t to 1 (tau = 1e17), so check t itself
+    # the sweeps need t < 1, which a finite tau does not ensure
     if command in _SWEEPABLE and not t < 1.0:
         errors.append(f"{command} needs finite tau (t < 1)")
 
@@ -188,9 +196,11 @@ def validate_config(ns):
             errors.append(f"--{name} is required for {command}")
         elif val < 1:
             errors.append(f"--{name} must be >= 1, got {val}")
-    cells = 0
+    cells = rows = 0
     if command == "pij" and min(ns.imax or 0, ns.jmax or 0) >= 1:
         cells = ns.imax * ns.jmax
+    if command == "decay" and (ns.steps or 0) >= 1:
+        rows = ns.steps + 1
 
     if ns.max_iter < 1:
         errors.append(f"--max-iter must be >= 1, got {ns.max_iter}")
@@ -210,11 +220,15 @@ def validate_config(ns):
             )
 
     if n_max >= 1:
-        need = working_set_bytes(n_max, command in _MASHING, cells)
+        need = working_set_bytes(n_max, command in _MASHING, cells, rows)
         if need > MEMORY_BUDGET_BYTES:
-            grid = f" and a {ns.imax} x {ns.jmax} grid" if cells else ""
+            kept = ""
+            if cells:
+                kept = f" and a {ns.imax} x {ns.jmax} grid"
+            elif rows:
+                kept = f" and {rows} decay rows"
             errors.append(
-                f"n_max={n_max}{grid} needs a working set of about "
+                f"n_max={n_max}{kept} needs a working set of about "
                 f"{need / 2**30:.3g} GiB, over the "
                 f"{MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget"
             )
@@ -288,7 +302,3 @@ def main(argv=None):
         )
         return 2
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -445,3 +445,59 @@ def test_stacked_mash_round_equals_batch_of_one_bitwise():
         assert kept[i].tobytes() == alone.state.sector.tobytes()
         assert (prob[i], discarded[i]) == (alone.prob, alone.discarded_weight)
         assert weight[i] > cfg.trace_tol
+
+
+def _shift_and_add(x, y):
+    # out[N, M, K] = sum x[n, m, k] y[N - n, M - m, K - k] over N, M, K < d:
+    # one shifted copy of y per nonzero entry of x
+    d = x.shape[-1]
+    out = np.zeros_like(y)
+    for n, m, k in zip(*np.nonzero(x)):
+        out[n:, m:, k:] += x[n, m, k] * y[: d - n, : d - m, : d - k]
+    return out
+
+
+def _assert_convolution_matches(x, y):
+    got = channels._truncated_convolution(x, y)
+    lead = np.broadcast_shapes(x.shape[:-3], y.shape[:-3])
+    assert got.shape == (*lead, *y.shape[-3:])
+    xs = np.broadcast_to(x, got.shape).reshape(-1, *x.shape[-3:])
+    ys = np.broadcast_to(y, got.shape).reshape(-1, *y.shape[-3:])
+    for g, xi, yi in zip(got.reshape(-1, *got.shape[-3:]), xs, ys):
+        want = _shift_and_add(xi, yi)
+        assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 8, 16, 19, 24, 34])
+def test_truncated_convolution_matches_shift_and_add(dim):
+    # at the block count the rule picks for each cutoff, stacked and alone;
+    # x is sparse at large d so that the reference stays fast, with an entry
+    # in every (m, k) block
+    rng = np.random.default_rng(dim)
+    y = rng.random((2, dim, dim, dim))
+    x = rng.random((2, dim, dim, dim))
+    if dim > 8:
+        x *= rng.random(x.shape) < 0.02
+        x[:, :, ::4, ::4] = rng.random((2, dim, -(-dim // 4), -(-dim // 4)))
+    _assert_convolution_matches(x, y)
+    _assert_convolution_matches(x[0], y[:1])  # mash_step's broadcast
+    _assert_convolution_matches(x[1], y[1])
+
+
+def test_truncated_convolution_at_every_block_count(monkeypatch):
+    # every block count the rule produces below the mashing limit, forced at
+    # a small cutoff that none divides evenly past B = 1 (zero-padded blocks)
+    counts = {channels._block_count(d) for d in range(1, 100)}
+    assert counts == set(range(1, 13))
+    rng = np.random.default_rng(5)
+    x, y = rng.random((2, 2, 13, 13, 13))
+    for nb in sorted(counts):
+        monkeypatch.setattr(channels, "_block_count", lambda dim, nb=nb: nb)
+        _assert_convolution_matches(x, y)
+
+
+def test_block_count_keeps_blocks_at_least_8_wide():
+    assert [channels._block_count(d) for d in (8, 15, 16, 19, 24, 34, 99)] == [
+        1, 1, 2, 2, 3, 4, 11]
+    for d in range(16, 100):
+        assert -(-d // channels._block_count(d)) >= 8

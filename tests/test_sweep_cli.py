@@ -116,6 +116,23 @@ def test_validate_tau_takes_precedence_over_t(tmp_path):
     assert cfg.tau == 100.0
 
 
+@pytest.mark.parametrize("command", ["decay", "malt-trace", "pij", "distill"])
+def test_tau_that_rounds_t_to_one_is_recorded_as_run(tmp_path, command):
+    # tau = 1e17 runs with t = 1.0, the lossless memory, whose tau is inf
+    argv = [command, "--lambda", "0.1", "--tau", "1e17", "--ts", "0.99",
+            "--steps", "1", "--ma", "1", "--mb", "1", "--imax", "1", "--jmax", "1",
+            "--out", str(tmp_path / "o.csv")]
+    cfg = validate_config(_parse(argv))
+    assert (cfg.t, cfg.tau) == (1.0, math.inf)
+    if command == "decay":
+        assert main(argv) == 0
+        meta = _split(tmp_path / "o.csv")[0]
+        assert (meta["t"], meta["tau"]) == ("1", "inf")
+    # a tau whose t stays below 1 is recorded as given
+    argv[4] = "1e15"
+    assert validate_config(_parse(argv)).tau == 1e15
+
+
 def test_validate_auto_n_max(tmp_path):
     base = ["--lambda", "0.1", "--tau", "100", "--ts", "0.99", "--steps", "2",
             "--out", str(tmp_path / "o.csv")]
@@ -498,6 +515,27 @@ def test_pij_grid_over_memory_budget_fails_fast(monkeypatch, tmp_path, capsys):
     assert validate_config(_parse(other)).command == "malt-trace"
 
 
+def test_decay_steps_over_memory_budget_fail_fast(monkeypatch, tmp_path, capsys):
+    # decay keeps a row per step, so the rows count in the working set and
+    # --steps 10^9 is refused before a stand-in runner that refuses to run
+    _refuse_run(monkeypatch)
+    argv = ["decay", "--lambda", "0.1", "--tau", "100", "--ts", "0.99",
+            "--out", str(tmp_path / "o.csv"), "--steps"]
+    need = cli.working_set_bytes(7, False, rows=10**9 + 1)
+    assert need > cli.MEMORY_BUDGET_BYTES
+    _fails_fast(argv + [str(10**9)], capsys,
+                f"n_max=7 and {10**9 + 1} decay rows needs a working set of about "
+                f"{need / 2**30:.3g} GiB")
+    # the most steps within the budget are accepted, one more refused
+    rows = (cli.MEMORY_BUDGET_BYTES - cli.working_set_bytes(7, False)) // cli._DECAY_ROW_BYTES
+    assert validate_config(_parse(argv + [str(rows - 1)])).steps == rows - 1
+    with pytest.raises(ConfigError, match="decay rows needs a working set"):
+        validate_config(_parse(argv + [str(rows)]))
+    # the step flags count only for decay
+    other = ["malt-trace", *argv[1:-1], "--ma", "1", "--mb", "1", "--steps", str(10**9)]
+    assert validate_config(_parse(other)).command == "malt-trace"
+
+
 def test_mashing_commands_refuse_overflowing_cutoffs(tmp_path, capsys):
     argv = ["--lambda", "0.1", "--tau", "100", "--ts", "0.99", "--ma", "1", "--mb", "1"]
     for command in ("distill", "mc-sweep", "avg-ent"):
@@ -614,3 +652,74 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert out.exists()
     assert "config:" in proc.stderr  # resolved config echoed to stderr
+
+
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _child_env(**blas):
+    # the environment of a `python -m distillery` child: this checkout's
+    # package, no BLAS thread variable unless given
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARIABLES}
+    env["PYTHONPATH"] = src
+    env.update(blas)
+    return env
+
+
+@pytest.mark.parametrize(
+    "blas, want",
+    [
+        ({}, "1"),
+        ({"OPENBLAS_NUM_THREADS": "2"}, "2"),
+        ({"OMP_NUM_THREADS": "2"}, "None"),
+    ],
+)
+def test_cli_process_runs_one_blas_thread_unless_told_otherwise(tmp_path, blas, want):
+    # a sitecustomize reports the child's OPENBLAS_NUM_THREADS and thread
+    # count at exit, after the run
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, os, sys\n"
+        "def report():\n"
+        "    status = '/proc/self/status'\n"
+        "    threads = [l.split()[1] for l in open(status) if l.startswith('Threads:')]"
+        " if os.path.exists(status) else []\n"
+        "    print('blas', os.environ.get('OPENBLAS_NUM_THREADS'), *threads, file=sys.stderr)\n"
+        "atexit.register(report)\n"
+    )
+    env = _child_env(**blas)
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+    proc = subprocess.run(
+        [sys.executable, "-m", "distillery", "malt-trace", "--lambda", "0.1",
+         "--tau", "100", "--ts", "0.99", "--ma", "1", "--mb", "1",
+         "--out", str(tmp_path / "m.csv")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = next(l for l in proc.stderr.splitlines() if l.startswith("blas ")).split()
+    assert report[1] == want
+    if want == "1" and len(report) > 2:
+        assert report[2] == "1"  # numpy started no BLAS worker thread
+
+
+def test_library_leaves_the_blas_thread_variables_alone(tmp_path):
+    # importing the package, the CLI module and the entry module, and running
+    # the CLI in-process, set no environment variable
+    before = dict(os.environ)
+    importlib.import_module("distillery.__main__")
+    assert main(["malt-trace", "--lambda", "0.1", "--tau", "100", "--ts", "0.99",
+                 "--ma", "1", "--mb", "1", "--out", str(tmp_path / "m.csv")]) == 0
+    assert dict(os.environ) == before
+
+
+def test_package_import_is_lazy():
+    import distillery
+
+    for name in distillery.__all__:
+        assert getattr(distillery, name) is not None
+    with pytest.raises(AttributeError):
+        distillery.no_such_name
+    code = "import sys, distillery; print('numpy' in sys.modules, distillery.__version__)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.stdout.split() == ["False", distillery.__version__], proc.stderr
