@@ -55,7 +55,7 @@ _SUBMODULE_NAMES = {
         "mash_iterate",
         "subtraction_probability_matrix",
     ),
-    "sweep": ("RunConfig", "SweepResult", "run", "write_csv"),
+    "sweep": ("RunConfig", "run", "write_csv"),
 }
 _SUBMODULE_OF = {name: mod for mod, names in _SUBMODULE_NAMES.items() for name in names}
 

@@ -9,10 +9,10 @@ import math
 import os
 import sys
 
-from .channels import LossChannelParams
+from .channels import LossChannelParams, SubtractionParams
 from .core import TruncationConfig, ZeroTraceError, auto_n_max
 from .protocol import NoConvergenceError, _chunk_width
-from .sweep import RunConfig, run
+from .sweep import COMMANDS, RunConfig, run
 
 
 class ConfigError(ValueError):
@@ -28,28 +28,37 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-_COMMANDS = ("decay", "malt-trace", "pij", "distill", "mc-sweep", "avg-ent")
+# argparse settings of the flags a row of sweep.COMMANDS can name
+_OWN_FLAGS = {
+    "ma": {"type": int},
+    "mb": {"type": int},
+    "steps": {"type": int},
+    "imax": {"type": int},
+    "jmax": {"type": int},
+    "max_iter": {"type": int, "default": 50},
+    "baseline": {"choices": ("tmss", "malt-only"), "default": "tmss"},
+}
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
 
 
 def build_parser():
     parser = _Parser(prog="distillery", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name in _COMMANDS:
-        sp = subs.add_parser(name)
-        sp.add_argument("--lambda", dest="lam", type=float, default=None)
-        sp.add_argument("--tau", type=float, default=None)
-        sp.add_argument("--t", type=float, default=None)
-        sp.add_argument("--ts", type=str, default=None)
-        sp.add_argument("--ma", type=int, default=None)
-        sp.add_argument("--mb", type=int, default=None)
-        sp.add_argument("--steps", type=int, default=None)
-        sp.add_argument("--imax", type=int, default=None)
-        sp.add_argument("--jmax", type=int, default=None)
-        sp.add_argument("--max-iter", dest="max_iter", type=int, default=50)
-        sp.add_argument("--n-max", dest="n_max", type=int, default=0)
-        sp.add_argument("--out", type=str, default=None)
+    for name, command in COMMANDS.items():
+        # no prefix matching: it would read avg-ent's foreign --ma as --max-iter
+        sp = subs.add_parser(name, allow_abbrev=False)
+        sp.add_argument("--lambda", dest="lam", type=float)
+        sp.add_argument("--tau", type=float)
+        sp.add_argument("--t", type=float)
+        sp.add_argument("--ts")
+        sp.add_argument("--n-max", type=int, default=0)
+        sp.add_argument("--out")
         sp.add_argument("--threads", type=int, default=1)
-        sp.add_argument("--baseline", choices=("tmss", "malt-only"), default="tmss")
+        for field in command.flags:
+            sp.add_argument(_flag(field), **_OWN_FLAGS[field])
     return parser
 
 
@@ -78,18 +87,6 @@ def parse_ts(spec):
     vals = tuple(start + i * step for i in range(count))
     return tuple(v for v in vals if v <= stop + step / 2)
 
-
-_NEEDS = {
-    # flags each subcommand requires beyond lambda / loss / ts / out
-    "decay": ("steps",),
-    "malt-trace": ("ma", "mb"),
-    "pij": ("imax", "jmax"),
-    "distill": ("ma", "mb"),
-    "mc-sweep": (),
-    "avg-ent": (),
-}
-_SWEEPABLE = ("mc-sweep", "avg-ent")
-_MASHING = ("distill", "mc-sweep", "avg-ent")
 
 # A state stores (2d - 1) d^2 float64 coefficients. Peak RSS beyond the
 # interpreter measured 5.1-5.3 such arrays when malting (d = 78 and 164),
@@ -128,11 +125,21 @@ def working_set_bytes(n_max, mashing, cells=0, rows=0):
     return need
 
 
+def _build(errors, flag, make, value):
+    # make(value), or None with its error recorded under the flag's name
+    try:
+        return make(value)
+    except ValueError as exc:
+        errors.append(f"{flag}: {exc}")
+        return None
+
+
 def validate_config(ns):
     """Resolve and cross-check one parsed invocation; raises ConfigError
     naming every invalid field."""
     errors = []
-    command = ns.command
+    name = ns.command
+    command = COMMANDS[name]
 
     lam = ns.lam
     if lam is None:
@@ -143,30 +150,18 @@ def validate_config(ns):
         lam = 0.0
 
     # --tau takes precedence over --t when both are given
-    t = 1.0
-    tau = math.inf
+    loss = None
     if ns.tau is not None:
-        if ns.tau > 1.0:
-            t = LossChannelParams.from_tau(ns.tau).t
-            # a finite tau can round t to 1 (tau = 1e17); record the tau of
-            # the t the run uses
-            tau = ns.tau if t < 1.0 else LossChannelParams(t).tau
-        else:
-            errors.append(f"--tau must exceed 1, got {ns.tau}")
+        loss = _build(errors, "--tau", LossChannelParams.from_tau, ns.tau)
     elif ns.t is not None:
-        if 0.0 < ns.t <= 1.0:
-            t = ns.t
-            tau = LossChannelParams(ns.t).tau
-        else:
-            errors.append(f"--t must lie in (0, 1], got {ns.t}")
+        loss = _build(errors, "--t", LossChannelParams, ns.t)
     else:
         errors.append("one of --tau or --t is required")
     # the sweeps need t < 1, which a finite tau does not ensure
-    if command in _SWEEPABLE and not t < 1.0:
-        errors.append(f"{command} needs finite tau (t < 1)")
+    if loss is not None and command.ts_range and not loss.t < 1.0:
+        errors.append(f"{name} needs finite tau (t < 1)")
 
-    ts_values = ()
-    ts_spec = ns.ts or ""
+    subs = ()
     if ns.ts is None:
         errors.append("--ts is required")
     else:
@@ -175,35 +170,30 @@ def validate_config(ns):
         except ValueError as exc:
             errors.append(f"--ts: {exc}")
         else:
-            if len(ts_values) > 1 and command not in _SWEEPABLE:
-                errors.append(f"--ts must be a single value for {command}")
-            if len(ts_values) > 1:
-                # a range endpoint may touch the closed border (a stop of
-                # 1.00 is a natural way to write a sweep); drop such grid
-                # points instead of failing the whole run
-                ts_values = tuple(v for v in ts_values if 0.0 < v < 1.0)
-                if not ts_values:
-                    errors.append("--ts range contains no values inside (0, 1)")
-            else:
-                bad = [v for v in ts_values if not 0.0 < v < 1.0]
-                if bad:
-                    errors.append(f"--ts values must lie in (0, 1), got {bad}")
-                    ts_values = ()
+            # a range endpoint may touch the closed border (a stop of 1.00
+            # is a natural way to write a sweep): such grid points are
+            # dropped instead of failing the whole run
+            dropped = []
+            points = [_build(dropped, "--ts", SubtractionParams, v) for v in ts_values]
+            subs = tuple(sub for sub in points if sub is not None)
+            if len(ts_values) == 1:
+                errors += dropped
+            elif not command.ts_range:
+                errors.append(f"--ts must be a single value for {name}")
+            elif not subs:
+                errors.append("--ts range contains no values inside (0, 1)")
 
-    for name in _NEEDS[command]:
-        val = getattr(ns, name)
+    own = {}
+    for field in command.flags:
+        val = getattr(ns, field)
         if val is None:
-            errors.append(f"--{name} is required for {command}")
-        elif val < 1:
-            errors.append(f"--{name} must be >= 1, got {val}")
-    cells = rows = 0
-    if command == "pij" and min(ns.imax or 0, ns.jmax or 0) >= 1:
-        cells = ns.imax * ns.jmax
-    if command == "decay" and (ns.steps or 0) >= 1:
-        rows = ns.steps + 1
-
-    if ns.max_iter < 1:
-        errors.append(f"--max-iter must be >= 1, got {ns.max_iter}")
+            errors.append(f"{_flag(field)} is required for {name}")
+        elif field != "baseline" and val < 1:
+            errors.append(f"{_flag(field)} must be >= 1, got {val}")
+        else:
+            own[field] = val
+    cells = own.get("imax", 0) * own.get("jmax", 0)
+    rows = own["steps"] + 1 if "steps" in own else 0
 
     n_max = ns.n_max
     if n_max < 0:
@@ -220,11 +210,11 @@ def validate_config(ns):
             )
 
     if n_max >= 1:
-        need = working_set_bytes(n_max, command in _MASHING, cells, rows)
+        need = working_set_bytes(n_max, command.mashes, cells, rows)
         if need > MEMORY_BUDGET_BYTES:
             kept = ""
             if cells:
-                kept = f" and a {ns.imax} x {ns.jmax} grid"
+                kept = f" and a {own['imax']} x {own['jmax']} grid"
             elif rows:
                 kept = f" and {rows} decay rows"
             errors.append(
@@ -232,9 +222,9 @@ def validate_config(ns):
                 f"{need / 2**30:.3g} GiB, over the "
                 f"{MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget"
             )
-        if command in _MASHING and n_max > _MASH_MAX_N_MAX:
+        if command.mashes and n_max > _MASH_MAX_N_MAX:
             errors.append(
-                f"{command} mashes, and at n_max={n_max} its weights "
+                f"{name} mashes, and at n_max={n_max} its weights "
                 f"((n_max)!)^2 overflow float64; n_max must be <= {_MASH_MAX_N_MAX}"
             )
 
@@ -256,27 +246,24 @@ def validate_config(ns):
     if errors:
         raise ConfigError("\n".join(errors))
 
+    # a finite tau can round t to 1 (tau = 1e17); record the tau of the t
+    # the run uses
+    tau = ns.tau if ns.tau is not None and loss.t < 1.0 else loss.tau
     cfg = RunConfig(
-        command=command,
+        command=name,
         lam=lam,
-        t=t,
+        loss=loss,
         tau=tau,
-        ts_values=ts_values,
-        ts_spec=ts_spec,
+        subs=subs,
+        ts_spec=ns.ts,
+        trunc=TruncationConfig(n_max),
         out=ns.out,
-        ma=ns.ma or 0,
-        mb=ns.mb or 0,
-        steps=ns.steps or 0,
-        imax=ns.imax or 0,
-        jmax=ns.jmax or 0,
-        max_iter=ns.max_iter,
-        n_max=n_max,
         threads=threads,
-        baseline=ns.baseline,
+        **own,
     )
     print(
-        f"config: command={command} lambda={lam} t={t:.6g} tau={tau:.6g} "
-        f"ts={ts_spec} n_max={n_max} threads={threads}",
+        f"config: command={name} lambda={lam} t={loss.t:.6g} tau={tau:.6g} "
+        f"ts={ns.ts} n_max={n_max} threads={threads}",
         file=sys.stderr,
     )
     return cfg
@@ -297,8 +284,13 @@ def main(argv=None):
     except (ZeroTraceError, NoConvergenceError) as exc:
         print(
             f"numerical failure: {exc} "
-            f"[command={cfg.command} lambda={cfg.lam} t={cfg.t:.6g} ts={cfg.ts_spec}]",
+            f"[command={cfg.command} lambda={cfg.lam} t={cfg.loss.t:.6g} ts={cfg.ts_spec}]",
             file=sys.stderr,
         )
         return 2
     return 0
+
+
+if __name__ == "__main__":
+    # importing this module runs nothing; the command line is the package
+    sys.exit("distillery.cli is not an entry point: run `python -m distillery` instead")

@@ -1,5 +1,9 @@
 """Sweep execution and CSV emission for the command-line interface.
 
+`COMMANDS` has one row per subcommand: its runner, the flags it reads
+beyond the common ones and whether it takes a t_s range. The parser, the
+validation and the metadata all read that table.
+
 The t_s sweeps (mc-sweep, avg-ent) resolve to a list of parameter cells
 evaluated by pure top-level functions, so cells can go through a process
 pool; rows come back in cell order, which keeps the CSV body byte-stable for
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .channels import LossChannelParams, SubtractionParams, detect_phonons, loss_event
+from .channels import LossChannelParams, detect_phonons, loss_event
 from .core import TruncationConfig, normalize, tmss
 from .negativity import log_negativity
 from .protocol import (
@@ -28,32 +32,26 @@ from .protocol import (
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation of one subcommand."""
+    """Fully resolved invocation of one subcommand: `subs` holds one
+    SubtractionParams per t_s point, and the fields after `threads` are read
+    only by the subcommands whose row of COMMANDS names them."""
 
     command: str
     lam: float
-    t: float
+    loss: LossChannelParams
     tau: float
-    ts_values: tuple
+    subs: tuple
     ts_spec: str
+    trunc: TruncationConfig
     out: str
+    threads: int = 1
     ma: int = 0
     mb: int = 0
     steps: int = 0
     imax: int = 0
     jmax: int = 0
     max_iter: int = 50
-    n_max: int = 0
-    threads: int = 1
     baseline: str = "tmss"
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    columns: tuple
-    rows: list
-    metadata: dict
-    path: str
 
 
 def _fmt(x):
@@ -109,15 +107,8 @@ def _pmap(fn, items, threads):
 
 def _scan_cell(args):
     # the AvgEntanglement of one t_s point of mc-sweep or avg-ent
-    lam, t, ts, n_max, max_iter, gain_mode = args
-    return average_entanglement(
-        lam,
-        LossChannelParams(t),
-        SubtractionParams(ts),
-        TruncationConfig(n_max),
-        max_iter=max_iter,
-        gain_mode=gain_mode,
-    )
+    lam, loss, sub, trunc, max_iter, gain_mode = args
+    return average_entanglement(lam, loss, sub, trunc, max_iter=max_iter, gain_mode=gain_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +116,8 @@ def _scan_cell(args):
 
 
 def _run_decay(cfg):
-    tcfg = TruncationConfig(cfg.n_max)
-    loss = LossChannelParams(cfg.t)
-    sub = SubtractionParams(cfg.ts_values[0])
-    s_loss = s_vac = s_both = tmss(cfg.lam, tcfg)
+    sub = cfg.subs[0]
+    s_loss = s_vac = s_both = tmss(cfg.lam, cfg.trunc)
     rows = []
     warn = False
     for m in range(cfg.steps + 1):
@@ -137,30 +126,26 @@ def _run_decay(cfg):
         rows.append((m, negs[0].value, negs[1].value, negs[2].value))
         if m == cfg.steps:
             break
-        s_loss = loss_event(s_loss, loss)
+        s_loss = loss_event(s_loss, cfg.loss)
         s_vac, _ = normalize(detect_phonons(s_vac, sub, 0, 0))
-        s_both, _ = normalize(detect_phonons(loss_event(s_both, loss), sub, 0, 0))
+        s_both, _ = normalize(detect_phonons(loss_event(s_both, cfg.loss), sub, 0, 0))
     return ("m", "neg_loss_only", "neg_vac_only", "neg_both"), rows, {"trunc_warning": warn}
 
 
+def _malt(cfg):
+    # the malting run that malt-trace reports and distill mashes
+    return malt(cfg.lam, MaltingSchedule(cfg.ma, cfg.mb, cfg.loss, cfg.subs[0]), cfg.trunc)
+
+
 def _run_malt_trace(cfg):
-    tcfg = TruncationConfig(cfg.n_max)
-    sched = MaltingSchedule(
-        cfg.ma, cfg.mb, LossChannelParams(cfg.t), SubtractionParams(cfg.ts_values[0])
-    )
-    rec = malt(cfg.lam, sched, tcfg)
+    rec = _malt(cfg)
     rows = list(rec.negativity_trace)
     return ("m", "negativity"), rows, {"joint_prob": rec.joint_prob}
 
 
 def _run_pij(cfg):
     p = subtraction_probability_matrix(
-        cfg.lam,
-        LossChannelParams(cfg.t),
-        SubtractionParams(cfg.ts_values[0]),
-        TruncationConfig(cfg.n_max),
-        cfg.imax,
-        cfg.jmax,
+        cfg.lam, cfg.loss, cfg.subs[0], cfg.trunc, cfg.imax, cfg.jmax
     )
     rows = [
         (i, j, p[i - 1, j - 1])
@@ -171,11 +156,7 @@ def _run_pij(cfg):
 
 
 def _run_distill(cfg):
-    tcfg = TruncationConfig(cfg.n_max)
-    sched = MaltingSchedule(
-        cfg.ma, cfg.mb, LossChannelParams(cfg.t), SubtractionParams(cfg.ts_values[0])
-    )
-    rec = malt(cfg.lam, sched, tcfg)
+    rec = _malt(cfg)
     outcome = mash_iterate(rec.state, max_iter=cfg.max_iter)
     rows = [(0, "malt", rec.negativity_trace[0][1], 1.0)]
     for m, neg in rec.negativity_trace[1:]:
@@ -200,11 +181,9 @@ def _run_scan(cfg):
     # max_discarded and max_tail are the worst over all points, the
     # counterparts of distill's max_discarded and tail.
     gain_mode = "malt-only" if cfg.baseline == "malt-only" else "full"
-    cells = [
-        (cfg.lam, cfg.t, ts, cfg.n_max, cfg.max_iter, gain_mode) for ts in cfg.ts_values
-    ]
+    cells = [(cfg.lam, cfg.loss, sub, cfg.trunc, cfg.max_iter, gain_mode) for sub in cfg.subs]
     avgs = _pmap(_scan_cell, cells, cfg.threads)
-    rows = [(ts, len(avg.terms), avg.value) for ts, avg in zip(cfg.ts_values, avgs)]
+    rows = [(sub.t_s, len(avg.terms), avg.value) for sub, avg in zip(cfg.subs, avgs)]
     columns = ("ts", "m_c", "avg_ent")
     meta = {}
     if cfg.command == "mc-sweep":
@@ -216,41 +195,51 @@ def _run_scan(cfg):
     return columns, rows, meta
 
 
-_RUNNERS = {
-    "decay": _run_decay,
-    "malt-trace": _run_malt_trace,
-    "pij": _run_pij,
-    "distill": _run_distill,
-    "mc-sweep": _run_scan,
-    "avg-ent": _run_scan,
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its runner, the RunConfig fields it reads beyond the
+    common ones (its flags, in metadata order) and whether --ts may be a
+    range."""
+
+    runner: object
+    flags: tuple
+    ts_range: bool = False
+
+    @property
+    def mashes(self):
+        return "max_iter" in self.flags
+
+
+COMMANDS = {
+    "decay": Command(_run_decay, ("steps",)),
+    "malt-trace": Command(_run_malt_trace, ("ma", "mb")),
+    "pij": Command(_run_pij, ("imax", "jmax")),
+    "distill": Command(_run_distill, ("ma", "mb", "max_iter")),
+    "mc-sweep": Command(_run_scan, ("max_iter", "baseline"), ts_range=True),
+    "avg-ent": Command(_run_scan, ("max_iter", "baseline"), ts_range=True),
 }
 
 
 def run(config):
     """Execute one resolved subcommand and write its CSV."""
     t0 = time.perf_counter()
-    columns, rows, extra = _RUNNERS[config.command](config)
-    tcfg = TruncationConfig(config.n_max)
+    command = COMMANDS[config.command]
+    columns, rows, extra = command.runner(config)
+    trunc = config.trunc
     metadata = {
         "command": config.command,
         "version": f"distillery-{__version__}",
         "lambda": config.lam,
-        "t": config.t,
+        "t": config.loss.t,
         "tau": config.tau,
         "ts": config.ts_spec,
-        "n_max": config.n_max,
-        "eig_tol": tcfg.eig_tol,
-        "trace_tol": tcfg.trace_tol,
-        "conv_tol": tcfg.conv_tol,
+        "n_max": trunc.n_max,
+        "eig_tol": trunc.eig_tol,
+        "trace_tol": trunc.trace_tol,
+        "conv_tol": trunc.conv_tol,
         "threads": config.threads,
     }
-    for name in ("ma", "mb", "steps", "imax", "jmax"):
-        if getattr(config, name):
-            metadata[name] = getattr(config, name)
-    if config.command in ("distill", "mc-sweep", "avg-ent"):
-        metadata["max_iter"] = config.max_iter
-        metadata["baseline"] = config.baseline
+    metadata.update((name, getattr(config, name)) for name in command.flags)
     metadata.update(extra)
     metadata["wall_time_s"] = time.perf_counter() - t0
     write_csv(config.out, columns, rows, metadata)
-    return SweepResult(tuple(columns), rows, metadata, config.out)

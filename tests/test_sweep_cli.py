@@ -2,6 +2,7 @@ import importlib.util
 import math
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 import time
@@ -112,18 +113,19 @@ def test_validate_tau_takes_precedence_over_t(tmp_path):
         "--ts", "0.99", "--steps", "2", "--out", str(tmp_path / "o.csv"),
     ])
     cfg = validate_config(ns)
-    assert cfg.t == pytest.approx(math.sqrt(1 - 1 / 100), rel=1e-14)
+    assert cfg.loss.t == pytest.approx(math.sqrt(1 - 1 / 100), rel=1e-14)
     assert cfg.tau == 100.0
 
 
 @pytest.mark.parametrize("command", ["decay", "malt-trace", "pij", "distill"])
 def test_tau_that_rounds_t_to_one_is_recorded_as_run(tmp_path, command):
     # tau = 1e17 runs with t = 1.0, the lossless memory, whose tau is inf
+    own = {"decay": ["--steps", "1"], "malt-trace": ["--ma", "1", "--mb", "1"],
+           "pij": ["--imax", "1", "--jmax", "1"], "distill": ["--ma", "1", "--mb", "1"]}
     argv = [command, "--lambda", "0.1", "--tau", "1e17", "--ts", "0.99",
-            "--steps", "1", "--ma", "1", "--mb", "1", "--imax", "1", "--jmax", "1",
-            "--out", str(tmp_path / "o.csv")]
+            *own[command], "--out", str(tmp_path / "o.csv")]
     cfg = validate_config(_parse(argv))
-    assert (cfg.t, cfg.tau) == (1.0, math.inf)
+    assert (cfg.loss.t, cfg.tau) == (1.0, math.inf)
     if command == "decay":
         assert main(argv) == 0
         meta = _split(tmp_path / "o.csv")[0]
@@ -136,10 +138,10 @@ def test_tau_that_rounds_t_to_one_is_recorded_as_run(tmp_path, command):
 def test_validate_auto_n_max(tmp_path):
     base = ["--lambda", "0.1", "--tau", "100", "--ts", "0.99", "--steps", "2",
             "--out", str(tmp_path / "o.csv")]
-    assert validate_config(_parse(["decay"] + base)).n_max == 7
+    assert validate_config(_parse(["decay"] + base)).trunc.n_max == 7
     with pytest.raises(ConfigError, match="n-max"):
         validate_config(_parse(["decay"] + base + ["--n-max", "5"]))
-    assert validate_config(_parse(["decay"] + base + ["--n-max", "9"])).n_max == 9
+    assert validate_config(_parse(["decay"] + base + ["--n-max", "9"])).trunc.n_max == 9
 
 
 def test_validate_range_only_for_sweep_commands(tmp_path):
@@ -151,7 +153,7 @@ def test_validate_range_only_for_sweep_commands(tmp_path):
     ns = _parse(["mc-sweep", "--lambda", "0.1", "--tau", "100",
                  "--ts", "0.6:0.8:0.1", "--out", out])
     cfg = validate_config(ns)
-    assert len(cfg.ts_values) == 3
+    assert len(cfg.subs) == 3
 
 
 def test_validate_range_clips_closed_border(tmp_path):
@@ -159,7 +161,7 @@ def test_validate_range_clips_closed_border(tmp_path):
     ns = _parse(["mc-sweep", "--lambda", "0.1", "--tau", "100",
                  "--ts", "0.96:1.00:0.01", "--out", str(tmp_path / "o.csv")])
     cfg = validate_config(ns)
-    assert cfg.ts_values == pytest.approx((0.96, 0.97, 0.98, 0.99))
+    assert [sub.t_s for sub in cfg.subs] == pytest.approx((0.96, 0.97, 0.98, 0.99))
     ns = _parse(["mc-sweep", "--lambda", "0.1", "--tau", "100",
                  "--ts", "1.0:1.2:0.1", "--out", str(tmp_path / "o.csv")])
     with pytest.raises(ConfigError, match="no values inside"):
@@ -213,6 +215,104 @@ def test_squeezing_near_one_fails_fast(monkeypatch, tmp_path, capsys):
     start = time.perf_counter()
     _fails_fast(argv, capsys, "needs a working set of about")
     assert time.perf_counter() - start < 0.5
+
+
+# --- the command table -----------------------------------------------------
+
+# a valid value for each flag a row of sweep.COMMANDS can name
+_OWN_VALUES = {"steps": "1", "ma": "1", "mb": "1", "imax": "1", "jmax": "2",
+               "max_iter": "50", "baseline": "tmss"}
+
+
+def _row_argv(command, out):
+    argv = [command, "--lambda", "0.1", "--tau", "100", "--ts", "0.99", "--out", str(out)]
+    for field in sweep.COMMANDS[command].flags:
+        argv += [cli._flag(field), _OWN_VALUES[field]]
+    return argv
+
+
+@pytest.mark.parametrize("command", list(sweep.COMMANDS))
+def test_each_row_refuses_the_flags_of_other_rows(monkeypatch, tmp_path, capsys, command):
+    # a subcommand takes the common flags plus its row's; any other row's
+    # flag is a usage error (exit 1) before a stand-in runner that refuses
+    # to run
+    argv = _row_argv(command, tmp_path / "o.csv")
+    assert validate_config(_parse(argv)).command == command
+    _refuse_run(monkeypatch)
+    own = set(sweep.COMMANDS[command].flags)
+    foreign = {f for row in sweep.COMMANDS.values() for f in row.flags} - own
+    assert foreign
+    for field in sorted(foreign):
+        flag = cli._flag(field)
+        _fails_fast(argv + [flag, _OWN_VALUES[field]], capsys,
+                    f"unrecognized arguments: {flag}")
+
+
+_COMMON_KEYS = ["command", "version", "lambda", "t", "tau", "ts", "n_max",
+                "eig_tol", "trace_tol", "conv_tol", "threads"]
+
+
+@pytest.mark.parametrize(
+    "command, flags, runner_keys",
+    [
+        ("decay", ["steps"], ["trunc_warning"]),
+        ("malt-trace", ["ma", "mb"], ["joint_prob"]),
+        ("pij", ["imax", "jmax"], []),
+        ("distill", ["ma", "mb", "max_iter"],
+         ["joint_prob", "mash_iterations", "converged", "max_discarded", "tail"]),
+        ("mc-sweep", ["max_iter", "baseline"],
+         ["baseline_negativity", "mash_rounds", "max_discarded", "max_tail"]),
+        ("avg-ent", ["max_iter", "baseline"], ["mash_rounds", "max_discarded", "max_tail"]),
+    ],
+)
+def test_metadata_records_exactly_the_flags_a_run_reads(tmp_path, command, flags, runner_keys):
+    # the common keys, then the row's flags, then what the runner reports
+    assert list(sweep.COMMANDS[command].flags) == flags
+    out = tmp_path / "o.csv"
+    argv = _row_argv(command, out)
+    argv[argv.index("--ts") + 1] = "0.75"  # a short scan for the sweeps
+    assert main(argv) == 0
+    meta = _split(out)[0]
+    assert list(meta) == _COMMON_KEYS + flags + runner_keys + ["wall_time_s"]
+    for field in flags:
+        assert meta[field] == _OWN_VALUES[field]
+
+
+@pytest.mark.parametrize("command", list(sweep.COMMANDS))
+def test_bad_loss_and_ts_are_reported_under_their_flags(command):
+    # the channel constructors check the ranges; each error is named by its
+    # flag, and every error of the invocation is collected
+    base = [command, "--lambda", "1.5", "--ts", "1.5", "--out", "/nonexistent/x.csv"]
+    for loss, message in (
+        (["--t", "1.5"], "--t: transmissivity t must lie in (0, 1], got 1.5"),
+        (["--tau", "0.5"], "--tau: tau must exceed 1, got 0.5"),
+    ):
+        ns = _parse(base + loss)
+        with pytest.raises(ConfigError) as err:
+            validate_config(ns)
+        missing = [f"{cli._flag(f)} is required for {command}"
+                   for f in sweep.COMMANDS[command].flags if getattr(ns, f) is None]
+        assert sorted(str(err.value).splitlines()) == sorted([
+            "--lambda must lie in [0, 1), got 1.5",
+            message,
+            "--ts: t_s must lie in (0, 1), got 1.5",
+            *missing,
+            "--out directory does not exist: /nonexistent",
+        ])
+
+
+def test_readme_command_line_examples_are_accepted(tmp_path):
+    # every `distillery ...` line of the README's Command line block parses
+    # and validates (not run), so an example may not pass a flag its
+    # subcommand does not take
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = [shlex.split(line)[1:] for line in block.splitlines()
+                if line.startswith("distillery ")]
+    assert sorted(argv[0] for argv in examples) == sorted(sweep.COMMANDS)
+    for argv in examples:
+        argv[argv.index("--out") + 1] = str(tmp_path / "o.csv")
+        assert validate_config(_parse(argv)).command == argv[0]
 
 
 # --- output contract -------------------------------------------------------
@@ -510,9 +610,9 @@ def test_pij_grid_over_memory_budget_fails_fast(monkeypatch, tmp_path, capsys):
     grid[1] = grid[3] = str(side + 1)
     with pytest.raises(ConfigError, match="grid needs a working set"):
         validate_config(_parse(argv + grid))
-    # the grid flags count only for pij
+    # malt-trace refuses the grid flags as unknown, before any run
     other = ["malt-trace", *argv[1:], "--ma", "1", "--mb", "1", *grid]
-    assert validate_config(_parse(other)).command == "malt-trace"
+    _fails_fast(other, capsys, "unrecognized arguments: --imax")
 
 
 def test_decay_steps_over_memory_budget_fail_fast(monkeypatch, tmp_path, capsys):
@@ -531,28 +631,29 @@ def test_decay_steps_over_memory_budget_fail_fast(monkeypatch, tmp_path, capsys)
     assert validate_config(_parse(argv + [str(rows - 1)])).steps == rows - 1
     with pytest.raises(ConfigError, match="decay rows needs a working set"):
         validate_config(_parse(argv + [str(rows)]))
-    # the step flags count only for decay
+    # malt-trace refuses the step flag as unknown, before any run
     other = ["malt-trace", *argv[1:-1], "--ma", "1", "--mb", "1", "--steps", str(10**9)]
-    assert validate_config(_parse(other)).command == "malt-trace"
+    _fails_fast(other, capsys, "unrecognized arguments: --steps")
 
 
 def test_mashing_commands_refuse_overflowing_cutoffs(tmp_path, capsys):
-    argv = ["--lambda", "0.1", "--tau", "100", "--ts", "0.99", "--ma", "1", "--mb", "1"]
-    for command in ("distill", "mc-sweep", "avg-ent"):
+    argv = ["--lambda", "0.1", "--tau", "100", "--ts", "0.99"]
+    arms = ["--ma", "1", "--mb", "1"]
+    for command, own in (("distill", arms), ("mc-sweep", []), ("avg-ent", [])):
         out = tmp_path / f"{command}.csv"
-        rc = main([command] + argv + ["--n-max", "99", "--out", str(out)])
+        rc = main([command] + argv + own + ["--n-max", "99", "--out", str(out)])
         assert rc == 1
         assert f"{command} mashes, and at n_max=99" in capsys.readouterr().err
         assert not out.exists()
     # malting alone has no such limit; only the memory budget refuses it
-    rc = main(["malt-trace"] + argv + ["--n-max", "400", "--out", str(tmp_path / "m.csv")])
+    rc = main(["malt-trace"] + argv + arms + ["--n-max", "400", "--out", str(tmp_path / "m.csv")])
     assert rc == 1
     err = capsys.readouterr().err
     assert "mashes" not in err and "budget" in err
     # n_max = 98 is the largest mashing cutoff, and it fits the budget
-    cfg = validate_config(_parse(["distill"] + argv + ["--n-max", "98",
-                                                      "--out", str(tmp_path / "d.csv")]))
-    assert cfg.n_max == 98
+    cfg = validate_config(_parse(["distill"] + argv + arms + ["--n-max", "98",
+                                                             "--out", str(tmp_path / "d.csv")]))
+    assert cfg.trunc.n_max == 98
 
 
 def test_mash_limit_is_where_the_output_weights_overflow():
@@ -665,6 +766,20 @@ def _child_env(**blas):
     env["PYTHONPATH"] = src
     env.update(blas)
     return env
+
+
+def test_cli_module_is_not_an_entry_point(tmp_path):
+    # `python -m distillery.cli` fails and names the entry point, running nothing
+    out = tmp_path / "x.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "distillery.cli", "decay", "--lambda", "0.1",
+         "--tau", "100", "--ts", "0.99", "--steps", "2", "--out", str(out)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 1
+    assert "python -m distillery`" in proc.stderr
+    assert "config:" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
