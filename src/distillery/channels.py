@@ -227,16 +227,19 @@ class MashResult(NamedTuple):
 @lru_cache(maxsize=None)
 def _mash_tables(dim):
     # gather[n, m, k]: slot of p[n, m, k, m - n + k] in the stored layout,
-    # the zero slot where that l leaves the cutoff; (slot, nmk): the slot of
-    # every stored entry and its flat (n, m, k) position, to scatter back
+    # the zero slot where that l leaves the cutoff; scatter: for every slot
+    # of the stored layout, the flat (n, m, k) position of its entry, so that
+    # one take fills the whole layout (padding reads entry 0, and the output
+    # weights, zero there, clear it)
     n, m, k = np.ogrid[:dim, :dim, :dim]
     l_ = m - n + k
     gather = np.where((l_ >= 0) & (l_ < dim), _slot(dim, n, m, k, l_), _zero_slot(dim))
     slot, dense = _sector_entries(dim)
-    nmk = dense // dim  # drops l from ((n d + m) d + k) d + l
-    for arr in (gather, nmk):
+    scatter = np.zeros((2 * dim - 1) * dim * dim, dtype=np.intp)
+    scatter[slot] = dense // dim  # drops l from ((n d + m) d + k) d + l
+    for arr in (gather, scatter):
         arr.flags.writeable = False
-    return gather, slot, nmk
+    return gather, scatter
 
 
 @lru_cache(maxsize=None)
@@ -261,10 +264,11 @@ def _vacuum_weights(dim):
     return v
 
 
+@lru_cache(maxsize=None)
 def _block_count(dim):
-    # blocks per (m, k) axis of _truncated_convolution at cutoff dim: of the
-    # counts whose blocks are at least 8 wide (narrower ones make matmuls too
-    # small to pay for their calls), the one with the fewest multiply-adds,
+    # blocks per (m, k) axis of _convolve at cutoff dim: of the counts whose
+    # blocks are at least 8 wide (narrower ones make matmuls too small to pay
+    # for their calls), the one with the fewest multiply-adds,
     # (B (B + 1) / 2)^2 block products of s^4 each at block side s = ceil(d / B)
     return min(
         range(1, max(1, dim // 8) + 1),
@@ -272,10 +276,66 @@ def _block_count(dim):
     )
 
 
+# A mashing run convolves every round against the same operand, its
+# rescaled rho_0 (_mash_source). Where one branch's window blocks, d shifts
+# of B^2 blocks of s^4 float64 (d^5 up to d = 15), fit _WINDOW_CACHE_FLOATS
+# (1 MiB), so up to d = 10, _source_windows copies them out once for the
+# whole run, and each round is matmuls only. Past that, each convolution
+# copies one shift's blocks at a time into a reused buffer. The scan's
+# chunks keep their copied windows within the same budget
+# (protocol._chunk_width).
+_WINDOW_CACHE_FLOATS = 2**17
+
+
+def _source_window_floats(dim):
+    """float64 count of the window blocks that _source_windows keeps for
+    one branch at cutoff dim: all of them where they fit
+    _WINDOW_CACHE_FLOATS, else none."""
+    nb = _block_count(dim)
+    s = -(-dim // nb)
+    floats = dim * (nb * s * s) ** 2
+    return floats if floats <= _WINDOW_CACHE_FLOATS else 0
+
+
+def _window_view(y):
+    # view[e, ..., A - a, C - b, i, j, I, J] = y[..., e, (A - a) s + I - i,
+    # (C - b) s + J - j], zero where that index is negative or past d - 1:
+    # the distinct blocks of every window matrix of y (see _convolve), as a
+    # sliding-window view of a zero-padded copy
+    d = y.shape[-1]
+    nb = _block_count(d)
+    s = -(-d // nb)
+    w = nb * s
+    pad = np.zeros((*y.shape[:-3], d, s - 1 + w, s - 1 + w))
+    pad[..., s - 1 : s - 1 + d, s - 1 : s - 1 + d] = y
+    view = sliding_window_view(pad, (s, s), axis=(-2, -1))[..., ::-1, ::-1]
+    view = view.reshape(*view.shape[:-4], nb, s, nb, s, s, s)
+    return np.moveaxis(view, (-7, -5, -3), (0, -2, -1))
+
+
+def _source_windows(y):
+    """The operand y (..., d, d, d) of _convolve, in the form it reads: y
+    itself, or, where _source_window_floats(d) is nonzero, every window
+    block of y copied out, (..., d, B, B, s^2, s^2), indexed
+    (e, A - a, C - b, (i, j), (I, J)) as in _window_view."""
+    d = y.shape[-1]
+    if not _source_window_floats(d):
+        return y
+    s = -(-d // _block_count(d))
+    blocks = np.moveaxis(_window_view(y), 0, -7)
+    return blocks.reshape(*blocks.shape[:-4], s * s, s * s)
+
+
 def _truncated_convolution(x, y):
     """out[..., N, M, K] = sum x[..., n, m, k] y[..., N - n, M - m, K - k]
     over N, M, K < d, for each array of two stacks (..., d, d, d) whose
-    leading axes broadcast.
+    leading axes broadcast."""
+    return _convolve(x, _source_windows(y))
+
+
+def _convolve(x, windows):
+    """_truncated_convolution of x and the y whose _source_windows are
+    `windows`.
 
     One loop over the first-axis shift e of y. The (M, K) part of shift e is
     x[..., :d - e, :, :] times the window matrix W[(m, k), (M, K)] =
@@ -283,42 +343,47 @@ def _truncated_convolution(x, y):
     split into B x B blocks of side s (zero-padded to B s), W is block upper
     triangular and block Toeplitz: the block from input block (a, b) to
     output block (A, C) is zero unless A >= a and C >= b, and depends only on
-    (A - a, C - b). So each shift copies the B^2 distinct s^2 x s^2 blocks,
-    read from a sliding-window view, and makes one batched matmul per block:
-    (B (B + 1) / 2)^2 block products of s^4 multiply-adds, against d^4 for
-    the whole matrix. B = _block_count(d); B = 1 is the whole matrix.
+    (A - a, C - b). So each shift takes its B^2 distinct s^2 x s^2 blocks,
+    from `windows` where they were copied out, else copied from a
+    sliding-window view of y into one reused buffer, and makes one batched
+    matmul per block: (B (B + 1) / 2)^2 block products of s^4 multiply-adds,
+    against d^4 for the whole matrix. B = _block_count(d); B = 1 is the
+    whole matrix.
     """
     d = x.shape[-1]
     nb = _block_count(d)
     s = -(-d // nb)
     w = nb * s
-    lead = np.broadcast_shapes(x.shape[:-3], y.shape[:-3])
+    copied = _source_window_floats(d) > 0
+    lead = np.broadcast_shapes(x.shape[:-3], windows.shape[: -5 if copied else -3])
     if w > d:
         xw = np.zeros((*x.shape[:-2], w, w))
         xw[..., :d, :d] = x
         x = xw
     # xb[..., a, b, n, (i, j)] = x[..., n, a s + i, b s + j]
-    xb = np.moveaxis(x.reshape(*x.shape[:-2], nb, s, nb, s), (-4, -2), (-5, -4))
-    xb = xb.reshape(*xb.shape[:-5], nb, nb, d, s * s)
-    pad = np.zeros((*y.shape[:-3], d, s - 1 + w, s - 1 + w))
-    pad[..., s - 1 : s - 1 + d, s - 1 : s - 1 + d] = y
-    # windows[e, ..., A - a, C - b, i, j, I, J] = y[..., e, (A - a) s + I - i,
-    # (C - b) s + J - j], zero where that index is negative or past d - 1
-    view = sliding_window_view(pad, (s, s), axis=(-2, -1))[..., ::-1, ::-1]
-    view = view.reshape(*view.shape[:-4], nb, s, nb, s, s, s)
-    windows = np.moveaxis(view, (-7, -5, -3), (0, -2, -1))
-    # one buffer for the blocks of every shift, so that one shift's copy is
-    # live at a time
-    buf = np.empty(windows.shape[1:])
-    blocks = buf.reshape(*buf.shape[:-4], 1, 1, s * s, s * s)
+    ax = x.ndim - 3
+    xb = x.reshape(*x.shape[:-2], nb, s, nb, s)
+    xb = xb.transpose(*range(ax), ax + 1, ax + 3, ax, ax + 2, ax + 4)
+    xb = xb.reshape(*x.shape[:-3], nb, nb, d, s * s)
+    if not copied:
+        view = _window_view(windows)
+        # one buffer for the blocks of every shift, so that one shift's copy
+        # is live at a time
+        buf = np.empty(view.shape[1:])
+        blocks = buf.reshape(*buf.shape[:-4], 1, 1, s * s, s * s)
     ob = np.zeros((*lead, nb, nb, d, s * s))
     for e in range(d):
-        buf[...] = windows[e]
+        if copied:
+            blocks = windows[..., e, :, :, None, None, :, :]
+        else:
+            buf[...] = view[e]
         for da in range(nb):
             for db in range(nb):
                 src = xb[..., : nb - da, : nb - db, : d - e, :]
                 ob[..., da:, db:, e:, :] += src @ blocks[..., da, db, :, :, :, :]
-    out = np.moveaxis(ob.reshape(*lead, nb, nb, d, s, s), (-5, -4), (-4, -2))
+    ax = len(lead)
+    out = ob.reshape(*lead, nb, nb, d, s, s)
+    out = out.transpose(*range(ax), ax + 2, ax, ax + 3, ax + 1, ax + 4)
     return out.reshape(*lead, d, w, w)[..., :d, :d]
 
 
@@ -336,26 +401,22 @@ def _mash_weights(dim):
     return tuple(rows)
 
 
-def _weighted(x, u):
-    # x[..., j, p, q] u[j, p] u[j, q]: the weight w[n] w[k] w[m] w[l] of each entry
-    y = x * u[:, :, None]
-    y *= u[:, None, :]
-    return y
-
-
 def _rescaled(x):
     # the projector's input side of stored arrays: each entry times
     # 2^(-(n+m+k+l)/2) / sqrt(n! m! k! l!), read as (n, m, k) arrays
     d = x.shape[-1]
-    y = _weighted(x, _mash_weights(d)[0])
-    return y.reshape(*y.shape[:-3], -1)[..., _mash_tables(d)[0]]
+    u = _mash_weights(d)[0]
+    y = x * u[:, :, None]
+    y *= u[:, None, :]
+    return y.reshape(*y.shape[:-3], -1).take(_mash_tables(d)[0], axis=-1)
 
 
 def _mash_source(x_0):
     """rho_0's side of the projector, the same in every round against
-    fresh copies of one rho_0: its _rescaled array and its stored array
-    x_0; for a stack x_0 (..., 2d-1, d, d), a stack of each."""
-    return _rescaled(x_0), x_0
+    fresh copies of one rho_0: the _source_windows of its _rescaled array,
+    and its stored array x_0; for a stack x_0 (..., 2d-1, d, d), a stack of
+    each, whose rows a caller takes as branches leave."""
+    return _source_windows(_rescaled(x_0)), x_0
 
 
 def _mash_round(x_i, source, cfg):
@@ -379,12 +440,18 @@ def _mash_round(x_i, source, cfg):
     combined indices beyond n_max.
     """
     d = x_i.shape[-1]
-    _, slot, nmk = _mash_tables(d)
-    y_0, x_0 = source
-    part = _truncated_convolution(y_0, _rescaled(x_i))
-    kept = np.zeros((len(part), 2 * d - 1, d, d))
-    kept.reshape(len(part), -1)[:, slot] = part.reshape(len(part), -1)[:, nmk]
-    kept = _weighted(kept, _mash_weights(d)[1])
+    b = len(x_i)
+    windows, x_0 = source
+    # where the run keeps rho_0's windows the iterate is multiplied into
+    # them; where it keeps none, windowing either operand costs the same,
+    # and the iterate is windowed, which keeps the summation order that
+    # results at those cutoffs were recorded in
+    y_i = _rescaled(x_i)
+    part = _convolve(y_i, windows) if _source_window_floats(d) else _convolve(windows, y_i)
+    kept = part.reshape(b, -1).take(_mash_tables(d)[1], axis=1).reshape(b, 2 * d - 1, d, d)
+    u = _mash_weights(d)[1]
+    kept *= u[:, :, None]
+    kept *= u[:, None, :]
     v = _vacuum_weights(d)
     p_full = np.sum(x_0 * (v @ x_i[..., ::-1, :, :] @ v.transpose(0, 2, 1)), axis=(-3, -2, -1))
     weight = kept[:, cfg.n_max].sum(axis=(-2, -1))

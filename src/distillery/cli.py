@@ -9,7 +9,7 @@ import math
 import os
 import sys
 
-from .channels import LossChannelParams, SubtractionParams
+from .channels import LossChannelParams, SubtractionParams, _source_window_floats
 from .core import TruncationConfig, ZeroTraceError, auto_n_max
 from .protocol import NoConvergenceError, _chunk_width
 from .sweep import COMMANDS, RunConfig, run
@@ -90,16 +90,18 @@ def parse_ts(spec):
 
 # A state stores (2d - 1) d^2 float64 coefficients. Peak RSS beyond the
 # interpreter measured 5.1-5.3 such arrays when malting (d = 78 and 164),
-# counted here as 6. Mashing adds the window matrices of its truncated
-# convolution, counted as 2 d^4 float64 arrays for each branch of a chunk
-# of the arm-B scan: the convolution of a chunk of w branches peaked at
-# 1.5-1.9 w d^4 at d = 6-12 (w = 25-1), and below 1 MiB at any smaller d;
-# from d = 12 on a chunk is one branch. From d = 16 on the kernel copies
-# blocks of the window matrix, not all of it, and peaked at 0.69-0.77 d^4
-# (d = 16, 19), 0.27 d^4 (d = 34) and 0.16 d^4 (d = 49), so there the
-# count is an upper bound. A pij grid adds its cells: the matrix and the
-# CSV row tuples peaked at 110-122 bytes per cell (grids of 300^2 and
-# 600^2), counted as 128. decay keeps a row per step until the CSV is
+# counted here as 6. Mashing adds, for each branch of a chunk of the arm-B
+# scan, the window blocks its run keeps (channels._source_window_floats:
+# d^5 float64 up to d = 10, none from d = 11 on, where a chunk is one
+# branch) plus the window copies and products of its truncated
+# convolution, counted as 2 d^4 float64 arrays. Building a chunk's windows
+# and convolving against them peaked at 0.85-0.87 of that estimate at
+# d = 8-10 (w = 4, 2, 1) and 0.75-0.77 at d = 11-12. From d = 16 on the
+# kernel copies blocks of the window matrix, not all of it, and peaked at
+# 0.69-0.77 d^4 (d = 16, 19), 0.27 d^4 (d = 34) and 0.16 d^4 (d = 49), so
+# there the count is an upper bound. A pij grid adds its cells: the matrix
+# and the CSV row tuples peaked at 110-122 bytes per cell (grids of 300^2
+# and 600^2), counted as 128. decay keeps a row per step until the CSV is
 # written, a tuple of an int and three floats in a list: 180 bytes by
 # sys.getsizeof, counted as 192. Invocations whose estimate exceeds the
 # budget are refused before any run.
@@ -121,7 +123,7 @@ def working_set_bytes(n_max, mashing, cells=0, rows=0):
     need = _LIVE_STATE_ARRAYS * 8 * (2 * d - 1) * d * d
     need += _PIJ_CELL_BYTES * cells + _DECAY_ROW_BYTES * rows
     if mashing:
-        need += _LIVE_WINDOW_ARRAYS * 8 * _chunk_width(d) * d**4
+        need += 8 * _chunk_width(d) * (_LIVE_WINDOW_ARRAYS * d**4 + _source_window_floats(d))
     return need
 
 

@@ -62,15 +62,27 @@ def log_negativity(state):
     return _log_negativities(state.sector, state.cfg.eig_tol)[0]
 
 
-def _trace_distances(x_a, x_b):
+def _trace_distances(x_a, x_b, below=math.inf):
     """(1/2) trace norm of x_a - x_b and the Hermiticity defect of that
     difference, for two stored arrays or elementwise for two stacks. The
     transpose of a stored array swaps diagonal j with -j, so the defect is
-    the largest |X[j] - X[-j]|."""
+    the largest |X[j] - X[-j]|.
+
+    (1/2) the Frobenius norm of the difference bounds that distance from
+    below, and since the layout stores each coefficient once it is one
+    reduction. Where it is at or above `below`, it is the distance returned
+    and no eigensolve is made, so a caller that only asks whether the
+    distance is below some tolerance passes that tolerance.
+    """
     diff = x_a - x_b
     defect = np.abs(diff - diff[..., ::-1, :, :]).max(axis=(-3, -2, -1))
-    eigs = _block_eigvalsh(diff, "rho")
-    return 0.5 * np.abs(eigs).sum(axis=-1), defect
+    dist = 0.5 * np.sqrt(np.einsum("...jpq,...jpq->...", diff, diff))
+    solve = ~(dist >= below)
+    if solve.all():
+        dist = 0.5 * np.abs(_block_eigvalsh(diff, "rho")).sum(axis=-1)
+    elif solve.any():
+        dist[solve] = 0.5 * np.abs(_block_eigvalsh(diff[solve], "rho")).sum(axis=-1)
+    return dist, defect
 
 
 def trace_distance(state_a, state_b):

@@ -31,6 +31,7 @@ from distillery import (
     trace_norm,
 )
 from distillery.core import _block_eigvalsh
+from distillery.negativity import _trace_distances
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
 
@@ -156,3 +157,42 @@ def test_block_eigensolves_match_dense_and_oracle(kind, dim, lam, tau, t_s, q_a,
     assert trace_distance(a, b) == pytest.approx(
         0.5 * oracles.trace_norm_oracle(diff), rel=1e-12, abs=1e-15
     )
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from(["states", "symmetric", "rank one"]),
+    dim=st.integers(2, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_frobenius_bound_never_exceeds_the_trace_distance(kind, dim, seed):
+    # (1/2) the Frobenius norm of a difference, one reduction over the
+    # stored layout, bounds (1/2) its trace norm from below; a rank-one
+    # difference (a vector on the pairs n = m, inside the sector) meets the
+    # bound, up to rounding
+    rng = np.random.default_rng(seed)
+    cfg = TruncationConfig(dim - 1)
+    n = dim * dim
+    b = np.zeros((dim,) * 4)
+    if kind == "states":
+        a, b = (oracles.random_state_coeffs(dim, rng) for _ in range(2))
+    elif kind == "symmetric":
+        g = rng.normal(size=(n, n))
+        a = (g + g.T).reshape((dim,) * 4)
+        j = np.indices(a.shape)
+        a[j[0] - j[2] != j[1] - j[3]] = 0.0
+    else:
+        psi = np.zeros(n)
+        psi[:: dim + 1] = rng.normal(size=dim)
+        a = np.outer(psi, psi).reshape((dim,) * 4)
+    x, y = (state_from_coeffs(c, cfg).sector for c in (a, b))
+    bound = 0.5 * math.sqrt(np.sum((x - y) ** 2))
+    dist, _ = _trace_distances(x, y)
+    assert bound <= dist * (1.0 + 1e-12)
+    assert dist == pytest.approx(0.5 * oracles.trace_norm_oracle((a - b).reshape(n, n)), rel=1e-12)
+    if kind == "rank one":
+        assert bound == pytest.approx(dist, rel=1e-12)
+    # where the bound is at or past `below`, the bound itself is returned
+    skipped = _trace_distances(x, y, below=bound * (1.0 - 1e-12))[0]
+    assert skipped == pytest.approx(bound, rel=1e-12)
+    assert _trace_distances(x, y, below=bound * (1.0 + 1e-9))[0] == dist

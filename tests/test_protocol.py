@@ -26,7 +26,7 @@ from distillery import (
     trace_distance,
     vacuum,
 )
-from distillery import protocol
+from distillery import channels, negativity, protocol
 
 # malt(1,1) probability at lambda=0.1, tau=100, t_s=0.99, n_max=8:
 # one loss event, then single subtraction success on each arm, from the
@@ -305,8 +305,8 @@ def _poison(monkeypatch, failure, x_0):
         return followed
     real_distances = protocol._trace_distances
 
-    def poisoned_distances(new, cur):
-        step, defect = real_distances(new, cur)
+    def poisoned_distances(new, cur, below):
+        step, defect = real_distances(new, cur, below)
         for r in rows(cur):
             (step if failure == "step" else defect)[r] = 1.0
             followed.append(new[r].copy())
@@ -357,8 +357,8 @@ def test_mashing_checks_hermiticity_against_the_run_eig_tol(monkeypatch):
     real_distances = protocol._trace_distances
     for bump in (1e-8, 1e-5):
 
-        def bumped(new, cur, bump=bump):
-            step, defect = real_distances(new, cur)
+        def bumped(new, cur, below, bump=bump):
+            step, defect = real_distances(new, cur, below)
             return step, defect + bump
 
         monkeypatch.setattr(protocol, "_trace_distances", bumped)
@@ -367,6 +367,61 @@ def test_mashing_checks_hermiticity_against_the_run_eig_tol(monkeypatch):
         else:
             with pytest.raises(NotHermitianError, match=r"> 1e-06$"):
                 mash_iterate(rec.state)
+
+
+def test_mashing_solves_few_distances_and_windows_each_chunk_once(monkeypatch):
+    # the Frobenius bound settles every round whose distance is far above
+    # conv_tol, so a d = 8 run reaches the "rho" eigensolve only in its
+    # last rounds
+    solves = []
+    real_eigvalsh = negativity._block_eigvalsh
+
+    def counting(x, kind):
+        if kind == "rho":
+            solves.append(x.shape[:-3])
+        return real_eigvalsh(x, kind)
+
+    monkeypatch.setattr(negativity, "_block_eigvalsh", counting)
+    out = mash_iterate(malt(LAM, MaltingSchedule(1, 1, LOSS, SUB), CFG).state)
+    assert out.converged and out.iterations >= 8
+    assert 1 <= len(solves) <= 3
+    # a d = 8 scan chunk windows its sources once for all its rounds: the
+    # chunks j = 1, 2-3 and 4-7 (see test_scan_prepares_one_source_per_branch)
+    views = []
+    real_view = channels._window_view
+
+    def viewing(y):
+        views.append(y.shape[:-3])
+        return real_view(y)
+
+    monkeypatch.setattr(channels, "_window_view", viewing)
+    cc = critical_attempts(LAM, LOSS, SubtractionParams(0.9), CFG)
+    assert cc.m_c == 4 and cc.mash_rounds >= 5 * 8
+    assert views == [(1,), (2,), (4,)]
+
+
+@pytest.mark.parametrize("n_max", [7, 11])
+def test_mash_iterate_matches_a_loop_of_mash_step_and_trace_distance(n_max):
+    # the reference solves every round's trace distance; d = 8 keeps
+    # rho_0's windows for the run, d = 12 copies them round by round
+    cfg = TruncationConfig(n_max)
+    assert bool(channels._source_window_floats(cfg.dim)) == (n_max == 7)
+    rho_0 = malt(LAM, MaltingSchedule(1, 2, LOSS, SUB), cfg).state
+    cur, probs = rho_0, []
+    for rounds in range(1, 51):
+        res = mash_step(cur, rho_0)
+        probs.append(res.prob)
+        dist = trace_distance(res.state, cur)
+        cur = res.state
+        if dist < cfg.conv_tol:
+            break
+    out = mash_iterate(rho_0)
+    assert (out.iterations, out.converged) == (rounds, True)
+    assert out.mash_probs == pytest.approx(probs, rel=1e-12)
+    assert np.abs(out.rho_final.sector - cur.sector).max() <= 1e-12
+    # tail is a difference of nearly equal states, so it is held to the
+    # rounding of its entries, not relative to itself
+    assert out.tail == pytest.approx(dist / 3.0, rel=1e-12, abs=1e-15)
 
 
 def test_scan_chunks_double_and_end_before_a_malting_failure():

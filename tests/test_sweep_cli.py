@@ -539,20 +539,30 @@ def test_exit_code_one_on_config_error(tmp_path):
 
 
 def test_scan_chunk_windows_fit_the_memory_budget():
-    # the arm-B scan mashes chunks of up to _chunk_width(d) branches; their
-    # window matrices, one d^2 x d^2 float64 matrix per branch at a time,
-    # must stay within the share working_set_bytes budgets for them
+    # the arm-B scan mashes chunks of up to _chunk_width(d) branches; the
+    # window blocks a mashing run keeps for each of them, plus the round's
+    # two d^4 arrays per branch, stay within the share working_set_bytes
+    # budgets for them, and the kept blocks within _WINDOW_CACHE_FLOATS
+    kept = {}
     for d in range(2, cli._MASH_MAX_N_MAX + 2):
         width = protocol._chunk_width(d)
+        kept[d] = channels._source_window_floats(d)
         share = cli.working_set_bytes(d - 1, True) - cli.working_set_bytes(d - 1, False)
-        assert 8 * width * d**4 * cli._LIVE_WINDOW_ARRAYS <= share, d
-        assert width == 1 or width * d**4 <= protocol._CHUNK_WINDOW_FLOATS, d
-    # from d = 12 on a chunk is one branch, so the budget where it bites is
-    # the one-branch estimate
-    assert [protocol._chunk_width(d) for d in (8, 9, 10, 11, 12, 99)] == [8, 4, 3, 2, 1, 1]
-    # and the convolution of a whole chunk peaks within that share
+        assert 8 * width * (cli._LIVE_WINDOW_ARRAYS * d**4 + kept[d]) <= share, d
+        assert width * kept[d] <= channels._WINDOW_CACHE_FLOATS, d
+        # where nothing is kept a chunk is one branch, and from d = 12 on the
+        # share is the one-branch estimate the 4 GiB refusal always read
+        if not kept[d]:
+            assert width == 1, d
+        if d >= 12:
+            assert share == cli._LIVE_WINDOW_ARRAYS * 8 * d**4, d
+    # windows are kept up to d = 10 (d^5 floats per branch at B = 1)
+    assert [d for d in kept if kept[d]] == list(range(2, 11))
+    assert [protocol._chunk_width(d) for d in (8, 9, 10, 11, 12, 99)] == [4, 2, 1, 1, 1, 1]
+    # and building a whole chunk's windows and convolving against them
+    # peaks within that share, on both sides of the kept-windows cutoff
     rng = np.random.default_rng(3)
-    for d in (8, 11, 12):
+    for d in (8, 9, 10, 11, 12):
         width = protocol._chunk_width(d)
         x, y = rng.random((2, width, d, d, d))
         tracemalloc.start()
