@@ -7,7 +7,6 @@ channel, fixing q gives the (unnormalized) measurement update.
 """
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -31,15 +30,20 @@ def _sqrt_fact(n_top):
     return np.concatenate(([1.0], np.cumprod(np.sqrt(np.arange(1.0, n_top + 1)))))
 
 
-@dataclass(frozen=True)
-class LossChannelParams:
-    """Memory transmissivity per clock cycle, t in (0, 1]."""
-
+class _LossFields(NamedTuple):
     t: float
 
-    def __post_init__(self):
+
+class LossChannelParams(_LossFields):
+    """Memory transmissivity per clock cycle, t in (0, 1]."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.t <= 1.0:
             raise ValueError(f"transmissivity t must lie in (0, 1], got {self.t}")
+        return self
 
     @property
     def tau(self):
@@ -55,15 +59,20 @@ class LossChannelParams:
         return cls(math.sqrt(1.0 - 1.0 / tau))
 
 
-@dataclass(frozen=True)
-class SubtractionParams:
-    """Transmissivity of the weakly reflecting subtraction splitter."""
-
+class _SubtractionFields(NamedTuple):
     t_s: float
 
-    def __post_init__(self):
+
+class SubtractionParams(_SubtractionFields):
+    """Transmissivity of the weakly reflecting subtraction splitter."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.t_s < 1.0:
             raise ValueError(f"t_s must lie in (0, 1), got {self.t_s}")
+        return self
 
 
 def bs_amplitude(n, q, t):
@@ -265,158 +274,176 @@ def _vacuum_weights(dim):
 
 
 @lru_cache(maxsize=None)
-def _block_count(dim):
-    # blocks per (m, k) axis of _convolve at cutoff dim: of the counts whose
-    # blocks are at least 8 wide (narrower ones make matmuls too small to pay
-    # for their calls), the one with the fewest multiply-adds,
-    # (B (B + 1) / 2)^2 block products of s^4 each at block side s = ceil(d / B)
-    return min(
-        range(1, max(1, dim // 8) + 1),
-        key=lambda b: (b * (b + 1)) ** 2 * (-(-dim // b)) ** 4,
-    )
+def _block_counts(dim):
+    # (B_M, B_K): blocks per M axis and per K axis of _truncated_convolution
+    # at cutoff dim. Narrow M blocks skip more of the zero triangle but make
+    # more, smaller matmuls; measured with one BLAS thread, the fastest M
+    # blocks held one block of the iterate expansion (about s d^3 floats)
+    # within 2^15 floats and were at least 2 wide: B_M = 1 up to d = 13, 2 at
+    # d = 14-16, 5 at d = 19 and ceil(d / 2) from d = 23 on. Splitting K narrows
+    # every product's output, which paid only with blocks at least 15 wide.
+    side = min(dim, max(2, 2**15 // dim**3))
+    return -(-dim // side), max(1, dim // 15)
 
 
 # A mashing run convolves every round against the same operand, its
-# rescaled rho_0 (_mash_source). Where one branch's window blocks, d shifts
-# of B^2 blocks of s^4 float64 (d^5 up to d = 15), fit _WINDOW_CACHE_FLOATS
-# (1 MiB), so up to d = 10, _source_windows copies them out once for the
-# whole run, and each round is matmuls only. Past that, each convolution
-# copies one shift's blocks at a time into a reused buffer. The scan's
-# chunks keep their copied windows within the same budget
+# rescaled rho_0 (_mash_source). Where one branch's expansion of it
+# (_source_operand, d^4 floats at B_K = 1) and one round's expansion of the
+# iterate fit _EXPANSION_BUDGET_FLOATS (1 MiB), so up to d = 16, the run
+# keeps the source expansion, and each round is one copy and matmuls. Past
+# that, each round builds one shift of it at a time into a reused buffer.
+# The scan's chunks keep their expansions within the same budget
 # (protocol._chunk_width).
-_WINDOW_CACHE_FLOATS = 2**17
+_EXPANSION_BUDGET_FLOATS = 2**17
 
 
-def _source_window_floats(dim):
-    """float64 count of the window blocks that _source_windows keeps for
-    one branch at cutoff dim: all of them where they fit
-    _WINDOW_CACHE_FLOATS, else none."""
-    nb = _block_count(dim)
-    s = -(-dim // nb)
-    floats = dim * (nb * s * s) ** 2
-    return floats if floats <= _WINDOW_CACHE_FLOATS else 0
+def _m_block_starts(dim):
+    # f0 per M block of _truncated_convolution: the iterate expansion of
+    # block A is zero for f < f0 = d - (A + 1) s_M, so it starts there
+    s_m = -(-dim // _block_counts(dim)[0])
+    return [max(0, dim - (a + 1) * s_m) for a in range(-(-dim // s_m))]
 
 
-def _window_view(y):
-    # view[e, ..., A - a, C - b, i, j, I, J] = y[..., e, (A - a) s + I - i,
-    # (C - b) s + J - j], zero where that index is negative or past d - 1:
-    # the distinct blocks of every window matrix of y (see _convolve), as a
-    # sliding-window view of a zero-padded copy
+def _expansion_floats(dim):
+    """float64 count per branch of the source expansion that a mashing run
+    keeps plus one round's iterate expansion, where they fit
+    _EXPANSION_BUDGET_FLOATS, else 0 (the run keeps no expansion)."""
+    b_m, b_k = _block_counts(dim)
+    s_m, s_k = -(-dim // b_m), -(-dim // b_k)
+    f_total = sum(dim - f0 for f0 in _m_block_starts(dim))
+    floats = dim * b_k * s_k * (dim * dim + s_m * f_total)
+    return floats if floats <= _EXPANSION_BUDGET_FLOATS else 0
+
+
+def _expand_iterate(x):
+    # [X_A per M block A], X_A[..., n, m, C, f - f0_A, g] =
+    # x[..., n, A s_M + m + f - (d - 1), C s_K + g] for f >= f0_A, zero where
+    # that index is negative or past d - 1: x expanded along M, in blocks of
+    # side s_M of M and s_K of K (_truncated_convolution), each copied from
+    # a strided view of one zero-padded copy pad[..., n, M + f, g]
+    d = x.shape[-1]
+    b_m, b_k = _block_counts(d)
+    s_m, s_k = -(-d // b_m), -(-d // b_k)
+    lead = x.shape[:-3]
+    pad = np.zeros((*lead, d, b_m * s_m + d - 1, b_k * s_k))
+    pad[..., d - 1 : 2 * d - 1, :d] = x
+    *outer, step_n, step_m, item = pad.strides
+    return [
+        np.ascontiguousarray(
+            np.ndarray(
+                (*lead, d, s_m, b_k, d - f0, s_k),
+                buffer=pad,
+                offset=(a * s_m + f0) * step_m,
+                strides=(*outer, step_n, step_m, s_k * item, step_m, item),
+            )
+        )
+        for a, f0 in enumerate(_m_block_starts(d))
+    ]
+
+
+def _source_operand(y):
+    """The operand y (..., d, d, d) of _truncated_convolution in the form it
+    reads: y expanded along K, (..., d, B_K, d, s_K, d), indexed
+    [..., e, C, f, g, K] = y[..., e, d - 1 - f, K - C s_K - g] (zero where
+    that index is negative). Where _expansion_floats(d) is nonzero it is
+    copied out; else it is a view of one zero-padded copy of y, 2 d^3
+    floats, from which the kernel copies one shift at a time."""
     d = y.shape[-1]
-    nb = _block_count(d)
-    s = -(-d // nb)
-    w = nb * s
-    pad = np.zeros((*y.shape[:-3], d, s - 1 + w, s - 1 + w))
-    pad[..., s - 1 : s - 1 + d, s - 1 : s - 1 + d] = y
-    view = sliding_window_view(pad, (s, s), axis=(-2, -1))[..., ::-1, ::-1]
-    view = view.reshape(*view.shape[:-4], nb, s, nb, s, s, s)
-    return np.moveaxis(view, (-7, -5, -3), (0, -2, -1))
+    b_k = _block_counts(d)[1]
+    s_k = -(-d // b_k)
+    pad = np.zeros((*y.shape[:-1], b_k * s_k + d - 1))
+    pad[..., b_k * s_k - 1 :] = y
+    view = sliding_window_view(pad, d, axis=-1)[..., ::-1, ::-1, :]
+    view = np.moveaxis(view.reshape(*view.shape[:-3], d, b_k, s_k, d), -3, -4)
+    return np.ascontiguousarray(view) if _expansion_floats(d) else view
 
 
-def _source_windows(y):
-    """The operand y (..., d, d, d) of _convolve, in the form it reads: y
-    itself, or, where _source_window_floats(d) is nonzero, every window
-    block of y copied out, (..., d, B, B, s^2, s^2), indexed
-    (e, A - a, C - b, (i, j), (I, J)) as in _window_view."""
-    d = y.shape[-1]
-    if not _source_window_floats(d):
-        return y
-    s = -(-d // _block_count(d))
-    blocks = np.moveaxis(_window_view(y), 0, -7)
-    return blocks.reshape(*blocks.shape[:-4], s * s, s * s)
-
-
-def _truncated_convolution(x, y):
+def _truncated_convolution(x, source):
     """out[..., N, M, K] = sum x[..., n, m, k] y[..., N - n, M - m, K - k]
-    over N, M, K < d, for each array of two stacks (..., d, d, d) whose
-    leading axes broadcast."""
-    return _convolve(x, _source_windows(y))
+    over N, M, K < d, for stacks x (..., d, d, d) and source =
+    _source_operand(y) whose leading axes broadcast.
 
-
-def _convolve(x, windows):
-    """_truncated_convolution of x and the y whose _source_windows are
-    `windows`.
-
-    One loop over the first-axis shift e of y. The (M, K) part of shift e is
-    x[..., :d - e, :, :] times the window matrix W[(m, k), (M, K)] =
-    y[..., e, M - m, K - k], zero where M < m or K < k. With the (m, k) axes
-    split into B x B blocks of side s (zero-padded to B s), W is block upper
-    triangular and block Toeplitz: the block from input block (a, b) to
-    output block (A, C) is zero unless A >= a and C >= b, and depends only on
-    (A - a, C - b). So each shift takes its B^2 distinct s^2 x s^2 blocks,
-    from `windows` where they were copied out, else copied from a
-    sliding-window view of y into one reused buffer, and makes one batched
-    matmul per block: (B (B + 1) / 2)^2 block products of s^4 multiply-adds,
-    against d^4 for the whole matrix. B = _block_count(d); B = 1 is the
-    whole matrix.
+    Split axes: x is expanded along M, X[n, M, f, g] = x[n, M + f - (d-1), g],
+    and y along K, T_e[f, g, K] = y[e, d-1-f, K - g], so the shift e of the
+    first axis is one matmul, out[e:] += X[:d-e] @ T_e, rows (n, M) against
+    columns (f, g). Each operand holds d^4 floats per array, where a window
+    matrix over both axes holds d^5. X is zero where f < d-1-M and T_e where
+    g > K. With M split into B_M blocks of side s_M and K (and g) into B_K
+    blocks of side s_K (_block_counts), zero-padded, each shift makes one
+    matmul per pair of an M block A and a K block C, of contiguous slices:
+    the rows of block A, the f from d - (A+1) s_M on (the rest of those
+    rows is zero) with the g of block C, and the outputs K from C s_K on
+    (below that T_e is zero). T_e is read from `source` where that holds
+    the expansion, else copied from it into one reused buffer.
     """
     d = x.shape[-1]
-    nb = _block_count(d)
-    s = -(-d // nb)
-    w = nb * s
-    copied = _source_window_floats(d) > 0
-    lead = np.broadcast_shapes(x.shape[:-3], windows.shape[: -5 if copied else -3])
-    if w > d:
-        xw = np.zeros((*x.shape[:-2], w, w))
-        xw[..., :d, :d] = x
-        x = xw
-    # xb[..., a, b, n, (i, j)] = x[..., n, a s + i, b s + j]
-    ax = x.ndim - 3
-    xb = x.reshape(*x.shape[:-2], nb, s, nb, s)
-    xb = xb.transpose(*range(ax), ax + 1, ax + 3, ax, ax + 2, ax + 4)
-    xb = xb.reshape(*x.shape[:-3], nb, nb, d, s * s)
-    if not copied:
-        view = _window_view(windows)
-        # one buffer for the blocks of every shift, so that one shift's copy
-        # is live at a time
-        buf = np.empty(view.shape[1:])
-        blocks = buf.reshape(*buf.shape[:-4], 1, 1, s * s, s * s)
-    ob = np.zeros((*lead, nb, nb, d, s * s))
+    b_m = _block_counts(d)[0]
+    s_m, s_k = -(-d // b_m), source.shape[-2]
+    blocks = _expand_iterate(x)
+    kept = _expansion_floats(d) > 0
+    shifts = source
+    if not kept:
+        # one buffer for every shift, so that one shift's copy is live at a
+        # time; shifts[..., 0, ...] is the current one
+        shifts = np.empty((*source.shape[:-5], 1, *source.shape[-4:]))
+    lead = np.broadcast_shapes(x.shape[:-3], source.shape[:-5])
+    ob = np.zeros((*lead, b_m, d, s_m, d))
+    products = []
+    for a, (xa, f0) in enumerate(zip(blocks, _m_block_starts(d))):
+        for c, k0 in enumerate(range(0, d, s_k)):
+            rows = xa[..., c, :, :].reshape(*x.shape[:-3], d * s_m, -1)
+            t = shifts[..., c, f0:, :, k0:]
+            t = t.reshape(*t.shape[:-3], -1, d - k0)
+            acc = ob[..., a, :, :, k0:].reshape(*lead, d * s_m, d - k0)
+            products.append((rows, t, acc))
     for e in range(d):
-        if copied:
-            blocks = windows[..., e, :, :, None, None, :, :]
-        else:
-            buf[...] = view[e]
-        for da in range(nb):
-            for db in range(nb):
-                src = xb[..., : nb - da, : nb - db, : d - e, :]
-                ob[..., da:, db:, e:, :] += src @ blocks[..., da, db, :, :, :, :]
+        now = e
+        if not kept:
+            shifts[..., 0, :, :, :, :] = source[..., e, :, :, :, :]
+            now = 0
+        r = (d - e) * s_m
+        for rows, t, acc in products:
+            acc[..., e * s_m :, :] += rows[..., :r, :] @ t[..., now, :, :]
     ax = len(lead)
-    out = ob.reshape(*lead, nb, nb, d, s, s)
-    out = out.transpose(*range(ax), ax + 2, ax, ax + 3, ax + 1, ax + 4)
-    return out.reshape(*lead, d, w, w)[..., :d, :d]
+    out = np.moveaxis(ob, ax, ax + 1).reshape(*lead, d, b_m * s_m, d)
+    return out[..., :d, :]
 
 
 @lru_cache(maxsize=None)
 def _mash_weights(dim):
     # The per-index factors of the projector (see _mash_round) on both
-    # inputs and on the output, as per-diagonal weight rows of the stored
-    # layout; (2d-1) x d each.
+    # inputs and on the output, as whole weight tables: the input side per
+    # (n, m, k) entry of _rescaled (zero where l leaves the cutoff), the
+    # output side per slot of the stored layout.
     sf = _sqrt_fact(dim - 1)
-    rows = []
+    tables = []
     for w in ((1.0 / math.sqrt(2.0)) ** np.arange(dim) / sf, sf):
         u = _pair_rows(w, dim)
-        u.flags.writeable = False
-        rows.append(u)
-    return tuple(rows)
+        tables.append(u[:, :, None] * u[:, None, :])
+    tables[0] = tables[0].reshape(-1)[_mash_tables(dim)[0]]
+    for table in tables:
+        table.flags.writeable = False
+    return tuple(tables)
 
 
 def _rescaled(x):
     # the projector's input side of stored arrays: each entry times
     # 2^(-(n+m+k+l)/2) / sqrt(n! m! k! l!), read as (n, m, k) arrays
     d = x.shape[-1]
-    u = _mash_weights(d)[0]
-    y = x * u[:, :, None]
-    y *= u[:, None, :]
-    return y.reshape(*y.shape[:-3], -1).take(_mash_tables(d)[0], axis=-1)
+    y = x.reshape(*x.shape[:-3], -1).take(_mash_tables(d)[0], axis=-1)
+    y *= _mash_weights(d)[0]
+    return y
 
 
 def _mash_source(x_0):
     """rho_0's side of the projector, the same in every round against
-    fresh copies of one rho_0: the _source_windows of its _rescaled array,
-    and its stored array x_0; for a stack x_0 (..., 2d-1, d, d), a stack of
-    each, whose rows a caller takes as branches leave."""
-    return _source_windows(_rescaled(x_0)), x_0
+    fresh copies of one rho_0: the _source_operand of its _rescaled array,
+    and the operator z of the untruncated probability (see _mash_round); for
+    a stack x_0 (..., 2d-1, d, d), a stack of each, whose rows a caller
+    takes as branches leave."""
+    v = _vacuum_weights(x_0.shape[-1])
+    z = v.transpose(0, 2, 1) @ x_0 @ v
+    return _source_operand(_rescaled(x_0)), np.ascontiguousarray(z[..., ::-1, :, :])
 
 
 def _mash_round(x_i, source, cfg):
@@ -429,7 +456,9 @@ def _mash_round(x_i, source, cfg):
     side, and sqrt(N!) on each output index (t = r here). The kept block is
     a truncated convolution of the rescaled inputs in (n, m, k) coordinates;
     the untruncated trace needs only output N = K, M = L, where rho_0's
-    diagonal j meets rho_i's diagonal -j, weighted by _vacuum_weights. The
+    diagonal j meets rho_i's diagonal -j, weighted by V = _vacuum_weights:
+    sum_j <x_0[j], V_j x_i[-j] V_j^T>, which is the product-sum of x_i with
+    z[-j] = V_j^T x_0[j] V_j, kept in the source for the whole run. The
     reflection sign would enter as (-1)^(n+m+k+l), which is 1 on the sector
     n - k = m - l, so the kernel carries none.
 
@@ -441,19 +470,11 @@ def _mash_round(x_i, source, cfg):
     """
     d = x_i.shape[-1]
     b = len(x_i)
-    windows, x_0 = source
-    # where the run keeps rho_0's windows the iterate is multiplied into
-    # them; where it keeps none, windowing either operand costs the same,
-    # and the iterate is windowed, which keeps the summation order that
-    # results at those cutoffs were recorded in
-    y_i = _rescaled(x_i)
-    part = _convolve(y_i, windows) if _source_window_floats(d) else _convolve(windows, y_i)
+    operand, z = source
+    part = _truncated_convolution(_rescaled(x_i), operand)
     kept = part.reshape(b, -1).take(_mash_tables(d)[1], axis=1).reshape(b, 2 * d - 1, d, d)
-    u = _mash_weights(d)[1]
-    kept *= u[:, :, None]
-    kept *= u[:, None, :]
-    v = _vacuum_weights(d)
-    p_full = np.sum(x_0 * (v @ x_i[..., ::-1, :, :] @ v.transpose(0, 2, 1)), axis=(-3, -2, -1))
+    kept *= _mash_weights(d)[1]
+    p_full = (z * x_i).reshape(b, -1).sum(axis=-1)
     weight = kept[:, cfg.n_max].sum(axis=(-2, -1))
     kept /= np.where(weight > cfg.trace_tol, weight, 1.0)[:, None, None, None]
     return kept, p_full, np.maximum(p_full - weight, 0.0), weight

@@ -9,7 +9,7 @@ import math
 import os
 import sys
 
-from .channels import LossChannelParams, SubtractionParams, _source_window_floats
+from .channels import LossChannelParams, SubtractionParams, _expansion_floats
 from .core import TruncationConfig, ZeroTraceError, auto_n_max
 from .protocol import NoConvergenceError, _chunk_width
 from .sweep import COMMANDS, RunConfig, run
@@ -91,15 +91,14 @@ def parse_ts(spec):
 # A state stores (2d - 1) d^2 float64 coefficients. Peak RSS beyond the
 # interpreter measured 5.1-5.3 such arrays when malting (d = 78 and 164),
 # counted here as 6. Mashing adds, for each branch of a chunk of the arm-B
-# scan, the window blocks its run keeps (channels._source_window_floats:
-# d^5 float64 up to d = 10, none from d = 11 on, where a chunk is one
-# branch) plus the window copies and products of its truncated
-# convolution, counted as 2 d^4 float64 arrays. Building a chunk's windows
-# and convolving against them peaked at 0.85-0.87 of that estimate at
-# d = 8-10 (w = 4, 2, 1) and 0.75-0.77 at d = 11-12. From d = 16 on the
-# kernel copies blocks of the window matrix, not all of it, and peaked at
-# 0.69-0.77 d^4 (d = 16, 19), 0.27 d^4 (d = 34) and 0.16 d^4 (d = 49), so
-# there the count is an upper bound. A pij grid adds its cells: the matrix
+# scan (protocol._chunk_width), the expansions its run keeps
+# (channels._expansion_floats: 1.75-2 d^4 float64 up to d = 16, none from
+# d = 17 on, where a chunk is one branch) plus two d^4 float64 arrays for
+# the rest of a round. Building a whole chunk's sources and running one
+# round on it (tracemalloc, inputs included) peaked at 2.1-2.8 d^4 float64
+# per branch at d = 8-16, against 3.75-4 counted, and at 1.08 d^4 (d = 19),
+# 0.77 d^4 (d = 34) and 0.73 d^4 (d = 49), against 2, so the count is an
+# upper bound. A pij grid adds its cells: the matrix
 # and the CSV row tuples peaked at 110-122 bytes per cell (grids of 300^2
 # and 600^2), counted as 128. decay keeps a row per step until the CSV is
 # written, a tuple of an int and three floats in a list: 180 bytes by
@@ -107,7 +106,7 @@ def parse_ts(spec):
 # budget are refused before any run.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 _LIVE_STATE_ARRAYS = 6
-_LIVE_WINDOW_ARRAYS = 2
+_LIVE_MASH_ARRAYS = 2
 _PIJ_CELL_BYTES = 128
 _DECAY_ROW_BYTES = 192
 # mash_step's output weights reach ((d - 1)!)^2, which is inf in float64
@@ -123,7 +122,7 @@ def working_set_bytes(n_max, mashing, cells=0, rows=0):
     need = _LIVE_STATE_ARRAYS * 8 * (2 * d - 1) * d * d
     need += _PIJ_CELL_BYTES * cells + _DECAY_ROW_BYTES * rows
     if mashing:
-        need += 8 * _chunk_width(d) * (_LIVE_WINDOW_ARRAYS * d**4 + _source_window_floats(d))
+        need += 8 * _chunk_width(d) * (_LIVE_MASH_ARRAYS * d**4 + _expansion_floats(d))
     return need
 
 
@@ -204,10 +203,11 @@ def validate_config(ns):
         n_max = auto_n_max(lam) if lam > 0 else 1
     else:
         tail = lam ** (2 * (n_max + 1))
-        if tail >= TruncationConfig.trace_tol:
+        trace_tol = TruncationConfig._field_defaults["trace_tol"]
+        if tail >= trace_tol:
             errors.append(
                 f"--n-max {n_max} keeps a truncated tail {tail:.3g} >= "
-                f"{TruncationConfig.trace_tol:.3g} "
+                f"{trace_tol:.3g} "
                 f"at lambda={lam}; auto picks {auto_n_max(lam)}"
             )
 

@@ -10,8 +10,8 @@ float64 and the density matrix is real symmetric.
 """
 
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,8 +24,14 @@ class NotHermitianError(ValueError):
     """Raised when an operator expected to be Hermitian is not."""
 
 
-@dataclass(frozen=True)
-class TruncationConfig:
+class _TruncationFields(NamedTuple):
+    n_max: int
+    eig_tol: float = 1e-10
+    trace_tol: float = 1e-15
+    conv_tol: float = 1e-8
+
+
+class TruncationConfig(_TruncationFields):
     """Numerical policy: Fock cutoff and the tolerances every op consults.
 
     n_max      highest Fock index kept per mode (dim = n_max + 1)
@@ -34,24 +40,23 @@ class TruncationConfig:
     conv_tol   trace-distance threshold for fixed-point iteration
     """
 
-    n_max: int
-    eig_tol: float = 1e-10
-    trace_tol: float = 1e-15
-    conv_tol: float = 1e-8
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if int(self.n_max) != self.n_max or self.n_max < 1:
             raise ValueError(f"n_max must be an integer >= 1, got {self.n_max}")
         for name in ("eig_tol", "trace_tol", "conv_tol"):
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        return self
 
     @property
     def dim(self):
         return self.n_max + 1
 
 
-def auto_n_max(lam, trace_tol=TruncationConfig.trace_tol):
+def auto_n_max(lam, trace_tol=TruncationConfig._field_defaults["trace_tol"]):
     """Smallest cutoff whose discarded squeezed-state tail stays below trace_tol.
 
     The tail weight of the geometric photon-number distribution beyond n_max
@@ -117,17 +122,32 @@ def _dense(sector):
     return c
 
 
-@dataclass(frozen=True, eq=False)
 class TwoModeState:
     """Immutable two-mode density operator plus its numerical policy.
 
     sector is the stored (2d-1, d, d) layout described above; coeffs and
     as_matrix() expand it to the d^4 tensor and cost O(d^4) per call.
+    States compare by identity.
     """
 
-    sector: np.ndarray
-    trace: float
-    cfg: TruncationConfig = field(repr=False)
+    __slots__ = ("sector", "trace", "cfg")
+
+    def __init__(self, sector, trace, cfg):
+        object.__setattr__(self, "sector", sector)
+        object.__setattr__(self, "trace", trace)
+        object.__setattr__(self, "cfg", cfg)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return TwoModeState, (self.sector, self.trace, self.cfg)
+
+    def __repr__(self):
+        return f"TwoModeState(sector={self.sector!r}, trace={self.trace!r})"
 
     @property
     def dim(self):

@@ -1,15 +1,14 @@
 """Entanglement monotones from the partial transpose."""
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .core import TruncationConfig, _block_eigvalsh, _hermiticity_error
 
 
-@dataclass(frozen=True)
-class NegativityResult:
+class NegativityResult(NamedTuple):
     """Log-negativity together with the diagnostics behind the clamping.
 
     value          log2 of the partial-transpose trace norm, clamped at 0
@@ -31,7 +30,8 @@ def trace_norm(arr):
     a = np.asarray(arr)
     if a.ndim == 4:
         a = a.reshape(a.shape[0] * a.shape[1], -1)
-    error = _hermiticity_error(float(np.abs(a - a.conj().T).max()), TruncationConfig.eig_tol)
+    defect = float(np.abs(a - a.conj().T).max())
+    error = _hermiticity_error(defect, TruncationConfig._field_defaults["eig_tol"])
     if error:
         raise error
     return float(np.abs(np.linalg.eigvalsh(a)).sum())

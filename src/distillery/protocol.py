@@ -10,19 +10,19 @@ malted copy, conditioned on vacuum, iterated to a fixed point.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
 from .channels import (
     LossChannelParams,
     SubtractionParams,
-    _WINDOW_CACHE_FLOATS,
+    _EXPANSION_BUDGET_FLOATS,
     _check_normalized,
+    _expansion_floats,
     _kraus_weights,
     _mash_round,
     _mash_source,
-    _source_window_floats,
     _zero_weight_error,
     detect_one_mode,
     loss_event,
@@ -44,31 +44,34 @@ class NoConvergenceError(RuntimeError):
     caller needs a converged value."""
 
 
-@dataclass(frozen=True)
-class MaltingSchedule:
-    """Success cycles for the two arms plus the channel settings."""
-
+class _ScheduleFields(NamedTuple):
     m_a: int
     m_b: int
     loss: LossChannelParams
     sub: SubtractionParams
 
-    def __post_init__(self):
+
+class MaltingSchedule(_ScheduleFields):
+    """Success cycles for the two arms plus the channel settings."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, m in (("m_a", self.m_a), ("m_b", self.m_b)):
             if int(m) != m or m < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {m}")
+        return self
 
 
-@dataclass(frozen=True)
-class MaltingRecord:
+class MaltingRecord(NamedTuple):
     state: TwoModeState
     joint_prob: float
     negativity_trace: list  # (clock-cycle, negativity) pairs, cycle 0 = input state
-    cycle_probs: list = field(default_factory=list)  # detection weight per cycle
+    cycle_probs: list = ()  # detection weight per cycle
 
 
-@dataclass(frozen=True)
-class DistillationOutcome:
+class DistillationOutcome(NamedTuple):
     rho_final: TwoModeState
     iterations: int
     mash_probs: list
@@ -80,22 +83,22 @@ class DistillationOutcome:
     tail: float = 0.0
 
 
-@dataclass(frozen=True)
-class CriticalCount:
+class CriticalCount(NamedTuple):
     m_c: int
     baseline_negativity: float
     mash_rounds: int = 0  # mashing rounds run over the whole scan
     max_discarded: float = 0.0  # worst truncation discard of any of them
     max_tail: float = 0.0  # worst tail of the scan's mashing runs
+    mashed_branches: int = 0  # branches mashed, counted or not (see average_entanglement)
 
 
-@dataclass(frozen=True)
-class AvgEntanglement:
+class AvgEntanglement(NamedTuple):
     value: float
     terms: list  # (j, success probability, final negativity) per retained j
     mash_rounds: int = 0  # mashing rounds run over the whole scan
     max_discarded: float = 0.0  # worst truncation discard of any of them
     max_tail: float = 0.0  # worst tail of the scan's mashing runs
+    mashed_branches: int = 0  # branches mashed, counted or not (see average_entanglement)
 
 
 def baseline_negativity(lam):
@@ -213,7 +216,8 @@ def _mash_stack(x_0, cfg, max_iter, every_round):
     each array as it is), as one stacked iteration: each round is one call
     per kernel for the branches still running, and a branch leaves the
     stack when it stops. The source side of the rounds (_mash_source) is
-    built once, and its rows are taken as branches leave.
+    built once, if any round runs, and its rows are taken as branches
+    leave.
 
     Returns one entry per branch, in order: its DistillationOutcome, or the
     ZeroTraceError or NotHermitianError that stopped it, not raised. The
@@ -221,7 +225,7 @@ def _mash_stack(x_0, cfg, max_iter, every_round):
     the last iterate's alone.
     """
     b = len(x_0)
-    source = _mash_source(x_0)
+    source = _mash_source(x_0) if max_iter else None
     final = list(x_0)
     probs = [[] for _ in range(b)]
     negs = [[] for _ in range(b)]
@@ -309,17 +313,18 @@ def full_protocol(lam, schedule, cfg, max_iter=50):
     stages = [n for _, n in record.negativity_trace] + list(
         outcome.negativity_by_stage[1:]
     )
-    return replace(outcome, negativity_by_stage=stages)
+    return outcome._replace(negativity_by_stage=stages)
 
 
 # The scan mashes arm-B branches in chunks of widths 1, 2, 4, ... up to
-# _chunk_width(d): as many branches as the window blocks that a mashing run
-# keeps (channels._source_window_floats) fit into _WINDOW_CACHE_FLOATS
-# float64 (1 MiB), width 4 at d = 8 and 1 at d = 10; from d = 11 on, where
-# no run keeps its windows, the scan mashes one branch at a time.
+# _chunk_width(d): as many branches as the expansions that a mashing run
+# keeps, with one round's expansion of the iterate
+# (channels._expansion_floats), fit into _EXPANSION_BUDGET_FLOATS float64
+# (1 MiB), width 16 at d = 8, 2 at d = 13 and 1 at d = 14; from d = 17 on,
+# where no run keeps them, the scan mashes one branch at a time.
 def _chunk_width(dim):
-    floats = _source_window_floats(dim)
-    return _WINDOW_CACHE_FLOATS // floats if floats else 1
+    floats = _expansion_floats(dim)
+    return _EXPANSION_BUDGET_FLOATS // floats if floats else 1
 
 
 def _chunks(branches, cap):
@@ -367,6 +372,8 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
     j's and the first failing one. The branches are mashed in chunks (see
     _chunks), and those past the first failing j are dropped, their rounds,
     discards and failures, malting ones included, uncounted.
+    mashed_branches counts every branch mashed (with zero rounds in
+    "malt-only"), the dropped ones included, so the chunks' waste shows.
     """
     if gain_mode not in ("full", "malt-only"):
         raise ValueError(f"unknown gain_mode {gain_mode!r}")
@@ -379,12 +386,13 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
     rounds = max_iter if gain_mode == "full" else 0
     baseline = baseline_negativity(lam)
     terms = []
-    total_rounds, worst_cut, worst_tail = 0, 0.0, 0.0
+    total_rounds, worst_cut, worst_tail, mashed = 0, 0.0, 0.0, 0
     j_limit = math.ceil(loss.tau) * _SCAN_CAP_FACTOR
     branches = _arm_b_branches(lam, loss, sub, cfg, j_limit)
     for chunk in _chunks(branches, _chunk_width(cfg.dim)):
         x = np.stack([state.sector for *_, state in chunk])
         runs = _mash_stack(x, cfg, rounds, every_round=False)
+        mashed += len(chunk)
         for (j, p_j, _), run in zip(chunk, runs):
             if isinstance(run, Exception):
                 raise run
@@ -405,7 +413,7 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
     value = 0.0
     if terms:
         value = sum(p * n for _, p, n in terms) / sum(p for _, p, _ in terms)
-    return AvgEntanglement(value, terms, total_rounds, worst_cut, worst_tail)
+    return AvgEntanglement(value, terms, total_rounds, worst_cut, worst_tail, mashed)
 
 
 def critical_attempts(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
@@ -419,4 +427,5 @@ def critical_attempts(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
         avg.mash_rounds,
         avg.max_discarded,
         avg.max_tail,
+        avg.mashed_branches,
     )

@@ -12,7 +12,7 @@ any thread count. The other commands run in one process.
 
 import os
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from .protocol import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved invocation of one subcommand: `subs` holds one
     SubtractionParams per t_s point, and the fields after `threads` are read
     only by the subcommands whose row of COMMANDS names them."""
@@ -177,9 +176,10 @@ def _run_distill(cfg):
 def _run_scan(cfg):
     # m_c per t_s point is the number of attempts the average retains;
     # avg-ent adds the average. The metadata gives the mashing diagnostics:
-    # mash_rounds lists each point's rounds, ';'-separated in row order;
-    # max_discarded and max_tail are the worst over all points, the
-    # counterparts of distill's max_discarded and tail.
+    # mash_rounds and mashed_branches list each point's rounds and mashed
+    # branches (those past the first failing j included), ';'-separated in
+    # row order; max_discarded and max_tail are the worst over all points,
+    # the counterparts of distill's max_discarded and tail.
     gain_mode = "malt-only" if cfg.baseline == "malt-only" else "full"
     cells = [(cfg.lam, cfg.loss, sub, cfg.trunc, cfg.max_iter, gain_mode) for sub in cfg.subs]
     avgs = _pmap(_scan_cell, cells, cfg.threads)
@@ -190,13 +190,13 @@ def _run_scan(cfg):
         columns, rows = columns[:2], [row[:2] for row in rows]
         meta["baseline_negativity"] = baseline_negativity(cfg.lam)
     meta["mash_rounds"] = ";".join(str(avg.mash_rounds) for avg in avgs)
+    meta["mashed_branches"] = ";".join(str(avg.mashed_branches) for avg in avgs)
     meta["max_discarded"] = max((avg.max_discarded for avg in avgs), default=0.0)
     meta["max_tail"] = max((avg.max_tail for avg in avgs), default=0.0)
     return columns, rows, meta
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One subcommand: its runner, the RunConfig fields it reads beyond the
     common ones (its flags, in metadata order) and whether --ts may be a
     range."""

@@ -431,6 +431,9 @@ def test_scan_prepares_one_source_per_branch(monkeypatch):
     loss, sub = LossChannelParams.from_tau(100.0), SubtractionParams(0.9)
     assert protocol.critical_attempts(0.1, loss, sub, cfg).m_c == 4
     assert sizes == [1, 2, 4]  # j = 1, 2-3, 4-7: j = 6 and 7 past j = 5
+    # a scan that runs no mashing round builds no source
+    protocol.critical_attempts(0.1, loss, sub, cfg, gain_mode="malt-only")
+    assert sizes == [1, 2, 4]
 
 
 def test_stacked_mash_round_equals_batch_of_one_bitwise():
@@ -457,22 +460,30 @@ def _shift_and_add(x, y):
     return out
 
 
-def _assert_convolution_matches(x, y):
-    got = channels._truncated_convolution(x, y)
+def _assert_convolution_matches(x, y, want=None):
+    # through the operand form a mashing run keeps (the expansion up to
+    # d = 16) and, forcing no kept expansion, through the shift-by-shift copy
+    got = [channels._truncated_convolution(x, channels._source_operand(y))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channels, "_expansion_floats", lambda dim: 0)
+        got.append(channels._truncated_convolution(x, channels._source_operand(y)))
     lead = np.broadcast_shapes(x.shape[:-3], y.shape[:-3])
-    assert got.shape == (*lead, *y.shape[-3:])
-    xs = np.broadcast_to(x, got.shape).reshape(-1, *x.shape[-3:])
-    ys = np.broadcast_to(y, got.shape).reshape(-1, *y.shape[-3:])
-    for g, xi, yi in zip(got.reshape(-1, *got.shape[-3:]), xs, ys):
-        want = _shift_and_add(xi, yi)
-        assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
+    if want is None:
+        xs = np.broadcast_to(x, (*lead, *x.shape[-3:])).reshape(-1, *x.shape[-3:])
+        ys = np.broadcast_to(y, (*lead, *y.shape[-3:])).reshape(-1, *y.shape[-3:])
+        want = [_shift_and_add(xi, yi) for xi, yi in zip(xs, ys)]
+    for out in got:
+        assert out.shape == (*lead, *y.shape[-3:])
+        for g, w in zip(out.reshape(-1, *out.shape[-3:]), want):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
+    return want
 
 
-@pytest.mark.parametrize("dim", [1, 2, 8, 16, 19, 24, 34])
+@pytest.mark.parametrize("dim", [1, 2, 8, 11, 16, 19, 24, 34])
 def test_truncated_convolution_matches_shift_and_add(dim):
-    # at the block count the rule picks for each cutoff, stacked and alone;
-    # x is sparse at large d so that the reference stays fast, with an entry
-    # in every (m, k) block
+    # at the block counts the rule picks for each cutoff, stacked, broadcast
+    # and alone; x is sparse at large d so that the reference stays fast,
+    # with an entry in every (m, k) block
     rng = np.random.default_rng(dim)
     y = rng.random((2, dim, dim, dim))
     x = rng.random((2, dim, dim, dim))
@@ -485,19 +496,22 @@ def test_truncated_convolution_matches_shift_and_add(dim):
 
 
 def test_truncated_convolution_at_every_block_count(monkeypatch):
-    # every block count the rule produces below the mashing limit, forced at
-    # a small cutoff that none divides evenly past B = 1 (zero-padded blocks)
-    counts = {channels._block_count(d) for d in range(1, 100)}
-    assert counts == set(range(1, 13))
+    # every pair of M and K block counts up to the cutoff, forced at a small
+    # cutoff that none past 1 divides evenly (zero-padded and empty blocks)
     rng = np.random.default_rng(5)
     x, y = rng.random((2, 2, 13, 13, 13))
-    for nb in sorted(counts):
-        monkeypatch.setattr(channels, "_block_count", lambda dim, nb=nb: nb)
-        _assert_convolution_matches(x, y)
+    want = None
+    for b_m in range(1, 14):
+        for b_k in range(1, 14):
+            monkeypatch.setattr(channels, "_block_counts", lambda dim, b=(b_m, b_k): b)
+            want = _assert_convolution_matches(x, y, want)
 
 
-def test_block_count_keeps_blocks_at_least_8_wide():
-    assert [channels._block_count(d) for d in (8, 15, 16, 19, 24, 34, 99)] == [
-        1, 1, 2, 2, 3, 4, 11]
-    for d in range(16, 100):
-        assert -(-d // channels._block_count(d)) >= 8
+def test_block_counts_keep_k_blocks_15_wide():
+    assert [channels._block_counts(d) for d in (8, 13, 14, 16, 19, 24, 34, 99)] == [
+        (1, 1), (1, 1), (2, 1), (2, 1), (5, 1), (12, 1), (17, 2), (50, 6)]
+    for d in range(1, 100):
+        b_m, b_k = channels._block_counts(d)
+        s_m, s_k = -(-d // b_m), -(-d // b_k)
+        assert (b_m - 1) * s_m < d and (b_k - 1) * s_k < d  # no empty block
+        assert s_m >= min(d, 2) and (b_k == 1 or s_k >= 15)

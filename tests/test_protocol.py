@@ -14,6 +14,7 @@ from distillery import (
     SubtractionParams,
     TruncationConfig,
     ZeroTraceError,
+    auto_n_max,
     average_entanglement,
     critical_attempts,
     full_protocol,
@@ -262,6 +263,12 @@ def test_scan_reports_mash_rounds_and_worst_discard():
         assert p == pytest.approx(rec.joint_prob * math.prod(out.mash_probs), rel=1e-12)
         assert n == pytest.approx(neg, rel=1e-12)
     assert avg.mash_rounds == cc.mash_rounds == sum(rounds)
+    # the chunks, of widths 1, 2, 4, ... up to _chunk_width(d), mash past
+    # the first failing j to the end of its chunk
+    mashed, width = 0, 1
+    while mashed < cc.m_c + 1:
+        mashed, width = mashed + width, min(2 * width, protocol._chunk_width(CFG.dim))
+    assert avg.mashed_branches == cc.mashed_branches == mashed
     # on the scan's own malted states the batch-of-1 path gives every
     # reduction bit for bit: rounds, worst discard, worst tail and terms
     branches = _arm_b_branches(SUB, cc.m_c + 1)
@@ -385,27 +392,27 @@ def test_mashing_solves_few_distances_and_windows_each_chunk_once(monkeypatch):
     out = mash_iterate(malt(LAM, MaltingSchedule(1, 1, LOSS, SUB), CFG).state)
     assert out.converged and out.iterations >= 8
     assert 1 <= len(solves) <= 3
-    # a d = 8 scan chunk windows its sources once for all its rounds: the
+    # a d = 8 scan chunk expands its sources once for all its rounds: the
     # chunks j = 1, 2-3 and 4-7 (see test_scan_prepares_one_source_per_branch)
-    views = []
-    real_view = channels._window_view
+    expansions = []
+    real_operand = channels._source_operand
 
-    def viewing(y):
-        views.append(y.shape[:-3])
-        return real_view(y)
+    def expanding(y):
+        expansions.append(y.shape[:-3])
+        return real_operand(y)
 
-    monkeypatch.setattr(channels, "_window_view", viewing)
+    monkeypatch.setattr(channels, "_source_operand", expanding)
     cc = critical_attempts(LAM, LOSS, SubtractionParams(0.9), CFG)
     assert cc.m_c == 4 and cc.mash_rounds >= 5 * 8
-    assert views == [(1,), (2,), (4,)]
+    assert expansions == [(1,), (2,), (4,)]
 
 
-@pytest.mark.parametrize("n_max", [7, 11])
+@pytest.mark.parametrize("n_max", [7, 11, 16])
 def test_mash_iterate_matches_a_loop_of_mash_step_and_trace_distance(n_max):
-    # the reference solves every round's trace distance; d = 8 keeps
-    # rho_0's windows for the run, d = 12 copies them round by round
+    # the reference solves every round's trace distance; d = 8 and 12 keep
+    # rho_0's expansion for the run, d = 17 copies it shift by shift
     cfg = TruncationConfig(n_max)
-    assert bool(channels._source_window_floats(cfg.dim)) == (n_max == 7)
+    assert bool(channels._expansion_floats(cfg.dim)) == (n_max < 16)
     rho_0 = malt(LAM, MaltingSchedule(1, 2, LOSS, SUB), cfg).state
     cur, probs = rho_0, []
     for rounds in range(1, 51):
@@ -422,6 +429,21 @@ def test_mash_iterate_matches_a_loop_of_mash_step_and_trace_distance(n_max):
     # tail is a difference of nearly equal states, so it is held to the
     # rounding of its entries, not relative to itself
     assert out.tail == pytest.approx(dist / 3.0, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.2, 0.4])
+def test_vacuum_probability_operator_matches_the_per_diagonal_product(lam):
+    # a round's untruncated probability, the product-sum of x_i with the
+    # run's operator z, against sum_j <x_0[j], V_j x_i[-j] V_j^T> per
+    # diagonal, on malted states at d = 8, 11 and 19 and a mashed iterate
+    cfg = TruncationConfig(auto_n_max(lam))
+    rho_0 = malt(lam, MaltingSchedule(1, 2, LOSS, SUB), cfg).state
+    assert cfg.dim == {0.1: 8, 0.2: 11, 0.4: 19}[lam]
+    x = np.stack([rho_0.sector, mash_step(rho_0, rho_0).state.sector])
+    v = channels._vacuum_weights(cfg.dim)
+    want = np.sum(rho_0.sector * (v @ x[:, ::-1] @ v.transpose(0, 2, 1)), axis=(-3, -2, -1))
+    prob = channels._mash_round(x, channels._mash_source(rho_0.sector[None]), cfg)[1]
+    assert prob == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 def test_scan_chunks_double_and_end_before_a_malting_failure():
@@ -464,7 +486,11 @@ def test_scan_raises_a_malting_failure_only_if_it_reaches_it(monkeypatch, gain_m
         with pytest.raises(ZeroTraceError, match="j=5"):
             average_entanglement(LAM, LOSS, sub, CFG, gain_mode=gain_mode)
     else:
-        assert average_entanglement(LAM, LOSS, sub, CFG, gain_mode=gain_mode) == ref
+        got = average_entanglement(LAM, LOSS, sub, CFG, gain_mode=gain_mode)
+        # only the count of mashed branches moves: a failure at j = 6 cuts
+        # the chunk j = 4..7 short, so j = 6 and 7 are never mashed
+        assert got._replace(mashed_branches=ref.mashed_branches) == ref
+        assert (ref.mashed_branches, got.mashed_branches) == (7, 5 if bad_j == 6 else 7)
 
 
 def test_pij_reads_one_mode_vectors(monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -203,6 +204,20 @@ def test_states_are_immutable_values():
     assert st.coeffs[1, 1, 1, 1] == 0.0
     with pytest.raises(ValueError):
         st.coeffs[0, 0, 0, 0] = 2.0
+
+
+def test_records_are_immutable_and_pickle():
+    # states compare by identity and the records as values; neither takes
+    # assignment, and both survive a pickle round trip (the process pool)
+    cfg = TruncationConfig(4)
+    st = vacuum(cfg)
+    for obj, name in ((st, "trace"), (cfg, "n_max"), (SubtractionParams(0.9), "t_s")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, 1)
+    assert st != vacuum(cfg) and cfg == TruncationConfig(4)
+    back = pickle.loads(pickle.dumps(st))
+    assert back.cfg == cfg and back.sector.tobytes() == st.sector.tobytes()
+    assert type(pickle.loads(pickle.dumps(cfg))) is TruncationConfig
 
 
 def test_state_from_coeffs_copies_a_float64_caller_array():

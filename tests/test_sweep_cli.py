@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from distillery import auto_n_max, channels, cli, protocol, sweep
+from distillery import TruncationConfig, auto_n_max, channels, cli, protocol, sweep
 from distillery.cli import ConfigError, build_parser, main, parse_ts, validate_config
 from distillery.sweep import _fmt, _pmap
 
@@ -261,8 +261,9 @@ _COMMON_KEYS = ["command", "version", "lambda", "t", "tau", "ts", "n_max",
         ("distill", ["ma", "mb", "max_iter"],
          ["joint_prob", "mash_iterations", "converged", "max_discarded", "tail"]),
         ("mc-sweep", ["max_iter", "baseline"],
-         ["baseline_negativity", "mash_rounds", "max_discarded", "max_tail"]),
-        ("avg-ent", ["max_iter", "baseline"], ["mash_rounds", "max_discarded", "max_tail"]),
+         ["baseline_negativity", "mash_rounds", "mashed_branches", "max_discarded", "max_tail"]),
+        ("avg-ent", ["max_iter", "baseline"],
+         ["mash_rounds", "mashed_branches", "max_discarded", "max_tail"]),
     ],
 )
 def test_metadata_records_exactly_the_flags_a_run_reads(tmp_path, command, flags, runner_keys):
@@ -472,6 +473,11 @@ def test_sweeps_report_mash_diagnostics_per_point(tmp_path):
         rounds = [int(r) for r in meta["mash_rounds"].split(";")]
         assert len(rounds) == len(body) - 1  # one entry per t_s row, in order
         assert all(r >= 1 for r in rounds)
+        # each point mashed its retained j's, the first failing one and
+        # those its chunk reached past it
+        mashed = [int(b) for b in meta["mashed_branches"].split(";")]
+        m_c = [int(row.split(",")[1]) for row in body[1:]]
+        assert all(m + 1 <= b <= 2 * m + 1 for m, b in zip(m_c, mashed))
         assert 0.0 <= float(meta["max_discarded"]) < 1e-9
         assert 0.0 < float(meta["max_tail"]) < float(meta["conv_tol"]) / 3
     out = tmp_path / "mo.csv"
@@ -540,34 +546,37 @@ def test_exit_code_one_on_config_error(tmp_path):
 
 def test_scan_chunk_windows_fit_the_memory_budget():
     # the arm-B scan mashes chunks of up to _chunk_width(d) branches; the
-    # window blocks a mashing run keeps for each of them, plus the round's
-    # two d^4 arrays per branch, stay within the share working_set_bytes
-    # budgets for them, and the kept blocks within _WINDOW_CACHE_FLOATS
+    # expansions a mashing run keeps for each of them, plus the round's two
+    # d^4 arrays per branch, stay within the share working_set_bytes
+    # budgets for them, and the kept expansions within
+    # _EXPANSION_BUDGET_FLOATS
     kept = {}
     for d in range(2, cli._MASH_MAX_N_MAX + 2):
         width = protocol._chunk_width(d)
-        kept[d] = channels._source_window_floats(d)
+        kept[d] = channels._expansion_floats(d)
         share = cli.working_set_bytes(d - 1, True) - cli.working_set_bytes(d - 1, False)
-        assert 8 * width * (cli._LIVE_WINDOW_ARRAYS * d**4 + kept[d]) <= share, d
-        assert width * kept[d] <= channels._WINDOW_CACHE_FLOATS, d
-        # where nothing is kept a chunk is one branch, and from d = 12 on the
-        # share is the one-branch estimate the 4 GiB refusal always read
+        assert 8 * width * (cli._LIVE_MASH_ARRAYS * d**4 + kept[d]) <= share, d
+        assert width * kept[d] <= channels._EXPANSION_BUDGET_FLOATS, d
+        # where nothing is kept a chunk is one branch, and the share is the
+        # one-branch estimate the 4 GiB refusal always read
         if not kept[d]:
             assert width == 1, d
-        if d >= 12:
-            assert share == cli._LIVE_WINDOW_ARRAYS * 8 * d**4, d
-    # windows are kept up to d = 10 (d^5 floats per branch at B = 1)
-    assert [d for d in kept if kept[d]] == list(range(2, 11))
-    assert [protocol._chunk_width(d) for d in (8, 9, 10, 11, 12, 99)] == [4, 2, 1, 1, 1, 1]
-    # and building a whole chunk's windows and convolving against them
-    # peaks within that share, on both sides of the kept-windows cutoff
+            assert share == cli._LIVE_MASH_ARRAYS * 8 * d**4, d
+    # expansions are kept up to d = 16 (about 2 d^4 floats per branch)
+    assert [d for d in kept if kept[d]] == list(range(2, 17))
+    assert [protocol._chunk_width(d) for d in (8, 9, 10, 11, 12, 13, 14, 16, 17, 99)] == [
+        16, 9, 6, 4, 3, 2, 1, 1, 1, 1]
+    # and building a whole chunk's sources and running one round on it
+    # peaks within that share, on both sides of the kept-expansion cutoff
     rng = np.random.default_rng(3)
-    for d in (8, 9, 10, 11, 12):
+    for d in (8, 9, 10, 11, 12, 13, 16, 19, 34):
         width = protocol._chunk_width(d)
-        x, y = rng.random((2, width, d, d, d))
+        cfg = TruncationConfig(d - 1)
+        x = rng.random((width, 2 * d - 1, d, d))
+        channels._mash_round(x[:1], channels._mash_source(x[:1]), cfg)  # fills the caches
         tracemalloc.start()
         try:
-            channels._truncated_convolution(x, y)
+            channels._mash_round(x, channels._mash_source(x), cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -668,11 +677,10 @@ def test_mashing_commands_refuse_overflowing_cutoffs(tmp_path, capsys):
 
 def test_mash_limit_is_where_the_output_weights_overflow():
     # the largest output weight of mash_step is sf[d-1]^4 = ((d - 1)!)^2,
-    # the square of entry d - 1 of diagonal 0 of the output weight rows
+    # the last entry of diagonal 0 of the output weight table
     def top(dim):
-        rows = channels._mash_weights(dim)[-1]
         with np.errstate(over="ignore"):
-            return rows[dim - 1, -1] * rows[dim - 1, -1]
+            return channels._mash_weights(dim)[-1][dim - 1, -1, -1]
 
     assert np.isfinite(top(cli._MASH_MAX_N_MAX + 1))
     assert np.isinf(top(cli._MASH_MAX_N_MAX + 2))
