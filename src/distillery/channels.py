@@ -97,12 +97,12 @@ def loss_kraus(t, dim):
 
 @lru_cache(maxsize=None)
 def _loss_maps(t, dim):
-    # L[j + d - 1] is the one-mode loss channel on coherence diagonal j in
-    # the stored layout: sum_q K_q |n><k| K_q† moves entry p of the diagonal
-    # to p - q with weight A(n, q) A(k, q), so L[j][p - q, p] is entry p - q
-    # of row j of the q-count weights (_count_rows, built uncached here so
-    # that only the maps stay in memory).
-    maps = np.zeros((2 * dim - 1, dim, dim))
+    # L[j] is the one-mode loss channel on coherence diagonal j in the
+    # stored layout: sum_q K_q |n><k| K_q† moves entry p of the diagonal to
+    # p - q with weight A(n, q) A(k, q), so L[j][p - q, p] is entry p - q of
+    # row j of the q-count weights (_count_rows, built uncached here so that
+    # only the maps stay in memory).
+    maps = np.zeros((dim, dim, dim))
     for q in range(dim):
         x = np.arange(dim - q)
         maps[:, x, x + q] = _pair_rows(_kraus_weights(q, t, dim), dim)[:, : dim - q]
@@ -137,8 +137,8 @@ def _kraus_weights(q, t, dim):
 
 @lru_cache(maxsize=None)
 def _count_rows(q, t, dim):
-    # u[j + d - 1, p] = A(n + q, q) A(k + q, q) for output pair (n, k) = entry
-    # p of diagonal j: the weight K_q |n + q><k + q| K_q† puts on it
+    # u[j, p] = A(n + q, q) A(k + q, q) for output pair (n, k) = entry p of
+    # diagonal j: the weight K_q |n + q><k + q| K_q† puts on it
     u = _pair_rows(_kraus_weights(q, t, dim), dim)[:, : dim - q]
     u.flags.writeable = False
     return u
@@ -237,14 +237,14 @@ class MashResult(NamedTuple):
 def _mash_tables(dim):
     # gather[n, m, k]: slot of p[n, m, k, m - n + k] in the stored layout,
     # the zero slot where that l leaves the cutoff; scatter: for every slot
-    # of the stored layout, the flat (n, m, k) position of its entry, so that
-    # one take fills the whole layout (padding reads entry 0, and the output
-    # weights, zero there, clear it)
+    # of the stored layout, the flat (n, m, k) position of the entry with
+    # n >= k that it holds, so that one take fills the whole layout (padding
+    # reads entry 0, and the output weights, zero there, clear it)
     n, m, k = np.ogrid[:dim, :dim, :dim]
     l_ = m - n + k
     gather = np.where((l_ >= 0) & (l_ < dim), _slot(dim, n, m, k, l_), _zero_slot(dim))
     slot, dense = _sector_entries(dim)
-    scatter = np.zeros((2 * dim - 1) * dim * dim, dtype=np.intp)
+    scatter = np.zeros(dim**3, dtype=np.intp)
     scatter[slot] = dense // dim  # drops l from ((n d + m) d + k) d + l
     for arr in (gather, scatter):
         arr.flags.writeable = False
@@ -253,22 +253,21 @@ def _mash_tables(dim):
 
 @lru_cache(maxsize=None)
 def _vacuum_weights(dim):
-    # V[j + dim - 1, p, p'] = sqrt(C(N, p + |j|) C(N, p)) / 2^N with
-    # N = p + p' + |j|: the weight with which rho_0's pair (n, k) (entry p of
-    # diagonal j) meets rho_i's pair (N - n, N - k) (entry p' of diagonal -j)
-    # in the vacuum-conditioned output N of one 50/50 splitter. Each factor
-    # sqrt(C(N, x) / 2^N) is an exact integer ratio, rounded once: at most 1,
-    # so nothing overflows at any cutoff.
+    # V[j, p, p'] = sqrt(C(N, p + j) C(N, p)) / 2^N with N = p + p' + j:
+    # the weight with which rho_0's pair (n, k) (entry p of diagonal
+    # j = |n - k|) meets rho_i's pair (N - n, N - k) (entry p' of the same
+    # diagonal) in the vacuum-conditioned output N of one 50/50 splitter.
+    # Each factor sqrt(C(N, x) / 2^N) is an exact integer ratio, rounded
+    # once: at most 1, so nothing overflows at any cutoff.
     top = 2 * (dim - 1)
     root = np.zeros((top + 1, top + 1))
     for n in range(top + 1):
         for x in range(n + 1):
             root[n, x] = math.sqrt(math.comb(n, x) / 2**n)
-    j, p, p2 = np.indices((2 * dim - 1, dim, dim))
-    a = np.abs(j - (dim - 1))
-    n = np.minimum(p + p2 + a, top)
-    ok = (p + a < dim) & (p2 + a < dim)
-    v = np.where(ok, root[n, np.minimum(p + a, top)] * root[n, p], 0.0)
+    j, p, p2 = np.indices((dim, dim, dim))
+    n = np.minimum(p + p2 + j, top)
+    ok = (p + j < dim) & (p2 + j < dim)
+    v = np.where(ok, root[n, np.minimum(p + j, top)] * root[n, p], 0.0)
     v.flags.writeable = False
     return v
 
@@ -439,26 +438,29 @@ def _mash_source(x_0):
     """rho_0's side of the projector, the same in every round against
     fresh copies of one rho_0: the _source_operand of its _rescaled array,
     and the operator z of the untruncated probability (see _mash_round); for
-    a stack x_0 (..., 2d-1, d, d), a stack of each, whose rows a caller
-    takes as branches leave."""
+    a stack x_0 (..., d, d, d), a stack of each, whose rows a caller takes
+    as branches leave."""
     v = _vacuum_weights(x_0.shape[-1])
     z = v.transpose(0, 2, 1) @ x_0 @ v
-    return _source_operand(_rescaled(x_0)), np.ascontiguousarray(z[..., ::-1, :, :])
+    z[..., 1:, :, :] *= 2.0  # diagonal j > 0 stands for j and -j
+    return _source_operand(_rescaled(x_0)), z
 
 
 def _mash_round(x_i, source, cfg):
-    """One mashing round on a stack of stored arrays x_i (b, 2d-1, d, d),
+    """One mashing round on a stack of stored arrays x_i (b, d, d, d),
     each against its rho_0 in the stack `source` (_mash_source of the
     rho_0 stack, or of one rho_0 for all).
 
     Vacuum on output 1 of each splitter leaves amplitudes that factor per
     index: r^x / sqrt(x!) on the rho_0 side, t^x / sqrt(x!) on the rho_i
     side, and sqrt(N!) on each output index (t = r here). The kept block is
-    a truncated convolution of the rescaled inputs in (n, m, k) coordinates;
-    the untruncated trace needs only output N = K, M = L, where rho_0's
-    diagonal j meets rho_i's diagonal -j, weighted by V = _vacuum_weights:
-    sum_j <x_0[j], V_j x_i[-j] V_j^T>, which is the product-sum of x_i with
-    z[-j] = V_j^T x_0[j] V_j, kept in the source for the whole run. The
+    a truncated convolution of the rescaled inputs in (n, m, k) coordinates,
+    of which the entries with n >= k are kept; the untruncated trace needs
+    only output N = K, M = L, where rho_0's diagonal j meets rho_i's
+    diagonal -j, weighted by V = _vacuum_weights, and diagonal -j mirrors
+    j: sum_j c_j <x_0[j], V_j x_i[j] V_j^T> over j >= 0 with c_0 = 1 and
+    c_j = 2 beyond, which is the product-sum of x_i with
+    z[j] = c_j V_j^T x_0[j] V_j, kept in the source for the whole run. The
     reflection sign would enter as (-1)^(n+m+k+l), which is 1 on the sector
     n - k = m - l, so the kernel carries none.
 
@@ -472,10 +474,10 @@ def _mash_round(x_i, source, cfg):
     b = len(x_i)
     operand, z = source
     part = _truncated_convolution(_rescaled(x_i), operand)
-    kept = part.reshape(b, -1).take(_mash_tables(d)[1], axis=1).reshape(b, 2 * d - 1, d, d)
+    kept = part.reshape(b, -1).take(_mash_tables(d)[1], axis=1).reshape(b, d, d, d)
     kept *= _mash_weights(d)[1]
     p_full = (z * x_i).reshape(b, -1).sum(axis=-1)
-    weight = kept[:, cfg.n_max].sum(axis=(-2, -1))
+    weight = kept[:, 0].sum(axis=(-2, -1))
     kept /= np.where(weight > cfg.trace_tol, weight, 1.0)[:, None, None, None]
     return kept, p_full, np.maximum(p_full - weight, 0.0), weight
 

@@ -88,39 +88,47 @@ def parse_ts(spec):
     return tuple(v for v in vals if v <= stop + step / 2)
 
 
-# A state stores (2d - 1) d^2 float64 coefficients. Peak RSS beyond the
-# interpreter measured 5.1-5.3 such arrays when malting (d = 78 and 164),
-# counted here as 6. Mashing adds, for each branch of a chunk of the arm-B
-# scan (protocol._chunk_width), the expansions its run keeps
+# A state stores d^3 float64 coefficients, and the eigensolves gather
+# (2d - 1) d^2 of them into padded blocks, through an int64 gather table of
+# that size kept per cutoff. Traced memory when malting peaked at 8.00 d^3
+# float64 (d = 78 and 164), in the eigensolve: the state and the cached
+# loss maps, d^3 each, and the blocks, the gather table and one temporary
+# of their size, counted here as 4 stored states and 3 eigensolve arrays.
+# Mashing adds, for each branch of a chunk of the arm-B scan
+# (protocol._chunk_width), the expansions its run keeps
 # (channels._expansion_floats: 1.75-2 d^4 float64 up to d = 16, none from
 # d = 17 on, where a chunk is one branch) plus two d^4 float64 arrays for
 # the rest of a round. Building a whole chunk's sources and running one
-# round on it (tracemalloc, inputs included) peaked at 2.1-2.8 d^4 float64
-# per branch at d = 8-16, against 3.75-4 counted, and at 1.08 d^4 (d = 19),
-# 0.77 d^4 (d = 34) and 0.73 d^4 (d = 49), against 2, so the count is an
-# upper bound. A pij grid adds its cells: the matrix
-# and the CSV row tuples peaked at 110-122 bytes per cell (grids of 300^2
-# and 600^2), counted as 128. decay keeps a row per step until the CSV is
-# written, a tuple of an int and three floats in a list: 180 bytes by
-# sys.getsizeof, counted as 192. Invocations whose estimate exceeds the
-# budget are refused before any run.
+# round on it (tracemalloc, inputs included) peaked at 2.0-2.7 d^4 float64
+# per branch at d = 8-16, against 3.75-4 counted, and at 1.03 d^4 (d = 19)
+# and 0.74 d^4 (d = 34), against 2, so the count is an upper bound. A pij
+# grid adds its cells: the matrix and the CSV row tuples peaked at 110-122
+# bytes per cell (grids of 300^2 and 600^2), counted as 128. decay keeps a
+# row per step until the CSV is written, a tuple of an int and three floats
+# in a list: 180 bytes by sys.getsizeof, counted as 192. malt-trace and
+# distill keep a row per clock cycle (and distill one per mashing round):
+# 162 and 242 bytes per row traced at 40 000 cycles, counted as 256.
+# Invocations whose estimate exceeds the budget are refused before any run.
 MEMORY_BUDGET_BYTES = 4 * 2**30
-_LIVE_STATE_ARRAYS = 6
+_LIVE_STATE_ARRAYS = 4
+_EIGENSOLVE_ARRAYS = 3
 _LIVE_MASH_ARRAYS = 2
 _PIJ_CELL_BYTES = 128
 _DECAY_ROW_BYTES = 192
+_CYCLE_ROW_BYTES = 256
 # mash_step's output weights reach ((d - 1)!)^2, which is inf in float64
 # from d = 100, so mashing runs at n_max <= 98 only
 _MASH_MAX_N_MAX = 98
 
 
-def working_set_bytes(n_max, mashing, cells=0, rows=0):
+def working_set_bytes(n_max, mashing, cells=0, rows=0, cycle_rows=0):
     """Estimated peak memory of the arrays at cutoff n_max, for a command
     that only malts or one that also mashes, plus that of a pij grid of
-    `cells` cells and of `rows` decay rows."""
+    `cells` cells, of `rows` decay rows and of `cycle_rows` malt-trace or
+    distill rows."""
     d = n_max + 1
-    need = _LIVE_STATE_ARRAYS * 8 * (2 * d - 1) * d * d
-    need += _PIJ_CELL_BYTES * cells + _DECAY_ROW_BYTES * rows
+    need = 8 * (_LIVE_STATE_ARRAYS * d**3 + _EIGENSOLVE_ARRAYS * (2 * d - 1) * d * d)
+    need += _PIJ_CELL_BYTES * cells + _DECAY_ROW_BYTES * rows + _CYCLE_ROW_BYTES * cycle_rows
     if mashing:
         need += 8 * _chunk_width(d) * (_LIVE_MASH_ARRAYS * d**4 + _expansion_floats(d))
     return need
@@ -195,6 +203,9 @@ def validate_config(ns):
             own[field] = val
     cells = own.get("imax", 0) * own.get("jmax", 0)
     rows = own["steps"] + 1 if "steps" in own else 0
+    cycle_rows = 0
+    if "ma" in own and "mb" in own:
+        cycle_rows = max(own["ma"], own["mb"]) + 1 + own.get("max_iter", 0)
 
     n_max = ns.n_max
     if n_max < 0:
@@ -212,13 +223,16 @@ def validate_config(ns):
             )
 
     if n_max >= 1:
-        need = working_set_bytes(n_max, command.mashes, cells, rows)
+        need = working_set_bytes(n_max, command.mashes, cells, rows, cycle_rows)
         if need > MEMORY_BUDGET_BYTES:
             kept = ""
             if cells:
                 kept = f" and a {own['imax']} x {own['jmax']} grid"
             elif rows:
                 kept = f" and {rows} decay rows"
+            elif need - _CYCLE_ROW_BYTES * cycle_rows <= MEMORY_BUDGET_BYTES:
+                # the rows, not the cutoff, are what exceeds the budget
+                kept = f" and {cycle_rows} {name} rows"
             errors.append(
                 f"n_max={n_max}{kept} needs a working set of about "
                 f"{need / 2**30:.3g} GiB, over the "

@@ -4,7 +4,8 @@ A state over modes A and B has the coefficients p[n, m, k, l] of
 sum_{nmkl} p |n, m><k, l|, with n, k indexing mode A and m, l indexing
 mode B. Flattening (n, m) rows against (k, l) columns gives the usual
 dim^2 x dim^2 density matrix. Only the entries with n - k = m - l are
-stored, in the layout below.
+nonzero, and of those only the ones with n >= k are stored, in the layout
+below.
 Every Fock matrix element of the protocol is real, so coefficients are
 float64 and the density matrix is real symmetric.
 """
@@ -77,34 +78,36 @@ def auto_n_max(lam, trace_tol=TruncationConfig._field_defaults["trace_tol"]):
 
 
 # The stored layout. Every protocol state commutes with N_A - N_B, so its
-# coefficients p[n, m, k, l] vanish unless n - k = m - l. The coherence
-# diagonal j = n - k of mode A then fixes that of mode B, and a state is the
-# (2d-1, d, d) array X[j + d - 1, p, q]: mode A's pair (n, k) is entry
-# p = min(n, k) of diagonal j, mode B's pair (m, l) entry q = min(m, l) of
-# the same diagonal. Diagonal j has d - |j| entries per mode; the rest of
-# its d x d slice is padding and always zero.
+# coefficients p[n, m, k, l] vanish unless n - k = m - l, and it is real
+# symmetric, so p[n, m, k, l] = p[k, l, n, m]. The coherence diagonal
+# j = n - k of mode A then fixes that of mode B, diagonal -j mirrors
+# diagonal j, and a state is the (d, d, d) array X[j, p, q] of the
+# diagonals j = |n - k| = 0 ... d - 1: mode A's pair (n, k) is entry
+# p = min(n, k) of diagonal |n - k|, mode B's pair (m, l) entry
+# q = min(m, l) of the same diagonal. Diagonal j has d - j entries per mode;
+# the rest of its d x d slice is padding and always zero. Each coefficient
+# is stored once, so no stored array can break Hermiticity.
 
 
 def _slot(dim, n, m, k, l_):
     """Flat position in the stored layout of p[n, m, k, l] (n - k = m - l)."""
-    return ((n - k + dim - 1) * dim + np.minimum(n, k)) * dim + np.minimum(m, l_)
+    return (np.abs(n - k) * dim + np.minimum(n, k)) * dim + np.minimum(m, l_)
 
 
 def _zero_slot(dim):
-    # X[0, d - 1, d - 1]: diagonal 1 - d has one entry, so this padding slot
-    # is zero in every stored array (dim >= 2)
-    return dim * dim - 1
+    # X[d - 1, d - 1, d - 1]: diagonal d - 1 has one entry, so this padding
+    # slot is zero in every stored array (dim >= 2)
+    return dim**3 - 1
 
 
 @lru_cache(maxsize=None)
 def _sector_entries(dim):
-    """(slot, dense) for every coefficient of the sector n - k = m - l: its
-    flat position in the stored layout and in the d^4 tensor p[n, m, k, l]."""
-    j, p, q = np.ogrid[1 - dim : dim, :dim, :dim]
-    size = dim - np.abs(j)
-    ok = (p < size) & (q < size)
-    a, b = np.maximum(j, 0), np.maximum(-j, 0)
-    n, k, m, l_ = p + a, p + b, q + a, q + b
+    """(slot, dense) for every slot of the stored layout that holds a
+    coefficient: its flat position there, and in the d^4 tensor that of the
+    coefficient p[n, m, k, l] with n >= k that it holds."""
+    j, p, q = np.ogrid[:dim, :dim, :dim]
+    ok = (p + j < dim) & (q + j < dim)
+    n, k, m, l_ = p + j, p, q + j, q
     slot = np.flatnonzero(ok)
     dense = (((n * dim + m) * dim + k) * dim + l_)[ok]
     for arr in (slot, dense):
@@ -116,8 +119,12 @@ def _dense(sector):
     """The d^4 coefficient tensor p[n, m, k, l] of a stored array."""
     dim = sector.shape[1]
     slot, dense = _sector_entries(dim)
-    c = np.zeros((dim,) * 4)
-    c.reshape(-1)[dense] = sector.reshape(-1)[slot]
+    values = sector.reshape(-1)[slot]
+    c = np.zeros(dim**4)
+    c[dense] = values
+    # and at its mirror p[k, l, n, m]: the two halves of the flat index swap
+    c[dense % dim**2 * dim**2 + dense // dim**2] = values
+    c = c.reshape((dim,) * 4)
     c.flags.writeable = False
     return c
 
@@ -125,7 +132,7 @@ def _dense(sector):
 class TwoModeState:
     """Immutable two-mode density operator plus its numerical policy.
 
-    sector is the stored (2d-1, d, d) layout described above; coeffs and
+    sector is the stored (d, d, d) layout described above; coeffs and
     as_matrix() expand it to the d^4 tensor and cost O(d^4) per call.
     States compare by identity.
     """
@@ -168,24 +175,34 @@ class TwoModeState:
         return self.coeffs.reshape(d * d, d * d)
 
 
+def _check_hermiticity(defect, tol):
+    if defect > tol:
+        raise NotHermitianError(f"hermiticity defect {defect:.3g} > {tol:.3g}")
+
+
 def state_from_coeffs(coeffs, cfg):
     """Store a rank-4 coefficient tensor p[n, m, k, l] as a state, computing
     its trace. Complex input is accepted only with a zero imaginary part,
-    and every nonzero must obey n - k = m - l."""
+    every nonzero must obey n - k = m - l, and p[n, m, k, l] may differ from
+    p[k, l, n, m] by at most cfg.eig_tol (NotHermitianError beyond it); the
+    entries with n >= k are stored. This is where a state enters: every op
+    maps stored arrays to stored arrays, which cannot break Hermiticity."""
     c = np.asarray(coeffs)
     if np.iscomplexobj(c) and np.any(c.imag):
         raise ValueError("coefficients must be real, got a nonzero imaginary part")
     d = cfg.n_max + 1
     if c.shape != (d, d, d, d):
         raise ValueError(f"expected shape {(d, d, d, d)}, got {c.shape}")
-    slot, dense = _sector_entries(d)
-    values = c.real.reshape(-1)[dense]
-    if np.count_nonzero(values) != np.count_nonzero(c):
+    c = c.real
+    n, m, k, l_ = np.ogrid[:d, :d, :d, :d]
+    if np.any(c[n - k != m - l_]):
         raise ValueError(
             "coefficients must obey n - k = m - l, got a nonzero entry off that sector"
         )
-    x = np.zeros((2 * d - 1, d, d))
-    x.reshape(-1)[slot] = values
+    _check_hermiticity(float(np.abs(c - c.transpose(2, 3, 0, 1)).max()), cfg.eig_tol)
+    slot, dense = _sector_entries(d)
+    x = np.zeros((d, d, d))
+    x.reshape(-1)[slot] = c.reshape(-1)[dense]
     return _wrap_fresh(x, cfg)
 
 
@@ -194,7 +211,7 @@ def _wrap_fresh(x, cfg):
     op's own output) without copying it: freeze it, read its trace, the sum
     of diagonal j = 0."""
     x.flags.writeable = False
-    return TwoModeState(x, float(x[cfg.n_max].sum()), cfg)
+    return TwoModeState(x, float(x[0].sum()), cfg)
 
 
 def _tmss_amplitudes(lam, cfg, allow_truncation=False):
@@ -224,8 +241,8 @@ def tmss(lam, cfg, allow_truncation=False):
     """
     amps = _tmss_amplitudes(lam, cfg, allow_truncation)
     d = cfg.dim
-    # |n, n><k, k| is entry (p, p) of diagonal n - k
-    x = np.zeros((2 * d - 1, d, d))
+    # |n, n><k, k| is entry (p, p) of diagonal |n - k|
+    x = np.zeros((d, d, d))
     r = np.arange(d)
     x[:, r, r] = _pair_rows(amps, d)
     return _wrap_fresh(x, cfg)
@@ -233,20 +250,19 @@ def tmss(lam, cfg, allow_truncation=False):
 
 def vacuum(cfg):
     d = cfg.dim
-    x = np.zeros((2 * d - 1, d, d))
-    x[d - 1, 0, 0] = 1.0
+    x = np.zeros((d, d, d))
+    x[0, 0, 0] = 1.0
     return _wrap_fresh(x, cfg)
 
 
 def _pair_rows(w, dim):
-    """u[j + d - 1, p] = w[n] w[k] for entry p of diagonal j = n - k, or 0
-    where n or k lies beyond w: a one-mode weight w[n] w[k] in the stored
+    """u[j, p] = w[p + j] w[p] for entry p of diagonal j = |n - k|, or 0
+    where p + j lies beyond w: a one-mode weight w[n] w[k] in the stored
     layout, to scale axis 1 (mode A) or axis 2 (mode B) with."""
-    j, p = np.ogrid[1 - dim : dim, :dim]
-    n, k = p + np.maximum(j, 0), p + np.maximum(-j, 0)
+    j, p = np.ogrid[:dim, :dim]
     top = len(w)
     ext = np.append(w, 0.0)
-    return ext[np.minimum(n, top)] * ext[np.minimum(k, top)]
+    return ext[np.minimum(p + j, top)] * ext[np.minimum(p, top)]
 
 
 def normalize(state):
@@ -267,7 +283,8 @@ def _block_tables(dim, kind):
     or of its partial transpose on mode A (kind "pt"), each padded to d x d.
 
     Returns (index, keep): the flat position in the stored layout of every
-    block entry (shape (2d-1, d, d)), padding entries at the zero slot, and
+    block entry (shape (2d-1, d, d)), mirrored entries at the one slot they
+    share, padding entries at the zero slot, and
     keep[b, i] = i < size of block b.
     Block b of "rho" holds rows (n, m) and columns (k, l) with
     n - m = k - l = b - (d - 1); block N of "pt" is
@@ -291,17 +308,10 @@ def _block_tables(dim, kind):
     return index, keep
 
 
-def _hermiticity_error(defect, tol):
-    """The NotHermitianError for a defect beyond tol, else None."""
-    if defect > tol:
-        return NotHermitianError(f"hermiticity defect {defect:.3g} > {tol:.3g}")
-    return None
-
-
 def _block_eigvalsh(x, kind):
     """Ascending eigenvalues of the d^2 x d^2 density matrix of the stored
     array x (kind "rho") or of its partial transpose on mode A (kind "pt");
-    for a stack x of shape (..., 2d-1, d, d), those of each array, shape
+    for a stack x of shape (..., d, d, d), those of each array, shape
     (..., d^2).
 
     The sector rule makes that matrix block-diagonal: in n - m for "rho" and

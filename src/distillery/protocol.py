@@ -30,7 +30,6 @@ from .channels import (
 from .core import (
     TwoModeState,
     ZeroTraceError,
-    _hermiticity_error,
     _tmss_amplitudes,
     _wrap_fresh,
     normalize,
@@ -210,7 +209,7 @@ _BOUND_MARGIN = 1e-9
 
 
 def _mash_stack(x_0, cfg, max_iter, every_round):
-    """Mash each normalized stored array of the stack x_0 (b, 2d-1, d, d)
+    """Mash each normalized stored array of the stack x_0 (b, d, d, d)
     against fresh copies of itself until successive iterates are
     conv_tol-close in trace distance, for at most max_iter rounds (0 leaves
     each array as it is), as one stacked iteration: each round is one call
@@ -220,7 +219,7 @@ def _mash_stack(x_0, cfg, max_iter, every_round):
     leave.
 
     Returns one entry per branch, in order: its DistillationOutcome, or the
-    ZeroTraceError or NotHermitianError that stopped it, not raised. The
+    ZeroTraceError that stopped it, not raised. The
     negativities are the input's and each round's with every_round, else
     the last iterate's alone.
     """
@@ -240,11 +239,11 @@ def _mash_stack(x_0, cfg, max_iter, every_round):
         # it, a branch whose Frobenius bound exceeds conv_tol by more than
         # rounding cannot converge this round and is not solved
         below = cfg.conv_tol * (1.0 + _BOUND_MARGIN) if r + 1 < max_iter else math.inf
-        step, defect = _trace_distances(new, cur, below)
+        step = _trace_distances(new, cur, below)
         round_negs = _log_negativities(new, cfg.eig_tol) if every_round else None
         going = []
-        rows = zip(live, weight.tolist(), prob.tolist(), discarded.tolist(), defect.tolist())
-        for a, (i, w, p, c, h) in enumerate(rows):
+        rows = zip(live, weight.tolist(), prob.tolist(), discarded.tolist())
+        for a, (i, w, p, c) in enumerate(rows):
             if w <= cfg.trace_tol:
                 error[i] = _zero_weight_error(w)
                 continue
@@ -252,9 +251,6 @@ def _mash_stack(x_0, cfg, max_iter, every_round):
             cut[i] = max(cut[i], c)
             if every_round:
                 negs[i].append(round_negs[a].value)
-            error[i] = _hermiticity_error(h, cfg.eig_tol)
-            if error[i]:
-                continue
             final[i], dist[i] = new[a], float(step[a])
             if dist[i] < cfg.conv_tol:
                 converged[i] = True
@@ -354,7 +350,7 @@ def _chunks(branches, cap):
 _SCAN_CAP_FACTOR = 3
 
 
-def average_entanglement(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
+def average_entanglement(lam, loss, sub, cfg, max_iter=50):
     """Success-weighted mean of the distilled negativity over the retained
     arm-B cycles j = 1..m_c (arm A fixed at cycle 1), zero when none is
     retained. The scan runs j = 1, 2, ... and stops at the first j whose
@@ -362,28 +358,25 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
     ceil(tau) * _SCAN_CAP_FACTOR at the latest; m_c is len(terms).
 
     Each weight is the malting probability times the product of the mashing
-    vacuum probabilities over the converged rounds. gain_mode "malt-only"
-    runs the same scan with zero mashing rounds, so it scores each malted
-    state with its malting probability alone. The raw weights are kept in
-    terms, so the unnormalized sum is recoverable.
+    vacuum probabilities over the converged rounds. max_iter = 0 runs the
+    same scan with zero mashing rounds (the malt-only baseline), so it
+    scores each malted state with its malting probability alone. The raw
+    weights are kept in terms, so the unnormalized sum is recoverable.
 
     mash_rounds totals the mashing rounds run, and max_discarded and
     max_tail give their worst truncation discard and tail, over the retained
     j's and the first failing one. The branches are mashed in chunks (see
     _chunks), and those past the first failing j are dropped, their rounds,
     discards and failures, malting ones included, uncounted.
-    mashed_branches counts every branch mashed (with zero rounds in
-    "malt-only"), the dropped ones included, so the chunks' waste shows.
+    mashed_branches counts every branch mashed (with zero rounds at
+    max_iter = 0), the dropped ones included, so the chunks' waste shows.
     """
-    if gain_mode not in ("full", "malt-only"):
-        raise ValueError(f"unknown gain_mode {gain_mode!r}")
+    if max_iter < 0:
+        raise ValueError("max_iter must be >= 0")
     if lam == 0.0:
         return AvgEntanglement(0.0, [])
     if not math.isfinite(loss.tau):
         raise ValueError("critical-count scan needs finite tau (t < 1)")
-    if gain_mode == "full" and max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    rounds = max_iter if gain_mode == "full" else 0
     baseline = baseline_negativity(lam)
     terms = []
     total_rounds, worst_cut, worst_tail, mashed = 0, 0.0, 0.0, 0
@@ -391,7 +384,7 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
     branches = _arm_b_branches(lam, loss, sub, cfg, j_limit)
     for chunk in _chunks(branches, _chunk_width(cfg.dim)):
         x = np.stack([state.sector for *_, state in chunk])
-        runs = _mash_stack(x, cfg, rounds, every_round=False)
+        runs = _mash_stack(x, cfg, max_iter, every_round=False)
         mashed += len(chunk)
         for (j, p_j, _), run in zip(chunk, runs):
             if isinstance(run, Exception):
@@ -399,7 +392,7 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
             total_rounds += run.iterations
             worst_cut = max(worst_cut, run.max_discarded)
             worst_tail = max(worst_tail, run.tail)
-            if rounds and not run.converged:
+            if max_iter and not run.converged:
                 raise NoConvergenceError(
                     f"mashing did not converge within {max_iter} rounds at j={j}"
                 )
@@ -416,11 +409,11 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
     return AvgEntanglement(value, terms, total_rounds, worst_cut, worst_tail, mashed)
 
 
-def critical_attempts(lam, loss, sub, cfg, max_iter=50, gain_mode="full"):
+def critical_attempts(lam, loss, sub, cfg, max_iter=50):
     """Largest arm-B success cycle m_c (arm A fixed at cycle 1) whose
     distilled negativity still beats the undistilled baseline: the number
     of attempts the average_entanglement scan retains."""
-    avg = average_entanglement(lam, loss, sub, cfg, max_iter, gain_mode)
+    avg = average_entanglement(lam, loss, sub, cfg, max_iter)
     return CriticalCount(
         len(avg.terms),
         baseline_negativity(lam),

@@ -106,8 +106,8 @@ def _pmap(fn, items, threads):
 
 def _scan_cell(args):
     # the AvgEntanglement of one t_s point of mc-sweep or avg-ent
-    lam, loss, sub, trunc, max_iter, gain_mode = args
-    return average_entanglement(lam, loss, sub, trunc, max_iter=max_iter, gain_mode=gain_mode)
+    lam, loss, sub, trunc, max_iter = args
+    return average_entanglement(lam, loss, sub, trunc, max_iter=max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +179,10 @@ def _run_scan(cfg):
     # mash_rounds and mashed_branches list each point's rounds and mashed
     # branches (those past the first failing j included), ';'-separated in
     # row order; max_discarded and max_tail are the worst over all points,
-    # the counterparts of distill's max_discarded and tail.
-    gain_mode = "malt-only" if cfg.baseline == "malt-only" else "full"
-    cells = [(cfg.lam, cfg.loss, sub, cfg.trunc, cfg.max_iter, gain_mode) for sub in cfg.subs]
+    # the counterparts of distill's max_discarded and tail. The malt-only
+    # baseline is the scan with zero mashing rounds.
+    max_iter = 0 if cfg.baseline == "malt-only" else cfg.max_iter
+    cells = [(cfg.lam, cfg.loss, sub, cfg.trunc, max_iter) for sub in cfg.subs]
     avgs = _pmap(_scan_cell, cells, cfg.threads)
     rows = [(sub.t_s, len(avg.terms), avg.value) for sub, avg in zip(cfg.subs, avgs)]
     columns = ("ts", "m_c", "avg_ent")

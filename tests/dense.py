@@ -7,7 +7,7 @@ sector layout.
 
 import numpy as np
 
-from distillery import NotHermitianError, min_eigenvalue, state_from_coeffs
+from distillery import min_eigenvalue, state_from_coeffs
 
 
 def swap_modes(state):
@@ -32,11 +32,9 @@ def hermiticity_defect(state):
 
 
 def check_state(state, psd=True):
-    """Validate Hermiticity, positivity and trace consistency; raise on failure."""
+    """Validate positivity and trace consistency; raise on failure. A state
+    is symmetric by construction (state_from_coeffs checks its input)."""
     tol = state.cfg.eig_tol
-    defect = hermiticity_defect(state)
-    if defect > tol:
-        raise NotHermitianError(f"hermiticity defect {defect:.3g} > eig_tol {tol:.3g}")
     if abs(trace_of(state) - state.trace) > max(state.cfg.trace_tol, 1e-12):
         raise ValueError("cached trace disagrees with coefficients")
     if psd:

@@ -137,22 +137,19 @@ def test_loss_kraus_completeness():
 
 def test_loss_maps_equal_kron_sum_bitwise():
     # L[j][p_out, p_in] is the one-mode superoperator sum_q K_q (x) K_q at
-    # (ket, bra) pairs (p_out + a, p_out + b) <- (p_in + a, p_in + b), with
-    # a = max(j, 0), b = max(-j, 0): each entry the same single-q product,
-    # and zero wherever a pair leaves the cutoff
+    # (ket, bra) pairs (p_out + j, p_out) <- (p_in + j, p_in): each entry
+    # the same single-q product, and zero wherever a pair leaves the cutoff
     for dim in (9, 19, 34):
         for t in (LossChannelParams.from_tau(100).t, 0.6):
             ks = loss_kraus(t, dim)
             sup = np.zeros((dim,) * 4)
             for q in range(dim):
                 sup += np.kron(ks[q], ks[q]).reshape((dim,) * 4)
-            j, p_out, p_in = np.indices((2 * dim - 1, dim, dim))
-            j -= dim - 1
-            a, b = np.maximum(j, 0), np.maximum(-j, 0)
-            ok = (p_out + abs(j) < dim) & (p_in + abs(j) < dim)
+            j, p_out, p_in = np.indices((dim, dim, dim))
+            ok = (p_out + j < dim) & (p_in + j < dim)
             top = dim - 1
-            want = np.where(ok, sup[np.minimum(p_out + a, top), np.minimum(p_out + b, top),
-                                    np.minimum(p_in + a, top), np.minimum(p_in + b, top)], 0.0)
+            want = np.where(ok, sup[np.minimum(p_out + j, top), p_out,
+                                    np.minimum(p_in + j, top), p_in], 0.0)
             assert _loss_maps(t, dim).tobytes() == want.tobytes()
 
 
@@ -432,7 +429,7 @@ def test_scan_prepares_one_source_per_branch(monkeypatch):
     assert protocol.critical_attempts(0.1, loss, sub, cfg).m_c == 4
     assert sizes == [1, 2, 4]  # j = 1, 2-3, 4-7: j = 6 and 7 past j = 5
     # a scan that runs no mashing round builds no source
-    protocol.critical_attempts(0.1, loss, sub, cfg, gain_mode="malt-only")
+    protocol.critical_attempts(0.1, loss, sub, cfg, max_iter=0)
     assert sizes == [1, 2, 4]
 
 

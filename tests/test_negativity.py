@@ -206,38 +206,22 @@ def test_protocol_states_take_the_block_solve(monkeypatch):
         state_from_coeffs(dense, TruncationConfig(3))
 
 
-def test_block_solve_raises_on_asymmetric_sector_clean_input():
-    # the asymmetric entry lies inside a block (n - k = m - l): the dense
-    # check of trace_norm and the block check of trace_distance report the
-    # same defect
+def test_trace_norm_and_state_from_coeffs_report_the_same_defect():
+    # the asymmetric entry lies inside the sector (n - k = m - l): the dense
+    # check of trace_norm and the check where a tensor becomes a state
+    # report the same defect
     cfg = TruncationConfig(4)
-    good = tmss(0.2, cfg, allow_truncation=True)
-    c = good.coeffs.copy()
+    c = tmss(0.2, cfg, allow_truncation=True).coeffs.copy()
     c[2, 1, 1, 0] += 0.3
     with pytest.raises(NotHermitianError, match=r"^hermiticity defect 0\.3 > 1e-10$"):
         trace_norm(c)
-    bad = state_from_coeffs(c, cfg)
-    with pytest.raises(NotHermitianError, match="hermiticity defect 0.3"):
-        trace_distance(bad, good)
-
-
-def test_trace_distance_checks_hermiticity_against_the_state_eig_tol():
-    cfg = TruncationConfig(4, eig_tol=1e-6)
-    good = tmss(0.2, cfg, allow_truncation=True)
-    for bump in (1e-8, 1e-5):
-        c = good.coeffs.copy()
-        c[2, 1, 1, 0] += bump
-        bad = state_from_coeffs(c, cfg)
-        if bump < cfg.eig_tol:
-            assert trace_distance(bad, good) > 0.0
-        else:
-            with pytest.raises(NotHermitianError, match=r"1e-05 > 1e-06$"):
-                trace_distance(bad, good)
+    with pytest.raises(NotHermitianError, match=r"^hermiticity defect 0\.3 > 1e-10$"):
+        state_from_coeffs(c, cfg)
 
 
 def test_stacked_solves_equal_lone_solves_bitwise():
     # the scan solves a stack of states in one call; each gets exactly the
-    # negativity, trace distance and Hermiticity defect it gets alone
+    # negativity and trace distance it gets alone
     cfg = TruncationConfig(7)
     lossy = loss_event(tmss(0.3, cfg, allow_truncation=True), LossChannelParams.from_tau(100))
     raw = detect_phonons(lossy, SubtractionParams(0.9), 1, 1)
@@ -248,14 +232,11 @@ def test_stacked_solves_equal_lone_solves_bitwise():
     ]
     x = np.stack([st.sector for st in states])
     assert _log_negativities(x, cfg.eig_tol) == [log_negativity(st) for st in states]
-    c = states[2].coeffs.copy()
-    c[2, 1, 1, 0] += 0.3
-    y = np.stack([states[1].sector, states[2].sector, state_from_coeffs(c, cfg).sector])
-    dist, defect = _trace_distances(x, y)
+    y = np.stack([states[1].sector, states[2].sector, states[0].sector])
+    dist = _trace_distances(x, y)
     assert dist[0] == trace_distance(states[0], states[1])
     assert dist[1] == trace_distance(states[1], states[2])
-    # only the pair with the asymmetric entry is flagged
-    assert list(defect) == [0.0, 0.0, pytest.approx(0.3, rel=1e-15)]
+    assert dist[2] == trace_distance(states[2], states[0])
 
 
 def test_trunc_warning_state_diagnostics_match_dense_solve():

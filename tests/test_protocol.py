@@ -10,7 +10,6 @@ from distillery import (
     LossChannelParams,
     MaltingSchedule,
     NoConvergenceError,
-    NotHermitianError,
     SubtractionParams,
     TruncationConfig,
     ZeroTraceError,
@@ -204,7 +203,7 @@ def test_critical_attempts_gain_matches_independent_protocol_runs():
 def test_arm_b_branches_match_independent_malts():
     # malt-only terms carry each arm-B branch's malting probability and the
     # negativity of its malted state; both must match a malt run from scratch
-    avg = average_entanglement(LAM, LOSS, SUB, CFG, gain_mode="malt-only")
+    avg = average_entanglement(LAM, LOSS, SUB, CFG, max_iter=0)
     assert len(avg.terms) >= 4
     for j, p_j, neg in avg.terms:
         rec = malt(LAM, MaltingSchedule(1, j, LOSS, SUB), CFG)
@@ -282,17 +281,16 @@ def test_scan_reports_mash_rounds_and_worst_discard():
     ]
     assert 0.0 <= cc.max_discarded < 1e-9
     assert 0.0 < cc.max_tail < CFG.conv_tol / 3
-    malt_only = average_entanglement(LAM, LOSS, SUB, CFG, gain_mode="malt-only")
+    malt_only = average_entanglement(LAM, LOSS, SUB, CFG, max_iter=0)
     diagnostics = (malt_only.mash_rounds, malt_only.max_discarded, malt_only.max_tail)
     assert diagnostics == (0, 0.0, 0.0)
 
 
 def _poison(monkeypatch, failure, x_0):
     # Make the branch mashed from x_0 fail in every round: its trace
-    # distance never falls below conv_tol ("step"), its Hermiticity defect
-    # is 1 ("defect"), or its kept weight is 0 ("weight"). The branch is
-    # followed by content from round to round; the returned list grows by
-    # one entry per round that reached it.
+    # distance never falls below conv_tol ("step"), or its kept weight is 0
+    # ("weight"). The branch is followed by content from round to round;
+    # the returned list grows by one entry per round that reached it.
     followed = [x_0]
 
     def rows(cur):
@@ -313,11 +311,11 @@ def _poison(monkeypatch, failure, x_0):
     real_distances = protocol._trace_distances
 
     def poisoned_distances(new, cur, below):
-        step, defect = real_distances(new, cur, below)
+        step = real_distances(new, cur, below)
         for r in rows(cur):
-            (step if failure == "step" else defect)[r] = 1.0
+            step[r] = 1.0
             followed.append(new[r].copy())
-        return step, defect
+        return step
 
     monkeypatch.setattr(protocol, "_trace_distances", poisoned_distances)
     return followed
@@ -327,7 +325,6 @@ def _poison(monkeypatch, failure, x_0):
     "failure, error, message",
     [
         ("step", NoConvergenceError, "within 50 rounds at j=5"),
-        ("defect", NotHermitianError, "hermiticity defect 1 > 1e-10"),
         ("weight", ZeroTraceError, "mash projection weight 0 at or below trace_tol"),
     ],
 )
@@ -354,26 +351,6 @@ def test_scan_drops_branches_past_the_first_failing_j(monkeypatch, failure, erro
     followed[:] = [states[4].sector]
     with pytest.raises(error, match=message):
         critical_attempts(LAM, LOSS, sub, CFG)
-
-
-def test_mashing_checks_hermiticity_against_the_run_eig_tol(monkeypatch):
-    # each round's Hermiticity defect, raised by a fixed amount, against a
-    # cutoff whose eig_tol is 1e-6
-    cfg = TruncationConfig(CFG.n_max, eig_tol=1e-6)
-    rec = malt(LAM, MaltingSchedule(1, 1, LOSS, SUB), cfg)
-    real_distances = protocol._trace_distances
-    for bump in (1e-8, 1e-5):
-
-        def bumped(new, cur, below, bump=bump):
-            step, defect = real_distances(new, cur, below)
-            return step, defect + bump
-
-        monkeypatch.setattr(protocol, "_trace_distances", bumped)
-        if bump < cfg.eig_tol:
-            assert mash_iterate(rec.state).converged
-        else:
-            with pytest.raises(NotHermitianError, match=r"> 1e-06$"):
-                mash_iterate(rec.state)
 
 
 def test_mashing_solves_few_distances_and_windows_each_chunk_once(monkeypatch):
@@ -435,13 +412,15 @@ def test_mash_iterate_matches_a_loop_of_mash_step_and_trace_distance(n_max):
 def test_vacuum_probability_operator_matches_the_per_diagonal_product(lam):
     # a round's untruncated probability, the product-sum of x_i with the
     # run's operator z, against sum_j <x_0[j], V_j x_i[-j] V_j^T> per
-    # diagonal, on malted states at d = 8, 11 and 19 and a mashed iterate
+    # diagonal j = 1 - d ... d - 1, where the stored diagonal |j| holds both
+    # j and -j, on malted states at d = 8, 11 and 19 and a mashed iterate
     cfg = TruncationConfig(auto_n_max(lam))
     rho_0 = malt(lam, MaltingSchedule(1, 2, LOSS, SUB), cfg).state
     assert cfg.dim == {0.1: 8, 0.2: 11, 0.4: 19}[lam]
     x = np.stack([rho_0.sector, mash_step(rho_0, rho_0).state.sector])
     v = channels._vacuum_weights(cfg.dim)
-    want = np.sum(rho_0.sector * (v @ x[:, ::-1] @ v.transpose(0, 2, 1)), axis=(-3, -2, -1))
+    per_diagonal = np.sum(rho_0.sector * (v @ x @ v.transpose(0, 2, 1)), axis=(-2, -1))
+    want = per_diagonal[:, 0] + 2.0 * per_diagonal[:, 1:].sum(axis=-1)
     prob = channels._mash_round(x, channels._mash_source(rho_0.sector[None]), cfg)[1]
     assert prob == pytest.approx(want, rel=1e-14, abs=0.0)
 
@@ -464,14 +443,14 @@ def test_scan_chunks_double_and_end_before_a_malting_failure():
     assert [len(c) for c in protocol._chunks(iter(range(20)), 4)] == [1, 2, 4, 4, 4, 4, 1]
 
 
-@pytest.mark.parametrize("gain_mode", ["full", "malt-only"])
+@pytest.mark.parametrize("max_iter", [50, 0], ids=["full", "malt-only"])
 @pytest.mark.parametrize("bad_j", [5, 6, 8])
-def test_scan_raises_a_malting_failure_only_if_it_reaches_it(monkeypatch, gain_mode, bad_j):
+def test_scan_raises_a_malting_failure_only_if_it_reaches_it(monkeypatch, max_iter, bad_j):
     # at t_s = 0.9 the first failing j is 5 in both modes. A walk that fails
     # at j = 5 fails the scan; one that fails at j = 6 (inside the chunk
     # j = 4..7) or at j = 8 (the next chunk) leaves the result as it was
     sub = SubtractionParams(0.9)
-    ref = average_entanglement(LAM, LOSS, sub, CFG, gain_mode=gain_mode)
+    ref = average_entanglement(LAM, LOSS, sub, CFG, max_iter=max_iter)
     assert len(ref.terms) == 4
     real_walk = protocol._arm_b_branches
 
@@ -484,9 +463,9 @@ def test_scan_raises_a_malting_failure_only_if_it_reaches_it(monkeypatch, gain_m
     monkeypatch.setattr(protocol, "_arm_b_branches", failing_walk)
     if bad_j == 5:
         with pytest.raises(ZeroTraceError, match="j=5"):
-            average_entanglement(LAM, LOSS, sub, CFG, gain_mode=gain_mode)
+            average_entanglement(LAM, LOSS, sub, CFG, max_iter=max_iter)
     else:
-        got = average_entanglement(LAM, LOSS, sub, CFG, gain_mode=gain_mode)
+        got = average_entanglement(LAM, LOSS, sub, CFG, max_iter=max_iter)
         # only the count of mashed branches moves: a failure at j = 6 cuts
         # the chunk j = 4..7 short, so j = 6 and 7 are never mashed
         assert got._replace(mashed_branches=ref.mashed_branches) == ref
@@ -500,7 +479,7 @@ def test_pij_reads_one_mode_vectors(monkeypatch):
     from distillery import channels, core
 
     cfg = TruncationConfig(8)
-    populations = tmss(LAM, cfg).sector[cfg.dim - 1].diagonal()
+    populations = tmss(LAM, cfg).sector[0].diagonal()
 
     def refuse(*args, **kwargs):
         raise AssertionError("a two-mode array was built for the pij grid")
@@ -535,13 +514,14 @@ def test_average_entanglement_weights_shrink_with_postselection():
 
 
 def test_malt_only_gain_mode():
-    cc = critical_attempts(LAM, LOSS, SUB, CFG, gain_mode="malt-only")
+    # the malt-only baseline is the scan with zero mashing rounds
+    cc = critical_attempts(LAM, LOSS, SUB, CFG, max_iter=0)
     full = critical_attempts(LAM, LOSS, SUB, CFG)
     assert cc.m_c >= 1
     # mashing adds negativity on top of malting, never removes the gain
     assert cc.m_c <= full.m_c
-    with pytest.raises(ValueError):
-        critical_attempts(LAM, LOSS, SUB, CFG, gain_mode="bogus")
+    with pytest.raises(ValueError, match="max_iter must be >= 0"):
+        critical_attempts(LAM, LOSS, SUB, CFG, max_iter=-1)
 
 
 def test_protocol_never_expands_to_dense(monkeypatch):

@@ -10,6 +10,7 @@ import oracles
 from dense import check_state, hermiticity_defect, swap_modes, trace_of
 from distillery import (
     LossChannelParams,
+    MaltingSchedule,
     SubtractionParams,
     TruncationConfig,
     TwoModeState,
@@ -19,6 +20,8 @@ from distillery import (
     detect_one_mode,
     detect_phonons,
     loss_event,
+    malt,
+    mash_iterate,
     mash_step,
     min_eigenvalue,
     normalize,
@@ -186,13 +189,42 @@ def test_constructor_outputs_satisfy_state_invariants():
         check_state(st)
 
 
-def test_check_state_rejects_broken_hermiticity():
+def test_state_from_coeffs_checks_hermiticity_against_the_eig_tol():
+    # a stored state holds each coefficient once, so where a tensor becomes
+    # a state its p[n, m, k, l] and p[k, l, n, m] must agree to the state's
+    # eig_tol, whichever of the two carries the asymmetry; the entry with
+    # n >= k is the one stored
+    cfg = TruncationConfig(4, eig_tol=1e-6)
+    good = tmss(0.2, cfg, allow_truncation=True)
+    for entry in ((2, 1, 1, 0), (1, 0, 2, 1)):
+        for bump in (1e-8, 1e-5):
+            c = good.coeffs.copy()
+            c[entry] += bump
+            if bump < cfg.eig_tol:
+                st = state_from_coeffs(c, cfg)
+                assert st.coeffs[2, 1, 1, 0] == st.coeffs[1, 0, 2, 1] == c[2, 1, 1, 0]
+            else:
+                with pytest.raises(NotHermitianError, match=r"defect 1e-05 > 1e-06$"):
+                    state_from_coeffs(c, cfg)
+
+
+def test_state_from_coeffs_rejects_broken_hermiticity():
     cfg = TruncationConfig(3)
     c = vacuum(cfg).coeffs.copy()
     c[0, 0, 1, 1] = 0.3  # no conjugate partner
-    bad = state_from_coeffs(c, cfg)
-    with pytest.raises(NotHermitianError):
-        check_state(bad)
+    with pytest.raises(NotHermitianError, match=r"^hermiticity defect 0\.3 > 1e-10$"):
+        state_from_coeffs(c, cfg)
+
+
+def test_malted_and_mashed_coeffs_are_exactly_symmetric():
+    # each coefficient is stored once, so the d^4 expansion holds the same
+    # float at p[n, m, k, l] and p[k, l, n, m], coherences included
+    cfg = TruncationConfig(7)
+    schedule = MaltingSchedule(1, 2, LossChannelParams.from_tau(100), SubtractionParams(0.9))
+    malted = malt(0.1, schedule, cfg).state
+    for st in (malted, mash_iterate(malted).rho_final):
+        assert np.count_nonzero(st.sector[1:]) > 0
+        assert np.array_equal(st.coeffs, st.coeffs.transpose(2, 3, 0, 1))
 
 
 def test_states_are_immutable_values():
@@ -271,7 +303,7 @@ def test_state_from_coeffs_stores_real_part_of_complex_input():
 
 
 def test_every_op_returns_float64_coefficients():
-    # each op stores a read-only float64 array in the (2d - 1, d, d) layout
+    # each op stores a read-only float64 array in the (d, d, d) layout
     d = 5
     cfg = TruncationConfig(d - 1)
     sub = SubtractionParams(0.9)
@@ -287,7 +319,7 @@ def test_every_op_returns_float64_coefficients():
     ]
     for out in outs:
         x = out.sector
-        assert x.shape == (2 * d - 1, d, d) and x.dtype == np.float64
+        assert x.shape == (d, d, d) and x.dtype == np.float64
         assert x.flags.c_contiguous and not x.flags.writeable
         assert out.coeffs.dtype == np.float64
         assert out.coeffs.flags.c_contiguous and not out.coeffs.flags.writeable

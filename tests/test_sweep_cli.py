@@ -572,7 +572,7 @@ def test_scan_chunk_windows_fit_the_memory_budget():
     for d in (8, 9, 10, 11, 12, 13, 16, 19, 34):
         width = protocol._chunk_width(d)
         cfg = TruncationConfig(d - 1)
-        x = rng.random((width, 2 * d - 1, d, d))
+        x = rng.random((width, d, d, d))
         channels._mash_round(x[:1], channels._mash_source(x[:1]), cfg)  # fills the caches
         tracemalloc.start()
         try:
@@ -655,6 +655,29 @@ def test_decay_steps_over_memory_budget_fail_fast(monkeypatch, tmp_path, capsys)
     _fails_fast(other, capsys, "unrecognized arguments: --steps")
 
 
+@pytest.mark.parametrize("command", ["malt-trace", "distill"])
+def test_cycle_rows_over_memory_budget_fail_fast(monkeypatch, tmp_path, capsys, command):
+    # malt-trace and distill keep a row per clock cycle (distill one per
+    # mashing round too), so --mb 10^8 is refused before a stand-in runner
+    # that refuses to run, where t_s this close to 1 would not end the
+    # trajectory early
+    _refuse_run(monkeypatch)
+    argv = [command, "--lambda", "0.1", "--tau", "1e12", "--ts", "0.999999", "--ma", "1",
+            "--out", str(tmp_path / "o.csv"), "--mb"]
+    mashing = command == "distill"
+    extra = 50 if mashing else 0  # distill's default --max-iter
+    need = cli.working_set_bytes(7, mashing, cycle_rows=10**8 + 1 + extra)
+    assert need > cli.MEMORY_BUDGET_BYTES
+    _fails_fast(argv + [str(10**8)], capsys,
+                f"n_max=7 and {10**8 + 1 + extra} {command} rows needs a working set of "
+                f"about {need / 2**30:.3g} GiB")
+    # the largest --mb within the budget is accepted, one more refused
+    rows = (cli.MEMORY_BUDGET_BYTES - cli.working_set_bytes(7, mashing)) // cli._CYCLE_ROW_BYTES
+    assert validate_config(_parse(argv + [str(rows - 1 - extra)])).mb == rows - 1 - extra
+    with pytest.raises(ConfigError, match=f"{command} rows needs a working set"):
+        validate_config(_parse(argv + [str(rows - extra)]))
+
+
 def test_mashing_commands_refuse_overflowing_cutoffs(tmp_path, capsys):
     argv = ["--lambda", "0.1", "--tau", "100", "--ts", "0.99"]
     arms = ["--ma", "1", "--mb", "1"]
@@ -680,7 +703,7 @@ def test_mash_limit_is_where_the_output_weights_overflow():
     # the last entry of diagonal 0 of the output weight table
     def top(dim):
         with np.errstate(over="ignore"):
-            return channels._mash_weights(dim)[-1][dim - 1, -1, -1]
+            return channels._mash_weights(dim)[-1][0, -1, -1]
 
     assert np.isfinite(top(cli._MASH_MAX_N_MAX + 1))
     assert np.isinf(top(cli._MASH_MAX_N_MAX + 2))
