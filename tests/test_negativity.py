@@ -219,6 +219,22 @@ def test_trace_norm_and_state_from_coeffs_report_the_same_defect():
         state_from_coeffs(c, cfg)
 
 
+def test_trace_distance_checks_hermiticity_against_the_state_eig_tol():
+    # trace_distance takes states, whose Hermiticity was checked against
+    # their eig_tol where they were built: a 1e-8 asymmetry at eig_tol 1e-6
+    # makes a state at a positive distance, a 1e-5 one makes no state
+    cfg = TruncationConfig(4, eig_tol=1e-6)
+    good = tmss(0.2, cfg, allow_truncation=True)
+    for bump in (1e-8, 1e-5):
+        c = good.coeffs.copy()
+        c[2, 1, 1, 0] += bump
+        if bump < cfg.eig_tol:
+            assert trace_distance(state_from_coeffs(c, cfg), good) > 0.0
+        else:
+            with pytest.raises(NotHermitianError, match=r"1e-05 > 1e-06$"):
+                trace_distance(state_from_coeffs(c, cfg), good)
+
+
 def test_stacked_solves_equal_lone_solves_bitwise():
     # the scan solves a stack of states in one call; each gets exactly the
     # negativity and trace distance it gets alone

@@ -10,6 +10,7 @@ from distillery import (
     LossChannelParams,
     MaltingSchedule,
     NoConvergenceError,
+    NotHermitianError,
     SubtractionParams,
     TruncationConfig,
     ZeroTraceError,
@@ -21,6 +22,7 @@ from distillery import (
     malt,
     mash_iterate,
     mash_step,
+    state_from_coeffs,
     subtraction_probability_matrix,
     tmss,
     trace_distance,
@@ -351,6 +353,26 @@ def test_scan_drops_branches_past_the_first_failing_j(monkeypatch, failure, erro
     followed[:] = [states[4].sector]
     with pytest.raises(error, match=message):
         critical_attempts(LAM, LOSS, sub, CFG)
+
+
+def test_mashing_checks_hermiticity_against_the_run_eig_tol():
+    # a run's Hermiticity is checked where its input becomes a state, against
+    # a cutoff whose eig_tol is 1e-6: a malted state with one coherence's
+    # mirrors 1e-8 apart mashes to convergence, exactly symmetric; 1e-5 apart
+    # it never reaches mashing
+    cfg = TruncationConfig(CFG.n_max, eig_tol=1e-6)
+    rec = malt(LAM, MaltingSchedule(1, 1, LOSS, SUB), cfg)
+    for bump in (1e-8, 1e-5):
+        c = rec.state.coeffs.copy()
+        c[1, 1, 0, 0] += bump
+        if bump < cfg.eig_tol:
+            out = mash_iterate(state_from_coeffs(c, cfg))
+            assert out.converged
+            rho = out.rho_final.coeffs
+            assert np.array_equal(rho, rho.transpose(2, 3, 0, 1))
+        else:
+            with pytest.raises(NotHermitianError, match=r"> 1e-06$"):
+                mash_iterate(state_from_coeffs(c, cfg))
 
 
 def test_mashing_solves_few_distances_and_windows_each_chunk_once(monkeypatch):
