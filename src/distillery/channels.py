@@ -272,184 +272,182 @@ def _vacuum_weights(dim):
     return v
 
 
-@lru_cache(maxsize=None)
-def _block_counts(dim):
-    # (B_M, B_K): blocks per M axis and per K axis of _truncated_convolution
-    # at cutoff dim. Narrow M blocks skip more of the zero triangle but make
-    # more, smaller matmuls; measured with one BLAS thread, the fastest M
-    # blocks held one block of the iterate expansion (about s d^3 floats)
-    # within 2^15 floats and were at least 2 wide: B_M = 1 up to d = 13, 2 at
-    # d = 14-16, 5 at d = 19 and ceil(d / 2) from d = 23 on. Splitting K narrows
-    # every product's output, which paid only with blocks at least 15 wide.
-    side = min(dim, max(2, 2**15 // dim**3))
-    return -(-dim // side), max(1, dim // 15)
-
-
 # A mashing run convolves every round against the same operand, its
 # rescaled rho_0 (_mash_source). Where one branch's expansion of it
-# (_source_operand, d^4 floats at B_K = 1) and one round's expansion of the
-# iterate fit _EXPANSION_BUDGET_FLOATS (1 MiB), so up to d = 16, the run
+# (_source_operand, d^4 floats at one K block) and one round's expansion of
+# the iterate fit _EXPANSION_BUDGET_FLOATS (1 MiB), so up to d = 16, the run
 # keeps the source expansion, and each round is one copy and matmuls. Past
 # that, each round builds one shift of it at a time into a reused buffer.
-# The scan's chunks keep their expansions within the same budget
-# (protocol._chunk_width).
+# The arm-B scan mashes its branches in chunks whose kept expansions fit the
+# same budget (_Plan.width).
 _EXPANSION_BUDGET_FLOATS = 2**17
 
 
-def _m_block_starts(dim):
-    # f0 per M block of _truncated_convolution: the iterate expansion of
-    # block A is zero for f < f0 = d - (A + 1) s_M, so it starts there
-    s_m = -(-dim // _block_counts(dim)[0])
-    return [max(0, dim - (a + 1) * s_m) for a in range(-(-dim // s_m))]
+class _Plan(NamedTuple):
+    """The mashing kernel's geometry at one cutoff (see _plan)."""
+
+    m_side: int  # s_M, side of the M blocks of _truncated_convolution
+    k_side: int  # s_K, side of its K blocks
+    # f0 per M block A: the iterate expansion of block A is zero for
+    # f < f0 = d - (A + 1) s_M, so it starts there
+    m_starts: tuple
+    kept: int  # float64 per branch that a mashing run keeps, 0 = none
+    width: int  # branches per chunk of the arm-B scan
 
 
-def _expansion_floats(dim):
-    """float64 count per branch of the source expansion that a mashing run
-    keeps plus one round's iterate expansion, where they fit
-    _EXPANSION_BUDGET_FLOATS, else 0 (the run keeps no expansion)."""
-    b_m, b_k = _block_counts(dim)
-    s_m, s_k = -(-dim // b_m), -(-dim // b_k)
-    f_total = sum(dim - f0 for f0 in _m_block_starts(dim))
-    floats = dim * b_k * s_k * (dim * dim + s_m * f_total)
-    return floats if floats <= _EXPANSION_BUDGET_FLOATS else 0
+@lru_cache(maxsize=None)
+def _plan(dim):
+    # Narrow M blocks skip more of the zero triangle but make more, smaller
+    # matmuls; measured with one BLAS thread, the fastest M blocks held one
+    # block of the iterate expansion (about s_M d^3 floats) within 2^15
+    # floats and were at least 2 wide: one block up to d = 13, 2 at
+    # d = 14-16, 5 at d = 19 and ceil(d / 2) from d = 23 on. Splitting K
+    # narrows every product's output, which paid only with blocks at least
+    # 15 wide. The sides are those rules' block counts evened out over d. A
+    # run keeps the source expansion and one round's iterate expansion
+    # where they fit _EXPANSION_BUDGET_FLOATS, and a scan chunk is as many
+    # branches as fit it, else one.
+    s_m = -(-dim // -(-dim // min(dim, max(2, 2**15 // dim**3))))
+    s_k = -(-dim // max(1, dim // 15))
+    starts = tuple(max(0, dim - (a + 1) * s_m) for a in range(-(-dim // s_m)))
+    k_cols = -(-dim // s_k) * s_k
+    kept = dim * k_cols * (dim * dim + s_m * sum(dim - f0 for f0 in starts))
+    if kept > _EXPANSION_BUDGET_FLOATS:
+        return _Plan(s_m, s_k, starts, 0, 1)
+    return _Plan(s_m, s_k, starts, kept, _EXPANSION_BUDGET_FLOATS // kept)
 
 
 def _expand_iterate(x):
-    # [X_A per M block A], X_A[..., n, m, C, f - f0_A, g] =
-    # x[..., n, A s_M + m + f - (d - 1), C s_K + g] for f >= f0_A, zero where
+    # [X_A per M block A], X_A[b, n, m, C, f - f0_A, g] =
+    # x[b, n, A s_M + m + f - (d - 1), C s_K + g] for f >= f0_A, zero where
     # that index is negative or past d - 1: x expanded along M, in blocks of
-    # side s_M of M and s_K of K (_truncated_convolution), each copied from
-    # a strided view of one zero-padded copy pad[..., n, M + f, g]
-    d = x.shape[-1]
-    b_m, b_k = _block_counts(d)
-    s_m, s_k = -(-d // b_m), -(-d // b_k)
-    lead = x.shape[:-3]
-    pad = np.zeros((*lead, d, b_m * s_m + d - 1, b_k * s_k))
-    pad[..., d - 1 : 2 * d - 1, :d] = x
-    *outer, step_n, step_m, item = pad.strides
+    # side s_M of M and s_K of K (_plan), each copied from a strided view of
+    # one zero-padded copy pad[b, n, M + f, g]
+    b, d = len(x), x.shape[-1]
+    plan = _plan(d)
+    s_m, s_k = plan.m_side, plan.k_side
+    b_k = -(-d // s_k)
+    pad = np.zeros((b, d, len(plan.m_starts) * s_m + d - 1, b_k * s_k))
+    pad[:, :, d - 1 : 2 * d - 1, :d] = x
+    step_b, step_n, step_m, item = pad.strides
     return [
         np.ascontiguousarray(
             np.ndarray(
-                (*lead, d, s_m, b_k, d - f0, s_k),
+                (b, d, s_m, b_k, d - f0, s_k),
                 buffer=pad,
                 offset=(a * s_m + f0) * step_m,
-                strides=(*outer, step_n, step_m, s_k * item, step_m, item),
+                strides=(step_b, step_n, step_m, s_k * item, step_m, item),
             )
         )
-        for a, f0 in enumerate(_m_block_starts(d))
+        for a, f0 in enumerate(plan.m_starts)
     ]
 
 
 def _source_operand(y):
-    """The operand y (..., d, d, d) of _truncated_convolution in the form it
-    reads: y expanded along K, (..., d, B_K, d, s_K, d), indexed
-    [..., e, C, f, g, K] = y[..., e, d - 1 - f, K - C s_K - g] (zero where
-    that index is negative). Where _expansion_floats(d) is nonzero it is
-    copied out; else it is a view of one zero-padded copy of y, 2 d^3
-    floats, from which the kernel copies one shift at a time."""
-    d = y.shape[-1]
-    b_k = _block_counts(d)[1]
-    s_k = -(-d // b_k)
-    pad = np.zeros((*y.shape[:-1], b_k * s_k + d - 1))
+    """The operand y (b, d, d, d) of _truncated_convolution in the form it
+    reads: y expanded along K, (b, d, B_K, d, s_K, d), indexed
+    [b, e, C, f, g, K] = y[b, e, d - 1 - f, K - C s_K - g] (zero where
+    that index is negative). Where the plan keeps it, it is copied out;
+    else it is a view of one zero-padded copy of y, 2 d^3 floats per branch,
+    from which the kernel copies one shift at a time."""
+    b, d = len(y), y.shape[-1]
+    plan = _plan(d)
+    s_k = plan.k_side
+    b_k = -(-d // s_k)
+    pad = np.zeros((b, d, d, b_k * s_k + d - 1))
     pad[..., b_k * s_k - 1 :] = y
-    view = sliding_window_view(pad, d, axis=-1)[..., ::-1, ::-1, :]
-    view = np.moveaxis(view.reshape(*view.shape[:-3], d, b_k, s_k, d), -3, -4)
-    return np.ascontiguousarray(view) if _expansion_floats(d) else view
+    view = sliding_window_view(pad, d, axis=-1)[:, :, ::-1, ::-1, :]
+    view = np.moveaxis(view.reshape(b, d, d, b_k, s_k, d), 3, 2)
+    return np.ascontiguousarray(view) if plan.kept else view
 
 
 def _truncated_convolution(x, source):
-    """out[..., N, M, K] = sum x[..., n, m, k] y[..., N - n, M - m, K - k]
-    over N, M, K < d, for stacks x (..., d, d, d) and source =
-    _source_operand(y) whose leading axes broadcast.
+    """out[b, N, M, K] = sum x[b, n, m, k] y[b, N - n, M - m, K - k] over
+    N, M, K < d, for a stack x (b, d, d, d) and source = _source_operand(y)
+    of a stack y of the same length.
 
     Split axes: x is expanded along M, X[n, M, f, g] = x[n, M + f - (d-1), g],
     and y along K, T_e[f, g, K] = y[e, d-1-f, K - g], so the shift e of the
     first axis is one matmul, out[e:] += X[:d-e] @ T_e, rows (n, M) against
     columns (f, g). Each operand holds d^4 floats per array, where a window
     matrix over both axes holds d^5. X is zero where f < d-1-M and T_e where
-    g > K. With M split into B_M blocks of side s_M and K (and g) into B_K
-    blocks of side s_K (_block_counts), zero-padded, each shift makes one
-    matmul per pair of an M block A and a K block C, of contiguous slices:
-    the rows of block A, the f from d - (A+1) s_M on (the rest of those
-    rows is zero) with the g of block C, and the outputs K from C s_K on
-    (below that T_e is zero). T_e is read from `source` where that holds
-    the expansion, else copied from it into one reused buffer.
+    g > K. With M split into blocks of side s_M and K (and g) into blocks of
+    side s_K (_plan), zero-padded, each shift makes one matmul per pair of
+    an M block A and a K block C, of contiguous slices: the rows of block
+    A, the f from d - (A+1) s_M on (the rest of those rows is zero) with
+    the g of block C, and the outputs K from C s_K on (below that T_e is
+    zero). T_e is read from `source` where that holds the expansion, else
+    copied from it into one reused buffer.
     """
-    d = x.shape[-1]
-    b_m = _block_counts(d)[0]
-    s_m, s_k = -(-d // b_m), source.shape[-2]
-    blocks = _expand_iterate(x)
-    kept = _expansion_floats(d) > 0
+    b, d = len(x), x.shape[-1]
+    plan = _plan(d)
+    s_m, s_k = plan.m_side, plan.k_side
+    blocks = _expand_iterate(x)  # its padded copy is freed before the buffers below
     shifts = source
-    if not kept:
+    if not plan.kept:
         # one buffer for every shift, so that one shift's copy is live at a
-        # time; shifts[..., 0, ...] is the current one
-        shifts = np.empty((*source.shape[:-5], 1, *source.shape[-4:]))
-    lead = np.broadcast_shapes(x.shape[:-3], source.shape[:-5])
-    ob = np.zeros((*lead, b_m, d, s_m, d))
+        # time; shifts[:, 0] is the current one
+        shifts = np.empty((b, 1, *source.shape[2:]))
+    ob = np.zeros((b, len(plan.m_starts), d, s_m, d))
     products = []
-    for a, (xa, f0) in enumerate(zip(blocks, _m_block_starts(d))):
+    for a, (xa, f0) in enumerate(zip(blocks, plan.m_starts)):
         for c, k0 in enumerate(range(0, d, s_k)):
-            rows = xa[..., c, :, :].reshape(*x.shape[:-3], d * s_m, -1)
-            t = shifts[..., c, f0:, :, k0:]
-            t = t.reshape(*t.shape[:-3], -1, d - k0)
-            acc = ob[..., a, :, :, k0:].reshape(*lead, d * s_m, d - k0)
+            rows = xa[:, :, :, c].reshape(b, d * s_m, -1)
+            t = shifts[:, :, c, f0:, :, k0:]
+            t = t.reshape(*t.shape[:2], -1, d - k0)
+            acc = ob[:, a, :, :, k0:].reshape(b, d * s_m, d - k0)
             products.append((rows, t, acc))
     for e in range(d):
         now = e
-        if not kept:
-            shifts[..., 0, :, :, :, :] = source[..., e, :, :, :, :]
+        if not plan.kept:
+            shifts[:, 0] = source[:, e]
             now = 0
         r = (d - e) * s_m
         for rows, t, acc in products:
-            acc[..., e * s_m :, :] += rows[..., :r, :] @ t[..., now, :, :]
-    ax = len(lead)
-    out = np.moveaxis(ob, ax, ax + 1).reshape(*lead, d, b_m * s_m, d)
-    return out[..., :d, :]
+            acc[:, e * s_m :, :] += rows[:, :r, :] @ t[:, now]
+    out = ob.transpose(0, 2, 1, 3, 4).reshape(b, d, -1, d)
+    return out[:, :, :d, :]
 
 
 @lru_cache(maxsize=None)
 def _mash_weights(dim):
     # The per-index factors of the projector (see _mash_round) on both
-    # inputs and on the output, as whole weight tables: the input side per
-    # (n, m, k) entry of _rescaled (zero where l leaves the cutoff), the
-    # output side per slot of the stored layout.
+    # inputs and on the output, as whole weight tables per slot of the
+    # stored layout.
     sf = _sqrt_fact(dim - 1)
     tables = []
     for w in ((1.0 / math.sqrt(2.0)) ** np.arange(dim) / sf, sf):
         u = _pair_rows(w, dim)
-        tables.append(u[:, :, None] * u[:, None, :])
-    tables[0] = tables[0].reshape(-1)[_mash_tables(dim)[0]]
-    for table in tables:
+        table = u[:, :, None] * u[:, None, :]
         table.flags.writeable = False
+        tables.append(table)
     return tuple(tables)
 
 
 def _rescaled(x):
-    # the projector's input side of stored arrays: each entry times
-    # 2^(-(n+m+k+l)/2) / sqrt(n! m! k! l!), read as (n, m, k) arrays
+    # the projector's input side of a stack of stored arrays (b, d, d, d):
+    # each entry times 2^(-(n+m+k+l)/2) / sqrt(n! m! k! l!), read as
+    # (n, m, k) arrays
     d = x.shape[-1]
-    y = x.reshape(*x.shape[:-3], -1).take(_mash_tables(d)[0], axis=-1)
-    y *= _mash_weights(d)[0]
-    return y
+    return (x * _mash_weights(d)[0]).reshape(len(x), -1).take(_mash_tables(d)[0], axis=1)
 
 
 def _mash_source(x_0):
     """rho_0's side of the projector, the same in every round against
-    fresh copies of one rho_0: the _source_operand of its _rescaled array,
-    and the operator z of the untruncated probability (see _mash_round); for
-    a stack x_0 (..., d, d, d), a stack of each, whose rows a caller takes
-    as branches leave."""
+    fresh copies of one rho_0: for a stack x_0 (b, d, d, d), the
+    _source_operand of its _rescaled arrays, and the operators z of the
+    untruncated probability (see _mash_round), whose rows a caller takes as
+    branches leave."""
     v = _vacuum_weights(x_0.shape[-1])
     z = v.transpose(0, 2, 1) @ x_0 @ v
-    z[..., 1:, :, :] *= 2.0  # diagonal j > 0 stands for j and -j
+    z[:, 1:] *= 2.0  # diagonal j > 0 stands for j and -j
     return _source_operand(_rescaled(x_0)), z
 
 
 def _mash_round(x_i, source, cfg):
     """One mashing round on a stack of stored arrays x_i (b, d, d, d),
-    each against its rho_0 in the stack `source` (_mash_source of the
-    rho_0 stack, or of one rho_0 for all).
+    each against its rho_0 in `source`, the _mash_source of a stack of b
+    rho_0 arrays.
 
     Vacuum on output 1 of each splitter leaves amplitudes that factor per
     index: r^x / sqrt(x!) on the rho_0 side, t^x / sqrt(x!) on the rho_i
@@ -506,7 +504,7 @@ def mash_step(rho_i, rho_0):
     for s in (rho_i, rho_0):
         _check_normalized(s)
     cfg = rho_i.cfg
-    source = _mash_source(rho_0.sector)
+    source = _mash_source(rho_0.sector[None])
     kept, prob, discarded, weight = _mash_round(rho_i.sector[None], source, cfg)
     if weight[0] <= cfg.trace_tol:
         raise _zero_weight_error(weight[0])

@@ -9,9 +9,9 @@ import math
 import os
 import sys
 
-from .channels import LossChannelParams, SubtractionParams, _expansion_floats
+from .channels import LossChannelParams, SubtractionParams, _plan
 from .core import TruncationConfig, ZeroTraceError, auto_n_max
-from .protocol import NoConvergenceError, _chunk_width
+from .protocol import NoConvergenceError
 from .sweep import COMMANDS, RunConfig, run
 
 
@@ -94,20 +94,22 @@ def parse_ts(spec):
 # float64 (d = 78 and 164), in the eigensolve: the state and the cached
 # loss maps, d^3 each, and the blocks, the gather table and one temporary
 # of their size, counted here as 4 stored states and 3 eigensolve arrays.
-# Mashing adds, for each branch of a chunk of the arm-B scan
-# (protocol._chunk_width), the expansions its run keeps
-# (channels._expansion_floats: 1.75-2 d^4 float64 up to d = 16, none from
-# d = 17 on, where a chunk is one branch) plus two d^4 float64 arrays for
-# the rest of a round. Building a whole chunk's sources and running one
-# round on it (tracemalloc, inputs included) peaked at 2.0-2.7 d^4 float64
-# per branch at d = 8-16, against 3.75-4 counted, and at 1.03 d^4 (d = 19)
-# and 0.74 d^4 (d = 34), against 2, so the count is an upper bound. A pij
-# grid adds its cells: the matrix and the CSV row tuples peaked at 110-122
-# bytes per cell (grids of 300^2 and 600^2), counted as 128. decay keeps a
-# row per step until the CSV is written, a tuple of an int and three floats
-# in a list: 180 bytes by sys.getsizeof, counted as 192. malt-trace and
-# distill keep a row per clock cycle (and distill one per mashing round):
-# 162 and 242 bytes per row traced at 40 000 cycles, counted as 256.
+# The sentinel bound now makes no such temporary (6.1 d^3 traced at
+# d = 78), so that count is an upper bound. Mashing adds, for each branch
+# of a chunk of the arm-B scan, the expansions its run keeps (chunk width
+# and kept floats from channels._plan: 1.75-2 d^4 float64 up to d = 16,
+# none from d = 17 on, where a chunk is one branch) plus two d^4 float64
+# arrays for the rest of a round. Building a whole chunk's sources and
+# running one round on it (tracemalloc, inputs included) peaked at 2.0-2.7
+# d^4 float64 per branch at d = 8-16, against 3.75-4 counted, and at 1.03
+# d^4 (d = 19) and 0.74 d^4 (d = 34), against 2, so the count is an upper
+# bound. A pij grid adds its cells: the matrix and the CSV row tuples
+# peaked at 110-122 bytes per cell (grids of 300^2 and 600^2), counted as
+# 128. decay keeps a row per step until the CSV is written, a tuple of an
+# int and three floats in a list: 180 bytes by sys.getsizeof, counted as
+# 192. malt-trace and distill keep a row per clock cycle (and distill one
+# per mashing round): 162 and 242 bytes per row traced at 40 000 cycles,
+# counted as 256.
 # Invocations whose estimate exceeds the budget are refused before any run.
 MEMORY_BUDGET_BYTES = 4 * 2**30
 _LIVE_STATE_ARRAYS = 4
@@ -130,7 +132,8 @@ def working_set_bytes(n_max, mashing, cells=0, rows=0, cycle_rows=0):
     need = 8 * (_LIVE_STATE_ARRAYS * d**3 + _EIGENSOLVE_ARRAYS * (2 * d - 1) * d * d)
     need += _PIJ_CELL_BYTES * cells + _DECAY_ROW_BYTES * rows + _CYCLE_ROW_BYTES * cycle_rows
     if mashing:
-        need += 8 * _chunk_width(d) * (_LIVE_MASH_ARRAYS * d**4 + _expansion_floats(d))
+        plan = _plan(d)
+        need += 8 * plan.width * (_LIVE_MASH_ARRAYS * d**4 + plan.kept)
     return need
 
 

@@ -17,12 +17,11 @@ import numpy as np
 from .channels import (
     LossChannelParams,
     SubtractionParams,
-    _EXPANSION_BUDGET_FLOATS,
     _check_normalized,
-    _expansion_floats,
     _kraus_weights,
     _mash_round,
     _mash_source,
+    _plan,
     _zero_weight_error,
     detect_one_mode,
     loss_event,
@@ -312,17 +311,6 @@ def full_protocol(lam, schedule, cfg, max_iter=50):
     return outcome._replace(negativity_by_stage=stages)
 
 
-# The scan mashes arm-B branches in chunks of widths 1, 2, 4, ... up to
-# _chunk_width(d): as many branches as the expansions that a mashing run
-# keeps, with one round's expansion of the iterate
-# (channels._expansion_floats), fit into _EXPANSION_BUDGET_FLOATS float64
-# (1 MiB), width 16 at d = 8, 2 at d = 13 and 1 at d = 14; from d = 17 on,
-# where no run keeps them, the scan mashes one branch at a time.
-def _chunk_width(dim):
-    floats = _expansion_floats(dim)
-    return _EXPANSION_BUDGET_FLOATS // floats if floats else 1
-
-
 def _chunks(branches, cap):
     """Lists of successive items of `branches`, of widths 1, 2, 4, ... up
     to cap. A ZeroTraceError raised while pulling an item ends its list
@@ -382,7 +370,10 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50):
     total_rounds, worst_cut, worst_tail, mashed = 0, 0.0, 0.0, 0
     j_limit = math.ceil(loss.tau) * _SCAN_CAP_FACTOR
     branches = _arm_b_branches(lam, loss, sub, cfg, j_limit)
-    for chunk in _chunks(branches, _chunk_width(cfg.dim)):
+    # chunks of widths 1, 2, 4, ... up to the plan's width: as many branches
+    # as the expansions their runs keep fit into 1 MiB (channels._plan),
+    # 16 at d = 8, 2 at d = 13 and 1 from d = 14 on
+    for chunk in _chunks(branches, _plan(cfg.dim).width):
         x = np.stack([state.sector for *_, state in chunk])
         runs = _mash_stack(x, cfg, max_iter, every_round=False)
         mashed += len(chunk)

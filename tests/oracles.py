@@ -129,6 +129,49 @@ def mash_oracle(c_i, c_0, reflection_sign=-1):
     return out, tr
 
 
+def mash_fixed_point_oracle(c_0):
+    """The state that iterated mashing against fresh copies of c_0 converges
+    to, at the cutoff of c_0: a normalized rank-4 array, from a recursion
+    degree by degree instead of iterated rounds.
+
+    With l = m - n + k implied, write F[n, m, k] = c / sqrt(n! m! k! l!).
+    One round maps F to 2^(-p/2) (F * F_0) up to normalization, where
+    p = n + m + k + l = 2 (m + k) and * is the convolution truncated at the
+    cutoff. Its degree-0 entry fixes the normalization at 1 / F_0[0], so the
+    fixed point obeys
+        F[N] (1 - 2^(-p/2)) = 2^(-p/2) / F_0[0] sum_{n != N} F[n] F_0[N - n],
+    whose right side reads only entries of lower degree m + k. So 2d - 1
+    sweeps of that map from F = delta_0 give F exactly, up to rounding. The
+    convolution adds one shifted copy of F per nonzero entry of F_0.
+    """
+    d = c_0.shape[0]
+    n, m, k = np.indices((d, d, d))
+    l_ = m - n + k
+    ok = (l_ >= 0) & (l_ < d)
+    fact = np.array([float(math.factorial(i)) for i in range(d)])
+    root = np.ones((d, d, d))
+    root[ok] = np.sqrt(fact[n[ok]] * fact[m[ok]] * fact[k[ok]] * fact[l_[ok]])
+    f_0 = np.zeros((d, d, d))
+    f_0[ok] = c_0[n[ok], m[ok], k[ok], l_[ok]].real / root[ok]
+    half = 0.5 ** (m + k)  # 2^(-p/2)
+    solve = ok.copy()
+    solve[0, 0, 0] = False
+    f = np.zeros((d, d, d))
+    f[0, 0, 0] = 1.0
+    for _ in range(2 * d - 1):
+        conv = np.zeros((d, d, d))
+        for a, b, c in zip(*np.nonzero(f_0)):
+            conv[a:, b:, c:] += f_0[a, b, c] * f[: d - a, : d - b, : d - c]
+        rest = conv - f * f_0[0, 0, 0]  # drop the n = N term
+        new = np.zeros((d, d, d))
+        new[0, 0, 0] = 1.0
+        new[solve] = half[solve] * rest[solve] / f_0[0, 0, 0] / (1.0 - half[solve])
+        f = new
+    out = np.zeros((d, d, d, d))
+    out[n[ok], m[ok], k[ok], l_[ok]] = (f * root)[ok]
+    return out / np.einsum("nmnm->", out)
+
+
 def trace_norm_oracle(mat):
     # Sum of singular values; independent of the eigh route.
     return float(np.linalg.svd(mat, compute_uv=False).sum())

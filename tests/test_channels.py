@@ -459,28 +459,27 @@ def _shift_and_add(x, y):
 
 def _assert_convolution_matches(x, y, want=None):
     # through the operand form a mashing run keeps (the expansion up to
-    # d = 16) and, forcing no kept expansion, through the shift-by-shift copy
+    # d = 16) and, with the plan forced to keep nothing, through the
+    # shift-by-shift copy
     got = [channels._truncated_convolution(x, channels._source_operand(y))]
+    plan = channels._plan
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(channels, "_expansion_floats", lambda dim: 0)
+        mp.setattr(channels, "_plan", lambda dim: plan(dim)._replace(kept=0))
         got.append(channels._truncated_convolution(x, channels._source_operand(y)))
-    lead = np.broadcast_shapes(x.shape[:-3], y.shape[:-3])
     if want is None:
-        xs = np.broadcast_to(x, (*lead, *x.shape[-3:])).reshape(-1, *x.shape[-3:])
-        ys = np.broadcast_to(y, (*lead, *y.shape[-3:])).reshape(-1, *y.shape[-3:])
-        want = [_shift_and_add(xi, yi) for xi, yi in zip(xs, ys)]
+        want = [_shift_and_add(xi, yi) for xi, yi in zip(x, y)]
     for out in got:
-        assert out.shape == (*lead, *y.shape[-3:])
-        for g, w in zip(out.reshape(-1, *out.shape[-3:]), want):
+        assert out.shape == y.shape
+        for g, w in zip(out, want):
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w))
     return want
 
 
 @pytest.mark.parametrize("dim", [1, 2, 8, 11, 16, 19, 24, 34])
 def test_truncated_convolution_matches_shift_and_add(dim):
-    # at the block counts the rule picks for each cutoff, stacked, broadcast
-    # and alone; x is sparse at large d so that the reference stays fast,
-    # with an entry in every (m, k) block
+    # at the plan each cutoff gets, on a stack and on a stack of one; x is
+    # sparse at large d so that the reference stays fast, with an entry in
+    # every (m, k) block
     rng = np.random.default_rng(dim)
     y = rng.random((2, dim, dim, dim))
     x = rng.random((2, dim, dim, dim))
@@ -488,27 +487,36 @@ def test_truncated_convolution_matches_shift_and_add(dim):
         x *= rng.random(x.shape) < 0.02
         x[:, :, ::4, ::4] = rng.random((2, dim, -(-dim // 4), -(-dim // 4)))
     _assert_convolution_matches(x, y)
-    _assert_convolution_matches(x[0], y[:1])  # mash_step's broadcast
-    _assert_convolution_matches(x[1], y[1])
+    _assert_convolution_matches(x[1:], y[1:])
+
+
+def _m_starts(dim, s_m):
+    # f0 per M block: d - s_M, d - 2 s_M, ... down to the last block's 0
+    return (*range(dim - s_m, 0, -s_m), 0)
 
 
 def test_truncated_convolution_at_every_block_count(monkeypatch):
-    # every pair of M and K block counts up to the cutoff, forced at a small
-    # cutoff that none past 1 divides evenly (zero-padded and empty blocks)
+    # every pair of M and K block sides up to the cutoff, forced at a small
+    # cutoff that none past 1 divides evenly (zero-padded blocks), each
+    # with the expansion kept (kept=1: any nonzero count) and not
     rng = np.random.default_rng(5)
     x, y = rng.random((2, 2, 13, 13, 13))
     want = None
-    for b_m in range(1, 14):
-        for b_k in range(1, 14):
-            monkeypatch.setattr(channels, "_block_counts", lambda dim, b=(b_m, b_k): b)
+    for s_m in range(1, 14):
+        for s_k in range(1, 14):
+            plan = channels._Plan(s_m, s_k, _m_starts(13, s_m), 1, 1)
+            monkeypatch.setattr(channels, "_plan", lambda dim, p=plan: p)
             want = _assert_convolution_matches(x, y, want)
 
 
 def test_block_counts_keep_k_blocks_15_wide():
-    assert [channels._block_counts(d) for d in (8, 13, 14, 16, 19, 24, 34, 99)] == [
+    def counts(d):
+        plan = channels._plan(d)
+        return -(-d // plan.m_side), -(-d // plan.k_side)
+
+    assert [counts(d) for d in (8, 13, 14, 16, 19, 24, 34, 99)] == [
         (1, 1), (1, 1), (2, 1), (2, 1), (5, 1), (12, 1), (17, 2), (50, 6)]
     for d in range(1, 100):
-        b_m, b_k = channels._block_counts(d)
-        s_m, s_k = -(-d // b_m), -(-d // b_k)
-        assert (b_m - 1) * s_m < d and (b_k - 1) * s_k < d  # no empty block
-        assert s_m >= min(d, 2) and (b_k == 1 or s_k >= 15)
+        plan = channels._plan(d)
+        assert plan.m_starts == _m_starts(d, plan.m_side)
+        assert plan.m_side >= min(d, 2) and (plan.k_side == d or plan.k_side >= 15)

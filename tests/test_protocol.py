@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -17,11 +18,13 @@ from distillery import (
     auto_n_max,
     average_entanglement,
     critical_attempts,
+    detect_one_mode,
     full_protocol,
     log_negativity,
     malt,
     mash_iterate,
     mash_step,
+    repeated_loss,
     state_from_coeffs,
     subtraction_probability_matrix,
     tmss,
@@ -40,6 +43,34 @@ CFG = TruncationConfig(7)
 LOSS = LossChannelParams.from_tau(100.0)
 SUB = SubtractionParams(0.99)
 BASE = math.log2((1 + LAM) / (1 - LAM))
+
+
+_RHO = tmss(LAM, CFG)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: repeated_loss(_RHO, LOSS, -1), "m must be a non-negative integer, got -1"),
+        (lambda: detect_one_mode(_RHO, SUB, "C", 1), "mode must be 'A' or 'B', got 'C'"),
+        (lambda: detect_one_mode(_RHO, SUB, "A", CFG.dim),
+         f"outcome q must be an integer in [0, n_max], got {CFG.dim}"),
+        (lambda: mash_step(_RHO, tmss(LAM, CFG._replace(conv_tol=1e-9))),
+         "mash inputs must share dimension and truncation config"),
+        (lambda: state_from_coeffs(np.zeros((3, 3, 3, 3)), CFG),
+         "expected shape (8, 8, 8, 8), got (3, 3, 3, 3)"),
+        (lambda: trace_distance(_RHO, tmss(LAM, TruncationConfig(8))),
+         "states must share dimension"),
+        (lambda: subtraction_probability_matrix(LAM, LOSS, SUB, CFG, 0, 1),
+         "i_max and j_max must be >= 1"),
+        (lambda: mash_iterate(_RHO, max_iter=0), "max_iter must be >= 1"),
+    ],
+    ids=["repeated-loss-m", "detect-mode", "detect-q", "mash-step-configs",
+         "coeffs-shape", "trace-distance-cutoffs", "pij-i-max", "mash-iterate-max-iter"],
+)
+def test_library_refusals(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_schedule_validation():
@@ -264,11 +295,11 @@ def test_scan_reports_mash_rounds_and_worst_discard():
         assert p == pytest.approx(rec.joint_prob * math.prod(out.mash_probs), rel=1e-12)
         assert n == pytest.approx(neg, rel=1e-12)
     assert avg.mash_rounds == cc.mash_rounds == sum(rounds)
-    # the chunks, of widths 1, 2, 4, ... up to _chunk_width(d), mash past
+    # the chunks, of widths 1, 2, 4, ... up to the plan's width, mash past
     # the first failing j to the end of its chunk
     mashed, width = 0, 1
     while mashed < cc.m_c + 1:
-        mashed, width = mashed + width, min(2 * width, protocol._chunk_width(CFG.dim))
+        mashed, width = mashed + width, min(2 * width, channels._plan(CFG.dim).width)
     assert avg.mashed_branches == cc.mashed_branches == mashed
     # on the scan's own malted states the batch-of-1 path gives every
     # reduction bit for bit: rounds, worst discard, worst tail and terms
@@ -411,7 +442,7 @@ def test_mash_iterate_matches_a_loop_of_mash_step_and_trace_distance(n_max):
     # the reference solves every round's trace distance; d = 8 and 12 keep
     # rho_0's expansion for the run, d = 17 copies it shift by shift
     cfg = TruncationConfig(n_max)
-    assert bool(channels._expansion_floats(cfg.dim)) == (n_max < 16)
+    assert bool(channels._plan(cfg.dim).kept) == (n_max < 16)
     rho_0 = malt(LAM, MaltingSchedule(1, 2, LOSS, SUB), cfg).state
     cur, probs = rho_0, []
     for rounds in range(1, 51):
@@ -430,6 +461,25 @@ def test_mash_iterate_matches_a_loop_of_mash_step_and_trace_distance(n_max):
     assert out.tail == pytest.approx(dist / 3.0, rel=1e-12, abs=1e-15)
 
 
+@pytest.mark.parametrize("lam", [0.1, 0.2])
+def test_mash_iterate_converges_to_the_exact_fixed_point(lam):
+    # against the degree-by-degree fixed point of the oracle, on malted
+    # states at d = 8 and 11: the converged state lies within conv_tol of
+    # it, and tail estimates the distance left to it (measured 1.00006 to
+    # 1.00018 times tail)
+    cfg = TruncationConfig(auto_n_max(lam))
+    assert cfg.dim == {0.1: 8, 0.2: 11}[lam]
+    rho_0 = malt(lam, MaltingSchedule(1, 3, LOSS, SUB), cfg).state
+    out = mash_iterate(rho_0)
+    exact = oracles.mash_fixed_point_oracle(rho_0.coeffs)
+    d2 = cfg.dim**2
+    diff = (out.rho_final.coeffs - exact).reshape(d2, d2)
+    dist = 0.5 * oracles.trace_norm_oracle(diff)
+    assert out.converged
+    assert dist <= cfg.conv_tol
+    assert dist == pytest.approx(out.tail, rel=1e-3)
+
+
 @pytest.mark.parametrize("lam", [0.1, 0.2, 0.4])
 def test_vacuum_probability_operator_matches_the_per_diagonal_product(lam):
     # a round's untruncated probability, the product-sum of x_i with the
@@ -443,7 +493,8 @@ def test_vacuum_probability_operator_matches_the_per_diagonal_product(lam):
     v = channels._vacuum_weights(cfg.dim)
     per_diagonal = np.sum(rho_0.sector * (v @ x @ v.transpose(0, 2, 1)), axis=(-2, -1))
     want = per_diagonal[:, 0] + 2.0 * per_diagonal[:, 1:].sum(axis=-1)
-    prob = channels._mash_round(x, channels._mash_source(rho_0.sector[None]), cfg)[1]
+    sources = channels._mash_source(np.stack([rho_0.sector] * 2))
+    prob = channels._mash_round(x, sources, cfg)[1]
     assert prob == pytest.approx(want, rel=1e-14, abs=0.0)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from distillery import TruncationConfig, auto_n_max, channels, cli, protocol, sweep
+from distillery import TruncationConfig, auto_n_max, channels, cli, sweep
 from distillery.cli import ConfigError, build_parser, main, parse_ts, validate_config
 from distillery.sweep import _fmt, _pmap
 
@@ -197,6 +197,35 @@ def test_sweeps_refuse_a_tau_that_rounds_t_to_one(monkeypatch, tmp_path, capsys,
     argv = [command, "--lambda", "0.1", "--tau", "1e17", "--ts", "0.9",
             "--out", str(tmp_path / "o.csv")]
     _fails_fast(argv, capsys, f"{command} needs finite tau (t < 1)")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"--lambda": None}, "--lambda is required"),
+        ({"--tau": None}, "one of --tau or --t is required"),
+        ({"--ma": "0"}, "--ma must be >= 1, got 0"),
+        ({"--n-max": "-1"}, "--n-max must be >= 0 (0 = auto), got -1"),
+        ({"--threads": "-1"}, "--threads must be >= 0 (0 = auto), got -1"),
+        ({"--out": None}, "--out is required"),
+    ],
+    ids=["no-lambda", "no-tau-or-t", "ma-0", "n-max-negative", "threads-negative", "no-out"],
+)
+def test_each_refusal_fails_fast(monkeypatch, tmp_path, capsys, change, message):
+    # a valid distill invocation with one flag dropped (None) or set out of range
+    _refuse_run(monkeypatch)
+    flags = {"--lambda": "0.1", "--tau": "100", "--ts": "0.99", "--ma": "1", "--mb": "1",
+             "--out": str(tmp_path / "o.csv"), **change}
+    argv = ["distill"] + [x for flag, v in flags.items() if v is not None for x in (flag, v)]
+    _fails_fast(argv, capsys, message)
+
+
+def test_threads_zero_resolves_to_the_cpu_count(tmp_path, capsys):
+    ns = _parse(["avg-ent", "--lambda", "0.1", "--tau", "100", "--ts", "0.99",
+                 "--threads", "0", "--out", str(tmp_path / "o.csv")])
+    want = os.cpu_count() or 1
+    assert validate_config(ns).threads == want
+    assert f"threads={want}\n" in capsys.readouterr().err
 
 
 def test_out_naming_a_directory_fails_fast(monkeypatch, tmp_path, capsys):
@@ -545,15 +574,15 @@ def test_exit_code_one_on_config_error(tmp_path):
 
 
 def test_scan_chunk_windows_fit_the_memory_budget():
-    # the arm-B scan mashes chunks of up to _chunk_width(d) branches; the
-    # expansions a mashing run keeps for each of them, plus the round's two
-    # d^4 arrays per branch, stay within the share working_set_bytes
+    # the arm-B scan mashes chunks of up to the plan's width of branches;
+    # the expansions a mashing run keeps for each of them, plus the round's
+    # two d^4 arrays per branch, stay within the share working_set_bytes
     # budgets for them, and the kept expansions within
     # _EXPANSION_BUDGET_FLOATS
     kept = {}
     for d in range(2, cli._MASH_MAX_N_MAX + 2):
-        width = protocol._chunk_width(d)
-        kept[d] = channels._expansion_floats(d)
+        plan = channels._plan(d)
+        width, kept[d] = plan.width, plan.kept
         share = cli.working_set_bytes(d - 1, True) - cli.working_set_bytes(d - 1, False)
         assert 8 * width * (cli._LIVE_MASH_ARRAYS * d**4 + kept[d]) <= share, d
         assert width * kept[d] <= channels._EXPANSION_BUDGET_FLOATS, d
@@ -564,13 +593,13 @@ def test_scan_chunk_windows_fit_the_memory_budget():
             assert share == cli._LIVE_MASH_ARRAYS * 8 * d**4, d
     # expansions are kept up to d = 16 (about 2 d^4 floats per branch)
     assert [d for d in kept if kept[d]] == list(range(2, 17))
-    assert [protocol._chunk_width(d) for d in (8, 9, 10, 11, 12, 13, 14, 16, 17, 99)] == [
+    assert [channels._plan(d).width for d in (8, 9, 10, 11, 12, 13, 14, 16, 17, 99)] == [
         16, 9, 6, 4, 3, 2, 1, 1, 1, 1]
     # and building a whole chunk's sources and running one round on it
     # peaks within that share, on both sides of the kept-expansion cutoff
     rng = np.random.default_rng(3)
     for d in (8, 9, 10, 11, 12, 13, 16, 19, 34):
-        width = protocol._chunk_width(d)
+        width = channels._plan(d).width
         cfg = TruncationConfig(d - 1)
         x = rng.random((width, d, d, d))
         channels._mash_round(x[:1], channels._mash_source(x[:1]), cfg)  # fills the caches
