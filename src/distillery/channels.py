@@ -95,7 +95,9 @@ def loss_kraus(t, dim):
     return ks
 
 
-@lru_cache(maxsize=None)
+# Caches keyed by a transmissivity are bounded: a run reads one loss t
+# (_loss_maps keeps 2) and counts q = 0 and 1 per t_s (_count_rows keeps 4).
+@lru_cache(maxsize=2)
 def _loss_maps(t, dim):
     # L[j] is the one-mode loss channel on coherence diagonal j in the
     # stored layout: sum_q K_q |n><k| K_q† moves entry p of the diagonal to
@@ -126,16 +128,13 @@ def repeated_loss(state, params, m):
     return state
 
 
-@lru_cache(maxsize=None)
 def _kraus_weights(q, t, dim):
     # w[n] = A(n + q, q) = K_q[n, n + q]: amplitude of output level n after
     # q quanta are removed (lost or counted)
-    w = np.array([bs_amplitude(n + q, q, t) for n in range(dim - q)])
-    w.flags.writeable = False
-    return w
+    return np.array([bs_amplitude(n + q, q, t) for n in range(dim - q)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def _count_rows(q, t, dim):
     # u[j, p] = A(n + q, q) A(k + q, q) for output pair (n, k) = entry p of
     # diagonal j: the weight K_q |n + q><k + q| K_q† puts on it
@@ -297,6 +296,11 @@ class _Plan(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _plan(dim):
+    if dim - 1 > _MASH_MAX_N_MAX:
+        raise ValueError(
+            f"mashing needs n_max <= {_MASH_MAX_N_MAX}; at n_max={dim - 1} its "
+            "weights ((n_max)!)^2 overflow float64"
+        )
     # Narrow M blocks skip more of the zero triangle but make more, smaller
     # matmuls; measured with one BLAS thread, the fastest M blocks held one
     # block of the iterate expansion (about s_M d^3 floats) within 2^15
@@ -409,6 +413,11 @@ def _truncated_convolution(x, source):
     return out[:, :, :d, :]
 
 
+# The largest output weight of _mash_weights is ((d - 1)!)^2, which is inf
+# in float64 from d = 100, so mashing runs at n_max <= 98 only (_plan).
+_MASH_MAX_N_MAX = 98
+
+
 @lru_cache(maxsize=None)
 def _mash_weights(dim):
     # The per-index factors of the projector (see _mash_round) on both
@@ -437,8 +446,11 @@ def _mash_source(x_0):
     fresh copies of one rho_0: for a stack x_0 (b, d, d, d), the
     _source_operand of its _rescaled arrays, and the operators z of the
     untruncated probability (see _mash_round), whose rows a caller takes as
-    branches leave."""
-    v = _vacuum_weights(x_0.shape[-1])
+    branches leave. The plan refuses a cutoff mashing cannot run before
+    any table is built."""
+    d = x_0.shape[-1]
+    _plan(d)
+    v = _vacuum_weights(d)
     z = v.transpose(0, 2, 1) @ x_0 @ v
     z[:, 1:] *= 2.0  # diagonal j > 0 stands for j and -j
     return _source_operand(_rescaled(x_0)), z

@@ -118,16 +118,13 @@ _LIVE_MASH_ARRAYS = 2
 _PIJ_CELL_BYTES = 128
 _DECAY_ROW_BYTES = 192
 _CYCLE_ROW_BYTES = 256
-# mash_step's output weights reach ((d - 1)!)^2, which is inf in float64
-# from d = 100, so mashing runs at n_max <= 98 only
-_MASH_MAX_N_MAX = 98
 
 
 def working_set_bytes(n_max, mashing, cells=0, rows=0, cycle_rows=0):
     """Estimated peak memory of the arrays at cutoff n_max, for a command
     that only malts or one that also mashes, plus that of a pij grid of
     `cells` cells, of `rows` decay rows and of `cycle_rows` malt-trace or
-    distill rows."""
+    distill rows; channels._plan refuses (ValueError) a cutoff mashing cannot run."""
     d = n_max + 1
     need = 8 * (_LIVE_STATE_ARRAYS * d**3 + _EIGENSOLVE_ARRAYS * (2 * d - 1) * d * d)
     need += _PIJ_CELL_BYTES * cells + _DECAY_ROW_BYTES * rows + _CYCLE_ROW_BYTES * cycle_rows
@@ -137,10 +134,10 @@ def working_set_bytes(n_max, mashing, cells=0, rows=0, cycle_rows=0):
     return need
 
 
-def _build(errors, flag, make, value):
-    # make(value), or None with its error recorded under the flag's name
+def _build(errors, flag, make, *args):
+    # make(*args), or None with its error recorded under the flag's name
     try:
-        return make(value)
+        return make(*args)
     except ValueError as exc:
         errors.append(f"{flag}: {exc}")
         return None
@@ -226,7 +223,9 @@ def validate_config(ns):
             )
 
     if n_max >= 1:
-        need = working_set_bytes(n_max, command.mashes, cells, rows, cycle_rows)
+        # 0 where channels._plan refuses a cutoff mashing cannot run
+        sizes = (n_max, command.mashes, cells, rows, cycle_rows)
+        need = _build(errors, "--n-max", working_set_bytes, *sizes) or 0
         if need > MEMORY_BUDGET_BYTES:
             kept = ""
             if cells:
@@ -240,11 +239,6 @@ def validate_config(ns):
                 f"n_max={n_max}{kept} needs a working set of about "
                 f"{need / 2**30:.3g} GiB, over the "
                 f"{MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget"
-            )
-        if command.mashes and n_max > _MASH_MAX_N_MAX:
-            errors.append(
-                f"{name} mashes, and at n_max={n_max} its weights "
-                f"((n_max)!)^2 overflow float64; n_max must be <= {_MASH_MAX_N_MAX}"
             )
 
     threads = ns.threads

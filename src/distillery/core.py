@@ -309,10 +309,9 @@ def _block_tables(dim, kind):
 
 
 def _block_eigvalsh(x, kind):
-    """Ascending eigenvalues of the d^2 x d^2 density matrix of the stored
-    array x (kind "rho") or of its partial transpose on mode A (kind "pt");
-    for a stack x of shape (..., d, d, d), those of each array, shape
-    (..., d^2).
+    """Ascending eigenvalues of the d^2 x d^2 density matrix (kind "rho")
+    or of its partial transpose on mode A (kind "pt") of each stored array
+    of a stack x (b, d, d, d), shape (b, d^2).
 
     The sector rule makes that matrix block-diagonal: in n - m for "rho" and
     in the total photon number for "pt". The 2d-1 blocks, each padded to
@@ -320,21 +319,20 @@ def _block_eigvalsh(x, kind):
     one batched call, and the first `size` eigenvalues of each are that
     block's spectrum.
     """
-    d = x.shape[-1]
-    lead = x.shape[:-3]
+    b, d = len(x), x.shape[-1]
     index, keep = _block_tables(d, kind)
-    blocks = x.reshape(*lead, -1)[..., index]
+    blocks = x.reshape(b, -1)[:, index]
     # the blocks are full symmetric, so their Frobenius norm bounds every
     # eigenvalue, with no temporary of their size; the sentinel sits above it
-    sentinel = 2.0 * np.sqrt(np.einsum("...ij,...ij", blocks, blocks)) + 1.0
+    sentinel = 2.0 * np.sqrt(np.einsum("bnij,bnij->bn", blocks, blocks)) + 1.0
     r = np.arange(d)
-    blocks[..., r, r] = np.where(keep, blocks[..., r, r], sentinel[..., None])
-    # C order, so that a stack's rows sum like lone spectra, bit for bit
-    eigs = np.ascontiguousarray(np.linalg.eigvalsh(blocks)[..., keep])
+    blocks[:, :, r, r] = np.where(keep, blocks[:, :, r, r], sentinel[..., None])
+    # C order, so that a stack's rows sum like a stack of one, bit for bit
+    eigs = np.ascontiguousarray(np.linalg.eigvalsh(blocks)[:, keep])
     eigs.sort(axis=-1)
     return eigs
 
 
 def min_eigenvalue(state):
     """Smallest eigenvalue of the density matrix (negative means non-PSD)."""
-    return float(_block_eigvalsh(state.sector, "rho")[0])
+    return float(_block_eigvalsh(state.sector[None], "rho")[0, 0])

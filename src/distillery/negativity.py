@@ -36,10 +36,9 @@ def trace_norm(arr):
 
 
 def _log_negativities(x, eig_tol):
-    """NegativityResult of a stored array, or of each array of a stack x,
-    from one batched block solve; a list either way."""
+    """NegativityResult of each stored array of a stack x (b, d, d, d),
+    from one batched block solve, as a list."""
     eigs = _block_eigvalsh(x, "pt")
-    eigs = eigs.reshape(-1, eigs.shape[-1])
     norms = np.abs(eigs).sum(axis=-1).tolist()
     return [
         NegativityResult(
@@ -57,12 +56,12 @@ def log_negativity(state):
     Spectra whose negative part sits within eig_tol of zero are treated as
     numerical noise and reported as exactly 0.
     """
-    return _log_negativities(state.sector, state.cfg.eig_tol)[0]
+    return _log_negativities(state.sector[None], state.cfg.eig_tol)[0]
 
 
 def _trace_distances(x_a, x_b, below=math.inf):
-    """(1/2) trace norm of x_a - x_b, for two stored arrays or elementwise
-    for two stacks.
+    """(1/2) trace norm of x_a - x_b, elementwise for two stacks of stored
+    arrays (b, d, d, d).
 
     (1/2) the Frobenius norm of the difference bounds that distance from
     below, and it is one reduction over the stored layout, with each
@@ -72,12 +71,10 @@ def _trace_distances(x_a, x_b, below=math.inf):
     passes that tolerance.
     """
     diff = x_a - x_b
-    sq = np.einsum("...jpq,...jpq->...j", diff, diff)
-    dist = 0.5 * np.sqrt(sq[..., 0] + 2.0 * sq[..., 1:].sum(axis=-1))
+    sq = np.einsum("bjpq,bjpq->bj", diff, diff)
+    dist = 0.5 * np.sqrt(sq[:, 0] + 2.0 * sq[:, 1:].sum(axis=-1))
     solve = ~(dist >= below)
-    if solve.all():
-        dist = 0.5 * np.abs(_block_eigvalsh(diff, "rho")).sum(axis=-1)
-    elif solve.any():
+    if solve.any():
         dist[solve] = 0.5 * np.abs(_block_eigvalsh(diff[solve], "rho")).sum(axis=-1)
     return dist
 
@@ -86,4 +83,4 @@ def trace_distance(state_a, state_b):
     """(1/2) trace norm of the difference of two states."""
     if state_a.dim != state_b.dim:
         raise ValueError("states must share dimension")
-    return float(_trace_distances(state_a.sector, state_b.sector))
+    return float(_trace_distances(state_a.sector[None], state_b.sector[None])[0])

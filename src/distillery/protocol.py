@@ -303,6 +303,7 @@ def mash_iterate(rho_0, max_iter=50):
 def full_protocol(lam, schedule, cfg, max_iter=50):
     """Malting followed by iterated mashing; negativity_by_stage concatenates
     the per-cycle malting trace with the per-round mashing values."""
+    _plan(cfg.dim)  # a cutoff mashing cannot run is refused before malting
     record = malt(lam, schedule, cfg)
     outcome = mash_iterate(record.state, max_iter=max_iter)
     stages = [n for _, n in record.negativity_trace] + list(
@@ -361,6 +362,11 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50):
     """
     if max_iter < 0:
         raise ValueError("max_iter must be >= 0")
+    # chunks of widths 1, 2, 4, ... up to the plan's width: as many branches
+    # as the expansions their runs keep fit into 1 MiB (channels._plan),
+    # 16 at d = 8, 2 at d = 13 and 1 from d = 14 on; read first, so that
+    # the plan refuses a cutoff mashing cannot run, with or without rounds
+    width = _plan(cfg.dim).width
     if lam == 0.0:
         return AvgEntanglement(0.0, [])
     if not math.isfinite(loss.tau):
@@ -370,10 +376,7 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50):
     total_rounds, worst_cut, worst_tail, mashed = 0, 0.0, 0.0, 0
     j_limit = math.ceil(loss.tau) * _SCAN_CAP_FACTOR
     branches = _arm_b_branches(lam, loss, sub, cfg, j_limit)
-    # chunks of widths 1, 2, 4, ... up to the plan's width: as many branches
-    # as the expansions their runs keep fit into 1 MiB (channels._plan),
-    # 16 at d = 8, 2 at d = 13 and 1 from d = 14 on
-    for chunk in _chunks(branches, _plan(cfg.dim).width):
+    for chunk in _chunks(branches, width):
         x = np.stack([state.sector for *_, state in chunk])
         runs = _mash_stack(x, cfg, max_iter, every_round=False)
         mashed += len(chunk)

@@ -4,14 +4,15 @@
 beyond the common ones and whether it takes a t_s range. The parser, the
 validation and the metadata all read that table.
 
-The t_s sweeps (mc-sweep, avg-ent) resolve to a list of parameter cells
-evaluated by pure top-level functions, so cells can go through a process
-pool; rows come back in cell order, which keeps the CSV body byte-stable for
-any thread count. The other commands run in one process.
+The t_s sweeps (mc-sweep, avg-ent) map average_entanglement over their
+t_s points, so points can go through a process pool; rows come back in
+point order, which keeps the CSV body byte-stable for any thread count.
+The other commands run in one process.
 """
 
 import os
 import time
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -101,16 +102,6 @@ def _pmap(fn, items, threads):
 
 
 # ---------------------------------------------------------------------------
-# per-cell workers (top level so the process pool can pickle them)
-
-
-def _scan_cell(args):
-    # the AvgEntanglement of one t_s point of mc-sweep or avg-ent
-    lam, loss, sub, trunc, max_iter = args
-    return average_entanglement(lam, loss, sub, trunc, max_iter=max_iter)
-
-
-# ---------------------------------------------------------------------------
 # command runners
 
 
@@ -182,8 +173,8 @@ def _run_scan(cfg):
     # the counterparts of distill's max_discarded and tail. The malt-only
     # baseline is the scan with zero mashing rounds.
     max_iter = 0 if cfg.baseline == "malt-only" else cfg.max_iter
-    cells = [(cfg.lam, cfg.loss, sub, cfg.trunc, max_iter) for sub in cfg.subs]
-    avgs = _pmap(_scan_cell, cells, cfg.threads)
+    scan = partial(average_entanglement, cfg.lam, cfg.loss, cfg=cfg.trunc, max_iter=max_iter)
+    avgs = _pmap(scan, cfg.subs, cfg.threads)
     rows = [(sub.t_s, len(avg.terms), avg.value) for sub, avg in zip(cfg.subs, avgs)]
     columns = ("ts", "m_c", "avg_ent")
     meta = {}

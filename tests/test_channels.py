@@ -153,6 +153,24 @@ def test_loss_maps_equal_kron_sum_bitwise():
             assert _loss_maps(t, dim).tobytes() == want.tobytes()
 
 
+def test_transmissivity_caches_stay_bounded():
+    # a library loop over 30 memory lifetimes and splitters keeps the loss
+    # maps of two t and the count rows of two t_s points, not all of them
+    _loss_maps.cache_clear()
+    channels._count_rows.cache_clear()
+    cfg = TruncationConfig(5)
+    state = tmss(0.3, cfg, allow_truncation=True)
+    for tau in np.linspace(10.0, 1000.0, 30):
+        loss = LossChannelParams.from_tau(tau)
+        state = loss_event(state, loss)
+        sub = SubtractionParams(1.0 - 1.0 / tau)
+        for q in (0, 1):
+            detect_one_mode(state, sub, "A", q)
+    maps, rows = _loss_maps.cache_info(), channels._count_rows.cache_info()
+    assert (maps.misses, maps.currsize) == (30, 2)
+    assert (rows.misses, rows.currsize) == (60, 4)
+
+
 def test_detect_vacuum_outcomes():
     cfg = TruncationConfig(5)
     sub = SubtractionParams(0.9)

@@ -180,8 +180,9 @@ def _dense_pt_eigs(st):
 
 
 def test_protocol_states_take_the_block_solve(monkeypatch):
-    # states never reach a dense d^2 x d^2 solve, and input off the sector
-    # cannot become a state
+    # states never reach a dense d^2 x d^2 solve: each call solves the
+    # blocks of a stack of one; and input off the sector cannot become a
+    # state
     shapes = []
     real_eigvalsh = np.linalg.eigvalsh
 
@@ -198,7 +199,7 @@ def test_protocol_states_take_the_block_solve(monkeypatch):
     log_negativity(st)
     trace_distance(st, tmss(0.3, cfg, allow_truncation=True))
     min_eigenvalue(st)
-    assert shapes == [(15, 8, 8)] * 3
+    assert shapes == [(1, 15, 8, 8)] * 3
     rng = np.random.default_rng(5)
     g = rng.normal(size=(16, 16))
     dense = (g @ g.T).reshape(4, 4, 4, 4)

@@ -1,9 +1,13 @@
 """Property tests over drawn parameters: the zero padding of malted and
 mashed states in the stored layout, the symmetry every channel preserves, mashing
 against the four-mode oracle, and the sector-block eigensolves against dense
-solves and the singular-value oracle."""
+solves and the singular-value oracle; and that a failing property test is
+reported under the repository's pytest settings."""
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,9 +145,11 @@ def test_block_eigensolves_match_dense_and_oracle(kind, dim, lam, tau, t_s, q_a,
     n = dim * dim
     rho = a.coeffs.reshape(n, n)
     pt = a.coeffs.transpose(2, 1, 0, 3).reshape(n, n)
-    assert np.abs(_block_eigvalsh(a.sector, "rho") - np.linalg.eigvalsh(rho)).max() < 1e-14
+    # the block solve takes stacks: here a, and a and b together
+    x = np.stack([a.sector, b.sector])
+    assert np.abs(_block_eigvalsh(x, "rho")[0] - np.linalg.eigvalsh(rho)).max() < 1e-14
     dense_pt = np.linalg.eigvalsh(pt)
-    assert np.abs(_block_eigvalsh(a.sector, "pt") - dense_pt).max() < 1e-14
+    assert np.abs(_block_eigvalsh(x[:1], "pt")[0] - dense_pt).max() < 1e-14
     assert min_eigenvalue(a) == pytest.approx(np.linalg.eigvalsh(rho)[0], abs=1e-14)
 
     assert trace_norm(a.coeffs) == pytest.approx(oracles.trace_norm_oracle(rho), rel=1e-12)
@@ -184,14 +190,48 @@ def test_frobenius_bound_never_exceeds_the_trace_distance(kind, dim, seed):
         psi = np.zeros(n)
         psi[:: dim + 1] = rng.normal(size=dim)
         a = np.outer(psi, psi).reshape((dim,) * 4)
-    x, y = (state_from_coeffs(c, cfg).sector for c in (a, b))
+    x, y = (state_from_coeffs(c, cfg).sector[None] for c in (a, b))
     bound = 0.5 * math.sqrt(np.sum((a - b) ** 2))
-    dist = _trace_distances(x, y)
+    (dist,) = _trace_distances(x, y)
     assert bound <= dist * (1.0 + 1e-12)
     assert dist == pytest.approx(0.5 * oracles.trace_norm_oracle((a - b).reshape(n, n)), rel=1e-12)
     if kind == "rank one":
         assert bound == pytest.approx(dist, rel=1e-12)
     # where the bound is at or past `below`, the bound itself is returned
-    skipped = _trace_distances(x, y, below=bound * (1.0 - 1e-12))
+    (skipped,) = _trace_distances(x, y, below=bound * (1.0 - 1e-12))
     assert skipped == pytest.approx(bound, rel=1e-12)
-    assert _trace_distances(x, y, below=bound * (1.0 + 1e-9)) == dist
+    (solved,) = _trace_distances(x, y, below=bound * (1.0 + 1e-9))
+    assert solved == dist
+
+
+_FAILING_PROPERTY = '''
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_a_failing_property_test_is_reported_and_the_run_goes_on(tmp_path):
+    # under the repository's pytest settings (warnings are errors), a failing
+    # @given test is reported as a failure, and the tests after it still run:
+    # no warning raised while hypothesis reports the failure stops the run
+    path = tmp_path / "test_failing_property.py"
+    path.write_text(_FAILING_PROPERTY)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(config), "-p", "no:cacheprovider",
+         str(path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = run.stdout + run.stderr
+    assert "INTERNALERROR" not in out
+    assert "Falsifying example: test_fails(" in out
+    assert "1 failed, 1 passed" in out

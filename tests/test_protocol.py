@@ -48,6 +48,19 @@ BASE = math.log2((1 + LAM) / (1 - LAM))
 _RHO = tmss(LAM, CFG)
 
 
+def _mash_step_at_zero_weight():
+    # mash_step with every kept weight patched to 0, as _poison does below
+    real_round = channels._mash_round
+
+    def zero_weight(cur, source, cfg):
+        kept, prob, discarded, weight = real_round(cur, source, cfg)
+        return kept, prob, discarded, np.zeros_like(weight)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(channels, "_mash_round", zero_weight)
+        mash_step(_RHO, _RHO)
+
+
 @pytest.mark.parametrize(
     "call, message",
     [
@@ -64,13 +77,41 @@ _RHO = tmss(LAM, CFG)
         (lambda: subtraction_probability_matrix(LAM, LOSS, SUB, CFG, 0, 1),
          "i_max and j_max must be >= 1"),
         (lambda: mash_iterate(_RHO, max_iter=0), "max_iter must be >= 1"),
+        (_mash_step_at_zero_weight, "mash projection weight 0 at or below trace_tol"),
+        (lambda: auto_n_max(1.0), "squeezing parameter must lie in [0, 1), got 1.0"),
     ],
     ids=["repeated-loss-m", "detect-mode", "detect-q", "mash-step-configs",
-         "coeffs-shape", "trace-distance-cutoffs", "pij-i-max", "mash-iterate-max-iter"],
+         "coeffs-shape", "trace-distance-cutoffs", "pij-i-max", "mash-iterate-max-iter",
+         "mash-step-zero-weight", "auto-n-max-lambda"],
 )
 def test_library_refusals(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         call()
+
+
+def test_mashing_refuses_cutoffs_whose_weights_overflow(monkeypatch):
+    # at n_max = 99 the output weights overflow (channels._MASH_MAX_N_MAX):
+    # every mashing entry point refuses the cutoff, with or without rounds,
+    # before any weight table, d^4 array or malting exists
+    def refuse(*args):
+        raise AssertionError("built past the mashing cutoff")
+
+    for module, name in ((channels, "_mash_weights"), (channels, "_truncated_convolution"),
+                         (protocol, "loss_event")):
+        monkeypatch.setattr(module, name, refuse)
+    cfg = TruncationConfig(99)
+    rho = tmss(LAM, cfg)
+    schedule = MaltingSchedule(1, 1, LOSS, SUB)
+    for call in (
+        lambda: mash_step(rho, rho),
+        lambda: mash_iterate(rho),
+        lambda: full_protocol(LAM, schedule, cfg),
+        lambda: average_entanglement(LAM, LOSS, SUB, cfg),
+        lambda: average_entanglement(LAM, LOSS, SUB, cfg, max_iter=0),
+        lambda: critical_attempts(LAM, LOSS, SUB, cfg),
+    ):
+        with pytest.raises(ValueError, match=r"^mashing needs n_max <= 98; at n_max=99 "):
+            call()
 
 
 def test_schedule_validation():

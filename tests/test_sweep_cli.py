@@ -237,13 +237,20 @@ def test_out_naming_a_directory_fails_fast(monkeypatch, tmp_path, capsys):
 
 def test_squeezing_near_one_fails_fast(monkeypatch, tmp_path, capsys):
     # the automatic cutoff at lambda = 0.999999999 is about 1.7e10; it must
-    # come from logarithms, not from a loop over every cutoff
+    # come from logarithms, not from a loop over every cutoff, and the
+    # mashing commands refuse it before anything of its size is built
     _refuse_run(monkeypatch)
-    argv = ["pij", "--lambda", "0.999999999", "--tau", "100", "--ts", "0.99",
-            "--imax", "2", "--jmax", "2", "--out", str(tmp_path / "o.csv")]
-    start = time.perf_counter()
-    _fails_fast(argv, capsys, "needs a working set of about")
-    assert time.perf_counter() - start < 0.5
+    argv = ["--lambda", "0.999999999", "--tau", "100", "--ts", "0.99",
+            "--out", str(tmp_path / "o.csv")]
+    for command, own, message in (
+        ("pij", ["--imax", "2", "--jmax", "2"], "needs a working set of about"),
+        ("distill", ["--ma", "1", "--mb", "1"], "--n-max: mashing needs n_max <= 98"),
+        ("mc-sweep", [], "--n-max: mashing needs n_max <= 98"),
+        ("avg-ent", [], "--n-max: mashing needs n_max <= 98"),
+    ):
+        start = time.perf_counter()
+        _fails_fast([command, *argv, *own], capsys, message)
+        assert time.perf_counter() - start < 0.5, command
 
 
 # --- the command table -----------------------------------------------------
@@ -580,7 +587,7 @@ def test_scan_chunk_windows_fit_the_memory_budget():
     # budgets for them, and the kept expansions within
     # _EXPANSION_BUDGET_FLOATS
     kept = {}
-    for d in range(2, cli._MASH_MAX_N_MAX + 2):
+    for d in range(2, channels._MASH_MAX_N_MAX + 2):
         plan = channels._plan(d)
         width, kept[d] = plan.width, plan.kept
         share = cli.working_set_bytes(d - 1, True) - cli.working_set_bytes(d - 1, False)
@@ -714,13 +721,16 @@ def test_mashing_commands_refuse_overflowing_cutoffs(tmp_path, capsys):
         out = tmp_path / f"{command}.csv"
         rc = main([command] + argv + own + ["--n-max", "99", "--out", str(out)])
         assert rc == 1
-        assert f"{command} mashes, and at n_max=99" in capsys.readouterr().err
+        assert (
+            "--n-max: mashing needs n_max <= 98; at n_max=99 its weights ((n_max)!)^2 "
+            "overflow float64" in capsys.readouterr().err
+        )
         assert not out.exists()
     # malting alone has no such limit; only the memory budget refuses it
     rc = main(["malt-trace"] + argv + arms + ["--n-max", "400", "--out", str(tmp_path / "m.csv")])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "mashes" not in err and "budget" in err
+    assert "mashing" not in err and "budget" in err
     # n_max = 98 is the largest mashing cutoff, and it fits the budget
     cfg = validate_config(_parse(["distill"] + argv + arms + ["--n-max", "98",
                                                              "--out", str(tmp_path / "d.csv")]))
@@ -734,8 +744,12 @@ def test_mash_limit_is_where_the_output_weights_overflow():
         with np.errstate(over="ignore"):
             return channels._mash_weights(dim)[-1][0, -1, -1]
 
-    assert np.isfinite(top(cli._MASH_MAX_N_MAX + 1))
-    assert np.isinf(top(cli._MASH_MAX_N_MAX + 2))
+    assert np.isfinite(top(channels._MASH_MAX_N_MAX + 1))
+    assert np.isinf(top(channels._MASH_MAX_N_MAX + 2))
+    # and the plan, which every mashing path reads first, refuses that cutoff
+    channels._plan(channels._MASH_MAX_N_MAX + 1)
+    with pytest.raises(ValueError, match=r"^mashing needs n_max <= 98; at n_max=99 "):
+        channels._plan(channels._MASH_MAX_N_MAX + 2)
 
 
 def test_exit_code_two_on_numerical_failure(tmp_path):
