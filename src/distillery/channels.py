@@ -20,7 +20,6 @@ from .core import (
     _sector_entries,
     _slot,
     _wrap_fresh,
-    _zero_slot,
 )
 
 
@@ -80,7 +79,15 @@ def bs_amplitude(n, q, t):
     if not 0 <= q <= n:
         raise ValueError(f"need 0 <= q <= n, got q={q}, n={n}")
     r = math.sqrt(max(0.0, 1.0 - t * t))
-    return math.sqrt(math.comb(n, q)) * t ** (n - q) * r**q
+    c = math.comb(n, q)
+    try:
+        return math.sqrt(c) * t ** (n - q) * r**q
+    except OverflowError:
+        # C(n, q) beyond float64, so 0 < q < n: the amplitude (<= 1) from its log
+        if t == 0.0 or r == 0.0:
+            return 0.0
+        log_a = 0.5 * math.log(c) + (n - q) * math.log(abs(t)) + q * math.log(r)
+        return math.copysign(1.0, t) ** (n - q) * math.exp(log_a)
 
 
 def loss_kraus(t, dim):
@@ -234,14 +241,15 @@ class MashResult(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _mash_tables(dim):
-    # gather[n, m, k]: slot of p[n, m, k, m - n + k] in the stored layout,
-    # the zero slot where that l leaves the cutoff; scatter: for every slot
-    # of the stored layout, the flat (n, m, k) position of the entry with
-    # n >= k that it holds, so that one take fills the whole layout (padding
-    # reads entry 0, and the output weights, zero there, clear it)
+    # gather[n, m, k]: slot of p[n, m, k, m - n + k] in the stored layout;
+    # where that l leaves the cutoff, the last slot, which is padding
+    # (diagonal d - 1 has one entry) and so zero. scatter: for every slot of
+    # the stored layout, the flat (n, m, k) position of the entry with n >= k
+    # that it holds, so that one take fills the whole layout (padding reads
+    # entry 0, and the output weights, zero there, clear it)
     n, m, k = np.ogrid[:dim, :dim, :dim]
     l_ = m - n + k
-    gather = np.where((l_ >= 0) & (l_ < dim), _slot(dim, n, m, k, l_), _zero_slot(dim))
+    gather = np.where((l_ >= 0) & (l_ < dim), _slot(dim, n, m, k, l_), dim**3 - 1)
     slot, dense = _sector_entries(dim)
     scatter = np.zeros(dim**3, dtype=np.intp)
     scatter[slot] = dense // dim  # drops l from ((n d + m) d + k) d + l

@@ -88,22 +88,21 @@ def parse_ts(spec):
     return tuple(v for v in vals if v <= stop + step / 2)
 
 
-# A state stores d^3 float64 coefficients, and the eigensolves gather
-# (2d - 1) d^2 of them into padded blocks, through an int64 gather table of
-# that size kept per cutoff. Traced memory when malting peaked at 8.00 d^3
-# float64 (d = 78 and 164), in the eigensolve: the state and the cached
-# loss maps, d^3 each, and the blocks, the gather table and one temporary
-# of their size, counted here as 4 stored states and 3 eigensolve arrays.
-# The sentinel bound now makes no such temporary (6.1 d^3 traced at
-# d = 78), so that count is an upper bound. Mashing adds, for each branch
-# of a chunk of the arm-B scan, the expansions its run keeps (chunk width
-# and kept floats from channels._plan: 1.75-2 d^4 float64 up to d = 16,
-# none from d = 17 on, where a chunk is one branch) plus two d^4 float64
-# arrays for the rest of a round. Building a whole chunk's sources and
-# running one round on it (tracemalloc, inputs included) peaked at 2.0-2.7
-# d^4 float64 per branch at d = 8-16, against 3.75-4 counted, and at 1.03
-# d^4 (d = 19) and 0.74 d^4 (d = 34), against 2, so the count is an upper
-# bound. A pij grid adds its cells: the matrix and the CSV row tuples
+# A state stores d^3 float64 coefficients; the eigensolves gather its blocks
+# one size at a time through int32 tables kept per cutoff, about d^3 / 3
+# float64. Traced memory when malting peaked at 4.43 d^3 float64 (d = 78)
+# and 4.35 d^3 (d = 164), in a loss or counting step; the eigensolve stays
+# below 2.4 d^3. Counted here are 4 stored states and 3 eigensolve arrays of
+# (2d - 1) d^2, as when the solve padded every block to d x d and peaked at
+# 8.00 d^3: an upper bound that keeps the refusals where they were. Mashing
+# adds, for each branch of a chunk of the arm-B scan, the expansions its run
+# keeps (chunk width and kept floats from channels._plan: 1.75-2 d^4 float64
+# up to d = 16, none from d = 17 on, where a chunk is one branch) plus two
+# d^4 float64 arrays for the rest of a round. Building a whole chunk's
+# sources and running one round on it (tracemalloc, inputs included) peaked
+# at 2.0-2.7 d^4 float64 per branch at d = 8-16, against 3.75-4 counted, and
+# at 1.03 d^4 (d = 19) and 0.74 d^4 (d = 34), against 2, so the count is an
+# upper bound. A pij grid adds its cells: the matrix and the CSV row tuples
 # peaked at 110-122 bytes per cell (grids of 300^2 and 600^2), counted as
 # 128. decay keeps a row per step until the CSV is written, a tuple of an
 # int and three floats in a list: 180 bytes by sys.getsizeof, counted as

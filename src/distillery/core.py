@@ -94,12 +94,6 @@ def _slot(dim, n, m, k, l_):
     return (np.abs(n - k) * dim + np.minimum(n, k)) * dim + np.minimum(m, l_)
 
 
-def _zero_slot(dim):
-    # X[d - 1, d - 1, d - 1]: diagonal d - 1 has one entry, so this padding
-    # slot is zero in every stored array (dim >= 2)
-    return dim**3 - 1
-
-
 @lru_cache(maxsize=None)
 def _sector_entries(dim):
     """(slot, dense) for every slot of the stored layout that holds a
@@ -280,32 +274,32 @@ def normalize(state):
 @lru_cache(maxsize=None)
 def _block_tables(dim, kind):
     """Gather tables for the 2d-1 blocks of the density matrix (kind "rho")
-    or of its partial transpose on mode A (kind "pt"), each padded to d x d.
-
-    Returns (index, keep): the flat position in the stored layout of every
-    block entry (shape (2d-1, d, d)), mirrored entries at the one slot they
-    share, padding entries at the zero slot, and
-    keep[b, i] = i < size of block b.
+    or of its partial transpose on mode A (kind "pt"): for each size
+    s = 1 ... d, an int32 array (g, s, s) of the flat position in the stored
+    layout of every entry of the g blocks of that size (two, one for s = d),
+    mirrored entries at the one slot they share.
     Block b of "rho" holds rows (n, m) and columns (k, l) with
     n - m = k - l = b - (d - 1); block N of "pt" is
-    B_N[m, l] = c[N - l, m, N - m, l]. Both cover exactly the entries with
-    n - k = m - l, each once.
+    B_N[m, l] = c[N - l, m, N - m, l]; block b has size d - |b - (d - 1)|.
+    Both cover exactly the entries with n - k = m - l, each once.
     """
-    b, i, j = np.ogrid[: 2 * dim - 1, :dim, :dim]
-    size = dim - np.abs(b - (dim - 1))
-    if kind == "rho":
-        shift = b - (dim - 1)  # J = n - m
-        n, m = i + np.maximum(shift, 0), i + np.maximum(-shift, 0)
-        k, l_ = j + np.maximum(shift, 0), j + np.maximum(-shift, 0)
-    else:  # "pt", block b = N = k + m
-        low = np.maximum(b - (dim - 1), 0)  # smallest m (and l) with N - m < d
-        m, l_ = i + low, j + low
-        n, k = b - l_, b - m
-    index = np.where((i < size) & (j < size), _slot(dim, n, m, k, l_), _zero_slot(dim))
-    keep = i[..., 0] < size[..., 0]
-    for arr in (index, keep):
-        arr.flags.writeable = False
-    return index, keep
+    tables = []
+    for s in range(1, dim + 1):
+        # blocks s - 1 and 2d - 1 - s have size s; at s = d they are one
+        b = np.array(sorted({s - 1, 2 * dim - 1 - s}))[:, None, None]
+        i, j = np.ogrid[:s, :s]
+        if kind == "rho":
+            shift = b - (dim - 1)  # J = n - m
+            n, m = i + np.maximum(shift, 0), i + np.maximum(-shift, 0)
+            k, l_ = j + np.maximum(shift, 0), j + np.maximum(-shift, 0)
+        else:  # "pt", block b = N = k + m
+            low = np.maximum(b - (dim - 1), 0)  # smallest m (and l) with N - m < d
+            m, l_ = i + low, j + low
+            n, k = b - l_, b - m
+        index = _slot(dim, n, m, k, l_).astype(np.int32)
+        index.flags.writeable = False
+        tables.append(index)
+    return tuple(tables)
 
 
 def _block_eigvalsh(x, kind):
@@ -314,21 +308,17 @@ def _block_eigvalsh(x, kind):
     of a stack x (b, d, d, d), shape (b, d^2).
 
     The sector rule makes that matrix block-diagonal: in n - m for "rho" and
-    in the total photon number for "pt". The 2d-1 blocks, each padded to
-    d x d with a diagonal sentinel above its Frobenius norm, are solved in
-    one batched call, and the first `size` eigenvalues of each are that
-    block's spectrum.
+    in the total photon number for "pt". The blocks of each size are
+    gathered and solved in one batched call at that size, and their spectra
+    are joined and sorted.
     """
-    b, d = len(x), x.shape[-1]
-    index, keep = _block_tables(d, kind)
-    blocks = x.reshape(b, -1)[:, index]
-    # the blocks are full symmetric, so their Frobenius norm bounds every
-    # eigenvalue, with no temporary of their size; the sentinel sits above it
-    sentinel = 2.0 * np.sqrt(np.einsum("bnij,bnij->bn", blocks, blocks)) + 1.0
-    r = np.arange(d)
-    blocks[:, :, r, r] = np.where(keep, blocks[:, :, r, r], sentinel[..., None])
+    flat = x.reshape(len(x), -1)
     # C order, so that a stack's rows sum like a stack of one, bit for bit
-    eigs = np.ascontiguousarray(np.linalg.eigvalsh(blocks)[:, keep])
+    eigs = np.concatenate(
+        [np.linalg.eigvalsh(flat[:, index]).reshape(len(x), -1)
+         for index in _block_tables(x.shape[-1], kind)],
+        axis=-1,
+    )
     eigs.sort(axis=-1)
     return eigs
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .channels import LossChannelParams, detect_phonons, loss_event
 from .core import TruncationConfig, normalize, tmss
-from .negativity import log_negativity
+from .negativity import _log_negativities
 from .protocol import (
     MaltingSchedule,
     average_entanglement,
@@ -111,7 +111,9 @@ def _run_decay(cfg):
     rows = []
     warn = False
     for m in range(cfg.steps + 1):
-        negs = [log_negativity(s) for s in (s_loss, s_vac, s_both)]
+        # one solve for all three: a lone one costs an eigvalsh per block size
+        x = np.stack([s_loss.sector, s_vac.sector, s_both.sector])
+        negs = _log_negativities(x, cfg.trunc.eig_tol)
         warn = warn or any(n.trunc_warning for n in negs)
         rows.append((m, negs[0].value, negs[1].value, negs[2].value))
         if m == cfg.steps:

@@ -63,6 +63,13 @@ def test_bs_amplitude_known_values():
         bs_amplitude(1, 2, t)
 
 
+def test_bs_amplitude_stays_finite_past_float_binomials():
+    # C(1100, 550) and its neighbours exceed 2^1024, which float64 cannot hold
+    assert 0.0 <= bs_amplitude(1100, 550, 0.7071) <= 1.0
+    total = math.fsum(bs_amplitude(1100, q, 0.7) ** 2 for q in range(1101))
+    assert abs(total - 1.0) < 1e-12
+
+
 def test_loss_identity_at_unit_transmissivity():
     st = tmss(0.1, TruncationConfig(7))
     out = loss_event(st, LossChannelParams(1.0))

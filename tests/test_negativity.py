@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from distillery import (
     trace_norm,
     vacuum,
 )
+from distillery.core import _block_tables
 from distillery.negativity import _log_negativities, _trace_distances
 
 
@@ -181,7 +183,8 @@ def _dense_pt_eigs(st):
 
 def test_protocol_states_take_the_block_solve(monkeypatch):
     # states never reach a dense d^2 x d^2 solve: each call solves the
-    # blocks of a stack of one; and input off the sector cannot become a
+    # blocks of a stack of one, those of each size s at that size (two of
+    # each s < d, one of size d); and input off the sector cannot become a
     # state
     shapes = []
     real_eigvalsh = np.linalg.eigvalsh
@@ -199,12 +202,32 @@ def test_protocol_states_take_the_block_solve(monkeypatch):
     log_negativity(st)
     trace_distance(st, tmss(0.3, cfg, allow_truncation=True))
     min_eigenvalue(st)
-    assert shapes == [(1, 15, 8, 8)] * 3
+    assert shapes == ([(1, 2, s, s) for s in range(1, 8)] + [(1, 1, 8, 8)]) * 3
     rng = np.random.default_rng(5)
     g = rng.normal(size=(16, 16))
     dense = (g @ g.T).reshape(4, 4, 4, 4)
     with pytest.raises(ValueError, match="off that sector"):
         state_from_coeffs(dense, TruncationConfig(3))
+
+
+def test_cold_block_solve_stays_small_at_large_cutoff():
+    # one cold log_negativity at d = 40 gathers one block size at a time
+    # and caches int32 tables of (2d^3 + d) / 3 entries, about d^3 / 3
+    # float64, where padding every block to d x d traced 4.7 d^3 at its
+    # peak and left 2.0 d^3 of int64 tables cached
+    d = 40
+    st = tmss(0.6, TruncationConfig(d - 1), allow_truncation=True)
+    log_negativity(tmss(0.1, TruncationConfig(3), allow_truncation=True))
+    _block_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        log_negativity(st)
+        cached, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (peak - base) / (8 * d**3) < 1.0
+    assert (cached - base) / (8 * d**3) < 0.4
 
 
 def test_trace_norm_and_state_from_coeffs_report_the_same_defect():

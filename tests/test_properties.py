@@ -130,7 +130,7 @@ def _drawn_state(kind, dim, lam, tau, t_s, q_a, q_b, rng):
 @PROPERTY
 @given(
     kind=st.sampled_from(["malted", "mashed", "random"]),
-    dim=st.integers(2, 6),
+    dim=st.integers(2, 9),
     lam=st.floats(0.05, 0.6),
     tau=st.floats(10.0, 1000.0),
     t_s=st.floats(0.5, 0.99),

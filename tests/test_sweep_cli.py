@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from distillery import TruncationConfig, auto_n_max, channels, cli, sweep
+from distillery import TruncationConfig, auto_n_max, channels, cli, negativity, sweep
 from distillery.cli import ConfigError, build_parser, main, parse_ts, validate_config
 from distillery.sweep import _fmt, _pmap
 
@@ -380,6 +380,23 @@ def test_decay_csv_format(tmp_path):
             assert _fmt(float(cell)) == cell
     # atomic write leaves no temp files behind
     assert os.listdir(tmp_path) == ["decay.csv"]
+
+
+def test_decay_solves_its_three_states_as_one_stack(monkeypatch, tmp_path):
+    # a lone solve makes one eigvalsh call per block size, so decay solves
+    # its three states of each step together: one call per step, stack of 3
+    stacks = []
+    real_eigvalsh = negativity._block_eigvalsh
+
+    def counting(x, kind):
+        stacks.append((x.shape[0], kind))
+        return real_eigvalsh(x, kind)
+
+    monkeypatch.setattr(negativity, "_block_eigvalsh", counting)
+    rc = main(["decay", "--lambda", "0.1", "--tau", "100", "--ts", "0.99",
+               "--steps", "5", "--out", str(tmp_path / "decay.csv")])
+    assert rc == 0
+    assert stacks == [(3, "pt")] * 6
 
 
 def test_malt_trace_csv(tmp_path):
