@@ -78,16 +78,20 @@ def bs_amplitude(n, q, t):
     """Amplitude for removing exactly q of n quanta at transmissivity t."""
     if not 0 <= q <= n:
         raise ValueError(f"need 0 <= q <= n, got q={q}, n={n}")
+    return _amplitude(math.comb(n, q), n - q, q, t)
+
+
+def _amplitude(c, kept, q, t):
+    # sqrt(c) t^kept r^q for the exact binomial c = C(kept + q, q)
     r = math.sqrt(max(0.0, 1.0 - t * t))
-    c = math.comb(n, q)
     try:
-        return math.sqrt(c) * t ** (n - q) * r**q
+        return math.sqrt(c) * t**kept * r**q
     except OverflowError:
-        # C(n, q) beyond float64, so 0 < q < n: the amplitude (<= 1) from its log
+        # c beyond float64, so kept, q > 0: the amplitude (<= 1) from its log
         if t == 0.0 or r == 0.0:
             return 0.0
-        log_a = 0.5 * math.log(c) + (n - q) * math.log(abs(t)) + q * math.log(r)
-        return math.copysign(1.0, t) ** (n - q) * math.exp(log_a)
+        log_a = 0.5 * math.log(c) + kept * math.log(abs(t)) + q * math.log(r)
+        return math.copysign(1.0, t) ** kept * math.exp(log_a)
 
 
 def loss_kraus(t, dim):
@@ -137,8 +141,13 @@ def repeated_loss(state, params, m):
 
 def _kraus_weights(q, t, dim):
     # w[n] = A(n + q, q) = K_q[n, n + q]: amplitude of output level n after
-    # q quanta are removed (lost or counted)
-    return np.array([bs_amplitude(n + q, q, t) for n in range(dim - q)])
+    # q quanta are removed (lost or counted): bs_amplitude's value, with
+    # C(n + q, q) a running exact integer instead of a math.comb per entry
+    w, c = np.empty(dim - q), 1
+    for n in range(dim - q):
+        w[n] = _amplitude(c, n, q, t)
+        c = c * (n + q + 1) // (n + 1)
+    return w
 
 
 @lru_cache(maxsize=4)

@@ -9,7 +9,7 @@ import math
 import os
 import sys
 
-from .channels import LossChannelParams, SubtractionParams, _plan
+from .channels import LossChannelParams, SubtractionParams
 from .core import TruncationConfig, ZeroTraceError, auto_n_max
 from .protocol import NoConvergenceError
 from .sweep import COMMANDS, RunConfig, run
@@ -88,49 +88,17 @@ def parse_ts(spec):
     return tuple(v for v in vals if v <= stop + step / 2)
 
 
-# A state stores d^3 float64 coefficients; the eigensolves gather its blocks
-# one size at a time through int32 tables kept per cutoff, about d^3 / 3
-# float64. Traced memory when malting peaked at 4.43 d^3 float64 (d = 78)
-# and 4.35 d^3 (d = 164), in a loss or counting step; the eigensolve stays
-# below 2.4 d^3. Counted here are 4 stored states and 3 eigensolve arrays of
-# (2d - 1) d^2, as when the solve padded every block to d x d and peaked at
-# 8.00 d^3: an upper bound that keeps the refusals where they were. Mashing
-# adds, for each branch of a chunk of the arm-B scan, the expansions its run
-# keeps (chunk width and kept floats from channels._plan: 1.75-2 d^4 float64
-# up to d = 16, none from d = 17 on, where a chunk is one branch) plus two
-# d^4 float64 arrays for the rest of a round. Building a whole chunk's
-# sources and running one round on it (tracemalloc, inputs included) peaked
-# at 2.0-2.7 d^4 float64 per branch at d = 8-16, against 3.75-4 counted, and
-# at 1.03 d^4 (d = 19) and 0.74 d^4 (d = 34), against 2, so the count is an
-# upper bound. A pij grid adds its cells: the matrix and the CSV row tuples
-# peaked at 110-122 bytes per cell (grids of 300^2 and 600^2), counted as
-# 128. decay keeps a row per step until the CSV is written, a tuple of an
-# int and three floats in a list: 180 bytes by sys.getsizeof, counted as
-# 192. malt-trace and distill keep a row per clock cycle (and distill one
-# per mashing round): 162 and 242 bytes per row traced at 40 000 cycles,
-# counted as 256.
-# Invocations whose estimate exceeds the budget are refused before any run.
+# Invocations whose working set exceeds the budget are refused before any run.
 MEMORY_BUDGET_BYTES = 4 * 2**30
-_LIVE_STATE_ARRAYS = 4
-_EIGENSOLVE_ARRAYS = 3
-_LIVE_MASH_ARRAYS = 2
-_PIJ_CELL_BYTES = 128
-_DECAY_ROW_BYTES = 192
-_CYCLE_ROW_BYTES = 256
 
 
-def working_set_bytes(n_max, mashing, cells=0, rows=0, cycle_rows=0):
-    """Estimated peak memory of the arrays at cutoff n_max, for a command
-    that only malts or one that also mashes, plus that of a pij grid of
-    `cells` cells, of `rows` decay rows and of `cycle_rows` malt-trace or
-    distill rows; channels._plan refuses (ValueError) a cutoff mashing cannot run."""
-    d = n_max + 1
-    need = 8 * (_LIVE_STATE_ARRAYS * d**3 + _EIGENSOLVE_ARRAYS * (2 * d - 1) * d * d)
-    need += _PIJ_CELL_BYTES * cells + _DECAY_ROW_BYTES * rows + _CYCLE_ROW_BYTES * cycle_rows
-    if mashing:
-        plan = _plan(d)
-        need += 8 * plan.width * (_LIVE_MASH_ARRAYS * d**4 + plan.kept)
-    return need
+def working_set_bytes(name, n_max, flags):
+    """Estimated peak memory of subcommand `name` at cutoff n_max with its
+    flags (a dict over RunConfig's fields): the arrays and the CSV rows
+    that its row of sweep.COMMANDS counts; channels._plan refuses
+    (ValueError) a cutoff mashing cannot run."""
+    command = COMMANDS[name]
+    return 8 * command.floats(n_max + 1, flags) + command.row_bytes * command.rows(flags)
 
 
 def _build(errors, flag, make, *args):
@@ -200,11 +168,6 @@ def validate_config(ns):
             errors.append(f"{_flag(field)} must be >= 1, got {val}")
         else:
             own[field] = val
-    cells = own.get("imax", 0) * own.get("jmax", 0)
-    rows = own["steps"] + 1 if "steps" in own else 0
-    cycle_rows = 0
-    if "ma" in own and "mb" in own:
-        cycle_rows = max(own["ma"], own["mb"]) + 1 + own.get("max_iter", 0)
 
     n_max = ns.n_max
     if n_max < 0:
@@ -222,21 +185,14 @@ def validate_config(ns):
             )
 
     if n_max >= 1:
+        # a flag that is missing or invalid counts at its RunConfig default;
         # 0 where channels._plan refuses a cutoff mashing cannot run
-        sizes = (n_max, command.mashes, cells, rows, cycle_rows)
-        need = _build(errors, "--n-max", working_set_bytes, *sizes) or 0
+        flags = {**RunConfig._field_defaults, **own}
+        need = _build(errors, "--n-max", working_set_bytes, name, n_max, flags) or 0
         if need > MEMORY_BUDGET_BYTES:
-            kept = ""
-            if cells:
-                kept = f" and a {own['imax']} x {own['jmax']} grid"
-            elif rows:
-                kept = f" and {rows} decay rows"
-            elif need - _CYCLE_ROW_BYTES * cycle_rows <= MEMORY_BUDGET_BYTES:
-                # the rows, not the cutoff, are what exceeds the budget
-                kept = f" and {cycle_rows} {name} rows"
             errors.append(
-                f"n_max={n_max}{kept} needs a working set of about "
-                f"{need / 2**30:.3g} GiB, over the "
+                f"n_max={n_max} with {command.rows(flags)} {name} rows needs a working "
+                f"set of about {need / 2**30:.3g} GiB, over the "
                 f"{MEMORY_BUDGET_BYTES / 2**30:.3g} GiB budget"
             )
 

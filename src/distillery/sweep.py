@@ -1,8 +1,8 @@
 """Sweep execution and CSV emission for the command-line interface.
 
 `COMMANDS` has one row per subcommand: its runner, the flags it reads
-beyond the common ones and whether it takes a t_s range. The parser, the
-validation and the metadata all read that table.
+beyond the common ones, the memory it holds and whether it takes a t_s
+range. The parser, the validation and the metadata all read that table.
 
 The t_s sweeps (mc-sweep, avg-ent) map average_entanglement over their
 t_s points, so points can go through a process pool; rows come back in
@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channels import LossChannelParams, detect_phonons, loss_event
+from .channels import LossChannelParams, _plan, detect_phonons, loss_event
 from .core import TruncationConfig, normalize, tmss
 from .negativity import _log_negativities
 from .protocol import (
@@ -111,9 +111,12 @@ def _run_decay(cfg):
     rows = []
     warn = False
     for m in range(cfg.steps + 1):
-        # one solve for all three: a lone one costs an eigvalsh per block size
-        x = np.stack([s_loss.sector, s_vac.sector, s_both.sector])
-        negs = _log_negativities(x, cfg.trunc.eig_tol)
+        # one solve for all three: a lone one costs an eigvalsh per block
+        # size; the stack is not bound here, so it is freed before the next
+        # step builds its states
+        negs = _log_negativities(
+            np.stack([s_loss.sector, s_vac.sector, s_both.sector]), cfg.trunc.eig_tol
+        )
         warn = warn or any(n.trunc_warning for n in negs)
         rows.append((m, negs[0].value, negs[1].value, negs[2].value))
         if m == cfg.steps:
@@ -192,25 +195,56 @@ def _run_scan(cfg):
 
 class Command(NamedTuple):
     """One subcommand: its runner, the RunConfig fields it reads beyond the
-    common ones (its flags, in metadata order) and whether --ts may be a
-    range."""
+    common ones (its flags, in metadata order), floats(d, flags) and
+    rows(flags), the float64 of its arrays at cutoff d and the CSV rows it
+    keeps, of row_bytes each, and whether --ts may be a range."""
 
     runner: object
     flags: tuple
+    floats: object
+    rows: object = lambda flags: 0
+    row_bytes: int = 0
     ts_range: bool = False
 
-    @property
-    def mashes(self):
-        return "max_iter" in self.flags
+
+def _mashing_floats(d, flags):
+    plan = _plan(d)  # which refuses a cutoff mashing cannot run
+    return 5 * d**3 + plan.width * (2 * d**4 + plan.kept)
 
 
+def _cycles(flags):
+    return max(flags["ma"], flags["mb"]) + 1
+
+
+# Each count bounds the runner's traced peak (tracemalloc around run, cold
+# caches) from d = 41 on; below it the interpreter's own allocations, tens
+# of kB, add to the peak. decay holds its three states, the next step's, the
+# loss maps and eigensolve tables: 7.4-7.7 d^3 float64 at d = 41-120,
+# counted as 8. A malting run peaks in a loss or counting step at 4.35-4.67
+# d^3 (d = 41-164), counted as 5. pij holds its d x d loss matrix, 1.04 d^2
+# at d = 201-401, and two arrays of max(imax, jmax) x d. Mashing adds, per
+# branch of a scan chunk, the expansions its run keeps and two d^4 arrays
+# for the rest of a round: 2.0-2.7 d^4 float64 per branch at d = 8-16,
+# against 3.75-4 counted, and 1.03 d^4 (d = 19) and 0.74 d^4 (d = 34),
+# against 2. Rows: a decay row is 180 bytes by sys.getsizeof; malt-trace and
+# distill rows 162 and 242 bytes traced at 40 000 cycles; a pij cell, its
+# matrix entry and row, 110-122 bytes on grids of 300^2 and 600^2.
+_SCAN = Command(_run_scan, ("max_iter", "baseline"), _mashing_floats, ts_range=True)
 COMMANDS = {
-    "decay": Command(_run_decay, ("steps",)),
-    "malt-trace": Command(_run_malt_trace, ("ma", "mb")),
-    "pij": Command(_run_pij, ("imax", "jmax")),
-    "distill": Command(_run_distill, ("ma", "mb", "max_iter")),
-    "mc-sweep": Command(_run_scan, ("max_iter", "baseline"), ts_range=True),
-    "avg-ent": Command(_run_scan, ("max_iter", "baseline"), ts_range=True),
+    "decay": Command(
+        _run_decay, ("steps",), lambda d, f: 8 * d**3, lambda f: f["steps"] + 1, 192
+    ),
+    "malt-trace": Command(_run_malt_trace, ("ma", "mb"), lambda d, f: 5 * d**3, _cycles, 256),
+    "pij": Command(
+        _run_pij, ("imax", "jmax"), lambda d, f: 2 * d * (d + max(f["imax"], f["jmax"])),
+        lambda f: f["imax"] * f["jmax"], 128,
+    ),
+    "distill": Command(
+        _run_distill, ("ma", "mb", "max_iter"), _mashing_floats,
+        lambda f: _cycles(f) + f["max_iter"], 256,
+    ),
+    "mc-sweep": _SCAN,
+    "avg-ent": _SCAN,
 }
 
 

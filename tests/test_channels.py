@@ -70,6 +70,16 @@ def test_bs_amplitude_stays_finite_past_float_binomials():
     assert abs(total - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("dim, qs", [(34, range(34)), (1101, (0, 1, 550, 1000))])
+def test_kraus_weight_rows_equal_bs_amplitude_bitwise(dim, qs):
+    # the rows keep C(n + q, q) as a running integer instead of a math.comb
+    # per entry; q = 550 at d = 1101 reaches binomials beyond float64
+    for t in (0.99499, 0.7071):
+        for q in qs:
+            want = np.array([bs_amplitude(n + q, q, t) for n in range(dim - q)])
+            assert channels._kraus_weights(q, t, dim).tobytes() == want.tobytes(), (t, q)
+
+
 def test_loss_identity_at_unit_transmissivity():
     st = tmss(0.1, TruncationConfig(7))
     out = loss_event(st, LossChannelParams(1.0))

@@ -502,14 +502,14 @@ def test_mash_iterate_matches_a_loop_of_mash_step_and_trace_distance(n_max):
     assert out.tail == pytest.approx(dist / 3.0, rel=1e-12, abs=1e-15)
 
 
-@pytest.mark.parametrize("lam", [0.1, 0.2])
+@pytest.mark.parametrize("lam", [0.1, 0.2, 0.4])
 def test_mash_iterate_converges_to_the_exact_fixed_point(lam):
-    # against the degree-by-degree fixed point of the oracle, on malted
-    # states at d = 8 and 11: the converged state lies within conv_tol of
-    # it, and tail estimates the distance left to it (measured 1.00006 to
+    # against the closed-form fixed point of the oracle, on malted states
+    # at d = 8, 11 and 19: the converged state lies within conv_tol of it,
+    # and tail estimates the distance left to it (measured 1.00006 to
     # 1.00018 times tail)
     cfg = TruncationConfig(auto_n_max(lam))
-    assert cfg.dim == {0.1: 8, 0.2: 11}[lam]
+    assert cfg.dim == {0.1: 8, 0.2: 11, 0.4: 19}[lam]
     rho_0 = malt(lam, MaltingSchedule(1, 3, LOSS, SUB), cfg).state
     out = mash_iterate(rho_0)
     exact = oracles.mash_fixed_point_oracle(rho_0.coeffs)

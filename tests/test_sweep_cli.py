@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from distillery import TruncationConfig, auto_n_max, channels, cli, negativity, sweep
+from distillery import TruncationConfig, auto_n_max, channels, cli, core, negativity, sweep
 from distillery.cli import ConfigError, build_parser, main, parse_ts, validate_config
 from distillery.sweep import _fmt, _pmap
 
@@ -597,30 +597,93 @@ def test_exit_code_one_on_config_error(tmp_path):
     assert main([]) == 1
 
 
+def _fits(command, n_max, **flags):
+    # whether the working set of one invocation stays within the budget
+    flags = {**sweep.RunConfig._field_defaults, **flags}
+    return cli.working_set_bytes(command, n_max, flags) <= cli.MEMORY_BUDGET_BYTES
+
+
+def _first_refused(fits, start=1):
+    # the smallest value from `start` on at which fits() turns false, for a
+    # fits() that holds at start and stays false once it turns
+    step = 1
+    while fits(start + step):
+        step *= 2
+    low, high = start + step // 2, start + step
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if fits(mid) else (low, mid)
+    return high
+
+
+def _clear_caches():
+    # the per-cutoff tables are built inside a traced run, as in a fresh process
+    for module in (core, channels):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "command, n_max, own",
+    [
+        ("decay", 40, ["--steps", "1", "--ts", "0.99"]),
+        ("decay", 77, ["--steps", "1", "--ts", "0.99"]),
+        ("malt-trace", 40, ["--ma", "1", "--mb", "2", "--ts", "0.99"]),
+        ("malt-trace", 77, ["--ma", "1", "--mb", "2", "--ts", "0.99"]),
+        ("pij", 200, ["--imax", "3", "--jmax", "2", "--ts", "0.99"]),
+        ("pij", 300, ["--imax", "3", "--jmax", "2", "--ts", "0.99"]),
+        ("distill", 18, ["--ma", "1", "--mb", "2", "--max-iter", "2", "--ts", "0.99"]),
+        ("distill", 33, ["--ma", "1", "--mb", "2", "--max-iter", "2", "--ts", "0.99"]),
+        # scans long enough to mash chunks of the plan's full width, 16 and 4
+        ("mc-sweep", 7, ["--ts", "0.99"]),
+        ("mc-sweep", 10, ["--ts", "0.9"]),
+        ("avg-ent", 7, ["--ts", "0.99"]),
+        ("avg-ent", 10, ["--ts", "0.9"]),
+    ],
+)
+def test_each_command_peaks_within_its_count(tmp_path, capsys, command, n_max, own):
+    # the traced peak of a whole run, tables built inside it, stays within
+    # the working set its row of sweep.COMMANDS counts
+    argv = [command, "--lambda", "0.1", "--tau", "100", "--n-max", str(n_max),
+            "--out", str(tmp_path / "o.csv"), *own]
+    cfg = validate_config(_parse(argv))
+    _clear_caches()
+    tracemalloc.start()
+    try:
+        sweep.run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cli.working_set_bytes(command, n_max, cfg._asdict())
+
+
+def _mashing_share(d):
+    # the bytes a mashing command counts on top of its malting run
+    floats = {name: sweep.COMMANDS[name].floats(d, {}) for name in ("avg-ent", "malt-trace")}
+    return 8 * (floats["avg-ent"] - floats["malt-trace"])
+
+
 def test_scan_chunk_windows_fit_the_memory_budget():
     # the arm-B scan mashes chunks of up to the plan's width of branches;
-    # the expansions a mashing run keeps for each of them, plus the round's
-    # two d^4 arrays per branch, stay within the share working_set_bytes
-    # budgets for them, and the kept expansions within
-    # _EXPANSION_BUDGET_FLOATS
+    # the expansions a mashing run keeps for all of them stay within
+    # _EXPANSION_BUDGET_FLOATS, and where none is kept a chunk is one
+    # branch, counted at two d^4 arrays
     kept = {}
     for d in range(2, channels._MASH_MAX_N_MAX + 2):
         plan = channels._plan(d)
         width, kept[d] = plan.width, plan.kept
-        share = cli.working_set_bytes(d - 1, True) - cli.working_set_bytes(d - 1, False)
-        assert 8 * width * (cli._LIVE_MASH_ARRAYS * d**4 + kept[d]) <= share, d
         assert width * kept[d] <= channels._EXPANSION_BUDGET_FLOATS, d
-        # where nothing is kept a chunk is one branch, and the share is the
-        # one-branch estimate the 4 GiB refusal always read
         if not kept[d]:
             assert width == 1, d
-            assert share == cli._LIVE_MASH_ARRAYS * 8 * d**4, d
+            assert _mashing_share(d) == 16 * d**4, d
     # expansions are kept up to d = 16 (about 2 d^4 floats per branch)
     assert [d for d in kept if kept[d]] == list(range(2, 17))
     assert [channels._plan(d).width for d in (8, 9, 10, 11, 12, 13, 14, 16, 17, 99)] == [
         16, 9, 6, 4, 3, 2, 1, 1, 1, 1]
     # and building a whole chunk's sources and running one round on it
-    # peaks within that share, on both sides of the kept-expansion cutoff
+    # peaks within the mashing share of the count, on both sides of the
+    # kept-expansion cutoff
     rng = np.random.default_rng(3)
     for d in (8, 9, 10, 11, 12, 13, 16, 19, 34):
         width = channels._plan(d).width
@@ -633,24 +696,30 @@ def test_scan_chunk_windows_fit_the_memory_budget():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= cli.working_set_bytes(d - 1, True) - cli.working_set_bytes(d - 1, False)
+        assert peak <= _mashing_share(d), d
 
 
 def test_cutoff_over_memory_budget_fails_fast(tmp_path, capsys):
-    # n_max = 400: stored states of (2d - 1) d^2 float64, 0.77 GB each
-    rc = main(["malt-trace", "--lambda", "0.9", "--tau", "100", "--ts", "0.99",
-               "--ma", "1", "--mb", "1", "--n-max", "400",
-               "--out", str(tmp_path / "big.csv")])
-    assert rc == 1
+    # malting counts 5 d^3 float64, so malt-trace is refused from n_max 475
+    # on, naming its rows, and n_max 474 fits
+    argv = ["malt-trace", "--lambda", "0.9", "--tau", "100", "--ts", "0.99",
+            "--ma", "1", "--mb", "1", "--out", str(tmp_path / "big.csv"), "--n-max"]
+    assert main(argv + ["475"]) == 1
     err = capsys.readouterr().err
-    need = cli.working_set_bytes(400, mashing=False)
+    need = cli.working_set_bytes("malt-trace", 475, {"ma": 1, "mb": 1})
     assert need > cli.MEMORY_BUDGET_BYTES
-    assert f"n_max=400 needs a working set of about {need / 2**30:.3g} GiB" in err
+    assert (f"n_max=475 with 2 malt-trace rows needs a working set of about "
+            f"{need / 2**30:.3g} GiB, over the 4 GiB budget") in err
     assert not (tmp_path / "big.csv").exists()
+    assert validate_config(_parse(argv + ["474"])).trunc.n_max == 474
+    # pij builds no two-mode array: n_max 400 fits, and so does 16 000
+    pij = ["pij", *argv[1:7], "--imax", "1", "--jmax", "1", *argv[-3:]]
+    for n_max in (400, 16_000):
+        assert validate_config(_parse(pij + [str(n_max)])).trunc.n_max == n_max
     # malting at lambda = 0.9 (auto n_max = 163) fits, and so do the auto
     # cutoffs the benchmark and the acceptance suite mash at
-    assert cli.working_set_bytes(auto_n_max(0.9), mashing=False) < cli.MEMORY_BUDGET_BYTES
-    assert cli.working_set_bytes(auto_n_max(0.6), mashing=True) < cli.MEMORY_BUDGET_BYTES
+    assert _fits("malt-trace", auto_n_max(0.9), ma=1, mb=1)
+    assert _fits("distill", auto_n_max(0.6), ma=1, mb=1)
 
 
 def test_pij_grid_over_memory_budget_fails_fast(monkeypatch, tmp_path, capsys):
@@ -666,21 +735,19 @@ def test_pij_grid_over_memory_budget_fails_fast(monkeypatch, tmp_path, capsys):
     out = tmp_path / "big.csv"
     rc = main(argv + ["--imax", "100000", "--jmax", "100000", "--out", str(out)])
     assert rc == 1
-    need = cli.working_set_bytes(7, False, 100000 * 100000)
+    need = cli.working_set_bytes("pij", 7, {"imax": 100000, "jmax": 100000})
     assert need > cli.MEMORY_BUDGET_BYTES
     assert (
-        f"n_max=7 and a 100000 x 100000 grid needs a working set of about "
+        f"n_max=7 with 10000000000 pij rows needs a working set of about "
         f"{need / 2**30:.3g} GiB" in capsys.readouterr().err
     )
     assert not out.exists()
     # the largest square grid within the budget is accepted, the next refused
-    side = math.isqrt(
-        (cli.MEMORY_BUDGET_BYTES - cli.working_set_bytes(7, False)) // cli._PIJ_CELL_BYTES
-    )
+    side = _first_refused(lambda s: _fits("pij", 7, imax=s, jmax=s)) - 1
     grid = ["--imax", str(side), "--jmax", str(side), "--out", str(out)]
     assert validate_config(_parse(argv + grid)).imax == side
     grid[1] = grid[3] = str(side + 1)
-    with pytest.raises(ConfigError, match="grid needs a working set"):
+    with pytest.raises(ConfigError, match="pij rows needs a working set"):
         validate_config(_parse(argv + grid))
     # malt-trace refuses the grid flags as unknown, before any run
     other = ["malt-trace", *argv[1:], "--ma", "1", "--mb", "1", *grid]
@@ -693,16 +760,16 @@ def test_decay_steps_over_memory_budget_fail_fast(monkeypatch, tmp_path, capsys)
     _refuse_run(monkeypatch)
     argv = ["decay", "--lambda", "0.1", "--tau", "100", "--ts", "0.99",
             "--out", str(tmp_path / "o.csv"), "--steps"]
-    need = cli.working_set_bytes(7, False, rows=10**9 + 1)
+    need = cli.working_set_bytes("decay", 7, {"steps": 10**9})
     assert need > cli.MEMORY_BUDGET_BYTES
     _fails_fast(argv + [str(10**9)], capsys,
-                f"n_max=7 and {10**9 + 1} decay rows needs a working set of about "
+                f"n_max=7 with {10**9 + 1} decay rows needs a working set of about "
                 f"{need / 2**30:.3g} GiB")
     # the most steps within the budget are accepted, one more refused
-    rows = (cli.MEMORY_BUDGET_BYTES - cli.working_set_bytes(7, False)) // cli._DECAY_ROW_BYTES
-    assert validate_config(_parse(argv + [str(rows - 1)])).steps == rows - 1
+    steps = _first_refused(lambda s: _fits("decay", 7, steps=s)) - 1
+    assert validate_config(_parse(argv + [str(steps)])).steps == steps
     with pytest.raises(ConfigError, match="decay rows needs a working set"):
-        validate_config(_parse(argv + [str(rows)]))
+        validate_config(_parse(argv + [str(steps + 1)]))
     # malt-trace refuses the step flag as unknown, before any run
     other = ["malt-trace", *argv[1:-1], "--ma", "1", "--mb", "1", "--steps", str(10**9)]
     _fails_fast(other, capsys, "unrecognized arguments: --steps")
@@ -717,18 +784,47 @@ def test_cycle_rows_over_memory_budget_fail_fast(monkeypatch, tmp_path, capsys, 
     _refuse_run(monkeypatch)
     argv = [command, "--lambda", "0.1", "--tau", "1e12", "--ts", "0.999999", "--ma", "1",
             "--out", str(tmp_path / "o.csv"), "--mb"]
-    mashing = command == "distill"
-    extra = 50 if mashing else 0  # distill's default --max-iter
-    need = cli.working_set_bytes(7, mashing, cycle_rows=10**8 + 1 + extra)
+    extra = 50 if command == "distill" else 0  # distill's default --max-iter
+    need = cli.working_set_bytes(command, 7, {"ma": 1, "mb": 10**8, "max_iter": 50})
     assert need > cli.MEMORY_BUDGET_BYTES
     _fails_fast(argv + [str(10**8)], capsys,
-                f"n_max=7 and {10**8 + 1 + extra} {command} rows needs a working set of "
+                f"n_max=7 with {10**8 + 1 + extra} {command} rows needs a working set of "
                 f"about {need / 2**30:.3g} GiB")
     # the largest --mb within the budget is accepted, one more refused
-    rows = (cli.MEMORY_BUDGET_BYTES - cli.working_set_bytes(7, mashing)) // cli._CYCLE_ROW_BYTES
-    assert validate_config(_parse(argv + [str(rows - 1 - extra)])).mb == rows - 1 - extra
+    mb = _first_refused(lambda m: _fits(command, 7, ma=1, mb=m)) - 1
+    assert validate_config(_parse(argv + [str(mb)])).mb == mb
     with pytest.raises(ConfigError, match=f"{command} rows needs a working set"):
-        validate_config(_parse(argv + [str(rows - extra)]))
+        validate_config(_parse(argv + [str(mb + 1)]))
+
+
+def test_readme_states_the_refusal_boundaries_of_the_counts():
+    # the boundaries the README quotes are derived here from the counts:
+    # the first refused cutoff of each command that does not mash, and the
+    # largest rows and grid accepted at n_max = 7
+    path = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    readme = " ".join(path.read_text(encoding="utf-8").split())
+
+    def num(n):
+        return f"{n:,}".replace(",", " ")
+
+    own = {"decay": {"steps": 1}, "malt-trace": {"ma": 1, "mb": 1}, "pij": {"imax": 1, "jmax": 1}}
+    cutoff = {c: _first_refused(lambda n: _fits(c, n, **own[c])) for c in own}
+    need = cli.working_set_bytes("malt-trace", cutoff["malt-trace"], {"ma": 1, "mb": 1})
+    steps = _first_refused(lambda s: _fits("decay", 7, steps=s)) - 1
+    mb = {command: _first_refused(lambda m: _fits(command, 7, ma=1, mb=m)) - 1
+          for command in ("malt-trace", "distill")}
+    side = _first_refused(lambda s: _fits("pij", 7, imax=s, jmax=s)) - 1
+    for sentence in (
+        f"`n_max={cutoff['malt-trace']} with 2 malt-trace rows needs a working set of about "
+        f"{need / 2**30:.3g} GiB, over the 4 GiB budget`",
+        f"refuses `decay` from `--n-max` {num(cutoff['decay'])} on, `malt-trace` from "
+        f"`--n-max` {num(cutoff['malt-trace'])}, and a 1 × 1 `pij` grid from "
+        f"`--n-max` {num(cutoff['pij'])}.",
+        f"At n_max = 7 it accepts at most `--steps` {num(steps)}, `--mb` "
+        f"{num(mb['malt-trace'])} for `malt-trace` and {num(mb['distill'])} for `distill`",
+        f"and a {num(side)} × {num(side)} `pij` grid.",
+    ):
+        assert sentence in readme
 
 
 def test_mashing_commands_refuse_overflowing_cutoffs(tmp_path, capsys):
@@ -744,7 +840,7 @@ def test_mashing_commands_refuse_overflowing_cutoffs(tmp_path, capsys):
         )
         assert not out.exists()
     # malting alone has no such limit; only the memory budget refuses it
-    rc = main(["malt-trace"] + argv + arms + ["--n-max", "400", "--out", str(tmp_path / "m.csv")])
+    rc = main(["malt-trace"] + argv + arms + ["--n-max", "475", "--out", str(tmp_path / "m.csv")])
     assert rc == 1
     err = capsys.readouterr().err
     assert "mashing" not in err and "budget" in err
