@@ -106,28 +106,58 @@ def loss_kraus(t, dim):
     return ks
 
 
+# Loss multiplies the diagonals at their own lengths, in buckets: the
+# diagonals j0 <= j < j1 at side s = d - j0, where a bucket takes those
+# longer than s/2. At a side of 16 or less a product costs mostly its call,
+# so the rest is one bucket, and up to d = 16 loss is one batched product
+# (with one BLAS thread, stopping at sides 8 to 32 timed alike at d = 20-64).
+_ONE_BUCKET_SIDE = 16
+
+
+@lru_cache(maxsize=None)
+def _loss_buckets(dim):
+    # per bucket, the index (j0:j1, :s, :s) of its block of the stored
+    # layout; the buckets cover j = 0 ... dim - 1 once
+    buckets, j0 = [], 0
+    while j0 < dim:
+        s = dim - j0
+        j1 = dim if s <= _ONE_BUCKET_SIDE else j0 + (s + 1) // 2
+        buckets.append((slice(j0, j1), slice(s), slice(s)))
+        j0 = j1
+    return tuple(buckets)
+
+
 # Caches keyed by a transmissivity are bounded: a run reads one loss t
 # (_loss_maps keeps 2) and counts q = 0 and 1 per t_s (_count_rows keeps 4).
 @lru_cache(maxsize=2)
 def _loss_maps(t, dim):
-    # L[j] is the one-mode loss channel on coherence diagonal j in the
-    # stored layout: sum_q K_q |n><k| K_q† moves entry p of the diagonal to
-    # p - q with weight A(n, q) A(k, q), so L[j][p - q, p] is entry p - q of
-    # row j of the q-count weights (_count_rows, built uncached here so that
-    # only the maps stay in memory).
-    maps = np.zeros((dim, dim, dim))
+    # (index, L) per bucket of _loss_buckets, L[j] for its diagonals j at its
+    # side: the one-mode loss channel on coherence diagonal j in the stored
+    # layout. sum_q K_q |n><k| K_q† moves entry p of the diagonal to p - q
+    # with weight A(n, q) A(k, q), so L[j][p - q, p] is entry p - q of row j
+    # of the q-count weights (_count_rows, built uncached here so that only
+    # the maps stay in memory).
+    buckets = _loss_buckets(dim)
+    maps = [np.zeros((j.stop - j.start, s.stop, s.stop)) for j, s, _ in buckets]
     for q in range(dim):
-        x = np.arange(dim - q)
-        maps[:, x, x + q] = _pair_rows(_kraus_weights(q, t, dim), dim)[:, : dim - q]
-    maps.flags.writeable = False
-    return maps
+        u = _pair_rows(_kraus_weights(q, t, dim), dim)
+        for (j, s, _), m in zip(buckets, maps):
+            x = np.arange(max(0, s.stop - q))
+            m[:, x, x + q] = u[j, : len(x)]
+    for m in maps:
+        m.flags.writeable = False
+    return tuple(zip(buckets, maps))
 
 
 def loss_event(state, params):
     """One clock cycle of memory loss on both modes (trace preserving): on
-    every diagonal j, X_j <- L_j X_j L_j^T, mode A on the left, B on the right."""
-    maps = _loss_maps(params.t, state.dim)
-    return _wrap_fresh(maps @ state.sector @ maps.transpose(0, 2, 1), state.cfg)
+    every diagonal j, X_j <- L_j X_j L_j^T, mode A on the left, B on the
+    right, as one batched product per bucket of diagonals."""
+    x = state.sector
+    out = np.zeros(x.shape)
+    for b, m in _loss_maps(params.t, state.dim):
+        np.matmul(m @ x[b], m.transpose(0, 2, 1), out=out[b])
+    return _wrap_fresh(out, state.cfg)
 
 
 def repeated_loss(state, params, m):
@@ -159,19 +189,20 @@ def _count_rows(q, t, dim):
     return u
 
 
-def _count(x, q, t, mode):
-    # K rho K† for the q-count operator K[n - q, n] = A(n, q) on one mode: a
-    # shift by q along that mode's axis of the stored layout (1 for A, 2 for
-    # B), scaled by the per-diagonal weight rows. Elementwise on purpose: no
-    # BLAS call, no temporaries of the state's size.
+def _count(x, q_a, q_b, t):
+    # K rho K† for the count operators K[n - q, n] = A(n, q) on the arms whose
+    # q is not None (at least one): a shift by q_a along axis 1 (mode A) and
+    # q_b along axis 2 (mode B) of the stored layout, each scaled by its
+    # per-diagonal weight rows, A first, into one fresh array. Elementwise on
+    # purpose: no BLAS call and no other temporary of the state's size.
     d = x.shape[1]
-    u = _count_rows(q, t, d)
-    out = np.zeros_like(x)
-    if mode == "A":
-        kept, src, w = out[:, : d - q, :], x[:, q:, :], u[:, :, None]
-    else:
-        kept, src, w = out[:, :, : d - q], x[:, :, q:], u[:, None, :]
-    np.multiply(src, w, out=kept)
+    out = np.zeros(x.shape)
+    kept = out[:, : d - (q_a or 0), : d - (q_b or 0)]
+    src = x[:, q_a or 0 :, q_b or 0 :]
+    for q, axis in ((q_a, 2), (q_b, 1)):
+        if q is not None:
+            np.multiply(src, np.expand_dims(_count_rows(q, t, d), axis), out=kept)
+            src = kept
     return out
 
 
@@ -183,8 +214,7 @@ def detect_phonons(state, params, q_a, q_b):
     for q in (q_a, q_b):
         if int(q) != q or not 0 <= q <= state.n_max:
             raise ValueError(f"outcome q must be an integer in [0, n_max], got {q}")
-    x = _count(state.sector, int(q_a), params.t_s, "A")
-    return _wrap_fresh(_count(x, int(q_b), params.t_s, "B"), state.cfg)
+    return _wrap_fresh(_count(state.sector, int(q_a), int(q_b), params.t_s), state.cfg)
 
 
 def detect_one_mode(state, params, mode, q):
@@ -193,7 +223,8 @@ def detect_one_mode(state, params, mode, q):
         raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
     if int(q) != q or not 0 <= q <= state.n_max:
         raise ValueError(f"outcome q must be an integer in [0, n_max], got {q}")
-    return _wrap_fresh(_count(state.sector, int(q), params.t_s, mode), state.cfg)
+    qs = (int(q), None) if mode == "A" else (None, int(q))
+    return _wrap_fresh(_count(state.sector, *qs, params.t_s), state.cfg)
 
 
 def _bs_blocks(n_top, t):

@@ -18,12 +18,12 @@ from .channels import (
     LossChannelParams,
     SubtractionParams,
     _check_normalized,
+    _count,
     _kraus_weights,
     _mash_round,
     _mash_source,
     _plan,
     _zero_weight_error,
-    detect_one_mode,
     loss_event,
 )
 from .core import (
@@ -31,7 +31,6 @@ from .core import (
     ZeroTraceError,
     _tmss_amplitudes,
     _wrap_fresh,
-    normalize,
     tmss,
 )
 from .negativity import _log_negativities, _trace_distances, log_negativity
@@ -108,19 +107,23 @@ def baseline_negativity(lam):
 def _count_step(state, sub, outcomes, cycle):
     """The counting half of one clock cycle, on a state that has had the
     cycle's loss event: count outcome q on each arm whose entry in
-    outcomes = (q_A, q_B) is not None, A first.
+    outcomes = (q_A, q_B) is not None, both in one pass.
 
     Returns (normalized state, probability of this cycle's outcomes).
     """
-    for mode, q in zip("AB", outcomes):
-        if q is None:
-            continue  # this arm already counted its phonon; loss only
-        state = detect_one_mode(state, sub, mode, q)
-        if state.trace <= state.cfg.trace_tol:
-            raise ZeroTraceError(
-                f"outcome q={q} on arm {mode} at cycle {cycle} has vanishing probability"
-            )
-    return normalize(state)
+    tol, (q_a, q_b) = state.cfg.trace_tol, outcomes
+    x = _count(state.sector, q_a, q_b, sub.t_s)
+    p = float(x[0].sum())
+    if p <= tol:
+        # arm A vanished if its count alone leaves no weight, else arm B
+        mode, q = "B", q_b
+        if q_a is not None and _count(state.sector, q_a, None, sub.t_s)[0].sum() <= tol:
+            mode, q = "A", q_a
+        raise ZeroTraceError(
+            f"outcome q={q} on arm {mode} at cycle {cycle} has vanishing probability"
+        )
+    x /= p
+    return _wrap_fresh(x, state.cfg), p
 
 
 def _arm_outcome(cycle, m_arm):

@@ -18,11 +18,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channels import LossChannelParams, _plan, detect_phonons, loss_event
-from .core import TruncationConfig, normalize, tmss
+from .channels import LossChannelParams, _plan, loss_event
+from .core import TruncationConfig, tmss
 from .negativity import _log_negativities
 from .protocol import (
     MaltingSchedule,
+    _count_step,
     average_entanglement,
     baseline_negativity,
     malt,
@@ -122,8 +123,8 @@ def _run_decay(cfg):
         if m == cfg.steps:
             break
         s_loss = loss_event(s_loss, cfg.loss)
-        s_vac, _ = normalize(detect_phonons(s_vac, sub, 0, 0))
-        s_both, _ = normalize(detect_phonons(loss_event(s_both, cfg.loss), sub, 0, 0))
+        s_vac, _ = _count_step(s_vac, sub, (0, 0), m + 1)
+        s_both, _ = _count_step(loss_event(s_both, cfg.loss), sub, (0, 0), m + 1)
     return ("m", "neg_loss_only", "neg_vac_only", "neg_both"), rows, {"trunc_warning": warn}
 
 
@@ -219,9 +220,9 @@ def _cycles(flags):
 # Each count bounds the runner's traced peak (tracemalloc around run, cold
 # caches) from d = 41 on; below it the interpreter's own allocations, tens
 # of kB, add to the peak. decay holds its three states, the next step's, the
-# loss maps and eigensolve tables: 7.4-7.7 d^3 float64 at d = 41-120,
-# counted as 8. A malting run peaks in a loss or counting step at 4.35-4.67
-# d^3 (d = 41-164), counted as 5. pij holds its d x d loss matrix, 1.04 d^2
+# loss maps and eigensolve tables: 6.97-7.25 d^3 float64 at d = 41-164,
+# counted as 8. A malting run peaks in a loss step at 3.42-3.51 d^3
+# (d = 41-164), counted as 5. pij holds its d x d loss matrix, 1.04 d^2
 # at d = 201-401, and two arrays of max(imax, jmax) x d. Mashing adds, per
 # branch of a scan chunk, the expansions its run keeps and two d^4 arrays
 # for the rest of a round: 2.0-2.7 d^4 float64 per branch at d = 8-16,

@@ -38,6 +38,15 @@ def _random_state(dim, seed):
     return state_from_coeffs(oracles.random_state_coeffs(dim, rng), cfg)
 
 
+def _random_stored(dim, seed):
+    # a random stored array, padding zero: not a state, for checks of the
+    # linear kernels' arithmetic at cutoffs where _random_state is costly
+    rng = np.random.default_rng(seed)
+    j, p, q = np.ogrid[:dim, :dim, :dim]
+    x = np.where((p + j < dim) & (q + j < dim), rng.random((dim, dim, dim)), 0.0)
+    return channels._wrap_fresh(x, TruncationConfig(dim - 1))
+
+
 def test_loss_params_tau_round_trip():
     p = LossChannelParams(math.sqrt(1 - 1 / 100))
     assert p.tau == pytest.approx(100.0, rel=1e-12)
@@ -155,7 +164,8 @@ def test_loss_kraus_completeness():
 def test_loss_maps_equal_kron_sum_bitwise():
     # L[j][p_out, p_in] is the one-mode superoperator sum_q K_q (x) K_q at
     # (ket, bra) pairs (p_out + j, p_out) <- (p_in + j, p_in): each entry
-    # the same single-q product, and zero wherever a pair leaves the cutoff
+    # the same single-q product, and zero wherever a pair leaves the cutoff;
+    # each bucket's maps are its slice (j0:j1, :s, :s) of that reference
     for dim in (9, 19, 34):
         for t in (LossChannelParams.from_tau(100).t, 0.6):
             ks = loss_kraus(t, dim)
@@ -167,7 +177,45 @@ def test_loss_maps_equal_kron_sum_bitwise():
             top = dim - 1
             want = np.where(ok, sup[np.minimum(p_out + j, top), p_out,
                                     np.minimum(p_in + j, top), p_in], 0.0)
-            assert _loss_maps(t, dim).tobytes() == want.tobytes()
+            maps = _loss_maps(t, dim)
+            assert [b for b, _ in maps] == list(channels._loss_buckets(dim))
+            for b, m in maps:
+                assert m.tobytes() == want[b].tobytes(), (dim, b)
+
+
+def test_loss_buckets_cover_every_diagonal_once():
+    for dim in range(1, 200):
+        buckets = channels._loss_buckets(dim)
+        js = [j for b, _, _ in buckets for j in range(b.start, b.stop)]
+        assert js == list(range(dim)), dim
+        if dim <= 16:
+            assert len(buckets) == 1, dim
+        for j, s, s_b in buckets:
+            # a bucket's side is its first diagonal's length, and past side
+            # 16 it takes exactly the diagonals longer than s / 2
+            assert s == s_b and s.stop == dim - j.start, dim
+            if s.stop > 16:
+                assert 2 * (dim - (j.stop - 1)) > s.stop >= 2 * (dim - j.stop), dim
+
+
+@pytest.mark.parametrize("dim", [17, 34, 49])
+def test_bucketed_loss_equals_the_padded_product(dim):
+    # each bucket's maps zero-padded to d x d and stacked give the batched
+    # product over all diagonals at the full side; on a random stored array
+    # (loss is linear, so it need not be a state) the buckets agree with it
+    assert len(channels._loss_buckets(dim)) >= 2
+    st = _random_stored(dim, dim)
+    x = st.sector
+    for params in (LossChannelParams.from_tau(100), LossChannelParams(0.6)):
+        maps = np.zeros((dim, dim, dim))
+        for b, m in _loss_maps(params.t, dim):
+            maps[b] = m
+        want = maps @ x @ maps.transpose(0, 2, 1)
+        # freed memory full of NaN, so that padding the output leaves
+        # unwritten would show
+        np.full((dim, dim, dim), np.nan)
+        got = loss_event(st, params).sector
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), params
 
 
 def test_transmissivity_caches_stay_bounded():
@@ -227,6 +275,19 @@ def test_detection_on_asymmetric_states_matches_oracle(q_a, q_b):
         assert got.trace == pytest.approx(p, abs=1e-13)
         seq = detect_one_mode(detect_one_mode(st, sub, "A", q_a), sub, "B", q_b)
         assert np.abs(seq.coeffs - got.coeffs).max() < 1e-13
+
+
+@pytest.mark.parametrize("dim", [8, 34])
+def test_joint_count_equals_one_arm_after_the_other_bitwise(dim):
+    # the one-pass count of both arms is arm A's count and then arm B's
+    st = _random_stored(dim, 300)
+    sub = SubtractionParams(0.8)
+    for q_a in (0, 1, 2):
+        for q_b in (0, 1, 2):
+            joint = detect_phonons(st, sub, q_a, q_b)
+            seq = detect_one_mode(detect_one_mode(st, sub, "A", q_a), sub, "B", q_b)
+            assert joint.sector.tobytes() == seq.sector.tobytes(), (q_a, q_b)
+            assert joint.trace == seq.trace
 
 
 def test_detect_one_mode_single_photon_traces():

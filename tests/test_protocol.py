@@ -153,6 +153,22 @@ def test_malt_zero_squeezing_has_no_success_branch():
         malt(0.0, MaltingSchedule(1, 1, LOSS, SUB), TruncationConfig(1))
 
 
+def test_count_step_names_the_arm_that_vanished():
+    # both arms count in one pass; where the joint outcome has no weight,
+    # the error names arm A if its count alone vanishes, else arm B
+    cfg = TruncationConfig(3)
+    for (n, m), outcomes, arm in (
+        ((0, 1), (1, 1), "A"),  # no phonon in mode A to count
+        ((0, 1), (1, None), "A"),
+        ((1, 0), (1, 1), "B"),  # arm A counts its phonon, mode B has none
+        ((1, 0), (None, 1), "B"),
+    ):
+        c = np.zeros((4, 4, 4, 4))
+        c[n, m, n, m] = 1.0
+        with pytest.raises(ZeroTraceError, match=f"q=1 on arm {arm} at cycle 7 "):
+            protocol._count_step(state_from_coeffs(c, cfg), SUB, outcomes, 7)
+
+
 def test_malted_negativity_ordered_by_memory_quality():
     sched = lambda loss: MaltingSchedule(2, 3, loss, SUB)
     weak = malt(LAM, sched(LossChannelParams.from_tau(10.0)), CFG)

@@ -645,6 +645,12 @@ def _clear_caches():
 def test_each_command_peaks_within_its_count(tmp_path, capsys, command, n_max, own):
     # the traced peak of a whole run, tables built inside it, stays within
     # the working set its row of sweep.COMMANDS counts
+    cfg, peak = _traced_run(tmp_path, command, n_max, own)
+    assert peak <= cli.working_set_bytes(command, n_max, cfg._asdict())
+
+
+def _traced_run(tmp_path, command, n_max, own):
+    # (config, tracemalloc peak) of one whole run, with cold caches
     argv = [command, "--lambda", "0.1", "--tau", "100", "--n-max", str(n_max),
             "--out", str(tmp_path / "o.csv"), *own]
     cfg = validate_config(_parse(argv))
@@ -652,10 +658,19 @@ def test_each_command_peaks_within_its_count(tmp_path, capsys, command, n_max, o
     tracemalloc.start()
     try:
         sweep.run(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        return cfg, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= cli.working_set_bytes(command, n_max, cfg._asdict())
+
+
+@pytest.mark.parametrize("n_max", [40, 77])
+def test_malting_peaks_near_three_and_a_half_states(tmp_path, capsys, n_max):
+    # loss multiplies each diagonal at its own length and a count step
+    # builds one array, so a malting run peaks at 3.44-3.51 d^3 float64 here
+    # (4.38-4.50 d^3 with loss at the full side and one array per counted
+    # arm and per normalization), below its count of 5 d^3
+    _, peak = _traced_run(tmp_path, "malt-trace", n_max, ["--ma", "1", "--mb", "2", "--ts", "0.99"])
+    assert peak <= 3.6 * 8 * (n_max + 1) ** 3
 
 
 def _mashing_share(d):
