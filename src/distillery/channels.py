@@ -14,8 +14,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
+    TRACE_TOL,
     TwoModeState,
     ZeroTraceError,
+    _integer,
     _pair_rows,
     _sector_entries,
     _slot,
@@ -157,14 +159,12 @@ def loss_event(state, params):
     out = np.zeros(x.shape)
     for b, m in _loss_maps(params.t, state.dim):
         np.matmul(m @ x[b], m.transpose(0, 2, 1), out=out[b])
-    return _wrap_fresh(out, state.cfg)
+    return _wrap_fresh(out)
 
 
 def repeated_loss(state, params, m):
     """m consecutive loss events."""
-    if int(m) != m or m < 0:
-        raise ValueError(f"m must be a non-negative integer, got {m}")
-    for _ in range(int(m)):
+    for _ in range(_integer("m", m, 0)):
         state = loss_event(state, params)
     return state
 
@@ -211,20 +211,17 @@ def detect_phonons(state, params, q_a, q_b):
 
     The trace of the returned state is the outcome probability.
     """
-    for q in (q_a, q_b):
-        if int(q) != q or not 0 <= q <= state.n_max:
-            raise ValueError(f"outcome q must be an integer in [0, n_max], got {q}")
-    return _wrap_fresh(_count(state.sector, int(q_a), int(q_b), params.t_s), state.cfg)
+    q_a, q_b = (_integer("outcome q", q, 0, state.n_max) for q in (q_a, q_b))
+    return _wrap_fresh(_count(state.sector, q_a, q_b, params.t_s))
 
 
 def detect_one_mode(state, params, mode, q):
     """Counting outcome q on a single mode ('A' or 'B'), unnormalized."""
     if mode not in ("A", "B"):
         raise ValueError(f"mode must be 'A' or 'B', got {mode!r}")
-    if int(q) != q or not 0 <= q <= state.n_max:
-        raise ValueError(f"outcome q must be an integer in [0, n_max], got {q}")
-    qs = (int(q), None) if mode == "A" else (None, int(q))
-    return _wrap_fresh(_count(state.sector, *qs, params.t_s), state.cfg)
+    q = _integer("outcome q", q, 0, state.n_max)
+    qs = (q, None) if mode == "A" else (None, q)
+    return _wrap_fresh(_count(state.sector, *qs, params.t_s))
 
 
 def _bs_blocks(n_top, t):
@@ -461,7 +458,7 @@ def _truncated_convolution(x, source):
     return out[:, :, :d, :]
 
 
-# The largest output weight of _mash_weights is ((d - 1)!)^2, which is inf
+# The largest output weight of the projector is ((d - 1)!)^2, which is inf
 # in float64 from d = 100, so mashing runs at n_max <= 98 only (_plan).
 _MASH_MAX_N_MAX = 98
 
@@ -470,10 +467,17 @@ _MASH_MAX_N_MAX = 98
 def _mash_weights(dim):
     # The per-index factors of the projector (see _mash_round) on both
     # inputs and on the output, as whole weight tables per slot of the
-    # stored layout.
+    # stored layout, tilted: each input index x carries an extra 2^x and
+    # each output index 2^-x. Scaling a variable of the generating function
+    # commutes with the truncated product, so the output is unchanged, and
+    # a power of two scales a float64 exactly within the normal range: every
+    # product and sum that was normal keeps its bits, and the high-degree
+    # operands (below 1e-154 at d = 78 untilted) stay out of subnormal
+    # arithmetic, which is far slower.
     sf = _sqrt_fact(dim - 1)
+    x = np.arange(dim)
     tables = []
-    for w in ((1.0 / math.sqrt(2.0)) ** np.arange(dim) / sf, sf):
+    for w in (np.ldexp((1.0 / math.sqrt(2.0)) ** x / sf, x), np.ldexp(sf, -x)):
         u = _pair_rows(w, dim)
         table = u[:, :, None] * u[:, None, :]
         table.flags.writeable = False
@@ -483,8 +487,8 @@ def _mash_weights(dim):
 
 def _rescaled(x):
     # the projector's input side of a stack of stored arrays (b, d, d, d):
-    # each entry times 2^(-(n+m+k+l)/2) / sqrt(n! m! k! l!), read as
-    # (n, m, k) arrays
+    # each entry times 2^(-(n+m+k+l)/2) / sqrt(n! m! k! l!), tilted by
+    # 2^(n+m+k+l) (see _mash_weights), read as (n, m, k) arrays
     d = x.shape[-1]
     return (x * _mash_weights(d)[0]).reshape(len(x), -1).take(_mash_tables(d)[0], axis=1)
 
@@ -504,7 +508,7 @@ def _mash_source(x_0):
     return _source_operand(_rescaled(x_0)), z
 
 
-def _mash_round(x_i, source, cfg):
+def _mash_round(x_i, source):
     """One mashing round on a stack of stored arrays x_i (b, d, d, d),
     each against its rho_0 in `source`, the _mash_source of a stack of b
     rho_0 arrays.
@@ -524,7 +528,7 @@ def _mash_round(x_i, source, cfg):
 
     Returns (kept, prob, discarded, weight) per array: the kept block
     renormalized by its trace `weight` (left as is where weight is at or
-    below trace_tol, which _zero_weight_error reports), the projection
+    below TRACE_TOL, which _zero_weight_error reports), the projection
     probability before truncation, and the weight cut by re-truncating
     combined indices beyond n_max.
     """
@@ -536,7 +540,7 @@ def _mash_round(x_i, source, cfg):
     kept *= _mash_weights(d)[1]
     p_full = (z * x_i).reshape(b, -1).sum(axis=-1)
     weight = kept[:, 0].sum(axis=(-2, -1))
-    kept /= np.where(weight > cfg.trace_tol, weight, 1.0)[:, None, None, None]
+    kept /= np.where(weight > TRACE_TOL, weight, 1.0)[:, None, None, None]
     return kept, p_full, np.maximum(p_full - weight, 0.0), weight
 
 
@@ -559,13 +563,12 @@ def mash_step(rho_i, rho_0):
     by re-truncating combined indices beyond n_max. Only the kept block is
     computed; prob comes from the closed-form trace of the untruncated output.
     """
-    if rho_i.cfg != rho_0.cfg or rho_i.dim != rho_0.dim:
-        raise ValueError("mash inputs must share dimension and truncation config")
+    if rho_i.dim != rho_0.dim:
+        raise ValueError("mash inputs must share dimension")
     for s in (rho_i, rho_0):
         _check_normalized(s)
-    cfg = rho_i.cfg
     source = _mash_source(rho_0.sector[None])
-    kept, prob, discarded, weight = _mash_round(rho_i.sector[None], source, cfg)
-    if weight[0] <= cfg.trace_tol:
+    kept, prob, discarded, weight = _mash_round(rho_i.sector[None], source)
+    if weight[0] <= TRACE_TOL:
         raise _zero_weight_error(weight[0])
-    return MashResult(_wrap_fresh(kept[0], cfg), float(prob[0]), float(discarded[0]))
+    return MashResult(_wrap_fresh(kept[0]), float(prob[0]), float(discarded[0]))

@@ -10,7 +10,7 @@ import os
 import sys
 
 from .channels import LossChannelParams, SubtractionParams
-from .core import TruncationConfig, ZeroTraceError, auto_n_max
+from .core import TRACE_TOL, TruncationConfig, ZeroTraceError, auto_n_max
 from .protocol import NoConvergenceError
 from .sweep import COMMANDS, RunConfig, run
 
@@ -28,15 +28,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-# argparse settings of the flags a row of sweep.COMMANDS can name
+# argparse settings of the flags a row of sweep.COMMANDS can name; the two
+# that may be left out default as in RunConfig
+_DEFAULTS = RunConfig._field_defaults
 _OWN_FLAGS = {
     "ma": {"type": int},
     "mb": {"type": int},
     "steps": {"type": int},
     "imax": {"type": int},
     "jmax": {"type": int},
-    "max_iter": {"type": int, "default": 50},
-    "baseline": {"choices": ("tmss", "malt-only"), "default": "tmss"},
+    "max_iter": {"type": int, "default": _DEFAULTS["max_iter"]},
+    "baseline": {"choices": ("tmss", "malt-only"), "default": _DEFAULTS["baseline"]},
 }
 
 
@@ -173,21 +175,19 @@ def validate_config(ns):
     if n_max < 0:
         errors.append(f"--n-max must be >= 0 (0 = auto), got {n_max}")
     elif n_max == 0:
-        n_max = auto_n_max(lam) if lam > 0 else 1
+        n_max = auto_n_max(lam)
     else:
         tail = lam ** (2 * (n_max + 1))
-        trace_tol = TruncationConfig._field_defaults["trace_tol"]
-        if tail >= trace_tol:
+        if tail >= TRACE_TOL:
             errors.append(
-                f"--n-max {n_max} keeps a truncated tail {tail:.3g} >= "
-                f"{trace_tol:.3g} "
+                f"--n-max {n_max} keeps a truncated tail {tail:.3g} >= {TRACE_TOL:.3g} "
                 f"at lambda={lam}; auto picks {auto_n_max(lam)}"
             )
 
     if n_max >= 1:
         # a flag that is missing or invalid counts at its RunConfig default;
         # 0 where channels._plan refuses a cutoff mashing cannot run
-        flags = {**RunConfig._field_defaults, **own}
+        flags = {**_DEFAULTS, **own}
         need = _build(errors, "--n-max", working_set_bytes, name, n_max, flags) or 0
         if need > MEMORY_BUDGET_BYTES:
             errors.append(

@@ -25,39 +25,47 @@ class NotHermitianError(ValueError):
     """Raised when an operator expected to be Hermitian is not."""
 
 
+# The numerical policy, the same for every run: the Hermiticity slack and
+# negativity clamp, the weight at or below which a state or outcome has
+# vanished (also the admissible truncated squeezed-state tail), the trace
+# distance at which mashing has converged, and the rounds it makes at most.
+EIG_TOL = 1e-10
+TRACE_TOL = 1e-15
+CONV_TOL = 1e-8
+MAX_ITER = 50
+
+
+def _integer(name, x, low, high=math.inf):
+    """int(x) for an integral value x in [low, high], else ValueError."""
+    try:
+        ok = int(x) == x and low <= x <= high
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        span = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {span}, got {x}")
+    return int(x)
+
+
 class _TruncationFields(NamedTuple):
     n_max: int
-    eig_tol: float = 1e-10
-    trace_tol: float = 1e-15
-    conv_tol: float = 1e-8
 
 
 class TruncationConfig(_TruncationFields):
-    """Numerical policy: Fock cutoff and the tolerances every op consults.
-
-    n_max      highest Fock index kept per mode (dim = n_max + 1)
-    eig_tol    Hermiticity / positivity slack for eigenvalue checks
-    trace_tol  admissible truncated tail weight; also the zero-trace floor
-    conv_tol   trace-distance threshold for fixed-point iteration
-    """
+    """The Fock cutoff: n_max is the highest Fock index kept per mode, so
+    dim = n_max + 1. The tolerances are fixed (EIG_TOL, TRACE_TOL, CONV_TOL)."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if int(self.n_max) != self.n_max or self.n_max < 1:
-            raise ValueError(f"n_max must be an integer >= 1, got {self.n_max}")
-        for name in ("eig_tol", "trace_tol", "conv_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        return self
+    def __new__(cls, n_max):
+        return super().__new__(cls, _integer("n_max", n_max, 1))
 
     @property
     def dim(self):
         return self.n_max + 1
 
 
-def auto_n_max(lam, trace_tol=TruncationConfig._field_defaults["trace_tol"]):
+def auto_n_max(lam, trace_tol=TRACE_TOL):
     """Smallest cutoff whose discarded squeezed-state tail stays below trace_tol.
 
     The tail weight of the geometric photon-number distribution beyond n_max
@@ -124,19 +132,18 @@ def _dense(sector):
 
 
 class TwoModeState:
-    """Immutable two-mode density operator plus its numerical policy.
+    """Immutable two-mode density operator.
 
     sector is the stored (d, d, d) layout described above; coeffs and
     as_matrix() expand it to the d^4 tensor and cost O(d^4) per call.
     States compare by identity.
     """
 
-    __slots__ = ("sector", "trace", "cfg")
+    __slots__ = ("sector", "trace")
 
-    def __init__(self, sector, trace, cfg):
+    def __init__(self, sector, trace):
         object.__setattr__(self, "sector", sector)
         object.__setattr__(self, "trace", trace)
-        object.__setattr__(self, "cfg", cfg)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -145,7 +152,7 @@ class TwoModeState:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return TwoModeState, (self.sector, self.trace, self.cfg)
+        return TwoModeState, (self.sector, self.trace)
 
     def __repr__(self):
         return f"TwoModeState(sector={self.sector!r}, trace={self.trace!r})"
@@ -169,16 +176,16 @@ class TwoModeState:
         return self.coeffs.reshape(d * d, d * d)
 
 
-def _check_hermiticity(defect, tol):
-    if defect > tol:
-        raise NotHermitianError(f"hermiticity defect {defect:.3g} > {tol:.3g}")
+def _check_hermiticity(defect):
+    if defect > EIG_TOL:
+        raise NotHermitianError(f"hermiticity defect {defect:.3g} > {EIG_TOL:.3g}")
 
 
 def state_from_coeffs(coeffs, cfg):
     """Store a rank-4 coefficient tensor p[n, m, k, l] as a state, computing
     its trace. Complex input is accepted only with a zero imaginary part,
     every nonzero must obey n - k = m - l, and p[n, m, k, l] may differ from
-    p[k, l, n, m] by at most cfg.eig_tol (NotHermitianError beyond it); the
+    p[k, l, n, m] by at most EIG_TOL (NotHermitianError beyond it); the
     entries with n >= k are stored. This is where a state enters: every op
     maps stored arrays to stored arrays, which cannot break Hermiticity."""
     c = np.asarray(coeffs)
@@ -193,19 +200,19 @@ def state_from_coeffs(coeffs, cfg):
         raise ValueError(
             "coefficients must obey n - k = m - l, got a nonzero entry off that sector"
         )
-    _check_hermiticity(float(np.abs(c - c.transpose(2, 3, 0, 1)).max()), cfg.eig_tol)
+    _check_hermiticity(float(np.abs(c - c.transpose(2, 3, 0, 1)).max()))
     slot, dense = _sector_entries(d)
     x = np.zeros((d, d, d))
     x.reshape(-1)[slot] = c.reshape(-1)[dense]
-    return _wrap_fresh(x, cfg)
+    return _wrap_fresh(x)
 
 
-def _wrap_fresh(x, cfg):
+def _wrap_fresh(x):
     """Wrap a C-contiguous float64 stored array that no one else holds (an
     op's own output) without copying it: freeze it, read its trace, the sum
     of diagonal j = 0."""
     x.flags.writeable = False
-    return TwoModeState(x, float(x[0].sum()), cfg)
+    return TwoModeState(x, float(x[0].sum()))
 
 
 def _tmss_amplitudes(lam, cfg, allow_truncation=False):
@@ -214,11 +221,11 @@ def _tmss_amplitudes(lam, cfg, allow_truncation=False):
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
     tail = lam ** (2 * (cfg.n_max + 1))
-    if tail >= cfg.trace_tol and not allow_truncation:
+    if tail >= TRACE_TOL and not allow_truncation:
         raise ValueError(
             f"n_max={cfg.n_max} keeps a truncated tail of {tail:.3g} >= "
-            f"trace_tol={cfg.trace_tol:.3g} at lam={lam}; raise n_max "
-            f"(auto_n_max gives {auto_n_max(lam, cfg.trace_tol)}) or pass "
+            f"trace_tol={TRACE_TOL:.3g} at lam={lam}; raise n_max "
+            f"(auto_n_max gives {auto_n_max(lam)}) or pass "
             "allow_truncation=True"
         )
     amps = lam ** np.arange(cfg.dim)
@@ -230,7 +237,7 @@ def tmss(lam, cfg, allow_truncation=False):
     """Truncated, renormalized two-mode squeezed state.
 
     Refuses (lam, n_max) pairs whose discarded tail weight lam^(2*(n_max+1))
-    reaches cfg.trace_tol unless allow_truncation is set; auto_n_max() gives
+    reaches TRACE_TOL unless allow_truncation is set; auto_n_max() gives
     the smallest admissible cutoff.
     """
     amps = _tmss_amplitudes(lam, cfg, allow_truncation)
@@ -239,14 +246,14 @@ def tmss(lam, cfg, allow_truncation=False):
     x = np.zeros((d, d, d))
     r = np.arange(d)
     x[:, r, r] = _pair_rows(amps, d)
-    return _wrap_fresh(x, cfg)
+    return _wrap_fresh(x)
 
 
 def vacuum(cfg):
     d = cfg.dim
     x = np.zeros((d, d, d))
     x[0, 0, 0] = 1.0
-    return _wrap_fresh(x, cfg)
+    return _wrap_fresh(x)
 
 
 def _pair_rows(w, dim):
@@ -266,9 +273,9 @@ def normalize(state):
     unnormalized conditional state.
     """
     tr = state.trace
-    if tr <= state.cfg.trace_tol:
+    if tr <= TRACE_TOL:
         raise ZeroTraceError(f"trace {tr:.3g} is at or below trace_tol")
-    return _wrap_fresh(state.sector / tr, state.cfg), tr
+    return _wrap_fresh(state.sector / tr), tr
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import TruncationConfig, _block_eigvalsh, _check_hermiticity
+from .core import EIG_TOL, _block_eigvalsh, _check_hermiticity
 
 
 class NegativityResult(NamedTuple):
@@ -13,7 +13,7 @@ class NegativityResult(NamedTuple):
 
     value          log2 of the partial-transpose trace norm, clamped at 0
     min_eig        smallest partial-transpose eigenvalue
-    trunc_warning  True when the trace norm fell below 1 by more than eig_tol,
+    trunc_warning  True when the trace norm fell below 1 by more than EIG_TOL,
                    which signals lost weight (e.g. truncation damage)
     """
 
@@ -23,28 +23,28 @@ class NegativityResult(NamedTuple):
 
 
 def trace_norm(arr):
-    """Sum of absolute eigenvalues of a Hermitian matrix, Hermitian to the
-    default eig_tol; a rank-4 tensor p[n, m, k, l] is read as its matrix,
+    """Sum of absolute eigenvalues of a Hermitian matrix, Hermitian to
+    EIG_TOL; a rank-4 tensor p[n, m, k, l] is read as its matrix,
     rows (n, m) against columns (k, l). States take the block solve through
     trace_distance and log_negativity."""
     a = np.asarray(arr)
     if a.ndim == 4:
         a = a.reshape(a.shape[0] * a.shape[1], -1)
     defect = float(np.abs(a - a.conj().T).max())
-    _check_hermiticity(defect, TruncationConfig._field_defaults["eig_tol"])
+    _check_hermiticity(defect)
     return float(np.abs(np.linalg.eigvalsh(a)).sum())
 
 
-def _log_negativities(x, eig_tol):
+def _log_negativities(x):
     """NegativityResult of each stored array of a stack x (b, d, d, d),
     from one batched block solve, as a list."""
     eigs = _block_eigvalsh(x, "pt")
     norms = np.abs(eigs).sum(axis=-1).tolist()
     return [
         NegativityResult(
-            0.0 if min_eig >= -eig_tol else max(math.log2(tn), 0.0),
+            0.0 if min_eig >= -EIG_TOL else max(math.log2(tn), 0.0),
             min_eig,
-            tn < 1.0 - eig_tol,
+            tn < 1.0 - EIG_TOL,
         )
         for min_eig, tn in zip(eigs[:, 0].tolist(), norms)
     ]
@@ -53,10 +53,10 @@ def _log_negativities(x, eig_tol):
 def log_negativity(state):
     """Log-negativity of a normalized two-mode state.
 
-    Spectra whose negative part sits within eig_tol of zero are treated as
+    Spectra whose negative part sits within EIG_TOL of zero are treated as
     numerical noise and reported as exactly 0.
     """
-    return _log_negativities(state.sector[None], state.cfg.eig_tol)[0]
+    return _log_negativities(state.sector[None])[0]
 
 
 def _trace_distances(x_a, x_b, below=math.inf):

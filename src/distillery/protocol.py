@@ -27,8 +27,12 @@ from .channels import (
     loss_event,
 )
 from .core import (
+    CONV_TOL,
+    MAX_ITER,
+    TRACE_TOL,
     TwoModeState,
     ZeroTraceError,
+    _integer,
     _tmss_amplitudes,
     _wrap_fresh,
     tmss,
@@ -53,12 +57,9 @@ class MaltingSchedule(_ScheduleFields):
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        for name, m in (("m_a", self.m_a), ("m_b", self.m_b)):
-            if int(m) != m or m < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {m}")
-        return self
+    def __new__(cls, m_a, m_b, loss, sub):
+        m_a, m_b = _integer("m_a", m_a, 1), _integer("m_b", m_b, 1)
+        return super().__new__(cls, m_a, m_b, loss, sub)
 
 
 class MaltingRecord(NamedTuple):
@@ -111,19 +112,19 @@ def _count_step(state, sub, outcomes, cycle):
 
     Returns (normalized state, probability of this cycle's outcomes).
     """
-    tol, (q_a, q_b) = state.cfg.trace_tol, outcomes
+    q_a, q_b = outcomes
     x = _count(state.sector, q_a, q_b, sub.t_s)
     p = float(x[0].sum())
-    if p <= tol:
+    if p <= TRACE_TOL:
         # arm A vanished if its count alone leaves no weight, else arm B
         mode, q = "B", q_b
-        if q_a is not None and _count(state.sector, q_a, None, sub.t_s)[0].sum() <= tol:
+        if q_a is not None and _count(state.sector, q_a, None, sub.t_s)[0].sum() <= TRACE_TOL:
             mode, q = "A", q_a
         raise ZeroTraceError(
             f"outcome q={q} on arm {mode} at cycle {cycle} has vanishing probability"
         )
     x /= p
-    return _wrap_fresh(x, state.cfg), p
+    return _wrap_fresh(x), p
 
 
 def _arm_outcome(cycle, m_arm):
@@ -186,8 +187,7 @@ def subtraction_probability_matrix(lam, loss, sub, cfg, i_max, j_max):
     P[i-1, j-1] = sum_n w[n] f_i[n] f_j[n], where f_c[n] is the probability
     that one mode holding n phonons first counts a single phonon at cycle c.
     """
-    if i_max < 1 or j_max < 1:
-        raise ValueError("i_max and j_max must be >= 1")
+    i_max, j_max = _integer("i_max", i_max, 1), _integer("j_max", j_max, 1)
     d = cfg.dim
     w = _tmss_amplitudes(lam, cfg) ** 2
     lost = np.zeros((d, d))  # lost[a, n]: n phonons become a
@@ -203,17 +203,17 @@ def subtraction_probability_matrix(lam, loss, sub, cfg, i_max, j_max):
     return (f[:i_max] * w) @ f[:j_max].T
 
 
-# Relative margin on conv_tol below which _mash_stack solves a branch's
+# Relative margin on CONV_TOL below which _mash_stack solves a branch's
 # trace distance: rounding in the Frobenius bound and in the eigensolve is
 # orders of magnitude smaller, so a branch it skips could not have
 # converged.
 _BOUND_MARGIN = 1e-9
 
 
-def _mash_stack(x_0, cfg, max_iter, every_round):
+def _mash_stack(x_0, max_iter, every_round):
     """Mash each normalized stored array of the stack x_0 (b, d, d, d)
     against fresh copies of itself until successive iterates are
-    conv_tol-close in trace distance, for at most max_iter rounds (0 leaves
+    CONV_TOL-close in trace distance, for at most max_iter rounds (0 leaves
     each array as it is), as one stacked iteration: each round is one call
     per kernel for the branches still running, and a branch leaves the
     stack when it stops. The source side of the rounds (_mash_source) is
@@ -231,22 +231,22 @@ def _mash_stack(x_0, cfg, max_iter, every_round):
     probs = [[] for _ in range(b)]
     negs = [[] for _ in range(b)]
     if every_round:
-        for neg, res in zip(negs, _log_negativities(x_0, cfg.eig_tol)):
+        for neg, res in zip(negs, _log_negativities(x_0)):
             neg.append(res.value)
     cut, dist, error, converged = [0.0] * b, [0.0] * b, [None] * b, [False] * b
     live, cur = list(range(b)), x_0
     for r in range(max_iter):
-        new, prob, discarded, weight = _mash_round(cur, source, cfg)
+        new, prob, discarded, weight = _mash_round(cur, source)
         # the last allowed round solves every branch, for its tail; before
-        # it, a branch whose Frobenius bound exceeds conv_tol by more than
+        # it, a branch whose Frobenius bound exceeds CONV_TOL by more than
         # rounding cannot converge this round and is not solved
-        below = cfg.conv_tol * (1.0 + _BOUND_MARGIN) if r + 1 < max_iter else math.inf
+        below = CONV_TOL * (1.0 + _BOUND_MARGIN) if r + 1 < max_iter else math.inf
         step = _trace_distances(new, cur, below)
-        round_negs = _log_negativities(new, cfg.eig_tol) if every_round else None
+        round_negs = _log_negativities(new) if every_round else None
         going = []
         rows = zip(live, weight.tolist(), prob.tolist(), discarded.tolist())
         for a, (i, w, p, c) in enumerate(rows):
-            if w <= cfg.trace_tol:
+            if w <= TRACE_TOL:
                 error[i] = _zero_weight_error(w)
                 continue
             probs[i].append(p)
@@ -254,7 +254,7 @@ def _mash_stack(x_0, cfg, max_iter, every_round):
             if every_round:
                 negs[i].append(round_negs[a].value)
             final[i], dist[i] = new[a], float(step[a])
-            if dist[i] < cfg.conv_tol:
+            if dist[i] < CONV_TOL:
                 converged[i] = True
             else:
                 going.append(a)
@@ -268,12 +268,12 @@ def _mash_stack(x_0, cfg, max_iter, every_round):
         done = [i for i in range(b) if error[i] is None]
         if done:
             finals = np.stack([final[i] for i in done])
-            for i, res in zip(done, _log_negativities(finals, cfg.eig_tol)):
+            for i, res in zip(done, _log_negativities(finals)):
                 negs[i].append(res.value)
     return [
         error[i]
         or DistillationOutcome(
-            _wrap_fresh(final[i], cfg),
+            _wrap_fresh(final[i]),
             len(probs[i]),
             probs[i],
             negs[i],
@@ -285,25 +285,24 @@ def _mash_stack(x_0, cfg, max_iter, every_round):
     ]
 
 
-def mash_iterate(rho_0, max_iter=50):
+def mash_iterate(rho_0, max_iter=MAX_ITER):
     """Iterate mashing rounds against fresh copies of rho_0 until successive
-    iterates are within rho_0's conv_tol in trace distance, for at most
+    iterates are within CONV_TOL in trace distance, for at most
     max_iter rounds. The outcome's tail, the last round's trace distance
     over 3, estimates the distance left to the fixed point: it is the rest
     of the series if the iterates close in by exactly 1/4 per round. They
     close in a little slower, and on malted states the distance left
     measured 1.00006-1.00018 times tail, so tail is a close estimate, not a
     bound."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    max_iter = _integer("max_iter", max_iter, 1)
     _check_normalized(rho_0)
-    (run,) = _mash_stack(rho_0.sector[None], rho_0.cfg, max_iter, every_round=True)
+    (run,) = _mash_stack(rho_0.sector[None], max_iter, every_round=True)
     if isinstance(run, Exception):
         raise run
     return run
 
 
-def full_protocol(lam, schedule, cfg, max_iter=50):
+def full_protocol(lam, schedule, cfg, max_iter=MAX_ITER):
     """Malting followed by iterated mashing; negativity_by_stage concatenates
     the per-cycle malting trace with the per-round mashing values."""
     _plan(cfg.dim)  # a cutoff mashing cannot run is refused before malting
@@ -342,7 +341,7 @@ def _chunks(branches, cap):
 _SCAN_CAP_FACTOR = 3
 
 
-def average_entanglement(lam, loss, sub, cfg, max_iter=50):
+def average_entanglement(lam, loss, sub, cfg, max_iter=MAX_ITER):
     """Success-weighted mean of the distilled negativity over the retained
     arm-B cycles j = 1..m_c (arm A fixed at cycle 1), zero when none is
     retained. The scan runs j = 1, 2, ... and stops at the first j whose
@@ -363,8 +362,7 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50):
     mashed_branches counts every branch mashed (with zero rounds at
     max_iter = 0), the dropped ones included, so the chunks' waste shows.
     """
-    if max_iter < 0:
-        raise ValueError("max_iter must be >= 0")
+    max_iter = _integer("max_iter", max_iter, 0)
     # chunks of widths 1, 2, 4, ... up to the plan's width: as many branches
     # as the expansions their runs keep fit into 1 MiB (channels._plan),
     # 16 at d = 8, 2 at d = 13 and 1 from d = 14 on; read first, so that
@@ -381,7 +379,7 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50):
     branches = _arm_b_branches(lam, loss, sub, cfg, j_limit)
     for chunk in _chunks(branches, width):
         x = np.stack([state.sector for *_, state in chunk])
-        runs = _mash_stack(x, cfg, max_iter, every_round=False)
+        runs = _mash_stack(x, max_iter, every_round=False)
         mashed += len(chunk)
         for (j, p_j, _), run in zip(chunk, runs):
             if isinstance(run, Exception):
@@ -406,7 +404,7 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=50):
     return AvgEntanglement(value, terms, total_rounds, worst_cut, worst_tail, mashed)
 
 
-def critical_attempts(lam, loss, sub, cfg, max_iter=50):
+def critical_attempts(lam, loss, sub, cfg, max_iter=MAX_ITER):
     """Largest arm-B success cycle m_c (arm A fixed at cycle 1) whose
     distilled negativity still beats the undistilled baseline: the number
     of attempts the average_entanglement scan retains."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .channels import LossChannelParams, _plan, loss_event
-from .core import TruncationConfig, tmss
+from .core import CONV_TOL, EIG_TOL, MAX_ITER, TRACE_TOL, TruncationConfig, tmss
 from .negativity import _log_negativities
 from .protocol import (
     MaltingSchedule,
@@ -51,7 +51,7 @@ class RunConfig(NamedTuple):
     steps: int = 0
     imax: int = 0
     jmax: int = 0
-    max_iter: int = 50
+    max_iter: int = MAX_ITER
     baseline: str = "tmss"
 
 
@@ -115,9 +115,7 @@ def _run_decay(cfg):
         # one solve for all three: a lone one costs an eigvalsh per block
         # size; the stack is not bound here, so it is freed before the next
         # step builds its states
-        negs = _log_negativities(
-            np.stack([s_loss.sector, s_vac.sector, s_both.sector]), cfg.trunc.eig_tol
-        )
+        negs = _log_negativities(np.stack([s_loss.sector, s_vac.sector, s_both.sector]))
         warn = warn or any(n.trunc_warning for n in negs)
         rows.append((m, negs[0].value, negs[1].value, negs[2].value))
         if m == cfg.steps:
@@ -254,7 +252,6 @@ def run(config):
     t0 = time.perf_counter()
     command = COMMANDS[config.command]
     columns, rows, extra = command.runner(config)
-    trunc = config.trunc
     metadata = {
         "command": config.command,
         "version": f"distillery-{__version__}",
@@ -262,10 +259,10 @@ def run(config):
         "t": config.loss.t,
         "tau": config.tau,
         "ts": config.ts_spec,
-        "n_max": trunc.n_max,
-        "eig_tol": trunc.eig_tol,
-        "trace_tol": trunc.trace_tol,
-        "conv_tol": trunc.conv_tol,
+        "n_max": config.trunc.n_max,
+        "eig_tol": EIG_TOL,
+        "trace_tol": TRACE_TOL,
+        "conv_tol": CONV_TOL,
         "threads": config.threads,
     }
     metadata.update((name, getattr(config, name)) for name in command.flags)

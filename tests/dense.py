@@ -7,12 +7,13 @@ sector layout.
 
 import numpy as np
 
-from distillery import min_eigenvalue, state_from_coeffs
+from distillery import TruncationConfig, min_eigenvalue, state_from_coeffs
+from distillery.core import EIG_TOL, TRACE_TOL
 
 
 def swap_modes(state):
     """Exchange the roles of modes A and B."""
-    return state_from_coeffs(state.coeffs.transpose(1, 0, 3, 2), state.cfg)
+    return state_from_coeffs(state.coeffs.transpose(1, 0, 3, 2), TruncationConfig(state.n_max))
 
 
 def partial_transpose(state):
@@ -34,10 +35,9 @@ def hermiticity_defect(state):
 def check_state(state, psd=True):
     """Validate positivity and trace consistency; raise on failure. A state
     is symmetric by construction (state_from_coeffs checks its input)."""
-    tol = state.cfg.eig_tol
-    if abs(trace_of(state) - state.trace) > max(state.cfg.trace_tol, 1e-12):
+    if abs(trace_of(state) - state.trace) > max(TRACE_TOL, 1e-12):
         raise ValueError("cached trace disagrees with coefficients")
     if psd:
         low = min_eigenvalue(state)
-        if low < -tol:
+        if low < -EIG_TOL:
             raise ValueError(f"state has eigenvalue {low:.3g} < -eig_tol")

@@ -129,46 +129,74 @@ def mash_oracle(c_i, c_0, reflection_sign=-1):
     return out, tr
 
 
-def mash_fixed_point_oracle(c_0):
-    """The state that iterated mashing against fresh copies of c_0 converges
-    to, at the cutoff of c_0: a normalized rank-4 array, in closed form
-    instead of iterated rounds.
+class _MashAlgebra:
+    """Mashing of c_0 (a rank-4 array) as products of generating functions.
 
     With l = m - n + k implied, write F[n, m, k] = c / sqrt(n! m! k! l!).
     One round maps F to sigma(F * F_0) up to normalization, where * is the
     convolution truncated at the cutoff (outputs whose l leaves it are
     dropped) and sigma multiplies entry (n, m, k) by 2^(-p/2), with
-    p = n + m + k + l = 2 (m + k). sigma respects products, so the rounds
-    from F_0 converge to prod_{K >= 1} sigma^K(F_0). P_1 = sigma(F_0) and
-    P_2K = P_K * sigma^K(P_K) reach P_64 in six products; the next factor moves
-    entries of degree 2 by 2^(-65), below float64 rounding. The convolution
-    adds one shifted copy of its second factor per nonzero entry of its
-    first.
+    p = n + m + k + l = 2 (m + k). The convolution adds one shifted copy of
+    its second factor per nonzero entry of its first.
     """
-    d = c_0.shape[0]
-    n, m, k = np.indices((d, d, d))
-    l_ = m - n + k
-    ok = (l_ >= 0) & (l_ < d)
-    fact = np.array([float(math.factorial(i)) for i in range(d)])
-    root = np.ones((d, d, d))
-    root[ok] = np.sqrt(fact[n[ok]] * fact[m[ok]] * fact[k[ok]] * fact[l_[ok]])
-    f_0 = np.zeros((d, d, d))
-    f_0[ok] = c_0[n[ok], m[ok], k[ok], l_[ok]].real / root[ok]
-    half = 0.5 ** (m + k)  # 2^(-p/2)
 
-    def product(a, b):
+    def __init__(self, c_0):
+        d = self.d = c_0.shape[0]
+        n, m, k = self.nmk = np.indices((d, d, d))
+        l_ = self.l_ = m - n + k
+        ok = self.ok = (l_ >= 0) & (l_ < d)
+        fact = np.array([float(math.factorial(i)) for i in range(d)])
+        self.root = np.ones((d, d, d))
+        self.root[ok] = np.sqrt(fact[n[ok]] * fact[m[ok]] * fact[k[ok]] * fact[l_[ok]])
+        self.f_0 = np.zeros((d, d, d))
+        self.f_0[ok] = c_0[n[ok], m[ok], k[ok], l_[ok]].real / self.root[ok]
+        self.half = 0.5 ** (m + k)  # sigma: 2^(-p/2)
+
+    def product(self, a, b):
+        d = self.d
         conv = np.zeros((d, d, d))
         for x, y, z in zip(*np.nonzero(a)):
             conv[x:, y:, z:] += a[x, y, z] * b[: d - x, : d - y, : d - z]
-        conv[~ok] = 0.0
+        conv[~self.ok] = 0.0
         return conv
 
-    f = half * f_0
+    def state(self, f):
+        # the normalized rank-4 array of generating function f
+        (n, m, k), ok = self.nmk, self.ok
+        out = np.zeros((self.d,) * 4)
+        out[n[ok], m[ok], k[ok], self.l_[ok]] = (f * self.root)[ok]
+        return out / np.einsum("nmnm->", out)
+
+
+def mash_fixed_point_oracle(c_0):
+    """The state that iterated mashing against fresh copies of c_0 converges
+    to, at the cutoff of c_0: a normalized rank-4 array, in closed form
+    instead of iterated rounds.
+
+    sigma respects products (see _MashAlgebra), so the rounds from F_0
+    converge to prod_{K >= 1} sigma^K(F_0). P_1 = sigma(F_0) and
+    P_2K = P_K * sigma^K(P_K) reach P_64 in six products; the next factor
+    moves entries of degree 2 by 2^(-65), below float64 rounding.
+    """
+    g = _MashAlgebra(c_0)
+    f = g.half * g.f_0
     for power in (1, 2, 4, 8, 16, 32):
-        f = product(f, half**power * f)
-    out = np.zeros((d, d, d, d))
-    out[n[ok], m[ok], k[ok], l_[ok]] = (f * root)[ok]
-    return out / np.einsum("nmnm->", out)
+        f = g.product(f, g.half**power * f)
+    return g.state(f)
+
+
+def mash_round_oracle(c_0, r):
+    """Iterate r >= 1 of mashing against fresh copies of c_0, starting from
+    c_0 itself: a normalized rank-4 array, in closed form. sigma respects
+    products (see _MashAlgebra), so iterate r is, up to normalization,
+    sigma^r(F_0)^2 prod_{K=1}^{r-1} sigma^K(F_0).
+    """
+    g = _MashAlgebra(c_0)
+    top = g.half**r * g.f_0
+    f = g.product(top, top)
+    for power in range(1, r):
+        f = g.product(f, g.half**power * g.f_0)
+    return g.state(f)
 
 
 def trace_norm_oracle(mat):

@@ -26,6 +26,7 @@ from distillery import (
 )
 from distillery import channels, protocol
 from distillery.channels import _loss_maps, _mash_source, _sqrt_fact
+from distillery.core import TRACE_TOL
 
 # double subtraction q_A=q_B=1 straight on tmss(0.1), t_s=0.99, n_max=8,
 # from the brute-force contraction in oracles.subtract_oracle
@@ -44,7 +45,7 @@ def _random_stored(dim, seed):
     rng = np.random.default_rng(seed)
     j, p, q = np.ogrid[:dim, :dim, :dim]
     x = np.where((p + j < dim) & (q + j < dim), rng.random((dim, dim, dim)), 0.0)
-    return channels._wrap_fresh(x, TruncationConfig(dim - 1))
+    return channels._wrap_fresh(x)
 
 
 def test_loss_params_tau_round_trip():
@@ -431,7 +432,7 @@ def test_mash_step_matches_oracle_on_sector_states():
     n, m, k, l_ = np.indices(malted.coeffs.shape)
     assert not np.any(malted.coeffs[n - k != m - l_])
     rng = np.random.default_rng(13)
-    full = state_from_coeffs(oracles.random_state_coeffs(3, rng), malted.cfg)
+    full = state_from_coeffs(oracles.random_state_coeffs(3, rng), TruncationConfig(2))
     for a, b in ((malted, malted), (full, malted)):
         res = mash_step(a, b)
         want, p_want, cut_want = _oracle_mash(a, b)
@@ -535,12 +536,12 @@ def test_stacked_mash_round_equals_batch_of_one_bitwise():
     cfg = TruncationConfig(3)
     states = [_one_cycle_state(cfg), _random_state(4, 11), _random_state(4, 12)]
     x = np.stack([st.sector for st in states])
-    kept, prob, discarded, weight = channels._mash_round(x, _mash_source(x), cfg)
+    kept, prob, discarded, weight = channels._mash_round(x, _mash_source(x))
     for i, st in enumerate(states):
         alone = mash_step(st, st)
         assert kept[i].tobytes() == alone.state.sector.tobytes()
         assert (prob[i], discarded[i]) == (alone.prob, alone.discarded_weight)
-        assert weight[i] > cfg.trace_tol
+        assert weight[i] > TRACE_TOL
 
 
 def _shift_and_add(x, y):

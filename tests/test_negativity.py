@@ -23,6 +23,7 @@ from distillery import (
     vacuum,
 )
 from distillery.core import _block_tables
+from distillery.core import EIG_TOL
 from distillery.negativity import _log_negativities, _trace_distances
 
 
@@ -245,17 +246,17 @@ def test_trace_norm_and_state_from_coeffs_report_the_same_defect():
 
 def test_trace_distance_checks_hermiticity_against_the_state_eig_tol():
     # trace_distance takes states, whose Hermiticity was checked against
-    # their eig_tol where they were built: a 1e-8 asymmetry at eig_tol 1e-6
-    # makes a state at a positive distance, a 1e-5 one makes no state
-    cfg = TruncationConfig(4, eig_tol=1e-6)
+    # EIG_TOL (1e-10) where they were built: a 1e-12 asymmetry makes a state
+    # at a positive distance, a 1e-8 one makes no state
+    cfg = TruncationConfig(4)
     good = tmss(0.2, cfg, allow_truncation=True)
-    for bump in (1e-8, 1e-5):
+    for bump in (1e-12, 1e-8):
         c = good.coeffs.copy()
         c[2, 1, 1, 0] += bump
-        if bump < cfg.eig_tol:
+        if bump < EIG_TOL:
             assert trace_distance(state_from_coeffs(c, cfg), good) > 0.0
         else:
-            with pytest.raises(NotHermitianError, match=r"1e-05 > 1e-06$"):
+            with pytest.raises(NotHermitianError, match=r"1e-08 > 1e-10$"):
                 trace_distance(state_from_coeffs(c, cfg), good)
 
 
@@ -271,7 +272,7 @@ def test_stacked_solves_equal_lone_solves_bitwise():
         tmss(0.3, cfg, allow_truncation=True),
     ]
     x = np.stack([st.sector for st in states])
-    assert _log_negativities(x, cfg.eig_tol) == [log_negativity(st) for st in states]
+    assert _log_negativities(x) == [log_negativity(st) for st in states]
     y = np.stack([states[1].sector, states[2].sector, states[0].sector])
     dist = _trace_distances(x, y)
     assert dist[0] == trace_distance(states[0], states[1])
@@ -287,7 +288,7 @@ def test_trunc_warning_state_diagnostics_match_dense_solve():
     res = log_negativity(raw)
     dense = _dense_pt_eigs(raw)
     assert res.min_eig == pytest.approx(dense[0], abs=1e-18)
-    assert res.trunc_warning == (np.abs(dense).sum() < 1.0 - cfg.eig_tol)
+    assert res.trunc_warning == (np.abs(dense).sum() < 1.0 - EIG_TOL)
     assert res.trunc_warning and res.value == 0.0
     assert min_eigenvalue(raw) == pytest.approx(
         np.linalg.eigvalsh(raw.as_matrix())[0], abs=1e-18

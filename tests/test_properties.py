@@ -34,7 +34,7 @@ from distillery import (
     trace_distance,
     trace_norm,
 )
-from distillery.core import _block_eigvalsh
+from distillery.core import EIG_TOL, _block_eigvalsh
 from distillery.negativity import _trace_distances
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=30)
@@ -156,7 +156,7 @@ def test_block_eigensolves_match_dense_and_oracle(kind, dim, lam, tau, t_s, q_a,
     tn_pt = oracles.trace_norm_oracle(pt)
     res = log_negativity(a)
     assert res.min_eig == pytest.approx(dense_pt[0], abs=1e-14)
-    want = max(math.log2(tn_pt), 0.0) if dense_pt[0] < -a.cfg.eig_tol else 0.0
+    want = max(math.log2(tn_pt), 0.0) if dense_pt[0] < -EIG_TOL else 0.0
     assert res.value == pytest.approx(want, abs=1e-12)
     diff = (a.coeffs - b.coeffs).reshape(n, n)
     assert trace_distance(a, b) == pytest.approx(

@@ -32,6 +32,7 @@ from distillery import (
     vacuum,
 )
 from distillery import channels, negativity, protocol
+from distillery.core import CONV_TOL, EIG_TOL
 
 # malt(1,1) probability at lambda=0.1, tau=100, t_s=0.99, n_max=8:
 # one loss event, then single subtraction success on each arm, from the
@@ -52,8 +53,8 @@ def _mash_step_at_zero_weight():
     # mash_step with every kept weight patched to 0, as _poison does below
     real_round = channels._mash_round
 
-    def zero_weight(cur, source, cfg):
-        kept, prob, discarded, weight = real_round(cur, source, cfg)
+    def zero_weight(cur, source):
+        kept, prob, discarded, weight = real_round(cur, source)
         return kept, prob, discarded, np.zeros_like(weight)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -64,25 +65,39 @@ def _mash_step_at_zero_weight():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: repeated_loss(_RHO, LOSS, -1), "m must be a non-negative integer, got -1"),
+        (lambda: repeated_loss(_RHO, LOSS, -1), "m must be an integer >= 0, got -1"),
+        (lambda: repeated_loss(_RHO, LOSS, 1.5), "m must be an integer >= 0, got 1.5"),
         (lambda: detect_one_mode(_RHO, SUB, "C", 1), "mode must be 'A' or 'B', got 'C'"),
         (lambda: detect_one_mode(_RHO, SUB, "A", CFG.dim),
-         f"outcome q must be an integer in [0, n_max], got {CFG.dim}"),
-        (lambda: mash_step(_RHO, tmss(LAM, CFG._replace(conv_tol=1e-9))),
-         "mash inputs must share dimension and truncation config"),
+         f"outcome q must be an integer in [0, {CFG.n_max}], got {CFG.dim}"),
+        (lambda: mash_step(_RHO, tmss(LAM, TruncationConfig(8))),
+         "mash inputs must share dimension"),
         (lambda: state_from_coeffs(np.zeros((3, 3, 3, 3)), CFG),
          "expected shape (8, 8, 8, 8), got (3, 3, 3, 3)"),
         (lambda: trace_distance(_RHO, tmss(LAM, TruncationConfig(8))),
          "states must share dimension"),
         (lambda: subtraction_probability_matrix(LAM, LOSS, SUB, CFG, 0, 1),
-         "i_max and j_max must be >= 1"),
-        (lambda: mash_iterate(_RHO, max_iter=0), "max_iter must be >= 1"),
+         "i_max must be an integer >= 1, got 0"),
+        (lambda: subtraction_probability_matrix(LAM, LOSS, SUB, CFG, 1.5, 1),
+         "i_max must be an integer >= 1, got 1.5"),
+        (lambda: subtraction_probability_matrix(LAM, LOSS, SUB, CFG, 1, 0.5),
+         "j_max must be an integer >= 1, got 0.5"),
+        (lambda: mash_iterate(_RHO, max_iter=0), "max_iter must be an integer >= 1, got 0"),
+        (lambda: mash_iterate(_RHO, max_iter=1.5),
+         "max_iter must be an integer >= 1, got 1.5"),
+        (lambda: critical_attempts(LAM, LOSS, SUB, CFG, max_iter=0.5),
+         "max_iter must be an integer >= 0, got 0.5"),
+        (lambda: TruncationConfig(8.5), "n_max must be an integer >= 1, got 8.5"),
+        (lambda: MaltingSchedule(1, 2.5, LOSS, SUB), "m_b must be an integer >= 1, got 2.5"),
         (_mash_step_at_zero_weight, "mash projection weight 0 at or below trace_tol"),
         (lambda: auto_n_max(1.0), "squeezing parameter must lie in [0, 1), got 1.0"),
     ],
-    ids=["repeated-loss-m", "detect-mode", "detect-q", "mash-step-configs",
-         "coeffs-shape", "trace-distance-cutoffs", "pij-i-max", "mash-iterate-max-iter",
-         "mash-step-zero-weight", "auto-n-max-lambda"],
+    ids=["repeated-loss-m", "repeated-loss-m-fraction", "detect-mode", "detect-q",
+         "mash-step-dims", "coeffs-shape", "trace-distance-cutoffs", "pij-i-max",
+         "pij-i-max-fraction", "pij-j-max-fraction", "mash-iterate-max-iter",
+         "mash-iterate-max-iter-fraction", "critical-attempts-max-iter-fraction",
+         "n-max-fraction", "schedule-m-b-fraction", "mash-step-zero-weight",
+         "auto-n-max-lambda"],
 )
 def test_library_refusals(call, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -234,7 +249,7 @@ def test_mash_iterate_converges_and_gains():
     assert out.max_discarded < 1e-9
     # the converged iterate really is a fixed point of one more round
     again = mash_step(out.rho_final, rec.state)
-    assert trace_distance(again.state, out.rho_final) < 10 * CFG.conv_tol
+    assert trace_distance(again.state, out.rho_final) < 10 * CONV_TOL
 
 
 def test_mash_iterate_forced_round_count():
@@ -370,7 +385,7 @@ def test_scan_reports_mash_rounds_and_worst_discard():
         for j, ((p_j, _), r) in enumerate(zip(branches[:-1], runs), start=1)
     ]
     assert 0.0 <= cc.max_discarded < 1e-9
-    assert 0.0 < cc.max_tail < CFG.conv_tol / 3
+    assert 0.0 < cc.max_tail < CONV_TOL / 3
     malt_only = average_entanglement(LAM, LOSS, SUB, CFG, max_iter=0)
     diagnostics = (malt_only.mash_rounds, malt_only.max_discarded, malt_only.max_tail)
     assert diagnostics == (0, 0.0, 0.0)
@@ -378,7 +393,7 @@ def test_scan_reports_mash_rounds_and_worst_discard():
 
 def _poison(monkeypatch, failure, x_0):
     # Make the branch mashed from x_0 fail in every round: its trace
-    # distance never falls below conv_tol ("step"), or its kept weight is 0
+    # distance never falls below CONV_TOL ("step"), or its kept weight is 0
     # ("weight"). The branch is followed by content from round to round;
     # the returned list grows by one entry per round that reached it.
     followed = [x_0]
@@ -389,8 +404,8 @@ def _poison(monkeypatch, failure, x_0):
     if failure == "weight":
         real_round = protocol._mash_round
 
-        def poisoned_round(cur, source, cfg):
-            kept, prob, discarded, weight = real_round(cur, source, cfg)
+        def poisoned_round(cur, source):
+            kept, prob, discarded, weight = real_round(cur, source)
             for r in rows(cur):
                 weight[r] = 0.0
                 followed.append(None)
@@ -445,27 +460,26 @@ def test_scan_drops_branches_past_the_first_failing_j(monkeypatch, failure, erro
 
 def test_mashing_checks_hermiticity_against_the_run_eig_tol():
     # a run's Hermiticity is checked where its input becomes a state, against
-    # a cutoff whose eig_tol is 1e-6: a malted state with one coherence's
-    # mirrors 1e-8 apart mashes to convergence, exactly symmetric; 1e-5 apart
-    # it never reaches mashing
-    cfg = TruncationConfig(CFG.n_max, eig_tol=1e-6)
-    rec = malt(LAM, MaltingSchedule(1, 1, LOSS, SUB), cfg)
-    for bump in (1e-8, 1e-5):
+    # EIG_TOL (1e-10): a malted state with one coherence's mirrors 1e-12
+    # apart mashes to convergence, exactly symmetric; 1e-8 apart it never
+    # reaches mashing
+    rec = malt(LAM, MaltingSchedule(1, 1, LOSS, SUB), CFG)
+    for bump in (1e-12, 1e-8):
         c = rec.state.coeffs.copy()
         c[1, 1, 0, 0] += bump
-        if bump < cfg.eig_tol:
-            out = mash_iterate(state_from_coeffs(c, cfg))
+        if bump < EIG_TOL:
+            out = mash_iterate(state_from_coeffs(c, CFG))
             assert out.converged
             rho = out.rho_final.coeffs
             assert np.array_equal(rho, rho.transpose(2, 3, 0, 1))
         else:
-            with pytest.raises(NotHermitianError, match=r"> 1e-06$"):
-                mash_iterate(state_from_coeffs(c, cfg))
+            with pytest.raises(NotHermitianError, match=r"1e-08 > 1e-10$"):
+                mash_iterate(state_from_coeffs(c, CFG))
 
 
 def test_mashing_solves_few_distances_and_windows_each_chunk_once(monkeypatch):
     # the Frobenius bound settles every round whose distance is far above
-    # conv_tol, so a d = 8 run reaches the "rho" eigensolve only in its
+    # CONV_TOL, so a d = 8 run reaches the "rho" eigensolve only in its
     # last rounds
     solves = []
     real_eigvalsh = negativity._block_eigvalsh
@@ -507,7 +521,7 @@ def test_mash_iterate_matches_a_loop_of_mash_step_and_trace_distance(n_max):
         probs.append(res.prob)
         dist = trace_distance(res.state, cur)
         cur = res.state
-        if dist < cfg.conv_tol:
+        if dist < CONV_TOL:
             break
     out = mash_iterate(rho_0)
     assert (out.iterations, out.converged) == (rounds, True)
@@ -521,7 +535,7 @@ def test_mash_iterate_matches_a_loop_of_mash_step_and_trace_distance(n_max):
 @pytest.mark.parametrize("lam", [0.1, 0.2, 0.4])
 def test_mash_iterate_converges_to_the_exact_fixed_point(lam):
     # against the closed-form fixed point of the oracle, on malted states
-    # at d = 8, 11 and 19: the converged state lies within conv_tol of it,
+    # at d = 8, 11 and 19: the converged state lies within CONV_TOL of it,
     # and tail estimates the distance left to it (measured 1.00006 to
     # 1.00018 times tail)
     cfg = TruncationConfig(auto_n_max(lam))
@@ -533,8 +547,24 @@ def test_mash_iterate_converges_to_the_exact_fixed_point(lam):
     diff = (out.rho_final.coeffs - exact).reshape(d2, d2)
     dist = 0.5 * oracles.trace_norm_oracle(diff)
     assert out.converged
-    assert dist <= cfg.conv_tol
+    assert dist <= CONV_TOL
     assert dist == pytest.approx(out.tail, rel=1e-3)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.2, 0.4])
+def test_mash_iterate_matches_the_closed_form_of_each_round(lam):
+    # iterates r = 1 ... 4 against the oracle's closed form of round r, on
+    # its own product, so the kernel's arithmetic (its tilt included) is
+    # judged by code it does not share; malted states at d = 8, 11 and 19
+    # (measured at most 1.1e-15 of the largest entry)
+    cfg = TruncationConfig(auto_n_max(lam))
+    assert cfg.dim == {0.1: 8, 0.2: 11, 0.4: 19}[lam]
+    rho_0 = malt(lam, MaltingSchedule(1, 3, LOSS, SUB), cfg).state
+    for r in range(1, 5):
+        out = mash_iterate(rho_0, max_iter=r)
+        assert (out.iterations, out.converged) == (r, False)
+        want = oracles.mash_round_oracle(rho_0.coeffs, r)
+        assert np.abs(out.rho_final.coeffs - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.2, 0.4])
@@ -551,7 +581,7 @@ def test_vacuum_probability_operator_matches_the_per_diagonal_product(lam):
     per_diagonal = np.sum(rho_0.sector * (v @ x @ v.transpose(0, 2, 1)), axis=(-2, -1))
     want = per_diagonal[:, 0] + 2.0 * per_diagonal[:, 1:].sum(axis=-1)
     sources = channels._mash_source(np.stack([rho_0.sector] * 2))
-    prob = channels._mash_round(x, sources, cfg)[1]
+    prob = channels._mash_round(x, sources)[1]
     assert prob == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
@@ -626,7 +656,7 @@ def test_pij_reads_one_mode_vectors(monkeypatch):
 def test_mash_iterate_reports_its_tail():
     rec = malt(LAM, MaltingSchedule(1, 1, LOSS, SUB), CFG)
     out = mash_iterate(rec.state)
-    assert 0.0 < out.tail < CFG.conv_tol / 3
+    assert 0.0 < out.tail < CONV_TOL / 3
     two = mash_iterate(rec.state, max_iter=2)
     three = mash_iterate(rec.state, max_iter=3)
     assert three.tail == trace_distance(three.rho_final, two.rho_final) / 3
@@ -650,7 +680,7 @@ def test_malt_only_gain_mode():
     assert cc.m_c >= 1
     # mashing adds negativity on top of malting, never removes the gain
     assert cc.m_c <= full.m_c
-    with pytest.raises(ValueError, match="max_iter must be >= 0"):
+    with pytest.raises(ValueError, match="max_iter must be an integer >= 0"):
         critical_attempts(LAM, LOSS, SUB, CFG, max_iter=-1)
 
 

@@ -17,6 +17,7 @@ from distillery import (
     ZeroTraceError,
     NotHermitianError,
     auto_n_max,
+    average_entanglement,
     detect_one_mode,
     detect_phonons,
     loss_event,
@@ -25,10 +26,13 @@ from distillery import (
     mash_step,
     min_eigenvalue,
     normalize,
+    repeated_loss,
     state_from_coeffs,
+    subtraction_probability_matrix,
     tmss,
     vacuum,
 )
+from distillery.core import EIG_TOL
 
 # single-photon detection on both modes of tmss(0.1) at n_max=3, t_s=0.99,
 # computed by the brute-force contraction in oracles.subtract_oracle.
@@ -38,14 +42,28 @@ P_SUB_Q11_NMAX3 = 4.074395526294911e-06
 def test_truncation_config_rejects_bad_fields():
     with pytest.raises(ValueError):
         TruncationConfig(0)
-    with pytest.raises(ValueError):
-        TruncationConfig(8, eig_tol=0.0)
-    with pytest.raises(ValueError):
-        TruncationConfig(8, trace_tol=-1e-15)
-    with pytest.raises(ValueError):
-        TruncationConfig(8, conv_tol=0.0)
     cfg = TruncationConfig(8)
     assert cfg.dim == 9
+
+
+def test_integral_floats_are_stored_as_ints():
+    # an integral float is accepted where an integer is asked for, and
+    # stored as the int that every op reads
+    cfg = TruncationConfig(8.0)
+    assert cfg == TruncationConfig(8) and type(cfg.n_max) is int
+    assert tmss(0.1, cfg).dim == 9
+    loss, sub = LossChannelParams.from_tau(100), SubtractionParams(0.9)
+    schedule = MaltingSchedule(1.0, 2.0, loss, sub)
+    assert schedule == (1, 2, loss, sub) and type(schedule.m_b) is int
+    cfg = TruncationConfig(7)
+    malted = malt(0.1, schedule, cfg).state
+    assert mash_iterate(malted, max_iter=2.0).iterations == 2
+    st = tmss(0.1, cfg)
+    once = repeated_loss(st, loss, 1.0)
+    assert once.sector.tobytes() == loss_event(st, loss).sector.tobytes()
+    assert subtraction_probability_matrix(0.1, loss, sub, cfg, 2.0, 2).shape == (2, 2)
+    malt_only = average_entanglement(0.1, loss, sub, cfg, max_iter=0)
+    assert average_entanglement(0.1, loss, sub, cfg, max_iter=0.0) == malt_only
 
 
 def test_auto_n_max_is_smallest_admissible():
@@ -191,20 +209,20 @@ def test_constructor_outputs_satisfy_state_invariants():
 
 def test_state_from_coeffs_checks_hermiticity_against_the_eig_tol():
     # a stored state holds each coefficient once, so where a tensor becomes
-    # a state its p[n, m, k, l] and p[k, l, n, m] must agree to the state's
-    # eig_tol, whichever of the two carries the asymmetry; the entry with
+    # a state its p[n, m, k, l] and p[k, l, n, m] must agree to EIG_TOL
+    # (1e-10), whichever of the two carries the asymmetry; the entry with
     # n >= k is the one stored
-    cfg = TruncationConfig(4, eig_tol=1e-6)
+    cfg = TruncationConfig(4)
     good = tmss(0.2, cfg, allow_truncation=True)
     for entry in ((2, 1, 1, 0), (1, 0, 2, 1)):
-        for bump in (1e-8, 1e-5):
+        for bump in (1e-12, 1e-8):
             c = good.coeffs.copy()
             c[entry] += bump
-            if bump < cfg.eig_tol:
+            if bump < EIG_TOL:
                 st = state_from_coeffs(c, cfg)
                 assert st.coeffs[2, 1, 1, 0] == st.coeffs[1, 0, 2, 1] == c[2, 1, 1, 0]
             else:
-                with pytest.raises(NotHermitianError, match=r"defect 1e-05 > 1e-06$"):
+                with pytest.raises(NotHermitianError, match=r"defect 1e-08 > 1e-10$"):
                     state_from_coeffs(c, cfg)
 
 
@@ -248,7 +266,7 @@ def test_records_are_immutable_and_pickle():
             setattr(obj, name, 1)
     assert st != vacuum(cfg) and cfg == TruncationConfig(4)
     back = pickle.loads(pickle.dumps(st))
-    assert back.cfg == cfg and back.sector.tobytes() == st.sector.tobytes()
+    assert back.trace == st.trace and back.sector.tobytes() == st.sector.tobytes()
     assert type(pickle.loads(pickle.dumps(cfg))) is TruncationConfig
 
 
@@ -291,7 +309,8 @@ def test_dense_round_trip_is_exact(dim, seed):
     c = oracles.random_state_coeffs(dim, np.random.default_rng(seed))
     st = state_from_coeffs(c, TruncationConfig(dim - 1))
     assert st.coeffs.tobytes() == np.ascontiguousarray(c).tobytes()
-    assert np.array_equal(state_from_coeffs(st.coeffs, st.cfg).sector, st.sector)
+    assert np.array_equal(state_from_coeffs(st.coeffs, TruncationConfig(dim - 1)).sector,
+                          st.sector)
 
 
 def test_state_from_coeffs_stores_real_part_of_complex_input():

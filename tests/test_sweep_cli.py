@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from distillery import TruncationConfig, auto_n_max, channels, cli, core, negativity, sweep
+from distillery import auto_n_max, channels, cli, core, negativity, sweep
 from distillery.cli import ConfigError, build_parser, main, parse_ts, validate_config
 from distillery.sweep import _fmt, _pmap
 
@@ -702,12 +702,11 @@ def test_scan_chunk_windows_fit_the_memory_budget():
     rng = np.random.default_rng(3)
     for d in (8, 9, 10, 11, 12, 13, 16, 19, 34):
         width = channels._plan(d).width
-        cfg = TruncationConfig(d - 1)
         x = rng.random((width, d, d, d))
-        channels._mash_round(x[:1], channels._mash_source(x[:1]), cfg)  # fills the caches
+        channels._mash_round(x[:1], channels._mash_source(x[:1]))  # fills the caches
         tracemalloc.start()
         try:
-            channels._mash_round(x, channels._mash_source(x), cfg)
+            channels._mash_round(x, channels._mash_source(x))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -867,10 +866,11 @@ def test_mashing_commands_refuse_overflowing_cutoffs(tmp_path, capsys):
 
 def test_mash_limit_is_where_the_output_weights_overflow():
     # the largest output weight of mash_step is sf[d-1]^4 = ((d - 1)!)^2,
-    # the last entry of diagonal 0 of the output weight table
+    # the last entry of diagonal 0 of the output weight table once its exact
+    # tilt 2^(-4(d - 1)) is taken off (channels._mash_weights)
     def top(dim):
         with np.errstate(over="ignore"):
-            return channels._mash_weights(dim)[-1][0, -1, -1]
+            return np.ldexp(channels._mash_weights(dim)[-1][0, -1, -1], 4 * (dim - 1))
 
     assert np.isfinite(top(channels._MASH_MAX_N_MAX + 1))
     assert np.isinf(top(channels._MASH_MAX_N_MAX + 2))
