@@ -43,13 +43,11 @@ _SUBMODULE_NAMES = {
     ),
     "protocol": (
         "AvgEntanglement",
-        "CriticalCount",
         "DistillationOutcome",
         "MaltingRecord",
         "MaltingSchedule",
         "NoConvergenceError",
         "average_entanglement",
-        "critical_attempts",
         "full_protocol",
         "malt",
         "mash_iterate",

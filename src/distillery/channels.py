@@ -14,6 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
+    NORM_TOL,
     TRACE_TOL,
     TwoModeState,
     ZeroTraceError,
@@ -103,8 +104,8 @@ def loss_kraus(t, dim):
     """
     ks = np.zeros((dim, dim, dim))
     for q in range(dim):
-        for n in range(q, dim):
-            ks[q, n - q, n] = bs_amplitude(n, q, t)
+        a = np.arange(dim - q)
+        ks[q, a, a + q] = _kraus_weights(q, t, dim)
     return ks
 
 
@@ -343,8 +344,9 @@ class _Plan(NamedTuple):
 def _plan(dim):
     if dim - 1 > _MASH_MAX_N_MAX:
         raise ValueError(
-            f"mashing needs n_max <= {_MASH_MAX_N_MAX}; at n_max={dim - 1} its "
-            "weights ((n_max)!)^2 overflow float64"
+            f"mashing needs n_max <= {_MASH_MAX_N_MAX}; at n_max={dim - 1} the "
+            "untilted projector weights ((n_max)!)^2 overflow float64, and mashing "
+            f"past n_max={_MASH_MAX_N_MAX} has not been checked"
         )
     # Narrow M blocks skip more of the zero triangle but make more, smaller
     # matmuls; measured with one BLAS thread, the fastest M blocks held one
@@ -458,8 +460,12 @@ def _truncated_convolution(x, source):
     return out[:, :, :d, :]
 
 
-# The largest output weight of the projector is ((d - 1)!)^2, which is inf
-# in float64 from d = 100, so mashing runs at n_max <= 98 only (_plan).
+# Mashing runs at n_max <= 98 only (_plan). Untilted, the projector's
+# largest output weight is ((d - 1)!)^2, which is inf in float64 from
+# d = 100. The tilted tables of _mash_weights stay finite and normal past
+# that (the input table first holds subnormals at d = 116, the output table
+# first overflows at d = 140), but mashing there, its accuracy and its time,
+# has not been checked.
 _MASH_MAX_N_MAX = 98
 
 
@@ -549,7 +555,7 @@ def _zero_weight_error(weight):
 
 
 def _check_normalized(state):
-    if abs(state.trace - 1.0) > 1e-9:
+    if abs(state.trace - 1.0) > NORM_TOL:
         raise ValueError(f"mash inputs must be normalized, got trace {state.trace}")
 
 

@@ -10,7 +10,7 @@ import os
 import sys
 
 from .channels import LossChannelParams, SubtractionParams
-from .core import TRACE_TOL, TruncationConfig, ZeroTraceError, auto_n_max
+from .core import TRACE_TOL, TruncationConfig, ZeroTraceError, _integer, auto_n_max
 from .protocol import NoConvergenceError
 from .sweep import COMMANDS, RunConfig, run
 
@@ -28,8 +28,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-# argparse settings of the flags a row of sweep.COMMANDS can name; the two
-# that may be left out default as in RunConfig
+# argparse settings of the flags a row of sweep.COMMANDS can name; the one
+# that may be left out defaults as in RunConfig
 _DEFAULTS = RunConfig._field_defaults
 _OWN_FLAGS = {
     "ma": {"type": int},
@@ -38,7 +38,6 @@ _OWN_FLAGS = {
     "imax": {"type": int},
     "jmax": {"type": int},
     "max_iter": {"type": int, "default": _DEFAULTS["max_iter"]},
-    "baseline": {"choices": ("tmss", "malt-only"), "default": _DEFAULTS["baseline"]},
 }
 
 
@@ -166,7 +165,12 @@ def validate_config(ns):
         val = getattr(ns, field)
         if val is None:
             errors.append(f"{_flag(field)} is required for {name}")
-        elif field != "baseline" and val < 1:
+        elif field == "max_iter":
+            # 0 runs no mashing round: the malt-only baseline
+            val = _build(errors, "--max-iter", _integer, "max_iter", val, 0)
+            if val is not None:
+                own[field] = val
+        elif val < 1:
             errors.append(f"{_flag(field)} must be >= 1, got {val}")
         else:
             own[field] = val

@@ -28,11 +28,13 @@ class NotHermitianError(ValueError):
 # The numerical policy, the same for every run: the Hermiticity slack and
 # negativity clamp, the weight at or below which a state or outcome has
 # vanished (also the admissible truncated squeezed-state tail), the trace
-# distance at which mashing has converged, and the rounds it makes at most.
+# distance at which mashing has converged, the rounds it makes at most, and
+# how far from 1 the trace of a mashing input may lie.
 EIG_TOL = 1e-10
 TRACE_TOL = 1e-15
 CONV_TOL = 1e-8
 MAX_ITER = 50
+NORM_TOL = 1e-9
 
 
 def _integer(name, x, low, high=math.inf):

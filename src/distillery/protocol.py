@@ -81,15 +81,6 @@ class DistillationOutcome(NamedTuple):
     tail: float = 0.0
 
 
-class CriticalCount(NamedTuple):
-    m_c: int
-    baseline_negativity: float
-    mash_rounds: int = 0  # mashing rounds run over the whole scan
-    max_discarded: float = 0.0  # worst truncation discard of any of them
-    max_tail: float = 0.0  # worst tail of the scan's mashing runs
-    mashed_branches: int = 0  # branches mashed, counted or not (see average_entanglement)
-
-
 class AvgEntanglement(NamedTuple):
     value: float
     terms: list  # (j, success probability, final negativity) per retained j
@@ -97,6 +88,11 @@ class AvgEntanglement(NamedTuple):
     max_discarded: float = 0.0  # worst truncation discard of any of them
     max_tail: float = 0.0  # worst tail of the scan's mashing runs
     mashed_branches: int = 0  # branches mashed, counted or not (see average_entanglement)
+
+    @property
+    def m_c(self):
+        """The critical attempt count: the arm-B cycles the scan retains."""
+        return len(self.terms)
 
 
 def baseline_negativity(lam):
@@ -293,8 +289,10 @@ def mash_iterate(rho_0, max_iter=MAX_ITER):
     of the series if the iterates close in by exactly 1/4 per round. They
     close in a little slower, and on malted states the distance left
     measured 1.00006-1.00018 times tail, so tail is a close estimate, not a
-    bound."""
-    max_iter = _integer("max_iter", max_iter, 1)
+    bound. max_iter = 0 runs no round: the outcome holds rho_0 itself, with
+    iterations 0, converged False and tail 0."""
+    max_iter = _integer("max_iter", max_iter, 0)
+    _plan(rho_0.dim)  # a cutoff mashing cannot run is refused, with or without rounds
     _check_normalized(rho_0)
     (run,) = _mash_stack(rho_0.sector[None], max_iter, every_round=True)
     if isinstance(run, Exception):
@@ -305,7 +303,9 @@ def mash_iterate(rho_0, max_iter=MAX_ITER):
 def full_protocol(lam, schedule, cfg, max_iter=MAX_ITER):
     """Malting followed by iterated mashing; negativity_by_stage concatenates
     the per-cycle malting trace with the per-round mashing values."""
-    _plan(cfg.dim)  # a cutoff mashing cannot run is refused before malting
+    # a round cap or a cutoff mashing cannot run is refused before malting
+    max_iter = _integer("max_iter", max_iter, 0)
+    _plan(cfg.dim)
     record = malt(lam, schedule, cfg)
     outcome = mash_iterate(record.state, max_iter=max_iter)
     stages = [n for _, n in record.negativity_trace] + list(
@@ -346,7 +346,8 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=MAX_ITER):
     arm-B cycles j = 1..m_c (arm A fixed at cycle 1), zero when none is
     retained. The scan runs j = 1, 2, ... and stops at the first j whose
     distilled negativity does not beat the undistilled baseline, at
-    ceil(tau) * _SCAN_CAP_FACTOR at the latest; m_c is len(terms).
+    ceil(tau) * _SCAN_CAP_FACTOR at the latest; the result's m_c is
+    len(terms).
 
     Each weight is the malting probability times the product of the mashing
     vacuum probabilities over the converged rounds. max_iter = 0 runs the
@@ -402,18 +403,3 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=MAX_ITER):
     if terms:
         value = sum(p * n for _, p, n in terms) / sum(p for _, p, _ in terms)
     return AvgEntanglement(value, terms, total_rounds, worst_cut, worst_tail, mashed)
-
-
-def critical_attempts(lam, loss, sub, cfg, max_iter=MAX_ITER):
-    """Largest arm-B success cycle m_c (arm A fixed at cycle 1) whose
-    distilled negativity still beats the undistilled baseline: the number
-    of attempts the average_entanglement scan retains."""
-    avg = average_entanglement(lam, loss, sub, cfg, max_iter)
-    return CriticalCount(
-        len(avg.terms),
-        baseline_negativity(lam),
-        avg.mash_rounds,
-        avg.max_discarded,
-        avg.max_tail,
-        avg.mashed_branches,
-    )

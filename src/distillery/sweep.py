@@ -52,7 +52,6 @@ class RunConfig(NamedTuple):
     imax: int = 0
     jmax: int = 0
     max_iter: int = MAX_ITER
-    baseline: str = "tmss"
 
 
 def _fmt(x):
@@ -174,12 +173,13 @@ def _run_scan(cfg):
     # mash_rounds and mashed_branches list each point's rounds and mashed
     # branches (those past the first failing j included), ';'-separated in
     # row order; max_discarded and max_tail are the worst over all points,
-    # the counterparts of distill's max_discarded and tail. The malt-only
-    # baseline is the scan with zero mashing rounds.
-    max_iter = 0 if cfg.baseline == "malt-only" else cfg.max_iter
-    scan = partial(average_entanglement, cfg.lam, cfg.loss, cfg=cfg.trunc, max_iter=max_iter)
+    # the counterparts of distill's max_discarded and tail. --max-iter 0 is
+    # the malt-only baseline, the scan with zero mashing rounds.
+    scan = partial(
+        average_entanglement, cfg.lam, cfg.loss, cfg=cfg.trunc, max_iter=cfg.max_iter
+    )
     avgs = _pmap(scan, cfg.subs, cfg.threads)
-    rows = [(sub.t_s, len(avg.terms), avg.value) for sub, avg in zip(cfg.subs, avgs)]
+    rows = [(sub.t_s, avg.m_c, avg.value) for sub, avg in zip(cfg.subs, avgs)]
     columns = ("ts", "m_c", "avg_ent")
     meta = {}
     if cfg.command == "mc-sweep":
@@ -228,7 +228,7 @@ def _cycles(flags):
 # against 2. Rows: a decay row is 180 bytes by sys.getsizeof; malt-trace and
 # distill rows 162 and 242 bytes traced at 40 000 cycles; a pij cell, its
 # matrix entry and row, 110-122 bytes on grids of 300^2 and 600^2.
-_SCAN = Command(_run_scan, ("max_iter", "baseline"), _mashing_floats, ts_range=True)
+_SCAN = Command(_run_scan, ("max_iter",), _mashing_floats, ts_range=True)
 COMMANDS = {
     "decay": Command(
         _run_decay, ("steps",), lambda d, f: 8 * d**3, lambda f: f["steps"] + 1, 192

@@ -15,7 +15,6 @@ from distillery import (
     TruncationConfig,
     auto_n_max,
     average_entanglement,
-    critical_attempts,
     detect_one_mode,
     detect_phonons,
     fock_bs_element,
@@ -203,7 +202,7 @@ def test_criterion_08_critical_attempts():
         first_gain = None
         prev = 0
         for ts in np.arange(0.600, 0.8001, 0.025):
-            mc = critical_attempts(lam, loss100, SubtractionParams(float(ts)), cfg).m_c
+            mc = average_entanglement(lam, loss100, SubtractionParams(float(ts)), cfg).m_c
             assert mc >= prev  # non-decreasing along the sweep
             prev = mc
             if first_gain is None and mc >= 1:
@@ -214,7 +213,7 @@ def test_criterion_08_critical_attempts():
     for tau in (100.0, 1000.0):
         loss = LossChannelParams.from_tau(tau)
         for ts in (0.8, 0.99):
-            cc = critical_attempts(0.1, loss, SubtractionParams(ts), cfg)
+            cc = average_entanglement(0.1, loss, SubtractionParams(ts), cfg)
             assert cc.m_c <= math.ceil(tau) * 3
             by_tau[tau, ts] = cc.m_c
     moderate_gap = abs(by_tau[1000.0, 0.8] - by_tau[100.0, 0.8])

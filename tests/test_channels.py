@@ -90,6 +90,18 @@ def test_kraus_weight_rows_equal_bs_amplitude_bitwise(dim, qs):
             assert channels._kraus_weights(q, t, dim).tobytes() == want.tobytes(), (t, q)
 
 
+def test_loss_kraus_equals_bs_amplitude_bitwise():
+    # the Kraus operators are built from the rows of _kraus_weights, each
+    # entry as bs_amplitude would give it alone
+    dim = 12
+    for t in (0.3, 0.7071, 0.99):
+        want = np.zeros((dim, dim, dim))
+        for q in range(dim):
+            for n in range(q, dim):
+                want[q, n - q, n] = bs_amplitude(n, q, t)
+        assert loss_kraus(t, dim).tobytes() == want.tobytes(), t
+
+
 def test_loss_identity_at_unit_transmissivity():
     st = tmss(0.1, TruncationConfig(7))
     out = loss_event(st, LossChannelParams(1.0))
@@ -523,10 +535,10 @@ def test_scan_prepares_one_source_per_branch(monkeypatch):
     monkeypatch.setattr(protocol, "_mash_source", counting)
     cfg = TruncationConfig(7)
     loss, sub = LossChannelParams.from_tau(100.0), SubtractionParams(0.9)
-    assert protocol.critical_attempts(0.1, loss, sub, cfg).m_c == 4
+    assert protocol.average_entanglement(0.1, loss, sub, cfg).m_c == 4
     assert sizes == [1, 2, 4]  # j = 1, 2-3, 4-7: j = 6 and 7 past j = 5
     # a scan that runs no mashing round builds no source
-    protocol.critical_attempts(0.1, loss, sub, cfg, max_iter=0)
+    protocol.average_entanglement(0.1, loss, sub, cfg, max_iter=0)
     assert sizes == [1, 2, 4]
 
 

@@ -7,7 +7,6 @@ import pytest
 import oracles
 from distillery import (
     AvgEntanglement,
-    CriticalCount,
     LossChannelParams,
     MaltingSchedule,
     NoConvergenceError,
@@ -17,7 +16,6 @@ from distillery import (
     ZeroTraceError,
     auto_n_max,
     average_entanglement,
-    critical_attempts,
     detect_one_mode,
     full_protocol,
     log_negativity,
@@ -82,10 +80,10 @@ def _mash_step_at_zero_weight():
          "i_max must be an integer >= 1, got 1.5"),
         (lambda: subtraction_probability_matrix(LAM, LOSS, SUB, CFG, 1, 0.5),
          "j_max must be an integer >= 1, got 0.5"),
-        (lambda: mash_iterate(_RHO, max_iter=0), "max_iter must be an integer >= 1, got 0"),
+        (lambda: mash_iterate(_RHO, max_iter=-1), "max_iter must be an integer >= 0, got -1"),
         (lambda: mash_iterate(_RHO, max_iter=1.5),
-         "max_iter must be an integer >= 1, got 1.5"),
-        (lambda: critical_attempts(LAM, LOSS, SUB, CFG, max_iter=0.5),
+         "max_iter must be an integer >= 0, got 1.5"),
+        (lambda: average_entanglement(LAM, LOSS, SUB, CFG, max_iter=0.5),
          "max_iter must be an integer >= 0, got 0.5"),
         (lambda: TruncationConfig(8.5), "n_max must be an integer >= 1, got 8.5"),
         (lambda: MaltingSchedule(1, 2.5, LOSS, SUB), "m_b must be an integer >= 1, got 2.5"),
@@ -95,7 +93,7 @@ def _mash_step_at_zero_weight():
     ids=["repeated-loss-m", "repeated-loss-m-fraction", "detect-mode", "detect-q",
          "mash-step-dims", "coeffs-shape", "trace-distance-cutoffs", "pij-i-max",
          "pij-i-max-fraction", "pij-j-max-fraction", "mash-iterate-max-iter",
-         "mash-iterate-max-iter-fraction", "critical-attempts-max-iter-fraction",
+         "mash-iterate-max-iter-fraction", "average-entanglement-max-iter-fraction",
          "n-max-fraction", "schedule-m-b-fraction", "mash-step-zero-weight",
          "auto-n-max-lambda"],
 )
@@ -105,9 +103,10 @@ def test_library_refusals(call, message):
 
 
 def test_mashing_refuses_cutoffs_whose_weights_overflow(monkeypatch):
-    # at n_max = 99 the output weights overflow (channels._MASH_MAX_N_MAX):
-    # every mashing entry point refuses the cutoff, with or without rounds,
-    # before any weight table, d^4 array or malting exists
+    # at n_max = 99 the untilted output weights overflow
+    # (channels._MASH_MAX_N_MAX): every mashing entry point refuses the
+    # cutoff, with or without rounds, before any weight table, d^4 array or
+    # malting exists
     def refuse(*args):
         raise AssertionError("built past the mashing cutoff")
 
@@ -120,10 +119,11 @@ def test_mashing_refuses_cutoffs_whose_weights_overflow(monkeypatch):
     for call in (
         lambda: mash_step(rho, rho),
         lambda: mash_iterate(rho),
+        lambda: mash_iterate(rho, max_iter=0),
         lambda: full_protocol(LAM, schedule, cfg),
+        lambda: full_protocol(LAM, schedule, cfg, max_iter=0),
         lambda: average_entanglement(LAM, LOSS, SUB, cfg),
         lambda: average_entanglement(LAM, LOSS, SUB, cfg, max_iter=0),
-        lambda: critical_attempts(LAM, LOSS, SUB, cfg),
     ):
         with pytest.raises(ValueError, match=r"^mashing needs n_max <= 98; at n_max=99 "):
             call()
@@ -258,6 +258,11 @@ def test_mash_iterate_forced_round_count():
     assert out.iterations == 3
     assert not out.converged
     assert len(out.mash_probs) == 3
+    # zero rounds, the malt-only baseline, return the input as it is
+    out = mash_iterate(rec.state, max_iter=0)
+    assert (out.iterations, out.converged, out.tail, out.mash_probs) == (0, False, 0.0, [])
+    assert out.rho_final.sector.tobytes() == rec.state.sector.tobytes()
+    assert out.negativity_by_stage == [log_negativity(rec.state).value]
 
 
 def test_full_protocol_concatenates_stages():
@@ -269,18 +274,18 @@ def test_full_protocol_concatenates_stages():
     assert len(out.negativity_by_stage) == len(malt_part) + out.iterations
     assert out.negativity_by_stage[-1] > BASE
     assert out.converged
+    assert full_protocol(LAM, sched, CFG, max_iter=0).negativity_by_stage == malt_part
 
 
 def test_critical_attempts_below_threshold():
-    cc = critical_attempts(LAM, LOSS, SubtractionParams(0.6), CFG)
-    assert isinstance(cc, CriticalCount)
-    assert cc.m_c == 0
-    assert cc.baseline_negativity == pytest.approx(BASE, rel=1e-12)
+    avg = average_entanglement(LAM, LOSS, SubtractionParams(0.6), CFG)
+    assert avg.m_c == 0
+    assert protocol.baseline_negativity(LAM) == pytest.approx(BASE, rel=1e-12)
 
 
 def test_critical_attempts_monotone_in_ts():
     values = [
-        critical_attempts(LAM, LOSS, SubtractionParams(ts), CFG).m_c
+        average_entanglement(LAM, LOSS, SubtractionParams(ts), CFG).m_c
         for ts in (0.7, 0.75, 0.85, 0.99)
     ]
     assert values[0] == 0
@@ -290,19 +295,19 @@ def test_critical_attempts_monotone_in_ts():
 
 
 def test_critical_attempts_zero_squeezing_and_lossless_guard():
-    assert critical_attempts(0.0, LOSS, SUB, TruncationConfig(1)).m_c == 0
+    assert average_entanglement(0.0, LOSS, SUB, TruncationConfig(1)).m_c == 0
     with pytest.raises(ValueError):
-        critical_attempts(LAM, LossChannelParams(1.0), SUB, CFG)
+        average_entanglement(LAM, LossChannelParams(1.0), SUB, CFG)
 
 
 def test_critical_attempts_gain_matches_independent_protocol_runs():
     # the scan must agree with running the schedule from scratch per j
-    cc = critical_attempts(LAM, LOSS, SubtractionParams(0.8), CFG)
-    assert cc.m_c >= 1
-    for j in range(1, cc.m_c + 2):
+    avg = average_entanglement(LAM, LOSS, SubtractionParams(0.8), CFG)
+    assert avg.m_c >= 1
+    for j in range(1, avg.m_c + 2):
         out = full_protocol(LAM, MaltingSchedule(1, j, LOSS, SubtractionParams(0.8)), CFG)
         gained = out.negativity_by_stage[-1] > BASE
-        assert gained == (j <= cc.m_c)
+        assert gained == (j <= avg.m_c)
 
 
 def test_arm_b_branches_match_independent_malts():
@@ -318,7 +323,7 @@ def test_arm_b_branches_match_independent_malts():
 
 def test_no_convergence_is_an_error_in_the_scan():
     with pytest.raises(NoConvergenceError):
-        critical_attempts(LAM, LOSS, SUB, CFG, max_iter=1)
+        average_entanglement(LAM, LOSS, SUB, CFG, max_iter=1)
 
 
 def test_average_entanglement_zero_without_gain():
@@ -330,7 +335,6 @@ def test_average_entanglement_zero_without_gain():
 
 def test_average_entanglement_is_weighted_mean():
     avg = average_entanglement(LAM, LOSS, SUB, CFG)
-    assert len(avg.terms) == critical_attempts(LAM, LOSS, SUB, CFG).m_c
     weight = sum(p for _, p, _ in avg.terms)
     raw = sum(p * n for _, p, n in avg.terms)
     assert avg.value == pytest.approx(raw / weight, rel=1e-12)
@@ -351,41 +355,40 @@ def test_scan_reports_mash_rounds_and_worst_discard():
     # the chunked scan against the branch-by-branch reference, for every
     # retained j and the first failing one
     avg = average_entanglement(LAM, LOSS, SUB, CFG)
-    cc = critical_attempts(LAM, LOSS, SUB, CFG)
-    assert len(avg.terms) == cc.m_c
+    assert avg.m_c == len(avg.terms)
     rounds = []
-    for j in range(1, cc.m_c + 2):
+    for j in range(1, avg.m_c + 2):
         rec = malt(LAM, MaltingSchedule(1, j, LOSS, SUB), CFG)
         out = mash_iterate(rec.state)
         rounds.append(out.iterations)
         neg = out.negativity_by_stage[-1]
-        if j > cc.m_c:
+        if j > avg.m_c:
             assert neg <= BASE
             continue
         jj, p, n = avg.terms[j - 1]
         assert jj == j
         assert p == pytest.approx(rec.joint_prob * math.prod(out.mash_probs), rel=1e-12)
         assert n == pytest.approx(neg, rel=1e-12)
-    assert avg.mash_rounds == cc.mash_rounds == sum(rounds)
+    assert avg.mash_rounds == sum(rounds)
     # the chunks, of widths 1, 2, 4, ... up to the plan's width, mash past
     # the first failing j to the end of its chunk
     mashed, width = 0, 1
-    while mashed < cc.m_c + 1:
+    while mashed < avg.m_c + 1:
         mashed, width = mashed + width, min(2 * width, channels._plan(CFG.dim).width)
-    assert avg.mashed_branches == cc.mashed_branches == mashed
+    assert avg.mashed_branches == mashed
     # on the scan's own malted states the batch-of-1 path gives every
     # reduction bit for bit: rounds, worst discard, worst tail and terms
-    branches = _arm_b_branches(SUB, cc.m_c + 1)
+    branches = _arm_b_branches(SUB, avg.m_c + 1)
     runs = [mash_iterate(st) for _, st in branches]
     assert [r.iterations for r in runs] == rounds
-    assert avg.max_discarded == cc.max_discarded == max(r.max_discarded for r in runs)
-    assert avg.max_tail == cc.max_tail == max(r.tail for r in runs)
+    assert avg.max_discarded == max(r.max_discarded for r in runs)
+    assert avg.max_tail == max(r.tail for r in runs)
     assert avg.terms == [
         (j, p_j * math.prod(r.mash_probs), r.negativity_by_stage[-1])
         for j, ((p_j, _), r) in enumerate(zip(branches[:-1], runs), start=1)
     ]
-    assert 0.0 <= cc.max_discarded < 1e-9
-    assert 0.0 < cc.max_tail < CONV_TOL / 3
+    assert 0.0 <= avg.max_discarded < 1e-9
+    assert 0.0 < avg.max_tail < CONV_TOL / 3
     malt_only = average_entanglement(LAM, LOSS, SUB, CFG, max_iter=0)
     diagnostics = (malt_only.mash_rounds, malt_only.max_discarded, malt_only.max_tail)
     assert diagnostics == (0, 0.0, 0.0)
@@ -437,15 +440,12 @@ def test_scan_drops_branches_past_the_first_failing_j(monkeypatch, failure, erro
     # at t_s = 0.9 the first failing j is 5, and the chunk j = 4..7 mashes
     # j = 6 and 7 as well; a failure there must not reach the result
     sub = SubtractionParams(0.9)
-    ref = critical_attempts(LAM, LOSS, sub, CFG)
-    ref_avg = average_entanglement(LAM, LOSS, sub, CFG)
+    ref = average_entanglement(LAM, LOSS, sub, CFG)
     assert ref.m_c == 4
     states = [st for _, st in _arm_b_branches(sub, 6)]
     followed = _poison(monkeypatch, failure, states[5].sector)
-    assert critical_attempts(LAM, LOSS, sub, CFG) == ref
+    assert average_entanglement(LAM, LOSS, sub, CFG) == ref
     assert len(followed) == (51 if failure == "step" else 2)  # j = 6 was mashed
-    del followed[1:]
-    assert average_entanglement(LAM, LOSS, sub, CFG) == ref_avg
     # on its own the branch fails, and at the first failing j the scan does
     del followed[1:]
     if failure == "step":
@@ -455,7 +455,7 @@ def test_scan_drops_branches_past_the_first_failing_j(monkeypatch, failure, erro
             mash_iterate(states[5])
     followed[:] = [states[4].sector]
     with pytest.raises(error, match=message):
-        critical_attempts(LAM, LOSS, sub, CFG)
+        average_entanglement(LAM, LOSS, sub, CFG)
 
 
 def test_mashing_checks_hermiticity_against_the_run_eig_tol():
@@ -503,8 +503,8 @@ def test_mashing_solves_few_distances_and_windows_each_chunk_once(monkeypatch):
         return real_operand(y)
 
     monkeypatch.setattr(channels, "_source_operand", expanding)
-    cc = critical_attempts(LAM, LOSS, SubtractionParams(0.9), CFG)
-    assert cc.m_c == 4 and cc.mash_rounds >= 5 * 8
+    avg = average_entanglement(LAM, LOSS, SubtractionParams(0.9), CFG)
+    assert avg.m_c == 4 and avg.mash_rounds >= 5 * 8
     assert expansions == [(1,), (2,), (4,)]
 
 
@@ -675,13 +675,13 @@ def test_average_entanglement_weights_shrink_with_postselection():
 
 def test_malt_only_gain_mode():
     # the malt-only baseline is the scan with zero mashing rounds
-    cc = critical_attempts(LAM, LOSS, SUB, CFG, max_iter=0)
-    full = critical_attempts(LAM, LOSS, SUB, CFG)
-    assert cc.m_c >= 1
+    malt_only = average_entanglement(LAM, LOSS, SUB, CFG, max_iter=0)
+    full = average_entanglement(LAM, LOSS, SUB, CFG)
+    assert malt_only.m_c >= 1
     # mashing adds negativity on top of malting, never removes the gain
-    assert cc.m_c <= full.m_c
+    assert malt_only.m_c <= full.m_c
     with pytest.raises(ValueError, match="max_iter must be an integer >= 0"):
-        critical_attempts(LAM, LOSS, SUB, CFG, max_iter=-1)
+        average_entanglement(LAM, LOSS, SUB, CFG, max_iter=-1)
 
 
 def test_protocol_never_expands_to_dense(monkeypatch):

@@ -257,7 +257,7 @@ def test_squeezing_near_one_fails_fast(monkeypatch, tmp_path, capsys):
 
 # a valid value for each flag a row of sweep.COMMANDS can name
 _OWN_VALUES = {"steps": "1", "ma": "1", "mb": "1", "imax": "1", "jmax": "2",
-               "max_iter": "50", "baseline": "tmss"}
+               "max_iter": "50"}
 
 
 def _row_argv(command, out):
@@ -296,9 +296,9 @@ _COMMON_KEYS = ["command", "version", "lambda", "t", "tau", "ts", "n_max",
         ("pij", ["imax", "jmax"], []),
         ("distill", ["ma", "mb", "max_iter"],
          ["joint_prob", "mash_iterations", "converged", "max_discarded", "tail"]),
-        ("mc-sweep", ["max_iter", "baseline"],
+        ("mc-sweep", ["max_iter"],
          ["baseline_negativity", "mash_rounds", "mashed_branches", "max_discarded", "max_tail"]),
-        ("avg-ent", ["max_iter", "baseline"],
+        ("avg-ent", ["max_iter"],
          ["mash_rounds", "mashed_branches", "max_discarded", "max_tail"]),
     ],
 )
@@ -534,21 +534,33 @@ def test_sweeps_report_mash_diagnostics_per_point(tmp_path):
         assert 0.0 <= float(meta["max_discarded"]) < 1e-9
         assert 0.0 < float(meta["max_tail"]) < float(meta["conv_tol"]) / 3
     out = tmp_path / "mo.csv"
-    assert main(["mc-sweep"] + argv + ["--baseline", "malt-only", "--out", str(out)]) == 0
+    assert main(["mc-sweep"] + argv + ["--max-iter", "0", "--out", str(out)]) == 0
     meta, _ = _split(out)
     assert meta["mash_rounds"] == "0;0;0"
     assert float(meta["max_discarded"]) == 0.0
     assert float(meta["max_tail"]) == 0.0
 
 
-def test_baseline_flag_selects_malt_only_gain(tmp_path):
+def test_max_iter_zero_selects_malt_only_gain(tmp_path, capsys):
+    # --max-iter 0 is the malt-only baseline: the scan with zero mashing
+    # rounds, and distill's malting rows alone; --baseline is gone
+    argv = ["--lambda", "0.1", "--tau", "100", "--ts", "0.99"]
     out = tmp_path / "mo.csv"
-    rc = main(["mc-sweep", "--lambda", "0.1", "--tau", "100", "--ts", "0.99",
-               "--baseline", "malt-only", "--out", str(out)])
-    assert rc == 0
+    assert main(["mc-sweep", *argv, "--max-iter", "0", "--out", str(out)]) == 0
     meta, body = _split(out)
-    assert meta["baseline"] == "malt-only"
+    assert meta["max_iter"] == "0"
     assert int(body[1].split(",")[1]) >= 1
+    arms = ["--ma", "1", "--mb", "3"]
+    assert main(["malt-trace", *argv, *arms, "--out", str(tmp_path / "m.csv")]) == 0
+    assert main(["distill", *argv, *arms, "--max-iter", "0", "--out", str(out)]) == 0
+    meta, body = _split(out)
+    assert meta["max_iter"] == "0" and meta["mash_iterations"] == "0"
+    trace = [row.split(",") for row in _split(tmp_path / "m.csv")[1][1:]]
+    assert [row.split(",")[:3] for row in body[1:]] == [[m, "malt", n] for m, n in trace]
+    _fails_fast(["mc-sweep", *argv, "--baseline", "malt-only", "--out", str(out)], capsys,
+                "unrecognized arguments: --baseline")
+    _fails_fast(["avg-ent", *argv, "--max-iter", "-1", "--out", str(out)], capsys,
+                "--max-iter: max_iter must be an integer >= 0, got -1")
 
 
 # --- exit codes ------------------------------------------------------------
@@ -849,8 +861,9 @@ def test_mashing_commands_refuse_overflowing_cutoffs(tmp_path, capsys):
         rc = main([command] + argv + own + ["--n-max", "99", "--out", str(out)])
         assert rc == 1
         assert (
-            "--n-max: mashing needs n_max <= 98; at n_max=99 its weights ((n_max)!)^2 "
-            "overflow float64" in capsys.readouterr().err
+            "--n-max: mashing needs n_max <= 98; at n_max=99 the untilted projector "
+            "weights ((n_max)!)^2 overflow float64, and mashing past n_max=98 has not "
+            "been checked" in capsys.readouterr().err
         )
         assert not out.exists()
     # malting alone has no such limit; only the memory budget refuses it
@@ -865,15 +878,22 @@ def test_mashing_commands_refuse_overflowing_cutoffs(tmp_path, capsys):
 
 
 def test_mash_limit_is_where_the_output_weights_overflow():
-    # the largest output weight of mash_step is sf[d-1]^4 = ((d - 1)!)^2,
-    # the last entry of diagonal 0 of the output weight table once its exact
-    # tilt 2^(-4(d - 1)) is taken off (channels._mash_weights)
+    # the largest untilted output weight of mash_step is sf[d-1]^4 =
+    # ((d - 1)!)^2, the last entry of diagonal 0 of the output weight table
+    # once its exact tilt 2^(-4(d - 1)) is taken off (channels._mash_weights)
     def top(dim):
         with np.errstate(over="ignore"):
             return np.ldexp(channels._mash_weights(dim)[-1][0, -1, -1], 4 * (dim - 1))
 
     assert np.isfinite(top(channels._MASH_MAX_N_MAX + 1))
     assert np.isinf(top(channels._MASH_MAX_N_MAX + 2))
+    # the tilted tables the kernel builds do not overflow there: every
+    # entry of both, padding aside, is a finite normal float64
+    for dim in (channels._MASH_MAX_N_MAX + 1, channels._MASH_MAX_N_MAX + 2):
+        for table in channels._mash_weights(dim):
+            entries = np.abs(table[table != 0.0])
+            assert np.isfinite(entries).all(), dim
+            assert (entries >= np.finfo(np.float64).tiny).all(), dim
     # and the plan, which every mashing path reads first, refuses that cutoff
     channels._plan(channels._MASH_MAX_N_MAX + 1)
     with pytest.raises(ValueError, match=r"^mashing needs n_max <= 98; at n_max=99 "):
