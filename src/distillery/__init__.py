@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 _SUBMODULE_NAMES = {
     "channels": (
         "LossChannelParams",
-        "MashResult",
         "SubtractionParams",
         "bs_amplitude",
         "detect_one_mode",
@@ -20,7 +19,6 @@ _SUBMODULE_NAMES = {
         "fock_bs_element",
         "loss_event",
         "loss_kraus",
-        "mash_step",
         "repeated_loss",
     ),
     "core": (
@@ -35,6 +33,7 @@ _SUBMODULE_NAMES = {
         "tmss",
         "vacuum",
     ),
+    "mashing": ("DistillationOutcome", "MashResult", "mash_iterate", "mash_step"),
     "negativity": (
         "NegativityResult",
         "log_negativity",
@@ -43,14 +42,12 @@ _SUBMODULE_NAMES = {
     ),
     "protocol": (
         "AvgEntanglement",
-        "DistillationOutcome",
         "MaltingRecord",
         "MaltingSchedule",
         "NoConvergenceError",
         "average_entanglement",
         "full_protocol",
         "malt",
-        "mash_iterate",
         "subtraction_probability_matrix",
     ),
     "sweep": ("RunConfig", "run", "write_csv"),

@@ -96,7 +96,7 @@ MEMORY_BUDGET_BYTES = 4 * 2**30
 def working_set_bytes(name, n_max, flags):
     """Estimated peak memory of subcommand `name` at cutoff n_max with its
     flags (a dict over RunConfig's fields): the arrays and the CSV rows
-    that its row of sweep.COMMANDS counts; channels._plan refuses
+    that its row of sweep.COMMANDS counts; mashing._plan refuses
     (ValueError) a cutoff mashing cannot run."""
     command = COMMANDS[name]
     return 8 * command.floats(n_max + 1, flags) + command.row_bytes * command.rows(flags)
@@ -190,7 +190,7 @@ def validate_config(ns):
 
     if n_max >= 1:
         # a flag that is missing or invalid counts at its RunConfig default;
-        # 0 where channels._plan refuses a cutoff mashing cannot run
+        # 0 where mashing._plan refuses a cutoff mashing cannot run
         flags = {**_DEFAULTS, **own}
         need = _build(errors, "--n-max", working_set_bytes, name, n_max, flags) or 0
         if need > MEMORY_BUDGET_BYTES:

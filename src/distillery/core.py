@@ -67,22 +67,22 @@ class TruncationConfig(_TruncationFields):
         return self.n_max + 1
 
 
-def auto_n_max(lam, trace_tol=TRACE_TOL):
-    """Smallest cutoff whose discarded squeezed-state tail stays below trace_tol.
+def auto_n_max(lam):
+    """Smallest cutoff whose discarded squeezed-state tail stays below TRACE_TOL.
 
     The tail weight of the geometric photon-number distribution beyond n_max
     is lam^(2*(n_max + 1)). The cutoff is the first n_max >= 1 whose float
-    tail falls below trace_tol: estimated from logarithms, then corrected
+    tail falls below TRACE_TOL: estimated from logarithms, then corrected
     with that float test, so lam near 1 costs a few steps, not one per cutoff.
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
-    if lam**4 < trace_tol:
+    if lam**4 < TRACE_TOL:
         return 1
-    n = max(1, math.ceil(math.log(trace_tol) / (2.0 * math.log(lam))) - 1)
-    while n > 1 and lam ** (2 * n) < trace_tol:
+    n = max(1, math.ceil(math.log(TRACE_TOL) / (2.0 * math.log(lam))) - 1)
+    while n > 1 and lam ** (2 * n) < TRACE_TOL:
         n -= 1
-    while lam ** (2 * (n + 1)) >= trace_tol:
+    while lam ** (2 * (n + 1)) >= TRACE_TOL:
         n += 1
     return n
 

@@ -5,8 +5,7 @@ subtraction attempt on every arm that has not yet counted a phonon (forced
 vacuum outcome before an arm's success cycle, a single count at it). An arm
 that has succeeded keeps decohering but is no longer measured.
 
-Mashing: successive 50/50 interference of the current state with a fresh
-malted copy, conditioned on vacuum, iterated to a fixed point.
+Mashing (see the mashing module) takes the malted state to its fixed point.
 """
 
 import math
@@ -14,20 +13,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channels import (
-    LossChannelParams,
-    SubtractionParams,
-    _check_normalized,
-    _count,
-    _kraus_weights,
-    _mash_round,
-    _mash_source,
-    _plan,
-    _zero_weight_error,
-    loss_event,
-)
+from .channels import LossChannelParams, SubtractionParams, _count, _kraus_weights, loss_event
 from .core import (
-    CONV_TOL,
     MAX_ITER,
     TRACE_TOL,
     TwoModeState,
@@ -37,7 +24,8 @@ from .core import (
     _wrap_fresh,
     tmss,
 )
-from .negativity import _log_negativities, _trace_distances, log_negativity
+from .mashing import _mash_stack, _plan, mash_iterate
+from .negativity import log_negativity
 
 
 class NoConvergenceError(RuntimeError):
@@ -67,18 +55,6 @@ class MaltingRecord(NamedTuple):
     joint_prob: float
     negativity_trace: list  # (clock-cycle, negativity) pairs, cycle 0 = input state
     cycle_probs: list = ()  # detection weight per cycle
-
-
-class DistillationOutcome(NamedTuple):
-    rho_final: TwoModeState
-    iterations: int
-    mash_probs: list
-    negativity_by_stage: list
-    converged: bool
-    max_discarded: float = 0.0
-    # last round's trace distance / 3: a close estimate (not a bound) of the
-    # distance left to the fixed point; see mash_iterate
-    tail: float = 0.0
 
 
 class AvgEntanglement(NamedTuple):
@@ -199,107 +175,6 @@ def subtraction_probability_matrix(lam, loss, sub, cfg, i_max, j_max):
     return (f[:i_max] * w) @ f[:j_max].T
 
 
-# Relative margin on CONV_TOL below which _mash_stack solves a branch's
-# trace distance: rounding in the Frobenius bound and in the eigensolve is
-# orders of magnitude smaller, so a branch it skips could not have
-# converged.
-_BOUND_MARGIN = 1e-9
-
-
-def _mash_stack(x_0, max_iter, every_round):
-    """Mash each normalized stored array of the stack x_0 (b, d, d, d)
-    against fresh copies of itself until successive iterates are
-    CONV_TOL-close in trace distance, for at most max_iter rounds (0 leaves
-    each array as it is), as one stacked iteration: each round is one call
-    per kernel for the branches still running, and a branch leaves the
-    stack when it stops. The source side of the rounds (_mash_source) is
-    built once, if any round runs, and its rows are taken as branches
-    leave.
-
-    Returns one entry per branch, in order: its DistillationOutcome, or the
-    ZeroTraceError that stopped it, not raised. The
-    negativities are the input's and each round's with every_round, else
-    the last iterate's alone.
-    """
-    b = len(x_0)
-    source = _mash_source(x_0) if max_iter else None
-    final = list(x_0)
-    probs = [[] for _ in range(b)]
-    negs = [[] for _ in range(b)]
-    if every_round:
-        for neg, res in zip(negs, _log_negativities(x_0)):
-            neg.append(res.value)
-    cut, dist, error, converged = [0.0] * b, [0.0] * b, [None] * b, [False] * b
-    live, cur = list(range(b)), x_0
-    for r in range(max_iter):
-        new, prob, discarded, weight = _mash_round(cur, source)
-        # the last allowed round solves every branch, for its tail; before
-        # it, a branch whose Frobenius bound exceeds CONV_TOL by more than
-        # rounding cannot converge this round and is not solved
-        below = CONV_TOL * (1.0 + _BOUND_MARGIN) if r + 1 < max_iter else math.inf
-        step = _trace_distances(new, cur, below)
-        round_negs = _log_negativities(new) if every_round else None
-        going = []
-        rows = zip(live, weight.tolist(), prob.tolist(), discarded.tolist())
-        for a, (i, w, p, c) in enumerate(rows):
-            if w <= TRACE_TOL:
-                error[i] = _zero_weight_error(w)
-                continue
-            probs[i].append(p)
-            cut[i] = max(cut[i], c)
-            if every_round:
-                negs[i].append(round_negs[a].value)
-            final[i], dist[i] = new[a], float(step[a])
-            if dist[i] < CONV_TOL:
-                converged[i] = True
-            else:
-                going.append(a)
-        if not going:
-            break
-        if len(going) < len(live):
-            source = tuple(part[going] for part in source)
-            new = new[going]
-        live, cur = [live[a] for a in going], new
-    if not every_round:
-        done = [i for i in range(b) if error[i] is None]
-        if done:
-            finals = np.stack([final[i] for i in done])
-            for i, res in zip(done, _log_negativities(finals)):
-                negs[i].append(res.value)
-    return [
-        error[i]
-        or DistillationOutcome(
-            _wrap_fresh(final[i]),
-            len(probs[i]),
-            probs[i],
-            negs[i],
-            converged[i],
-            cut[i],
-            dist[i] / 3.0,
-        )
-        for i in range(b)
-    ]
-
-
-def mash_iterate(rho_0, max_iter=MAX_ITER):
-    """Iterate mashing rounds against fresh copies of rho_0 until successive
-    iterates are within CONV_TOL in trace distance, for at most
-    max_iter rounds. The outcome's tail, the last round's trace distance
-    over 3, estimates the distance left to the fixed point: it is the rest
-    of the series if the iterates close in by exactly 1/4 per round. They
-    close in a little slower, and on malted states the distance left
-    measured 1.00006-1.00018 times tail, so tail is a close estimate, not a
-    bound. max_iter = 0 runs no round: the outcome holds rho_0 itself, with
-    iterations 0, converged False and tail 0."""
-    max_iter = _integer("max_iter", max_iter, 0)
-    _plan(rho_0.dim)  # a cutoff mashing cannot run is refused, with or without rounds
-    _check_normalized(rho_0)
-    (run,) = _mash_stack(rho_0.sector[None], max_iter, every_round=True)
-    if isinstance(run, Exception):
-        raise run
-    return run
-
-
 def full_protocol(lam, schedule, cfg, max_iter=MAX_ITER):
     """Malting followed by iterated mashing; negativity_by_stage concatenates
     the per-cycle malting trace with the per-round mashing values."""
@@ -365,7 +240,7 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=MAX_ITER):
     """
     max_iter = _integer("max_iter", max_iter, 0)
     # chunks of widths 1, 2, 4, ... up to the plan's width: as many branches
-    # as the expansions their runs keep fit into 1 MiB (channels._plan),
+    # as the expansions their runs keep fit into 1 MiB (mashing._plan),
     # 16 at d = 8, 2 at d = 13 and 1 from d = 14 on; read first, so that
     # the plan refuses a cutoff mashing cannot run, with or without rounds
     width = _plan(cfg.dim).width

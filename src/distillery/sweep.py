@@ -18,8 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channels import LossChannelParams, _plan, loss_event
+from .channels import LossChannelParams, loss_event
 from .core import CONV_TOL, EIG_TOL, MAX_ITER, TRACE_TOL, TruncationConfig, tmss
+from .mashing import _plan, mash_iterate
 from .negativity import _log_negativities
 from .protocol import (
     MaltingSchedule,
@@ -27,7 +28,6 @@ from .protocol import (
     average_entanglement,
     baseline_negativity,
     malt,
-    mash_iterate,
     subtraction_probability_matrix,
 )
 
@@ -55,9 +55,7 @@ class RunConfig(NamedTuple):
 
 
 def _fmt(x):
-    if isinstance(x, (bool, np.bool_)):
-        return str(int(x))
-    if isinstance(x, (int, np.integer)):
+    if isinstance(x, (bool, np.bool_, int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
         return format(float(x), ".15g")

@@ -24,8 +24,9 @@ from distillery import (
     tmss,
     vacuum,
 )
-from distillery import channels, protocol
-from distillery.channels import _loss_maps, _mash_source, _sqrt_fact
+from distillery import channels, mashing, protocol
+from distillery.channels import _loss_maps
+from distillery.mashing import _mash_source, _sqrt_fact
 from distillery.core import TRACE_TOL
 
 # double subtraction q_A=q_B=1 straight on tmss(0.1), t_s=0.99, n_max=8,
@@ -513,11 +514,10 @@ def test_mash_iterate_prepares_rho_0_once(monkeypatch):
         calls.append(len(c_0))
         return _mash_source(c_0)
 
-    monkeypatch.setattr(channels, "_mash_source", counting)
-    monkeypatch.setattr(protocol, "_mash_source", counting)
+    monkeypatch.setattr(mashing, "_mash_source", counting)
     cfg = TruncationConfig(3)
     malted = _one_cycle_state(cfg)
-    out = protocol.mash_iterate(malted, max_iter=4)
+    out = mashing.mash_iterate(malted, max_iter=4)
     assert out.iterations == 4
     assert calls == [1]
 
@@ -532,7 +532,7 @@ def test_scan_prepares_one_source_per_branch(monkeypatch):
         sizes.append(len(x_0))
         return _mash_source(x_0)
 
-    monkeypatch.setattr(protocol, "_mash_source", counting)
+    monkeypatch.setattr(mashing, "_mash_source", counting)
     cfg = TruncationConfig(7)
     loss, sub = LossChannelParams.from_tau(100.0), SubtractionParams(0.9)
     assert protocol.average_entanglement(0.1, loss, sub, cfg).m_c == 4
@@ -548,7 +548,7 @@ def test_stacked_mash_round_equals_batch_of_one_bitwise():
     cfg = TruncationConfig(3)
     states = [_one_cycle_state(cfg), _random_state(4, 11), _random_state(4, 12)]
     x = np.stack([st.sector for st in states])
-    kept, prob, discarded, weight = channels._mash_round(x, _mash_source(x))
+    kept, prob, discarded, weight = mashing._mash_round(x, _mash_source(x))
     for i, st in enumerate(states):
         alone = mash_step(st, st)
         assert kept[i].tobytes() == alone.state.sector.tobytes()
@@ -570,11 +570,11 @@ def _assert_convolution_matches(x, y, want=None):
     # through the operand form a mashing run keeps (the expansion up to
     # d = 16) and, with the plan forced to keep nothing, through the
     # shift-by-shift copy
-    got = [channels._truncated_convolution(x, channels._source_operand(y))]
-    plan = channels._plan
+    got = [mashing._truncated_convolution(x, mashing._source_operand(y))]
+    plan = mashing._plan
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(channels, "_plan", lambda dim: plan(dim)._replace(kept=0))
-        got.append(channels._truncated_convolution(x, channels._source_operand(y)))
+        mp.setattr(mashing, "_plan", lambda dim: plan(dim)._replace(kept=0))
+        got.append(mashing._truncated_convolution(x, mashing._source_operand(y)))
     if want is None:
         want = [_shift_and_add(xi, yi) for xi, yi in zip(x, y)]
     for out in got:
@@ -613,19 +613,19 @@ def test_truncated_convolution_at_every_block_count(monkeypatch):
     want = None
     for s_m in range(1, 14):
         for s_k in range(1, 14):
-            plan = channels._Plan(s_m, s_k, _m_starts(13, s_m), 1, 1)
-            monkeypatch.setattr(channels, "_plan", lambda dim, p=plan: p)
+            plan = mashing._Plan(s_m, s_k, _m_starts(13, s_m), 1, 1)
+            monkeypatch.setattr(mashing, "_plan", lambda dim, p=plan: p)
             want = _assert_convolution_matches(x, y, want)
 
 
 def test_block_counts_keep_k_blocks_15_wide():
     def counts(d):
-        plan = channels._plan(d)
+        plan = mashing._plan(d)
         return -(-d // plan.m_side), -(-d // plan.k_side)
 
     assert [counts(d) for d in (8, 13, 14, 16, 19, 24, 34, 99)] == [
         (1, 1), (1, 1), (2, 1), (2, 1), (5, 1), (12, 1), (17, 2), (50, 6)]
     for d in range(1, 100):
-        plan = channels._plan(d)
+        plan = mashing._plan(d)
         assert plan.m_starts == _m_starts(d, plan.m_side)
         assert plan.m_side >= min(d, 2) and (plan.k_side == d or plan.k_side >= 15)

@@ -29,7 +29,7 @@ from distillery import (
     trace_distance,
     vacuum,
 )
-from distillery import channels, negativity, protocol
+from distillery import mashing, negativity, protocol
 from distillery.core import CONV_TOL, EIG_TOL
 
 # malt(1,1) probability at lambda=0.1, tau=100, t_s=0.99, n_max=8:
@@ -49,14 +49,14 @@ _RHO = tmss(LAM, CFG)
 
 def _mash_step_at_zero_weight():
     # mash_step with every kept weight patched to 0, as _poison does below
-    real_round = channels._mash_round
+    real_round = mashing._mash_round
 
     def zero_weight(cur, source):
         kept, prob, discarded, weight = real_round(cur, source)
         return kept, prob, discarded, np.zeros_like(weight)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(channels, "_mash_round", zero_weight)
+        mp.setattr(mashing, "_mash_round", zero_weight)
         mash_step(_RHO, _RHO)
 
 
@@ -104,13 +104,13 @@ def test_library_refusals(call, message):
 
 def test_mashing_refuses_cutoffs_whose_weights_overflow(monkeypatch):
     # at n_max = 99 the untilted output weights overflow
-    # (channels._MASH_MAX_N_MAX): every mashing entry point refuses the
+    # (mashing._MASH_MAX_N_MAX): every mashing entry point refuses the
     # cutoff, with or without rounds, before any weight table, d^4 array or
     # malting exists
     def refuse(*args):
         raise AssertionError("built past the mashing cutoff")
 
-    for module, name in ((channels, "_mash_weights"), (channels, "_truncated_convolution"),
+    for module, name in ((mashing, "_mash_weights"), (mashing, "_truncated_convolution"),
                          (protocol, "loss_event")):
         monkeypatch.setattr(module, name, refuse)
     cfg = TruncationConfig(99)
@@ -374,7 +374,7 @@ def test_scan_reports_mash_rounds_and_worst_discard():
     # the first failing j to the end of its chunk
     mashed, width = 0, 1
     while mashed < avg.m_c + 1:
-        mashed, width = mashed + width, min(2 * width, channels._plan(CFG.dim).width)
+        mashed, width = mashed + width, min(2 * width, mashing._plan(CFG.dim).width)
     assert avg.mashed_branches == mashed
     # on the scan's own malted states the batch-of-1 path gives every
     # reduction bit for bit: rounds, worst discard, worst tail and terms
@@ -405,7 +405,7 @@ def _poison(monkeypatch, failure, x_0):
         return [r for r in range(len(cur)) if np.array_equal(cur[r], followed[-1])]
 
     if failure == "weight":
-        real_round = protocol._mash_round
+        real_round = mashing._mash_round
 
         def poisoned_round(cur, source):
             kept, prob, discarded, weight = real_round(cur, source)
@@ -414,9 +414,9 @@ def _poison(monkeypatch, failure, x_0):
                 followed.append(None)
             return kept, prob, discarded, weight
 
-        monkeypatch.setattr(protocol, "_mash_round", poisoned_round)
+        monkeypatch.setattr(mashing, "_mash_round", poisoned_round)
         return followed
-    real_distances = protocol._trace_distances
+    real_distances = mashing._trace_distances
 
     def poisoned_distances(new, cur, below):
         step = real_distances(new, cur, below)
@@ -425,7 +425,7 @@ def _poison(monkeypatch, failure, x_0):
             followed.append(new[r].copy())
         return step
 
-    monkeypatch.setattr(protocol, "_trace_distances", poisoned_distances)
+    monkeypatch.setattr(mashing, "_trace_distances", poisoned_distances)
     return followed
 
 
@@ -496,13 +496,13 @@ def test_mashing_solves_few_distances_and_windows_each_chunk_once(monkeypatch):
     # a d = 8 scan chunk expands its sources once for all its rounds: the
     # chunks j = 1, 2-3 and 4-7 (see test_scan_prepares_one_source_per_branch)
     expansions = []
-    real_operand = channels._source_operand
+    real_operand = mashing._source_operand
 
     def expanding(y):
         expansions.append(y.shape[:-3])
         return real_operand(y)
 
-    monkeypatch.setattr(channels, "_source_operand", expanding)
+    monkeypatch.setattr(mashing, "_source_operand", expanding)
     avg = average_entanglement(LAM, LOSS, SubtractionParams(0.9), CFG)
     assert avg.m_c == 4 and avg.mash_rounds >= 5 * 8
     assert expansions == [(1,), (2,), (4,)]
@@ -513,7 +513,7 @@ def test_mash_iterate_matches_a_loop_of_mash_step_and_trace_distance(n_max):
     # the reference solves every round's trace distance; d = 8 and 12 keep
     # rho_0's expansion for the run, d = 17 copies it shift by shift
     cfg = TruncationConfig(n_max)
-    assert bool(channels._plan(cfg.dim).kept) == (n_max < 16)
+    assert bool(mashing._plan(cfg.dim).kept) == (n_max < 16)
     rho_0 = malt(LAM, MaltingSchedule(1, 2, LOSS, SUB), cfg).state
     cur, probs = rho_0, []
     for rounds in range(1, 51):
@@ -577,11 +577,11 @@ def test_vacuum_probability_operator_matches_the_per_diagonal_product(lam):
     rho_0 = malt(lam, MaltingSchedule(1, 2, LOSS, SUB), cfg).state
     assert cfg.dim == {0.1: 8, 0.2: 11, 0.4: 19}[lam]
     x = np.stack([rho_0.sector, mash_step(rho_0, rho_0).state.sector])
-    v = channels._vacuum_weights(cfg.dim)
+    v = mashing._vacuum_weights(cfg.dim)
     per_diagonal = np.sum(rho_0.sector * (v @ x @ v.transpose(0, 2, 1)), axis=(-2, -1))
     want = per_diagonal[:, 0] + 2.0 * per_diagonal[:, 1:].sum(axis=-1)
-    sources = channels._mash_source(np.stack([rho_0.sector] * 2))
-    prob = channels._mash_round(x, sources)[1]
+    sources = mashing._mash_source(np.stack([rho_0.sector] * 2))
+    prob = mashing._mash_round(x, sources)[1]
     assert prob == pytest.approx(want, rel=1e-14, abs=0.0)
 
 

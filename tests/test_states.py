@@ -32,7 +32,7 @@ from distillery import (
     tmss,
     vacuum,
 )
-from distillery.core import EIG_TOL
+from distillery.core import EIG_TOL, TRACE_TOL
 
 # single-photon detection on both modes of tmss(0.1) at n_max=3, t_s=0.99,
 # computed by the brute-force contraction in oracles.subtract_oracle.
@@ -76,21 +76,20 @@ def test_auto_n_max_is_smallest_admissible():
 
 def test_auto_n_max_matches_the_float_loop_at_its_boundaries():
     # the cutoff is the first n_max >= 1 whose float tail lam^(2(n_max+1))
-    # falls below trace_tol, as a loop over n_max finds it, at every
-    # boundary tol^(1/(2(n+1))) and both float neighbours of it
-    def loop(lam, tol):
+    # falls below TRACE_TOL, as a loop over n_max finds it, at every
+    # boundary TRACE_TOL^(1/(2(n+1))) and both float neighbours of it
+    def loop(lam):
         n = 1
-        while lam ** (2 * (n + 1)) >= tol:
+        while lam ** (2 * (n + 1)) >= TRACE_TOL:
             n += 1
         return n
 
-    for tol in (1e-15, 1e-6):
-        lams = {0.0, 1e-3, 0.5, 0.9, 0.99}
-        for n in range(1, 150):
-            edge = tol ** (1 / (2 * (n + 1)))
-            lams.update((edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)))
-        for lam in sorted(lams):
-            assert auto_n_max(lam, tol) == loop(lam, tol), (lam, tol)
+    lams = {0.0, 1e-3, 0.5, 0.9, 0.99}
+    for n in range(1, 150):
+        edge = TRACE_TOL ** (1 / (2 * (n + 1)))
+        lams.update((edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0)))
+    for lam in sorted(lams):
+        assert auto_n_max(lam) == loop(lam), lam
 
 
 def test_tmss_zero_squeezing_is_vacuum():

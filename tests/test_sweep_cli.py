@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import oracles
-from distillery import auto_n_max, channels, cli, core, negativity, sweep
+from distillery import auto_n_max, channels, cli, core, mashing, negativity, sweep
 from distillery.cli import ConfigError, build_parser, main, parse_ts, validate_config
 from distillery.sweep import _fmt, _pmap
 
@@ -630,7 +630,7 @@ def _first_refused(fits, start=1):
 
 def _clear_caches():
     # the per-cutoff tables are built inside a traced run, as in a fresh process
-    for module in (core, channels):
+    for module in (core, channels, mashing):
         for value in vars(module).values():
             if hasattr(value, "cache_clear"):
                 value.cache_clear()
@@ -697,28 +697,28 @@ def test_scan_chunk_windows_fit_the_memory_budget():
     # _EXPANSION_BUDGET_FLOATS, and where none is kept a chunk is one
     # branch, counted at two d^4 arrays
     kept = {}
-    for d in range(2, channels._MASH_MAX_N_MAX + 2):
-        plan = channels._plan(d)
+    for d in range(2, mashing._MASH_MAX_N_MAX + 2):
+        plan = mashing._plan(d)
         width, kept[d] = plan.width, plan.kept
-        assert width * kept[d] <= channels._EXPANSION_BUDGET_FLOATS, d
+        assert width * kept[d] <= mashing._EXPANSION_BUDGET_FLOATS, d
         if not kept[d]:
             assert width == 1, d
             assert _mashing_share(d) == 16 * d**4, d
     # expansions are kept up to d = 16 (about 2 d^4 floats per branch)
     assert [d for d in kept if kept[d]] == list(range(2, 17))
-    assert [channels._plan(d).width for d in (8, 9, 10, 11, 12, 13, 14, 16, 17, 99)] == [
+    assert [mashing._plan(d).width for d in (8, 9, 10, 11, 12, 13, 14, 16, 17, 99)] == [
         16, 9, 6, 4, 3, 2, 1, 1, 1, 1]
     # and building a whole chunk's sources and running one round on it
     # peaks within the mashing share of the count, on both sides of the
     # kept-expansion cutoff
     rng = np.random.default_rng(3)
     for d in (8, 9, 10, 11, 12, 13, 16, 19, 34):
-        width = channels._plan(d).width
+        width = mashing._plan(d).width
         x = rng.random((width, d, d, d))
-        channels._mash_round(x[:1], channels._mash_source(x[:1]))  # fills the caches
+        mashing._mash_round(x[:1], mashing._mash_source(x[:1]))  # fills the caches
         tracemalloc.start()
         try:
-            channels._mash_round(x, channels._mash_source(x))
+            mashing._mash_round(x, mashing._mash_source(x))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -880,24 +880,24 @@ def test_mashing_commands_refuse_overflowing_cutoffs(tmp_path, capsys):
 def test_mash_limit_is_where_the_output_weights_overflow():
     # the largest untilted output weight of mash_step is sf[d-1]^4 =
     # ((d - 1)!)^2, the last entry of diagonal 0 of the output weight table
-    # once its exact tilt 2^(-4(d - 1)) is taken off (channels._mash_weights)
+    # once its exact tilt 2^(-4(d - 1)) is taken off (mashing._mash_weights)
     def top(dim):
         with np.errstate(over="ignore"):
-            return np.ldexp(channels._mash_weights(dim)[-1][0, -1, -1], 4 * (dim - 1))
+            return np.ldexp(mashing._mash_weights(dim)[-1][0, -1, -1], 4 * (dim - 1))
 
-    assert np.isfinite(top(channels._MASH_MAX_N_MAX + 1))
-    assert np.isinf(top(channels._MASH_MAX_N_MAX + 2))
+    assert np.isfinite(top(mashing._MASH_MAX_N_MAX + 1))
+    assert np.isinf(top(mashing._MASH_MAX_N_MAX + 2))
     # the tilted tables the kernel builds do not overflow there: every
     # entry of both, padding aside, is a finite normal float64
-    for dim in (channels._MASH_MAX_N_MAX + 1, channels._MASH_MAX_N_MAX + 2):
-        for table in channels._mash_weights(dim):
+    for dim in (mashing._MASH_MAX_N_MAX + 1, mashing._MASH_MAX_N_MAX + 2):
+        for table in mashing._mash_weights(dim):
             entries = np.abs(table[table != 0.0])
             assert np.isfinite(entries).all(), dim
             assert (entries >= np.finfo(np.float64).tiny).all(), dim
     # and the plan, which every mashing path reads first, refuses that cutoff
-    channels._plan(channels._MASH_MAX_N_MAX + 1)
+    mashing._plan(mashing._MASH_MAX_N_MAX + 1)
     with pytest.raises(ValueError, match=r"^mashing needs n_max <= 98; at n_max=99 "):
-        channels._plan(channels._MASH_MAX_N_MAX + 2)
+        mashing._plan(mashing._MASH_MAX_N_MAX + 2)
 
 
 def test_exit_code_two_on_numerical_failure(tmp_path):
@@ -1064,9 +1064,31 @@ def test_package_import_is_lazy():
 
     for name in distillery.__all__:
         assert getattr(distillery, name) is not None
+    # each name is defined in the module its row names, not only importable
+    # from it
+    for name in distillery.__all__:
+        module = getattr(getattr(distillery, name), "__module__", None)
+        if module is not None:
+            assert module == "distillery." + distillery._SUBMODULE_OF[name], name
     with pytest.raises(AttributeError):
         distillery.no_such_name
     code = "import sys, distillery; print('numpy' in sys.modules, distillery.__version__)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env())
     assert proc.stdout.split() == ["False", distillery.__version__], proc.stderr
+
+
+def test_mashing_and_the_channels_load_apart():
+    # loss and counting load no mashing code, and the mashing kernel loads
+    # neither the channels nor the protocol
+    code = (
+        "import importlib, sys; importlib.import_module(sys.argv[1]); "
+        "print(*(m in sys.modules for m in sys.argv[2:]))"
+    )
+    for module, absent in (
+        ("distillery.channels", ["distillery.mashing"]),
+        ("distillery.mashing", ["distillery.channels", "distillery.protocol"]),
+    ):
+        proc = subprocess.run([sys.executable, "-c", code, module, *absent],
+                              capture_output=True, text=True, env=_child_env())
+        assert proc.stdout.split() == ["False"] * len(absent), (module, proc.stderr)
