@@ -10,11 +10,7 @@ from distillery import (
     SubtractionParams,
     TruncationConfig,
     auto_n_max,
-    detect_phonons,
-    log_negativity,
-    loss_event,
-    normalize,
-    tmss,
+    decay,
 )
 
 TAU = 100.0
@@ -26,13 +22,7 @@ sub = SubtractionParams(loss.t)  # equal transmissivities for a fair race
 curves = {}
 for lam in (0.1, 0.15, 0.2):
     cfg = TruncationConfig(auto_n_max(lam))
-    s_loss = s_vac = s_both = tmss(lam, cfg)
-    rows = []
-    for m in range(CYCLES + 1):
-        rows.append(tuple(log_negativity(s).value for s in (s_loss, s_vac, s_both)))
-        s_loss = loss_event(s_loss, loss)
-        s_vac, _ = normalize(detect_phonons(s_vac, sub, 0, 0))
-        s_both, _ = normalize(detect_phonons(loss_event(s_both, loss), sub, 0, 0))
+    rows = [tuple(n.value for n in negs) for negs in decay(lam, loss, sub, cfg, CYCLES)]
     curves[lam] = rows
     print(f"lambda={lam}  (tau={TAU:g}, t=t_s={loss.t:.4f})")
     print("  m    loss only    vacuum only    both")

@@ -46,6 +46,7 @@ _SUBMODULE_NAMES = {
         "MaltingSchedule",
         "NoConvergenceError",
         "average_entanglement",
+        "decay",
         "full_protocol",
         "malt",
         "subtraction_probability_matrix",

@@ -10,7 +10,7 @@ import os
 import sys
 
 from .channels import LossChannelParams, SubtractionParams
-from .core import TRACE_TOL, TruncationConfig, ZeroTraceError, _integer, auto_n_max
+from .core import TruncationConfig, ZeroTraceError, _check_cutoff, _integer, auto_n_max
 from .protocol import NoConvergenceError
 from .sweep import COMMANDS, RunConfig, run
 
@@ -118,13 +118,11 @@ def validate_config(ns):
     name = ns.command
     command = COMMANDS[name]
 
-    lam = ns.lam
-    if lam is None:
+    lam = 0.0  # a missing lambda, or one auto_n_max refuses, counts as 0 below
+    if ns.lam is None:
         errors.append("--lambda is required")
-        lam = 0.0
-    elif not 0.0 <= lam < 1.0:
-        errors.append(f"--lambda must lie in [0, 1), got {lam}")
-        lam = 0.0
+    elif _build(errors, "--lambda", auto_n_max, ns.lam) is not None:
+        lam = ns.lam
 
     # --tau takes precedence over --t when both are given
     loss = None
@@ -181,12 +179,7 @@ def validate_config(ns):
     elif n_max == 0:
         n_max = auto_n_max(lam)
     else:
-        tail = lam ** (2 * (n_max + 1))
-        if tail >= TRACE_TOL:
-            errors.append(
-                f"--n-max {n_max} keeps a truncated tail {tail:.3g} >= {TRACE_TOL:.3g} "
-                f"at lambda={lam}; auto picks {auto_n_max(lam)}"
-            )
+        _build(errors, "--n-max", _check_cutoff, lam, n_max)
 
     if n_max >= 1:
         # a flag that is missing or invalid counts at its RunConfig default;

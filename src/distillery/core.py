@@ -70,21 +70,34 @@ class TruncationConfig(_TruncationFields):
 def auto_n_max(lam):
     """Smallest cutoff whose discarded squeezed-state tail stays below TRACE_TOL.
 
-    The tail weight of the geometric photon-number distribution beyond n_max
-    is lam^(2*(n_max + 1)). The cutoff is the first n_max >= 1 whose float
-    tail falls below TRACE_TOL: estimated from logarithms, then corrected
-    with that float test, so lam near 1 costs a few steps, not one per cutoff.
+    The cutoff rule admits n_max where the float tail lam^(2*(n_max + 1))
+    falls below TRACE_TOL, and this is the first n_max >= 1 it admits:
+    estimated from logarithms, then corrected with the rule, so lam near 1
+    costs a few steps, not one per cutoff. Refuses lam outside [0, 1).
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
-    if lam**4 < TRACE_TOL:
+
+    def admitted(n):
+        return lam ** (2 * (n + 1)) < TRACE_TOL
+    if admitted(1):
         return 1
     n = max(1, math.ceil(math.log(TRACE_TOL) / (2.0 * math.log(lam))) - 1)
-    while n > 1 and lam ** (2 * n) < TRACE_TOL:
+    while n > 1 and admitted(n - 1):
         n -= 1
-    while lam ** (2 * (n + 1)) >= TRACE_TOL:
+    while not admitted(n):
         n += 1
     return n
+
+
+def _check_cutoff(lam, n_max):
+    """ValueError unless auto_n_max admits lam and its rule admits n_max."""
+    auto = auto_n_max(lam)
+    if n_max < auto:
+        raise ValueError(
+            f"n_max={n_max} discards a squeezed-state tail of trace_tol={TRACE_TOL:.3g} "
+            f"or more at lam={lam}; the smallest admissible n_max is {auto}"
+        )
 
 
 # The stored layout. Every protocol state commutes with N_A - N_B, so its
@@ -217,32 +230,22 @@ def _wrap_fresh(x):
     return TwoModeState(x, float(x[0].sum()))
 
 
-def _tmss_amplitudes(lam, cfg, allow_truncation=False):
+def _tmss_amplitudes(lam, cfg):
     """The photon-number amplitudes lam^n of the truncated squeezed state,
-    n < dim, normalized; refuses the (lam, n_max) pairs tmss refuses."""
-    if not 0.0 <= lam < 1.0:
-        raise ValueError(f"squeezing parameter must lie in [0, 1), got {lam}")
-    tail = lam ** (2 * (cfg.n_max + 1))
-    if tail >= TRACE_TOL and not allow_truncation:
-        raise ValueError(
-            f"n_max={cfg.n_max} keeps a truncated tail of {tail:.3g} >= "
-            f"trace_tol={TRACE_TOL:.3g} at lam={lam}; raise n_max "
-            f"(auto_n_max gives {auto_n_max(lam)}) or pass "
-            "allow_truncation=True"
-        )
+    n < dim, normalized."""
+    _check_cutoff(lam, cfg.n_max)
     amps = lam ** np.arange(cfg.dim)
     amps /= math.sqrt(np.sum(amps * amps))
     return amps
 
 
-def tmss(lam, cfg, allow_truncation=False):
+def tmss(lam, cfg):
     """Truncated, renormalized two-mode squeezed state.
 
-    Refuses (lam, n_max) pairs whose discarded tail weight lam^(2*(n_max+1))
-    reaches TRACE_TOL unless allow_truncation is set; auto_n_max() gives
-    the smallest admissible cutoff.
+    Refuses the lam and n_max that auto_n_max refuses or rules out;
+    auto_n_max(lam) is the smallest admissible cutoff.
     """
-    amps = _tmss_amplitudes(lam, cfg, allow_truncation)
+    amps = _tmss_amplitudes(lam, cfg)
     d = cfg.dim
     # |n, n><k, k| is entry (p, p) of diagonal |n - k|
     x = np.zeros((d, d, d))

@@ -25,7 +25,7 @@ from .core import (
     tmss,
 )
 from .mashing import _mash_stack, _plan, mash_iterate
-from .negativity import log_negativity
+from .negativity import _log_negativities, log_negativity
 
 
 class NoConvergenceError(RuntimeError):
@@ -123,6 +123,28 @@ def malt(lam, schedule, cfg):
         cycle_probs.append(p_cycle)
         trace.append((cycle, log_negativity(state).value))
     return MaltingRecord(state, joint, trace, cycle_probs)
+
+
+def decay(lam, loss, sub, cfg, steps):
+    """Iterator of one NegativityResult triple per clock cycle m = 0 ...
+    steps, for a stored squeezed state under loss alone, a failed
+    subtraction attempt (vacuum on both arms) per cycle alone, and both.
+    The arguments are checked at the call; the cycles run as it is read."""
+    steps = _integer("steps", steps, 1)
+    return _decay_cycles(tmss(lam, cfg), loss, sub, steps)
+
+
+def _decay_cycles(s_loss, loss, sub, steps):
+    s_vac = s_both = s_loss  # its only names, so it is freed after cycle 1
+    for m in range(steps + 1):
+        # one solve for all three, not an eigvalsh per block size each; the
+        # stack is freed before the next cycle builds its states
+        yield tuple(_log_negativities(np.stack([s_loss.sector, s_vac.sector, s_both.sector])))
+        if m == steps:
+            return
+        s_loss = loss_event(s_loss, loss)
+        s_vac, _ = _count_step(s_vac, sub, (0, 0), m + 1)
+        s_both, _ = _count_step(loss_event(s_both, loss), sub, (0, 0), m + 1)
 
 
 def _arm_b_branches(lam, loss, sub, cfg, j_last):

@@ -18,15 +18,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .channels import LossChannelParams, loss_event
-from .core import CONV_TOL, EIG_TOL, MAX_ITER, TRACE_TOL, TruncationConfig, tmss
+from .channels import LossChannelParams
+from .core import CONV_TOL, EIG_TOL, MAX_ITER, TRACE_TOL, TruncationConfig
 from .mashing import _plan, mash_iterate
-from .negativity import _log_negativities
 from .protocol import (
     MaltingSchedule,
-    _count_step,
     average_entanglement,
     baseline_negativity,
+    decay,
     malt,
     subtraction_probability_matrix,
 )
@@ -104,22 +103,11 @@ def _pmap(fn, items, threads):
 
 
 def _run_decay(cfg):
-    sub = cfg.subs[0]
-    s_loss = s_vac = s_both = tmss(cfg.lam, cfg.trunc)
     rows = []
     warn = False
-    for m in range(cfg.steps + 1):
-        # one solve for all three: a lone one costs an eigvalsh per block
-        # size; the stack is not bound here, so it is freed before the next
-        # step builds its states
-        negs = _log_negativities(np.stack([s_loss.sector, s_vac.sector, s_both.sector]))
+    for m, negs in enumerate(decay(cfg.lam, cfg.loss, cfg.subs[0], cfg.trunc, cfg.steps)):
         warn = warn or any(n.trunc_warning for n in negs)
-        rows.append((m, negs[0].value, negs[1].value, negs[2].value))
-        if m == cfg.steps:
-            break
-        s_loss = loss_event(s_loss, cfg.loss)
-        s_vac, _ = _count_step(s_vac, sub, (0, 0), m + 1)
-        s_both, _ = _count_step(loss_event(s_both, cfg.loss), sub, (0, 0), m + 1)
+        rows.append((m, *(n.value for n in negs)))
     return ("m", "neg_loss_only", "neg_vac_only", "neg_both"), rows, {"trunc_warning": warn}
 
 

@@ -1,14 +1,21 @@
 """Checks and transforms of two-mode states on their dense expansion.
 
-Each helper reads `state.coeffs`, the d^4 tensor p[n, m, k, l], so it costs
+Each helper reads or builds the d^4 tensor p[n, m, k, l], so it costs
 O(d^4) and serves the tests only; the package itself works on the stored
 sector layout.
 """
 
 import numpy as np
 
+import oracles
 from distillery import TruncationConfig, min_eigenvalue, state_from_coeffs
 from distillery.core import EIG_TOL, TRACE_TOL
+
+
+def truncated_tmss(lam, n_max):
+    """The squeezed state at any cutoff, also one below what tmss admits
+    (a small, heavily truncated test state), from the oracle's ladder."""
+    return state_from_coeffs(oracles.tmss_coeffs(lam, n_max), TruncationConfig(n_max))
 
 
 def swap_modes(state):

@@ -8,6 +8,7 @@ import time
 import numpy as np
 
 import oracles
+from dense import truncated_tmss
 from distillery import (
     LossChannelParams,
     MaltingSchedule,
@@ -64,9 +65,8 @@ def test_criterion_01_tmss_negativity_closed_form():
 def test_criterion_02_loss_oracle_equivalence():
     t0 = time.perf_counter()
     n_max = 3
-    cfg = TruncationConfig(n_max)
     for lam in (0.1, 0.5):
-        st0 = tmss(lam, cfg, allow_truncation=True)
+        st0 = truncated_tmss(lam, n_max)
         for tau in (10.0, 100.0):
             params = LossChannelParams.from_tau(tau)
             for m in range(4):

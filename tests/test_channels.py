@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dense import swap_modes, trace_of
+from dense import swap_modes, trace_of, truncated_tmss
 from distillery import (
     LossChannelParams,
     SubtractionParams,
@@ -117,8 +117,7 @@ def test_loss_vacuum_fixed_point():
 
 
 def test_single_loss_matches_term_oracle():
-    cfg = TruncationConfig(3)
-    st = tmss(0.1, cfg, allow_truncation=True)
+    st = truncated_tmss(0.1, 3)
     params = LossChannelParams.from_tau(100.0)
     got = loss_event(st, params)
     want = oracles.repeated_loss_oracle(0.1, 3, params.t, 1)
@@ -132,8 +131,7 @@ def test_repeated_loss_zero_is_identity():
 
 
 def test_repeated_loss_matches_oracle():
-    cfg = TruncationConfig(3)
-    st = tmss(0.1, cfg, allow_truncation=True)
+    st = truncated_tmss(0.1, 3)
     params = LossChannelParams.from_tau(10.0)
     got = repeated_loss(st, params, 2)
     want = oracles.repeated_loss_oracle(0.1, 3, params.t, 2)
@@ -237,8 +235,7 @@ def test_transmissivity_caches_stay_bounded():
     # maps of two t and the count rows of two t_s points, not all of them
     _loss_maps.cache_clear()
     channels._count_rows.cache_clear()
-    cfg = TruncationConfig(5)
-    state = tmss(0.3, cfg, allow_truncation=True)
+    state = truncated_tmss(0.3, 5)
     for tau in np.linspace(10.0, 1000.0, 30):
         loss = LossChannelParams.from_tau(tau)
         state = loss_event(state, loss)
@@ -268,7 +265,7 @@ def test_detect_rejects_outcome_beyond_cutoff():
 
 def test_double_subtraction_matches_frozen_oracle():
     cfg = TruncationConfig(8)
-    st = tmss(0.1, cfg, allow_truncation=True)
+    st = tmss(0.1, cfg)
     sub = SubtractionParams(0.99)
     got = detect_phonons(st, sub, 1, 1)
     assert got.trace == pytest.approx(P_SUB_Q11_NMAX8, rel=1e-10)
@@ -431,7 +428,7 @@ def _malted_cutoff_two(lam):
     # One malting cycle (loss, then a count on each arm) on a TMSS cut at
     # n_max = 3. The count leaves levels <= 2 only, so the state is exact at
     # n_max = 2, and every coefficient lies in the sector n - k = m - l.
-    st = tmss(lam, TruncationConfig(3), allow_truncation=True)
+    st = truncated_tmss(lam, 3)
     st = loss_event(st, LossChannelParams.from_tau(100.0))
     st = detect_phonons(st, SubtractionParams(0.9), 1, 1)
     return normalize(state_from_coeffs(st.coeffs[:3, :3, :3, :3], TruncationConfig(2)))[0]
@@ -461,8 +458,7 @@ def test_mash_step_insensitive_to_bs_sign_convention():
     # the sign enters as (-1)^(n+m+k+l), which is 1 on the sector
     # n - k = m - l, so the kernel carries none and must match the
     # oracle under either sign
-    cfg = TruncationConfig(2)
-    st = tmss(0.1, cfg, allow_truncation=True)
+    st = truncated_tmss(0.1, 2)
     malted = _malted_cutoff_two(0.6)
     for a, b in ((st, st), (malted, malted)):
         res = mash_step(a, b)
@@ -475,7 +471,7 @@ def test_mash_step_insensitive_to_bs_sign_convention():
 
 def test_mash_step_requires_normalized_inputs():
     cfg = TruncationConfig(3)
-    st = tmss(0.1, cfg, allow_truncation=True)
+    st = truncated_tmss(0.1, 3)
     half = state_from_coeffs(0.5 * st.coeffs, cfg)
     with pytest.raises(ValueError):
         mash_step(half, st)
@@ -494,8 +490,7 @@ def test_mash_step_probability_in_unit_interval():
 
 def test_mash_step_reports_truncation_discard():
     # heavy ladder tail at a tight cutoff must shed weight past n_max
-    cfg = TruncationConfig(2)
-    st = tmss(0.4, cfg, allow_truncation=True)
+    st = truncated_tmss(0.4, 2)
     res = mash_step(st, st)
     assert res.discarded_weight > 1e-6
     assert res.prob >= trace_of(res.state) * 0  # prob counts the full block
@@ -503,7 +498,7 @@ def test_mash_step_reports_truncation_discard():
 
 def _one_cycle_state(cfg):
     # one loss-and-double-count malting cycle of a truncated TMSS, normalized
-    lossy = loss_event(tmss(0.3, cfg, allow_truncation=True), LossChannelParams.from_tau(50))
+    lossy = loss_event(truncated_tmss(0.3, cfg.n_max), LossChannelParams.from_tau(50))
     return normalize(detect_phonons(lossy, SubtractionParams(0.9), 1, 1))[0]
 
 

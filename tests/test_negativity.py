@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracles
-from dense import partial_transpose, swap_modes
+from dense import partial_transpose, swap_modes, truncated_tmss
 from distillery import (
     LossChannelParams,
     NotHermitianError,
@@ -71,7 +71,7 @@ def test_product_states_are_ppt():
 
 def test_tmss_pt_negative_weight_identity():
     # absolute sum of negative eigenvalues determines the trace norm excess
-    st = tmss(0.1, TruncationConfig(8), allow_truncation=True)
+    st = tmss(0.1, TruncationConfig(8))
     evals = np.linalg.eigvalsh(partial_transpose(st).reshape(81, 81))
     neg_sum = -evals[evals < 0].sum()
     tn = trace_norm(partial_transpose(st))
@@ -196,12 +196,11 @@ def test_protocol_states_take_the_block_solve(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     cfg = TruncationConfig(7)
-    raw = detect_phonons(loss_event(tmss(0.3, cfg, allow_truncation=True),
-                                    LossChannelParams.from_tau(100)),
+    raw = detect_phonons(loss_event(truncated_tmss(0.3, 7), LossChannelParams.from_tau(100)),
                          SubtractionParams(0.9), 1, 1)
     st = state_from_coeffs(raw.coeffs / raw.trace, cfg)
     log_negativity(st)
-    trace_distance(st, tmss(0.3, cfg, allow_truncation=True))
+    trace_distance(st, truncated_tmss(0.3, 7))
     min_eigenvalue(st)
     assert shapes == ([(1, 2, s, s) for s in range(1, 8)] + [(1, 1, 8, 8)]) * 3
     rng = np.random.default_rng(5)
@@ -217,8 +216,8 @@ def test_cold_block_solve_stays_small_at_large_cutoff():
     # float64, where padding every block to d x d traced 4.7 d^3 at its
     # peak and left 2.0 d^3 of int64 tables cached
     d = 40
-    st = tmss(0.6, TruncationConfig(d - 1), allow_truncation=True)
-    log_negativity(tmss(0.1, TruncationConfig(3), allow_truncation=True))
+    st = tmss(0.6, TruncationConfig(d - 1))
+    log_negativity(truncated_tmss(0.1, 3))
     _block_tables.cache_clear()
     tracemalloc.start()
     try:
@@ -236,7 +235,7 @@ def test_trace_norm_and_state_from_coeffs_report_the_same_defect():
     # check of trace_norm and the check where a tensor becomes a state
     # report the same defect
     cfg = TruncationConfig(4)
-    c = tmss(0.2, cfg, allow_truncation=True).coeffs.copy()
+    c = truncated_tmss(0.2, 4).coeffs.copy()
     c[2, 1, 1, 0] += 0.3
     with pytest.raises(NotHermitianError, match=r"^hermiticity defect 0\.3 > 1e-10$"):
         trace_norm(c)
@@ -249,7 +248,7 @@ def test_trace_distance_checks_hermiticity_against_the_state_eig_tol():
     # EIG_TOL (1e-10) where they were built: a 1e-12 asymmetry makes a state
     # at a positive distance, a 1e-8 one makes no state
     cfg = TruncationConfig(4)
-    good = tmss(0.2, cfg, allow_truncation=True)
+    good = truncated_tmss(0.2, 4)
     for bump in (1e-12, 1e-8):
         c = good.coeffs.copy()
         c[2, 1, 1, 0] += bump
@@ -264,12 +263,12 @@ def test_stacked_solves_equal_lone_solves_bitwise():
     # the scan solves a stack of states in one call; each gets exactly the
     # negativity and trace distance it gets alone
     cfg = TruncationConfig(7)
-    lossy = loss_event(tmss(0.3, cfg, allow_truncation=True), LossChannelParams.from_tau(100))
+    lossy = loss_event(truncated_tmss(0.3, 7), LossChannelParams.from_tau(100))
     raw = detect_phonons(lossy, SubtractionParams(0.9), 1, 1)
     states = [
         state_from_coeffs(raw.coeffs / raw.trace, cfg),
         state_from_coeffs(_product_state(8, 4), cfg),
-        tmss(0.3, cfg, allow_truncation=True),
+        truncated_tmss(0.3, 7),
     ]
     x = np.stack([st.sector for st in states])
     assert _log_negativities(x) == [log_negativity(st) for st in states]

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from dense import truncated_tmss
 from distillery import (
     LossChannelParams,
     MaltingSchedule,
@@ -30,7 +31,6 @@ from distillery import (
     min_eigenvalue,
     normalize,
     state_from_coeffs,
-    tmss,
     trace_distance,
     trace_norm,
 )
@@ -121,7 +121,7 @@ def _drawn_state(kind, dim, lam, tau, t_s, q_a, q_b, rng):
     state (the pinching of a PSD matrix, which fills the whole sector)."""
     cfg = TruncationConfig(dim - 1)
     if kind in ("malted", "mashed"):
-        lossy = loss_event(tmss(lam, cfg, allow_truncation=True), LossChannelParams.from_tau(tau))
+        lossy = loss_event(truncated_tmss(lam, dim - 1), LossChannelParams.from_tau(tau))
         st, _ = normalize(detect_phonons(lossy, SubtractionParams(t_s), q_a, q_b))
         return mash_step(st, st).state if kind == "mashed" else st
     return state_from_coeffs(oracles.random_state_coeffs(dim, rng), cfg)

@@ -16,6 +16,7 @@ from distillery import (
     ZeroTraceError,
     auto_n_max,
     average_entanglement,
+    decay,
     detect_one_mode,
     full_protocol,
     log_negativity,
@@ -166,6 +167,25 @@ def test_malt_trace_and_cycle_bookkeeping():
 def test_malt_zero_squeezing_has_no_success_branch():
     with pytest.raises(ZeroTraceError):
         malt(0.0, MaltingSchedule(1, 1, LOSS, SUB), TruncationConfig(1))
+
+
+def test_decay_starts_at_the_truncated_closed_form_and_falls():
+    # at the auto cutoff (n_max 7 at lambda 0.1) all three trajectories start
+    # at the truncated squeezed state's negativity,
+    # log2((sum_{n<8} lam^n)^2 / sum_{n<8} lam^(2n)), and each falls
+    assert CFG.n_max == auto_n_max(LAM)
+    negs = list(decay(LAM, LOSS, SUB, CFG, 5))
+    assert len(negs) == 6 and all(len(triple) == 3 for triple in negs)
+    closed = math.log2(sum(LAM**n for n in range(8)) ** 2 / sum(LAM ** (2 * n) for n in range(8)))
+    assert closed == pytest.approx(0.2895065883410841, abs=1e-15)
+    assert all(abs(n.value - closed) < 1e-12 for n in negs[0])
+    for column in zip(*negs):
+        values = [n.value for n in column]
+        assert all(later < earlier for earlier, later in zip(values, values[1:]))
+    # the step count is checked at the call, before any cycle runs
+    for steps, shown in ((0, "0"), (1.5, "1.5")):
+        with pytest.raises(ValueError, match=rf"^steps must be an integer >= 1, got {shown}$"):
+            decay(LAM, LOSS, SUB, CFG, steps)
 
 
 def test_count_step_names_the_arm_that_vanished():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import oracles
-from dense import check_state, hermiticity_defect, swap_modes, trace_of
+from dense import check_state, hermiticity_defect, swap_modes, trace_of, truncated_tmss
 from distillery import (
     LossChannelParams,
     MaltingSchedule,
@@ -32,7 +32,7 @@ from distillery import (
     tmss,
     vacuum,
 )
-from distillery.core import EIG_TOL, TRACE_TOL
+from distillery.core import EIG_TOL, TRACE_TOL, _tmss_amplitudes
 
 # single-photon detection on both modes of tmss(0.1) at n_max=3, t_s=0.99,
 # computed by the brute-force contraction in oracles.subtract_oracle.
@@ -92,6 +92,24 @@ def test_auto_n_max_matches_the_float_loop_at_its_boundaries():
         assert auto_n_max(lam) == loop(lam), lam
 
 
+def test_tmss_admits_exactly_the_cutoffs_whose_float_tail_is_below_trace_tol():
+    # tmss (and pij, through the same amplitudes) admits n_max from
+    # auto_n_max(lam) on: exactly the n_max >= 1 whose float tail
+    # lam^(2(n_max+1)) falls below TRACE_TOL, since that tail falls with n_max
+    lams = [0.0, 1e-3, 0.1, 0.5, 0.9, 0.99]
+    lams += [math.nextafter(TRACE_TOL ** (1 / (2 * (n + 1))), 1.0) for n in range(1, 60, 7)]
+    for lam in lams:
+        auto = auto_n_max(lam)
+        for n_max in range(max(1, auto - 3), auto + 4):
+            admitted = lam ** (2 * (n_max + 1)) < TRACE_TOL
+            try:
+                _tmss_amplitudes(lam, TruncationConfig(n_max))
+            except ValueError as exc:
+                assert not admitted and str(exc).endswith(f"admissible n_max is {auto}")
+            else:
+                assert admitted, (lam, n_max)
+
+
 def test_tmss_zero_squeezing_is_vacuum():
     cfg = TruncationConfig(4)
     st = tmss(0.0, cfg)
@@ -103,7 +121,7 @@ def test_tmss_zero_squeezing_is_vacuum():
 
 def test_tmss_matches_ladder_formula():
     cfg = TruncationConfig(8)
-    st = tmss(0.1, cfg, allow_truncation=True)
+    st = tmss(0.1, cfg)
     want = oracles.tmss_coeffs(0.1, 8)
     assert np.abs(st.coeffs - want).max() < 1e-15
     assert abs(st.coeffs[0, 0, 0, 0].real - 0.99) < 5e-3
@@ -136,9 +154,6 @@ def test_tmss_admission_rule():
     with pytest.raises(ValueError):
         tmss(0.4, TruncationConfig(17))
     tmss(0.4, TruncationConfig(18))
-    # override admits the inadmissible cutoff
-    st = tmss(0.4, TruncationConfig(17), allow_truncation=True)
-    assert abs(st.trace - 1.0) < 1e-14
     with pytest.raises(ValueError):
         tmss(1.0, TruncationConfig(8))
     with pytest.raises(ValueError):
@@ -212,7 +227,7 @@ def test_state_from_coeffs_checks_hermiticity_against_the_eig_tol():
     # (1e-10), whichever of the two carries the asymmetry; the entry with
     # n >= k is the one stored
     cfg = TruncationConfig(4)
-    good = tmss(0.2, cfg, allow_truncation=True)
+    good = truncated_tmss(0.2, 4)
     for entry in ((2, 1, 1, 0), (1, 0, 2, 1)):
         for bump in (1e-12, 1e-8):
             c = good.coeffs.copy()
@@ -325,8 +340,9 @@ def test_every_op_returns_float64_coefficients():
     d = 5
     cfg = TruncationConfig(d - 1)
     sub = SubtractionParams(0.9)
-    st = tmss(0.2, cfg, allow_truncation=True)
+    st = truncated_tmss(0.2, d - 1)
     outs = [
+        tmss(0.03, cfg),  # about the largest squeezing this cutoff admits
         st,
         vacuum(cfg),
         loss_event(st, LossChannelParams(0.95)),

@@ -317,8 +317,8 @@ def test_metadata_records_exactly_the_flags_a_run_reads(tmp_path, command, flags
 
 @pytest.mark.parametrize("command", list(sweep.COMMANDS))
 def test_bad_loss_and_ts_are_reported_under_their_flags(command):
-    # the channel constructors check the ranges; each error is named by its
-    # flag, and every error of the invocation is collected
+    # the library's constructors and checks hold the ranges; each error is
+    # named by its flag, and every error of the invocation is collected
     base = [command, "--lambda", "1.5", "--ts", "1.5", "--out", "/nonexistent/x.csv"]
     for loss, message in (
         (["--t", "1.5"], "--t: transmissivity t must lie in (0, 1], got 1.5"),
@@ -330,12 +330,32 @@ def test_bad_loss_and_ts_are_reported_under_their_flags(command):
         missing = [f"{cli._flag(f)} is required for {command}"
                    for f in sweep.COMMANDS[command].flags if getattr(ns, f) is None]
         assert sorted(str(err.value).splitlines()) == sorted([
-            "--lambda must lie in [0, 1), got 1.5",
+            "--lambda: squeezing parameter must lie in [0, 1), got 1.5",
             message,
             "--ts: t_s must lie in (0, 1), got 1.5",
             *missing,
             "--out directory does not exist: /nonexistent",
         ])
+
+
+@pytest.mark.parametrize(
+    "lam, n_max", [(-0.1, 8), (1.0, 8), (1.5, 8), (0.1, 5), (0.4, 17), (0.6, 30)]
+)
+def test_lambda_and_cutoff_are_refused_with_the_library_message(tmp_path, capsys, lam, n_max):
+    # the CLI admits lambda and the cutoff through the check tmss makes, so
+    # a refusal is tmss's own message under the flag at fault; the auto
+    # cutoff and the one above it run
+    with pytest.raises(ValueError) as err:
+        core.tmss(lam, core.TruncationConfig(n_max))
+    flag = "--n-max" if 0.0 <= lam < 1.0 else "--lambda"
+    argv = ["decay", "--lambda", str(lam), "--tau", "100", "--ts", "0.99", "--steps", "1",
+            "--out", str(tmp_path / "o.csv"), "--n-max"]
+    assert main(argv + [str(n_max)]) == 1
+    assert capsys.readouterr().err.splitlines() == ["configuration error:", f"{flag}: {err.value}"]
+    if flag == "--n-max":
+        assert n_max < auto_n_max(lam)
+        for ok in (auto_n_max(lam), auto_n_max(lam) + 1):
+            assert main(argv + [str(ok)]) == 0
 
 
 def test_readme_command_line_examples_are_accepted(tmp_path):
