@@ -5,14 +5,13 @@ mashing to its fixed point. At low squeezing most of the improvement comes
 from the subtractions; at high squeezing the mashing stage dominates.
 """
 
-import math
-
 from distillery import (
     LossChannelParams,
     MaltingSchedule,
     SubtractionParams,
     TruncationConfig,
     auto_n_max,
+    baseline_negativity,
     full_protocol,
 )
 
@@ -20,10 +19,10 @@ loss = LossChannelParams.from_tau(100.0)
 
 for lam in (0.1, 0.4):
     cfg = TruncationConfig(auto_n_max(lam))
-    baseline = math.log2((1 + lam) / (1 - lam))
+    baseline = baseline_negativity(lam)
     sched = MaltingSchedule(1, 10, loss, SubtractionParams(0.99))
-    out = full_protocol(lam, sched, cfg)
-    post_malt = out.negativity_by_stage[sched.m_b]
+    rec, out = full_protocol(lam, sched, cfg)
+    post_malt = rec.negativity_trace[-1][1]
     final = out.negativity_by_stage[-1]
     print(f"lambda={lam}: baseline {baseline:.4f}")
     print(f"  malting (arm A cycle 1, arm B cycle 10): {post_malt:.4f}"

@@ -5,21 +5,20 @@ against memories of increasing time-bandwidth product. Poor memories lose
 more between the subtraction events than the subtractions gain.
 """
 
-import math
-
 from distillery import (
     LossChannelParams,
     MaltingSchedule,
     SubtractionParams,
     TruncationConfig,
     auto_n_max,
+    baseline_negativity,
     malt,
 )
 
 LAM = 0.1
 cfg = TruncationConfig(auto_n_max(LAM))
 sub = SubtractionParams(0.99)
-baseline = math.log2((1 + LAM) / (1 - LAM))
+baseline = baseline_negativity(LAM)
 
 print(f"input state negativity: {baseline:.6f}")
 print("tau     final negativity   joint success prob   gain?")

@@ -1,16 +1,14 @@
 """Build truncated two-mode squeezed states and check their entanglement
 against the closed form. Shows how the cutoff is chosen from the tail weight."""
 
-import math
-
-from distillery import TruncationConfig, auto_n_max, log_negativity, tmss
+from distillery import TruncationConfig, auto_n_max, baseline_negativity, log_negativity, tmss
 
 print("squeezing   auto n_max   negativity   closed form    error")
 for lam in (0.1, 0.15, 0.2, 0.3, 0.4):
     n_max = auto_n_max(lam)
     state = tmss(lam, TruncationConfig(n_max))
     got = log_negativity(state).value
-    want = math.log2((1 + lam) / (1 - lam))
+    want = baseline_negativity(lam)
     print(f"  {lam:.2f}      {n_max:6d}      {got:.7f}    {want:.7f}   {got - want:+.2e}")
 
 # the admission rule rejects cutoffs whose discarded ladder weight

@@ -46,6 +46,7 @@ _SUBMODULE_NAMES = {
         "MaltingSchedule",
         "NoConvergenceError",
         "average_entanglement",
+        "baseline_negativity",
         "decay",
         "full_protocol",
         "malt",

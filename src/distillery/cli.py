@@ -163,14 +163,11 @@ def validate_config(ns):
         val = getattr(ns, field)
         if val is None:
             errors.append(f"{_flag(field)} is required for {name}")
-        elif field == "max_iter":
-            # 0 runs no mashing round: the malt-only baseline
-            val = _build(errors, "--max-iter", _integer, "max_iter", val, 0)
-            if val is not None:
-                own[field] = val
-        elif val < 1:
-            errors.append(f"{_flag(field)} must be >= 1, got {val}")
-        else:
+            continue
+        # --max-iter 0 runs no mashing round: the malt-only baseline
+        low = 0 if field == "max_iter" else 1
+        val = _build(errors, _flag(field), _integer, field, val, low)
+        if val is not None:
             own[field] = val
 
     n_max = ns.n_max

@@ -3,7 +3,7 @@ malted copy, conditioned on vacuum, iterated to a fixed point.
 
 mash_step is one round on one pair of states, mash_iterate runs rounds to
 the fixed point, and _mash_stack runs them on a stack of states at once
-(the arm-B scan's branches).
+(the arm-B scan's branches; full_protocol's malted state, a stack of one).
 """
 
 import math
@@ -26,7 +26,7 @@ from .core import (
     _slot,
     _wrap_fresh,
 )
-from .negativity import _log_negativities, _trace_distances
+from .negativity import _log_negativities, _trace_distances, log_negativity
 
 
 @lru_cache(maxsize=None)
@@ -379,18 +379,15 @@ def _mash_stack(x_0, max_iter, every_round):
     leave.
 
     Returns one entry per branch, in order: its DistillationOutcome, or the
-    ZeroTraceError that stopped it, not raised. The
-    negativities are the input's and each round's with every_round, else
-    the last iterate's alone.
+    ZeroTraceError that stopped it, not raised. The negativities solved are
+    each round's with every_round, one per round and none for the input
+    (its caller holds that value), else the last iterate's alone.
     """
     b = len(x_0)
     source = _mash_source(x_0) if max_iter else None
     final = list(x_0)
     probs = [[] for _ in range(b)]
     negs = [[] for _ in range(b)]
-    if every_round:
-        for neg, res in zip(negs, _log_negativities(x_0)):
-            neg.append(res.value)
     cut, dist, error, converged = [0.0] * b, [0.0] * b, [None] * b, [False] * b
     live, cur = list(range(b)), x_0
     for r in range(max_iter):
@@ -452,11 +449,13 @@ def mash_iterate(rho_0, max_iter=MAX_ITER):
     close in a little slower, and on malted states the distance left
     measured 1.00006-1.00018 times tail, so tail is a close estimate, not a
     bound. max_iter = 0 runs no round: the outcome holds rho_0 itself, with
-    iterations 0, converged False and tail 0."""
+    iterations 0, converged False and tail 0. negativity_by_stage is rho_0's
+    value, solved here, then one solved per round."""
     max_iter = _integer("max_iter", max_iter, 0)
     _plan(rho_0.dim)  # a cutoff mashing cannot run is refused, with or without rounds
     _check_normalized(rho_0)
     (run,) = _mash_stack(rho_0.sector[None], max_iter, every_round=True)
     if isinstance(run, Exception):
         raise run
-    return run
+    first = log_negativity(rho_0).value
+    return run._replace(negativity_by_stage=[first, *run.negativity_by_stage])

@@ -24,7 +24,7 @@ from .core import (
     _wrap_fresh,
     tmss,
 )
-from .mashing import _mash_stack, _plan, mash_iterate
+from .mashing import _mash_stack, _plan
 from .negativity import _log_negativities, log_negativity
 
 
@@ -198,17 +198,19 @@ def subtraction_probability_matrix(lam, loss, sub, cfg, i_max, j_max):
 
 
 def full_protocol(lam, schedule, cfg, max_iter=MAX_ITER):
-    """Malting followed by iterated mashing; negativity_by_stage concatenates
-    the per-cycle malting trace with the per-round mashing values."""
+    """Malting followed by iterated mashing of the malted state, as
+    (MaltingRecord, DistillationOutcome). The outcome's negativity_by_stage
+    is the malting trace, one value solved per cycle, followed by one value
+    solved per mashing round: the malted state is solved once, by malt."""
     # a round cap or a cutoff mashing cannot run is refused before malting
     max_iter = _integer("max_iter", max_iter, 0)
     _plan(cfg.dim)
     record = malt(lam, schedule, cfg)
-    outcome = mash_iterate(record.state, max_iter=max_iter)
-    stages = [n for _, n in record.negativity_trace] + list(
-        outcome.negativity_by_stage[1:]
-    )
-    return outcome._replace(negativity_by_stage=stages)
+    (run,) = _mash_stack(record.state.sector[None], max_iter, every_round=True)
+    if isinstance(run, Exception):
+        raise run
+    stages = [n for _, n in record.negativity_trace] + run.negativity_by_stage
+    return record, run._replace(negativity_by_stage=stages)
 
 
 def _chunks(branches, cap):

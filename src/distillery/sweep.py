@@ -20,12 +20,13 @@ import numpy as np
 from . import __version__
 from .channels import LossChannelParams
 from .core import CONV_TOL, EIG_TOL, MAX_ITER, TRACE_TOL, TruncationConfig
-from .mashing import _plan, mash_iterate
+from .mashing import _plan
 from .protocol import (
     MaltingSchedule,
     average_entanglement,
     baseline_negativity,
     decay,
+    full_protocol,
     malt,
     subtraction_probability_matrix,
 )
@@ -111,13 +112,12 @@ def _run_decay(cfg):
     return ("m", "neg_loss_only", "neg_vac_only", "neg_both"), rows, {"trunc_warning": warn}
 
 
-def _malt(cfg):
-    # the malting run that malt-trace reports and distill mashes
-    return malt(cfg.lam, MaltingSchedule(cfg.ma, cfg.mb, cfg.loss, cfg.subs[0]), cfg.trunc)
+def _schedule(cfg):
+    return MaltingSchedule(cfg.ma, cfg.mb, cfg.loss, cfg.subs[0])
 
 
 def _run_malt_trace(cfg):
-    rec = _malt(cfg)
+    rec = malt(cfg.lam, _schedule(cfg), cfg.trunc)
     rows = list(rec.negativity_trace)
     return ("m", "negativity"), rows, {"joint_prob": rec.joint_prob}
 
@@ -135,14 +135,11 @@ def _run_pij(cfg):
 
 
 def _run_distill(cfg):
-    rec = _malt(cfg)
-    outcome = mash_iterate(rec.state, max_iter=cfg.max_iter)
-    rows = [(0, "malt", rec.negativity_trace[0][1], 1.0)]
-    for m, neg in rec.negativity_trace[1:]:
-        rows.append((m, "malt", neg, rec.cycle_probs[m - 1]))
-    base = len(rec.negativity_trace) - 1
-    for i, neg in enumerate(outcome.negativity_by_stage[1:], start=1):
-        rows.append((base + i, "mash", neg, outcome.mash_probs[i - 1]))
+    rec, outcome = full_protocol(cfg.lam, _schedule(cfg), cfg.trunc, cfg.max_iter)
+    # one row per stage: the malting cycles, then the mashing rounds
+    probs = [1.0, *rec.cycle_probs, *outcome.mash_probs]
+    phases = ["malt"] * len(rec.negativity_trace) + ["mash"] * outcome.iterations
+    rows = list(zip(range(len(probs)), phases, outcome.negativity_by_stage, probs))
     meta = {
         "joint_prob": rec.joint_prob,
         "mash_iterations": outcome.iterations,

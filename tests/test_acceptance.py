@@ -173,9 +173,10 @@ def test_criterion_07_full_protocol_gains():
         finals = []
         for ts in (0.96, 0.98, 0.99):
             sched = MaltingSchedule(1, 10, loss, SubtractionParams(ts))
-            out = full_protocol(lam, sched, cfg)
+            rec, out = full_protocol(lam, sched, cfg)
             assert out.converged and out.iterations <= 50
-            post_malt = out.negativity_by_stage[10]
+            post_malt = rec.negativity_trace[-1][1]
+            assert out.negativity_by_stage[10] == post_malt
             final = out.negativity_by_stage[-1]
             assert final > baseline
             finals.append(final)

@@ -1,4 +1,5 @@
-"""Every script in demos/ runs to completion against the package in src/."""
+"""Every script in demos/ runs to completion against the package in src/,
+with warnings as errors, as in-process tests run."""
 
 import os
 import subprocess
@@ -19,6 +20,7 @@ def test_all_demos_are_collected():
 def test_demo_exits_zero(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
-        [sys.executable, str(script)], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-W", "error", str(script)],
+        cwd=tmp_path, env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr

@@ -288,13 +288,19 @@ def test_mash_iterate_forced_round_count():
 def test_full_protocol_concatenates_stages():
     sched = MaltingSchedule(1, 2, LOSS, SUB)
     rec = malt(LAM, sched, CFG)
-    out = full_protocol(LAM, sched, CFG)
+    got, out = full_protocol(LAM, sched, CFG)
+    assert got.negativity_trace == rec.negativity_trace
     malt_part = [n for _, n in rec.negativity_trace]
-    assert out.negativity_by_stage[: len(malt_part)] == pytest.approx(malt_part)
+    assert out.negativity_by_stage[: len(malt_part)] == malt_part
     assert len(out.negativity_by_stage) == len(malt_part) + out.iterations
     assert out.negativity_by_stage[-1] > BASE
     assert out.converged
-    assert full_protocol(LAM, sched, CFG, max_iter=0).negativity_by_stage == malt_part
+    # the mashing values are mash_iterate's rounds on the malted state
+    assert out.negativity_by_stage[len(malt_part) - 1 :] == (
+        mash_iterate(rec.state).negativity_by_stage
+    )
+    _, baseline = full_protocol(LAM, sched, CFG, max_iter=0)
+    assert baseline.negativity_by_stage == malt_part
 
 
 def test_critical_attempts_below_threshold():
@@ -325,7 +331,7 @@ def test_critical_attempts_gain_matches_independent_protocol_runs():
     avg = average_entanglement(LAM, LOSS, SubtractionParams(0.8), CFG)
     assert avg.m_c >= 1
     for j in range(1, avg.m_c + 2):
-        out = full_protocol(LAM, MaltingSchedule(1, j, LOSS, SubtractionParams(0.8)), CFG)
+        _, out = full_protocol(LAM, MaltingSchedule(1, j, LOSS, SubtractionParams(0.8)), CFG)
         gained = out.negativity_by_stage[-1] > BASE
         assert gained == (j <= avg.m_c)
 
@@ -680,7 +686,8 @@ def test_mash_iterate_reports_its_tail():
     two = mash_iterate(rec.state, max_iter=2)
     three = mash_iterate(rec.state, max_iter=3)
     assert three.tail == trace_distance(three.rho_final, two.rho_final) / 3
-    assert full_protocol(LAM, MaltingSchedule(1, 1, LOSS, SUB), CFG).tail == out.tail
+    _, run = full_protocol(LAM, MaltingSchedule(1, 1, LOSS, SUB), CFG)
+    assert run.tail == out.tail
 
 
 def test_average_entanglement_weights_shrink_with_postselection():

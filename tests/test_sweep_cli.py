@@ -199,24 +199,35 @@ def test_sweeps_refuse_a_tau_that_rounds_t_to_one(monkeypatch, tmp_path, capsys,
     _fails_fast(argv, capsys, f"{command} needs finite tau (t < 1)")
 
 
+# the flags each command reads beyond the common ones, at valid values
+_OWN_ARGV = {
+    "distill": {"--ma": "1", "--mb": "1"},
+    "decay": {"--steps": "5"},
+    "pij": {"--imax": "2", "--jmax": "2"},
+}
+
+
 @pytest.mark.parametrize(
-    "change, message",
+    "command, change, message",
     [
-        ({"--lambda": None}, "--lambda is required"),
-        ({"--tau": None}, "one of --tau or --t is required"),
-        ({"--ma": "0"}, "--ma must be >= 1, got 0"),
-        ({"--n-max": "-1"}, "--n-max must be >= 0 (0 = auto), got -1"),
-        ({"--threads": "-1"}, "--threads must be >= 0 (0 = auto), got -1"),
-        ({"--out": None}, "--out is required"),
+        ("distill", {"--lambda": None}, "--lambda is required"),
+        ("distill", {"--tau": None}, "one of --tau or --t is required"),
+        ("distill", {"--ma": "0"}, "--ma: ma must be an integer >= 1, got 0"),
+        ("decay", {"--steps": "0"}, "--steps: steps must be an integer >= 1, got 0"),
+        ("pij", {"--imax": "0"}, "--imax: imax must be an integer >= 1, got 0"),
+        ("distill", {"--n-max": "-1"}, "--n-max must be >= 0 (0 = auto), got -1"),
+        ("distill", {"--threads": "-1"}, "--threads must be >= 0 (0 = auto), got -1"),
+        ("distill", {"--out": None}, "--out is required"),
     ],
-    ids=["no-lambda", "no-tau-or-t", "ma-0", "n-max-negative", "threads-negative", "no-out"],
+    ids=["no-lambda", "no-tau-or-t", "ma-0", "steps-0", "imax-0", "n-max-negative",
+         "threads-negative", "no-out"],
 )
-def test_each_refusal_fails_fast(monkeypatch, tmp_path, capsys, change, message):
-    # a valid distill invocation with one flag dropped (None) or set out of range
+def test_each_refusal_fails_fast(monkeypatch, tmp_path, capsys, command, change, message):
+    # a valid invocation with one flag dropped (None) or set out of range
     _refuse_run(monkeypatch)
-    flags = {"--lambda": "0.1", "--tau": "100", "--ts": "0.99", "--ma": "1", "--mb": "1",
+    flags = {"--lambda": "0.1", "--tau": "100", "--ts": "0.99", **_OWN_ARGV[command],
              "--out": str(tmp_path / "o.csv"), **change}
-    argv = ["distill"] + [x for flag, v in flags.items() if v is not None for x in (flag, v)]
+    argv = [command] + [x for flag, v in flags.items() if v is not None for x in (flag, v)]
     _fails_fast(argv, capsys, message)
 
 
@@ -417,6 +428,26 @@ def test_decay_solves_its_three_states_as_one_stack(monkeypatch, tmp_path):
                "--steps", "5", "--out", str(tmp_path / "decay.csv")])
     assert rc == 0
     assert stacks == [(3, "pt")] * 6
+
+
+def test_distill_solves_each_state_once(monkeypatch, tmp_path):
+    # malt solves cycles 0..2 and each mashing round solves its iterate; the
+    # malted state's value is malt's last, not solved again for mashing
+    solved = []
+    real_eigvalsh = negativity._block_eigvalsh
+
+    def counting(x, kind):
+        if kind == "pt":
+            solved.append(x.shape[0])
+        return real_eigvalsh(x, kind)
+
+    monkeypatch.setattr(negativity, "_block_eigvalsh", counting)
+    out = tmp_path / "distill.csv"
+    rc = main(["distill", "--lambda", "0.1", "--tau", "100", "--ts", "0.99",
+               "--ma", "1", "--mb", "2", "--out", str(out)])
+    assert rc == 0
+    meta, _ = _split(out)
+    assert sum(solved) == 3 + int(meta["mash_iterations"])
 
 
 def test_malt_trace_csv(tmp_path):
