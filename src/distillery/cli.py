@@ -11,7 +11,7 @@ import sys
 
 from .channels import LossChannelParams, SubtractionParams
 from .core import TruncationConfig, ZeroTraceError, _check_cutoff, _integer, auto_n_max
-from .protocol import NoConvergenceError
+from .protocol import NoConvergenceError, _scan_cap
 from .sweep import COMMANDS, RunConfig, run
 
 
@@ -132,9 +132,9 @@ def validate_config(ns):
         loss = _build(errors, "--t", LossChannelParams, ns.t)
     else:
         errors.append("one of --tau or --t is required")
-    # the sweeps need t < 1, which a finite tau does not ensure
-    if loss is not None and command.ts_range and not loss.t < 1.0:
-        errors.append(f"{name} needs finite tau (t < 1)")
+    # the sweeps' arm-B scan needs t < 1, which a finite tau does not ensure
+    if loss is not None and command.ts_range:
+        _build(errors, "--tau" if ns.tau is not None else "--t", _scan_cap, loss)
 
     subs = ()
     if ns.ts is None:

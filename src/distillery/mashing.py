@@ -355,10 +355,10 @@ class DistillationOutcome(NamedTuple):
     mash_probs: list
     negativity_by_stage: list
     converged: bool
-    max_discarded: float = 0.0
+    max_discarded: float
     # last round's trace distance / 3: a close estimate (not a bound) of the
     # distance left to the fixed point; see mash_iterate
-    tail: float = 0.0
+    tail: float
 
 
 # Relative margin on CONV_TOL below which _mash_stack solves a branch's
@@ -379,65 +379,61 @@ def _mash_stack(x_0, max_iter, every_round):
     leave.
 
     Returns one entry per branch, in order: its DistillationOutcome, or the
-    ZeroTraceError that stopped it, not raised. The negativities solved are
-    each round's with every_round, one per round and none for the input
-    (its caller holds that value), else the last iterate's alone.
+    ZeroTraceError that stopped it, not raised. Each entry starts as the
+    outcome of zero rounds; the rounds append to its lists, and it is
+    finished once, when its branch converges, fails or reaches the round
+    cap. The negativities solved are each round's with every_round, one per
+    round and none for the input (its caller holds that value), else the
+    last iterate's alone.
     """
-    b = len(x_0)
+    runs = [DistillationOutcome(_wrap_fresh(x), 0, [], [], False, 0.0, 0.0) for x in x_0]
     source = _mash_source(x_0) if max_iter else None
-    final = list(x_0)
-    probs = [[] for _ in range(b)]
-    negs = [[] for _ in range(b)]
-    cut, dist, error, converged = [0.0] * b, [0.0] * b, [None] * b, [False] * b
-    live, cur = list(range(b)), x_0
+    # the live branches, their iterates and their worst discards so far
+    live, cur, worst = list(range(len(x_0))), x_0, np.zeros(len(x_0))
     for r in range(max_iter):
         new, prob, discarded, weight = _mash_round(cur, source)
+        worst = np.maximum(worst, discarded)
         # the last allowed round solves every branch, for its tail; before
         # it, a branch whose Frobenius bound exceeds CONV_TOL by more than
         # rounding cannot converge this round and is not solved
-        below = CONV_TOL * (1.0 + _BOUND_MARGIN) if r + 1 < max_iter else math.inf
+        last = r + 1 == max_iter
+        below = math.inf if last else CONV_TOL * (1.0 + _BOUND_MARGIN)
         step = _trace_distances(new, cur, below)
         round_negs = _log_negativities(new) if every_round else None
         going = []
-        rows = zip(live, weight.tolist(), prob.tolist(), discarded.tolist())
-        for a, (i, w, p, c) in enumerate(rows):
+        rows = zip(live, weight.tolist(), prob.tolist(), step.tolist(), worst.tolist())
+        for a, (i, w, p, dist, cut) in enumerate(rows):
+            run = runs[i]
             if w <= TRACE_TOL:
-                error[i] = _zero_weight_error(w)
+                runs[i] = _zero_weight_error(w)
                 continue
-            probs[i].append(p)
-            cut[i] = max(cut[i], c)
+            run.mash_probs.append(p)
             if every_round:
-                negs[i].append(round_negs[a].value)
-            final[i], dist[i] = new[a], float(step[a])
-            if dist[i] < CONV_TOL:
-                converged[i] = True
+                run.negativity_by_stage.append(round_negs[a].value)
+            converged = dist < CONV_TOL
+            if converged or last:
+                runs[i] = run._replace(
+                    rho_final=_wrap_fresh(new[a]),
+                    iterations=r + 1,
+                    converged=converged,
+                    max_discarded=cut,
+                    tail=dist / 3.0,
+                )
             else:
                 going.append(a)
         if not going:
             break
         if len(going) < len(live):
             source = tuple(part[going] for part in source)
-            new = new[going]
+            new, worst = new[going], worst[going]
         live, cur = [live[a] for a in going], new
     if not every_round:
-        done = [i for i in range(b) if error[i] is None]
+        done = [run for run in runs if not isinstance(run, Exception)]
         if done:
-            finals = np.stack([final[i] for i in done])
-            for i, res in zip(done, _log_negativities(finals)):
-                negs[i].append(res.value)
-    return [
-        error[i]
-        or DistillationOutcome(
-            _wrap_fresh(final[i]),
-            len(probs[i]),
-            probs[i],
-            negs[i],
-            converged[i],
-            cut[i],
-            dist[i] / 3.0,
-        )
-        for i in range(b)
-    ]
+            finals = np.stack([run.rho_final.sector for run in done])
+            for run, res in zip(done, _log_negativities(finals)):
+                run.negativity_by_stage.append(res.value)
+    return runs
 
 
 def mash_iterate(rho_0, max_iter=MAX_ITER):

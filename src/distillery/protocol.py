@@ -8,6 +8,7 @@ that has succeeded keeps decohering but is no longer measured.
 Mashing (see the mashing module) takes the malted state to its fixed point.
 """
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -54,7 +55,7 @@ class MaltingRecord(NamedTuple):
     state: TwoModeState
     joint_prob: float
     negativity_trace: list  # (clock-cycle, negativity) pairs, cycle 0 = input state
-    cycle_probs: list = ()  # detection weight per cycle
+    cycle_probs: list  # detection weight per cycle
 
 
 class AvgEntanglement(NamedTuple):
@@ -153,20 +154,26 @@ def _arm_b_branches(lam, loss, sub, cfg, j_last):
     malted state). Each probability is the product of the cycle
     probabilities in cycle order, as in malt. The branches share arm B's
     vacuum streak and its loss events, and the walk is lazy, so a caller
-    may stop early.
+    may stop early. A count that vanishes ends the walk with one last item,
+    (j, 0.0, the ZeroTraceError), for the first branch it leaves unreached.
     """
     lossy = loss_event(tmss(lam, cfg), loss)
-    malted, p = _count_step(lossy, sub, (1, 1), 1)
-    yield 1, p, malted
-    # arm A counts at cycle 1 and only decays after it
-    running, p_run = _count_step(lossy, sub, (1, 0), 1)
-    for j in range(2, j_last + 1):
-        decayed = loss_event(running, loss)
-        malted, p = _count_step(decayed, sub, (None, 1), j)
-        yield j, p_run * p, malted
-        if j < j_last:
-            running, p = _count_step(decayed, sub, (None, 0), j)
+    j = 1
+    try:
+        malted, p = _count_step(lossy, sub, (1, 1), 1)
+        yield 1, p, malted
+        # arm A counts at cycle 1 and only decays after it; branch j takes
+        # arm B's vacuum streak through cycle j - 1
+        decayed, outcomes, p_run = lossy, (1, 0), 1.0
+        for j in range(2, j_last + 1):
+            running, p = _count_step(decayed, sub, outcomes, j - 1)
             p_run *= p
+            decayed = loss_event(running, loss)
+            malted, p = _count_step(decayed, sub, (None, 1), j)
+            yield j, p_run * p, malted
+            outcomes = (None, 0)
+    except ZeroTraceError as exc:
+        yield j, 0.0, exc
 
 
 def subtraction_probability_matrix(lam, loss, sub, cfg, i_max, j_max):
@@ -214,30 +221,24 @@ def full_protocol(lam, schedule, cfg, max_iter=MAX_ITER):
 
 
 def _chunks(branches, cap):
-    """Lists of successive items of `branches`, of widths 1, 2, 4, ... up
-    to cap. A ZeroTraceError raised while pulling an item ends its list
-    early and is raised on the next pull, so that the scan raises it only
-    if it reaches that item."""
+    """Lists of successive items of the iterator `branches`, of widths 1,
+    2, 4, ... up to cap."""
     width = 1
-    while True:
-        chunk = []
-        try:
-            for item in branches:
-                chunk.append(item)
-                if len(chunk) == width:
-                    break
-        except ZeroTraceError:
-            if chunk:
-                yield chunk
-            raise
-        if not chunk:
-            return
+    while chunk := list(itertools.islice(branches, width)):
         yield chunk
         width = min(2 * width, cap)
 
 
 # The scan stops at arm-B cycle ceil(tau) * _SCAN_CAP_FACTOR at the latest.
 _SCAN_CAP_FACTOR = 3
+
+
+def _scan_cap(loss):
+    """The last arm-B cycle the scan may reach, ceil(tau) * _SCAN_CAP_FACTOR.
+    Refuses t = 1, whose tau is infinite; a finite tau can round t to 1."""
+    if not loss.t < 1.0:
+        raise ValueError(f"the arm-B scan needs finite tau (t < 1), got t={loss.t}")
+    return math.ceil(loss.tau) * _SCAN_CAP_FACTOR
 
 
 def average_entanglement(lam, loss, sub, cfg, max_iter=MAX_ITER):
@@ -256,11 +257,14 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=MAX_ITER):
 
     mash_rounds totals the mashing rounds run, and max_discarded and
     max_tail give their worst truncation discard and tail, over the retained
-    j's and the first failing one. The branches are mashed in chunks (see
-    _chunks), and those past the first failing j are dropped, their rounds,
-    discards and failures, malting ones included, uncounted.
-    mashed_branches counts every branch mashed (with zero rounds at
-    max_iter = 0), the dropped ones included, so the chunks' waste shows.
+    j's and the first failing one. The walk's malted states are mashed in
+    chunks (see _chunks), and the branches past the first failing j are
+    dropped, their rounds, discards and failures uncounted. In branch order
+    the scan raises the first failure it reaches, a malting one (the walk's
+    last item, see _arm_b_branches) or a mashing one, so a failure past the
+    first failing j is never raised. mashed_branches counts every branch
+    mashed (with zero rounds at max_iter = 0), the dropped ones included,
+    so the chunks' waste shows.
     """
     max_iter = _integer("max_iter", max_iter, 0)
     # chunks of widths 1, 2, 4, ... up to the plan's width: as many branches
@@ -270,18 +274,17 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=MAX_ITER):
     width = _plan(cfg.dim).width
     if lam == 0.0:
         return AvgEntanglement(0.0, [])
-    if not math.isfinite(loss.tau):
-        raise ValueError("critical-count scan needs finite tau (t < 1)")
+    branches = _arm_b_branches(lam, loss, sub, cfg, _scan_cap(loss))
     baseline = baseline_negativity(lam)
     terms = []
     total_rounds, worst_cut, worst_tail, mashed = 0, 0.0, 0.0, 0
-    j_limit = math.ceil(loss.tau) * _SCAN_CAP_FACTOR
-    branches = _arm_b_branches(lam, loss, sub, cfg, j_limit)
     for chunk in _chunks(branches, width):
-        x = np.stack([state.sector for *_, state in chunk])
-        runs = _mash_stack(x, max_iter, every_round=False)
-        mashed += len(chunk)
-        for (j, p_j, _), run in zip(chunk, runs):
+        # a malting failure, the walk's last item, stands in for its run
+        x = [state.sector for *_, state in chunk if not isinstance(state, ZeroTraceError)]
+        runs = iter(_mash_stack(np.stack(x), max_iter, every_round=False) if x else ())
+        mashed += len(x)
+        for j, p_j, state in chunk:
+            run = state if isinstance(state, ZeroTraceError) else next(runs)
             if isinstance(run, Exception):
                 raise run
             total_rounds += run.iterations

@@ -86,6 +86,8 @@ def _mash_step_at_zero_weight():
          "max_iter must be an integer >= 0, got 1.5"),
         (lambda: average_entanglement(LAM, LOSS, SUB, CFG, max_iter=0.5),
          "max_iter must be an integer >= 0, got 0.5"),
+        (lambda: average_entanglement(LAM, LossChannelParams(1.0), SUB, CFG),
+         "the arm-B scan needs finite tau (t < 1), got t=1.0"),
         (lambda: TruncationConfig(8.5), "n_max must be an integer >= 1, got 8.5"),
         (lambda: MaltingSchedule(1, 2.5, LOSS, SUB), "m_b must be an integer >= 1, got 2.5"),
         (_mash_step_at_zero_weight, "mash projection weight 0 at or below trace_tol"),
@@ -95,6 +97,7 @@ def _mash_step_at_zero_weight():
          "mash-step-dims", "coeffs-shape", "trace-distance-cutoffs", "pij-i-max",
          "pij-i-max-fraction", "pij-j-max-fraction", "mash-iterate-max-iter",
          "mash-iterate-max-iter-fraction", "average-entanglement-max-iter-fraction",
+         "average-entanglement-lossless",
          "n-max-fraction", "schedule-m-b-fraction", "mash-step-zero-weight",
          "auto-n-max-lambda"],
 )
@@ -611,22 +614,34 @@ def test_vacuum_probability_operator_matches_the_per_diagonal_product(lam):
     assert prob == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
-def test_scan_chunks_double_and_end_before_a_malting_failure():
-    # a failure while pulling a branch ends its chunk early and is raised on
-    # the next pull: no chunk holds an exception, and none is empty
-    def walk(last):
-        yield from range(1, last + 1)
-        raise ZeroTraceError("vanishing branch")
-
-    chunks = protocol._chunks(walk(5), 4)
-    assert [next(chunks) for _ in range(3)] == [[1], [2, 3], [4, 5]]
-    with pytest.raises(ZeroTraceError, match="vanishing branch"):
-        next(chunks)
-    chunks = protocol._chunks(walk(3), 4)
-    assert [next(chunks) for _ in range(2)] == [[1], [2, 3]]
-    with pytest.raises(ZeroTraceError, match="vanishing branch"):
-        next(chunks)
+def test_scan_chunks_double_up_to_the_cap():
+    # chunks of widths 1, 2, 4, ... up to the cap, the last one short; none
+    # is empty
     assert [len(c) for c in protocol._chunks(iter(range(20)), 4)] == [1, 2, 4, 4, 4, 4, 1]
+    assert list(protocol._chunks(iter(range(1, 6)), 4)) == [[1], [2, 3], [4, 5]]
+    assert list(protocol._chunks(iter(()), 4)) == []
+
+
+@pytest.mark.parametrize("k, fail_at", [(0, (1, (1, 1))), (1, (1, (1, 0))),
+                                        (2, (3, (None, 1))), (3, (3, (None, 0)))])
+def test_a_vanished_count_ends_the_walk_with_its_error(monkeypatch, k, fail_at):
+    # a count that vanishes at (cycle, outcomes) ends the walk after the
+    # branches j = 1..k it reached, with one item whose state is its error
+    real_step = protocol._count_step
+
+    def step(state, sub, outcomes, cycle):
+        if (cycle, outcomes) == fail_at:
+            raise ZeroTraceError(f"vanished at {fail_at}")
+        return real_step(state, sub, outcomes, cycle)
+
+    monkeypatch.setattr(protocol, "_count_step", step)
+    walk = list(protocol._arm_b_branches(LAM, LOSS, SUB, CFG, 6))
+    assert [j for j, *_ in walk[:-1]] == list(range(1, k + 1))
+    assert not any(isinstance(state, Exception) for *_, state in walk[:-1])
+    j, _, error = walk[-1]
+    assert j == k + 1
+    assert isinstance(error, ZeroTraceError)
+    assert str(error) == f"vanished at {fail_at}"
 
 
 @pytest.mark.parametrize("max_iter", [50, 0], ids=["full", "malt-only"])
@@ -643,7 +658,8 @@ def test_scan_raises_a_malting_failure_only_if_it_reaches_it(monkeypatch, max_it
     def failing_walk(*args):
         for branch in real_walk(*args):
             if branch[0] == bad_j:
-                raise ZeroTraceError(f"vanishing branch j={bad_j}")
+                yield bad_j, 0.0, ZeroTraceError(f"vanishing branch j={bad_j}")
+                return
             yield branch
 
     monkeypatch.setattr(protocol, "_arm_b_branches", failing_walk)

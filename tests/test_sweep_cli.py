@@ -196,7 +196,7 @@ def test_sweeps_refuse_a_tau_that_rounds_t_to_one(monkeypatch, tmp_path, capsys,
     _refuse_run(monkeypatch)
     argv = [command, "--lambda", "0.1", "--tau", "1e17", "--ts", "0.9",
             "--out", str(tmp_path / "o.csv")]
-    _fails_fast(argv, capsys, f"{command} needs finite tau (t < 1)")
+    _fails_fast(argv, capsys, "--tau: the arm-B scan needs finite tau (t < 1), got t=1.0")
 
 
 # the flags each command reads beyond the common ones, at valid values
