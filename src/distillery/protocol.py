@@ -272,9 +272,11 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=MAX_ITER):
     # 16 at d = 8, 2 at d = 13 and 1 from d = 14 on; read first, so that
     # the plan refuses a cutoff mashing cannot run, with or without rounds
     width = _plan(cfg.dim).width
+    # refused at every lambda, as the CLI refuses it
+    cap = _scan_cap(loss)
     if lam == 0.0:
         return AvgEntanglement(0.0, [])
-    branches = _arm_b_branches(lam, loss, sub, cfg, _scan_cap(loss))
+    branches = _arm_b_branches(lam, loss, sub, cfg, cap)
     baseline = baseline_negativity(lam)
     terms = []
     total_rounds, worst_cut, worst_tail, mashed = 0, 0.0, 0.0, 0

@@ -79,6 +79,10 @@ def test_bs_amplitude_stays_finite_past_float_binomials():
     assert 0.0 <= bs_amplitude(1100, 550, 0.7071) <= 1.0
     total = math.fsum(bs_amplitude(1100, q, 0.7) ** 2 for q in range(1101))
     assert abs(total - 1.0) < 1e-12
+    # at t = 1 no quantum is removed: exactly 0 for q > 0, binomial beyond
+    # float64 or not
+    assert bs_amplitude(1100, 500, 1.0) == 0.0
+    assert not channels._kraus_weights(500, 1.0, 1101).any()
 
 
 @pytest.mark.parametrize("dim, qs", [(34, range(34)), (1101, (0, 1, 550, 1000))])

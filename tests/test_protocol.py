@@ -88,6 +88,8 @@ def _mash_step_at_zero_weight():
          "max_iter must be an integer >= 0, got 0.5"),
         (lambda: average_entanglement(LAM, LossChannelParams(1.0), SUB, CFG),
          "the arm-B scan needs finite tau (t < 1), got t=1.0"),
+        (lambda: average_entanglement(0.0, LossChannelParams(1.0), SUB, CFG),
+         "the arm-B scan needs finite tau (t < 1), got t=1.0"),
         (lambda: TruncationConfig(8.5), "n_max must be an integer >= 1, got 8.5"),
         (lambda: MaltingSchedule(1, 2.5, LOSS, SUB), "m_b must be an integer >= 1, got 2.5"),
         (_mash_step_at_zero_weight, "mash projection weight 0 at or below trace_tol"),
@@ -97,7 +99,7 @@ def _mash_step_at_zero_weight():
          "mash-step-dims", "coeffs-shape", "trace-distance-cutoffs", "pij-i-max",
          "pij-i-max-fraction", "pij-j-max-fraction", "mash-iterate-max-iter",
          "mash-iterate-max-iter-fraction", "average-entanglement-max-iter-fraction",
-         "average-entanglement-lossless",
+         "average-entanglement-lossless", "average-entanglement-lossless-vacuum",
          "n-max-fraction", "schedule-m-b-fraction", "mash-step-zero-weight",
          "auto-n-max-lambda"],
 )

@@ -42,6 +42,9 @@ P_SUB_Q11_NMAX3 = 4.074395526294911e-06
 def test_truncation_config_rejects_bad_fields():
     with pytest.raises(ValueError):
         TruncationConfig(0)
+    for bad in ("abc", math.inf, math.nan, None):
+        with pytest.raises(ValueError, match=r"^n_max must be an integer >= 1, got "):
+            TruncationConfig(bad)
     cfg = TruncationConfig(8)
     assert cfg.dim == 9
 
@@ -278,6 +281,9 @@ def test_records_are_immutable_and_pickle():
     for obj, name in ((st, "trace"), (cfg, "n_max"), (SubtractionParams(0.9), "t_s")):
         with pytest.raises(AttributeError):
             setattr(obj, name, 1)
+    with pytest.raises(AttributeError):
+        del st.trace
+    assert repr(st).startswith("TwoModeState(sector=array(") and ", trace=1.0)" in repr(st)
     assert st != vacuum(cfg) and cfg == TruncationConfig(4)
     back = pickle.loads(pickle.dumps(st))
     assert back.trace == st.trace and back.sector.tobytes() == st.sector.tobytes()

@@ -1,3 +1,4 @@
+import gc
 import importlib.util
 import math
 import os
@@ -1100,14 +1101,56 @@ def test_cli_process_runs_one_blas_thread_unless_told_otherwise(tmp_path, blas, 
         assert report[2] == "1"  # numpy started no BLAS worker thread
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["malt-trace", "--lambda", "0.1", "--tau", "100", "--ts", "0.99",
+          "--ma", "1", "--mb", "1", "--out", "m.csv"], 0),
+        (["pij", "--lambda", "2", "--tau", "100", "--ts", "0.99",
+          "--imax", "1", "--jmax", "1", "--out", "p.csv"], 1),
+        (["avg-ent", "--lambda", "0.1", "--tau", "100", "--ts", "0.99",
+          "--max-iter", "1", "--out", "a.csv"], 2),
+        (["--help"], 0),
+    ],
+    ids=["success", "config-error", "numerical-failure", "help"],
+)
+def test_cli_process_exits_with_its_code_from_a_frozen_heap(tmp_path, argv, code):
+    # a sitecustomize reports at exit how many objects the child froze out
+    # of the collector; the entry freezes what its imports left, whatever
+    # the run's outcome
+    (tmp_path / "sitecustomize.py").write_text(
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+    )
+    env = _child_env()
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), env["PYTHONPATH"]])
+    proc = subprocess.run([sys.executable, "-m", "distillery", *argv],
+                          capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert proc.returncode == code, proc.stderr
+    report = next(l for l in proc.stderr.splitlines() if l.startswith("frozen "))
+    assert int(report.split()[1]) > 0
+    if argv == ["--help"]:
+        assert proc.stdout.startswith("usage:")
+        assert proc.stderr.splitlines() == [report]
+
+
+def test_importing_the_cli_freezes_nothing():
+    # only the process entry freezes the collector's heap
+    code = "import gc, distillery.cli; print(gc.get_freeze_count())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env())
+    assert proc.stdout.split() == ["0"], proc.stderr
+
+
 def test_library_leaves_the_blas_thread_variables_alone(tmp_path):
     # importing the package, the CLI module and the entry module, and running
-    # the CLI in-process, set no environment variable
-    before = dict(os.environ)
+    # the CLI in-process, set no environment variable and freeze nothing
+    before, frozen = dict(os.environ), gc.get_freeze_count()
     importlib.import_module("distillery.__main__")
     assert main(["malt-trace", "--lambda", "0.1", "--tau", "100", "--ts", "0.99",
                  "--ma", "1", "--mb", "1", "--out", str(tmp_path / "m.csv")]) == 0
     assert dict(os.environ) == before
+    assert gc.get_freeze_count() == frozen
 
 
 def test_package_import_is_lazy():
@@ -1123,10 +1166,14 @@ def test_package_import_is_lazy():
             assert module == "distillery." + distillery._SUBMODULE_OF[name], name
     with pytest.raises(AttributeError):
         distillery.no_such_name
-    code = "import sys, distillery; print('numpy' in sys.modules, distillery.__version__)"
+    # dir() lists the public names without loading them
+    code = (
+        "import sys, distillery; names = set(dir(distillery)); "
+        "print('numpy' in sys.modules, names >= set(distillery.__all__), distillery.__version__)"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env())
-    assert proc.stdout.split() == ["False", distillery.__version__], proc.stderr
+    assert proc.stdout.split() == ["False", "True", distillery.__version__], proc.stderr
 
 
 def test_mashing_and_the_channels_load_apart():
