@@ -15,12 +15,7 @@ import numpy as np
 from .core import _integer, _pair_rows, _wrap_fresh
 
 
-
-class _LossFields(NamedTuple):
-    t: float
-
-
-class LossChannelParams(_LossFields):
+class LossChannelParams(NamedTuple("LossChannelParams", [("t", float)])):
     """Memory transmissivity per clock cycle, t in (0, 1]."""
 
     __slots__ = ()
@@ -45,11 +40,7 @@ class LossChannelParams(_LossFields):
         return cls(math.sqrt(1.0 - 1.0 / tau))
 
 
-class _SubtractionFields(NamedTuple):
-    t_s: float
-
-
-class SubtractionParams(_SubtractionFields):
+class SubtractionParams(NamedTuple("SubtractionParams", [("t_s", float)])):
     """Transmissivity of the weakly reflecting subtraction splitter."""
 
     __slots__ = ()

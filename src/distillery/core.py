@@ -49,11 +49,7 @@ def _integer(name, x, low, high=math.inf):
     return int(x)
 
 
-class _TruncationFields(NamedTuple):
-    n_max: int
-
-
-class TruncationConfig(_TruncationFields):
+class TruncationConfig(NamedTuple("TruncationConfig", [("n_max", int)])):
     """The Fock cutoff: n_max is the highest Fock index kept per mode, so
     dim = n_max + 1. The tolerances are fixed (EIG_TOL, TRACE_TOL, CONV_TOL)."""
 
@@ -154,11 +150,10 @@ class TwoModeState:
     States compare by identity.
     """
 
-    __slots__ = ("sector", "trace")
+    __slots__ = ("sector",)
 
-    def __init__(self, sector, trace):
+    def __init__(self, sector):
         object.__setattr__(self, "sector", sector)
-        object.__setattr__(self, "trace", trace)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -167,10 +162,15 @@ class TwoModeState:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return TwoModeState, (self.sector, self.trace)
+        return TwoModeState, (self.sector,)
 
     def __repr__(self):
         return f"TwoModeState(sector={self.sector!r}, trace={self.trace!r})"
+
+    @property
+    def trace(self):
+        """The sum of diagonal j = 0 of the stored layout."""
+        return float(self.sector[0].sum())
 
     @property
     def dim(self):
@@ -197,12 +197,12 @@ def _check_hermiticity(defect):
 
 
 def state_from_coeffs(coeffs, cfg):
-    """Store a rank-4 coefficient tensor p[n, m, k, l] as a state, computing
-    its trace. Complex input is accepted only with a zero imaginary part,
-    every nonzero must obey n - k = m - l, and p[n, m, k, l] may differ from
-    p[k, l, n, m] by at most EIG_TOL (NotHermitianError beyond it); the
-    entries with n >= k are stored. This is where a state enters: every op
-    maps stored arrays to stored arrays, which cannot break Hermiticity."""
+    """Store a rank-4 coefficient tensor p[n, m, k, l] as a state. Complex
+    input is accepted only with a zero imaginary part, every nonzero must
+    obey n - k = m - l, and p[n, m, k, l] may differ from p[k, l, n, m] by
+    at most EIG_TOL (NotHermitianError beyond it); the entries with n >= k
+    are stored. This is where a state enters: every op maps stored arrays to
+    stored arrays, which cannot break Hermiticity."""
     c = np.asarray(coeffs)
     if np.iscomplexobj(c) and np.any(c.imag):
         raise ValueError("coefficients must be real, got a nonzero imaginary part")
@@ -224,10 +224,9 @@ def state_from_coeffs(coeffs, cfg):
 
 def _wrap_fresh(x):
     """Wrap a C-contiguous float64 stored array that no one else holds (an
-    op's own output) without copying it: freeze it, read its trace, the sum
-    of diagonal j = 0."""
+    op's own output) without copying it: freeze it."""
     x.flags.writeable = False
-    return TwoModeState(x, float(x[0].sum()))
+    return TwoModeState(x)
 
 
 def _tmss_amplitudes(lam, cfg):
@@ -255,10 +254,7 @@ def tmss(lam, cfg):
 
 
 def vacuum(cfg):
-    d = cfg.dim
-    x = np.zeros((d, d, d))
-    x[0, 0, 0] = 1.0
-    return _wrap_fresh(x)
+    return tmss(0.0, cfg)
 
 
 def _pair_rows(w, dim):
@@ -272,7 +268,7 @@ def _pair_rows(w, dim):
 
 
 def normalize(state):
-    """Rescale by the cached trace; returns (normalized state, original trace).
+    """Rescale by the trace; returns (normalized state, original trace).
 
     The original trace is the outcome probability when the input is an
     unnormalized conditional state.

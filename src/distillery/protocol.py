@@ -34,14 +34,9 @@ class NoConvergenceError(RuntimeError):
     caller needs a converged value."""
 
 
-class _ScheduleFields(NamedTuple):
-    m_a: int
-    m_b: int
-    loss: LossChannelParams
-    sub: SubtractionParams
-
-
-class MaltingSchedule(_ScheduleFields):
+class MaltingSchedule(NamedTuple("MaltingSchedule", [
+    ("m_a", int), ("m_b", int), ("loss", LossChannelParams), ("sub", SubtractionParams),
+])):
     """Success cycles for the two arms plus the channel settings."""
 
     __slots__ = ()
@@ -157,21 +152,21 @@ def _arm_b_branches(lam, loss, sub, cfg, j_last):
     may stop early. A count that vanishes ends the walk with one last item,
     (j, 0.0, the ZeroTraceError), for the first branch it leaves unreached.
     """
-    lossy = loss_event(tmss(lam, cfg), loss)
+    # the state after cycle j's loss event, arm B's vacuum streak counted
+    # through cycle j - 1, and that streak's probability
+    decayed, p_run = loss_event(tmss(lam, cfg), loss), 1.0
     j = 1
     try:
-        malted, p = _count_step(lossy, sub, (1, 1), 1)
-        yield 1, p, malted
-        # arm A counts at cycle 1 and only decays after it; branch j takes
-        # arm B's vacuum streak through cycle j - 1
-        decayed, outcomes, p_run = lossy, (1, 0), 1.0
-        for j in range(2, j_last + 1):
-            running, p = _count_step(decayed, sub, outcomes, j - 1)
-            p_run *= p
-            decayed = loss_event(running, loss)
-            malted, p = _count_step(decayed, sub, (None, 1), j)
+        for j in range(1, j_last + 1):
+            # both arms' outcomes as in malt, with m_a = 1 and m_b = j
+            if j > 1:
+                streak = (_arm_outcome(j - 1, 1), _arm_outcome(j - 1, j))
+                running, p = _count_step(decayed, sub, streak, j - 1)
+                p_run *= p
+                decayed = loss_event(running, loss)
+            counts = (_arm_outcome(j, 1), _arm_outcome(j, j))
+            malted, p = _count_step(decayed, sub, counts, j)
             yield j, p_run * p, malted
-            outcomes = (None, 0)
     except ZeroTraceError as exc:
         yield j, 0.0, exc
 

@@ -5,6 +5,7 @@ accumulators (or dense matrix exponentials) rather than the vectorized
 contractions the package uses, so the two code paths share no machinery.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -232,3 +233,75 @@ def random_state_coeffs(dim, rng):
     n, m, k, l_ = np.indices(rho.shape)
     rho[n - k != m - l_] = 0.0
     return rho / np.einsum("nmnm->", rho)
+
+
+def lossy_tmss_negativity(lam, eta):
+    """Log-negativity of the untruncated squeezed state, lam = tanh(s),
+    after loss of intensity transmission eta on both modes: the Gaussian
+    closed form -log2(eta e^(-2s) + 1 - eta)."""
+    return -math.log2(eta * math.exp(-2.0 * math.atanh(lam)) + 1.0 - eta)
+
+
+def schmidt_log_negativity(c):
+    """Log-negativity of the pure state sum_k c_k |a_k>|b_k> with orthonormal
+    a_k and b_k, unnormalized: 2 log2 sum |c_k| - log2 sum c_k^2."""
+    c = np.abs(np.asarray(c, dtype=float))
+    return 2.0 * math.log2(c.sum()) - math.log2(np.dot(c, c))
+
+
+@functools.lru_cache(maxsize=None)
+def _binomials(terms):
+    b = np.array([[math.comb(k, i) for i in range(terms)] for k in range(terms)], dtype=float)
+    b.flags.writeable = False
+    return b
+
+
+def lossless_mash_negativities(mu, rounds, terms=160):
+    """Log-negativity of lossless mashing rounds 0 ... rounds, untruncated
+    to `terms` Fock levels, from the malted state with amplitude (1 + k) mu^k
+    on |k, k>.
+
+    Write the amplitude of |k, k> as k! [x^k] psi(x). The malted state is
+    psi_0(x) = (1 + mu x) e^(mu x), and round r, the vacuum-projected 50/50
+    mixing of round r - 1 with a fresh malted state, is
+    psi_r(x) = psi_{r-1}(x / 2) psi_0(x / 2). In amplitudes that is
+    c_r[k] = 2^(-k) sum_i C(k, i) c_{r-1}[i] c_0[k - i].
+    """
+    k, i = np.ogrid[:terms, :terms]
+    c_0 = (1.0 + np.arange(terms)) * mu ** np.arange(terms)
+    step = _binomials(terms) * np.where(i <= k, c_0[np.maximum(k - i, 0)], 0.0)
+    step *= 0.5 ** k
+    c = c_0
+    negs = [schmidt_log_negativity(c)]
+    for _ in range(rounds):
+        c = step @ c
+        negs.append(schmidt_log_negativity(c))
+    return negs
+
+
+def lossless_protocol_negativities(lam, t_s, m_a, m_b, rounds, terms=160):
+    """Log-negativity of the untruncated lossless protocol (t = 1) at each
+    stage: malting cycles 0 ... max(m_a, m_b), then mashing rounds
+    1 ... rounds.
+
+    The squeezed state is sum_n lam^n |n, n>. Every cycle an arm before its
+    success cycle m counts vacuum, t_s^n on n phonons, and counts one phonon
+    at m, sqrt(n) r t_s^(n - 1); a lossless arm is left alone after it. Each
+    stage is a pure state with one Schmidt coefficient per n, and the malted
+    state has mu = lam t_s^(m_a + m_b) (see lossless_mash_negativities).
+    """
+    r = math.sqrt(1.0 - t_s * t_s)
+    negs = []
+    for cycle in range(max(m_a, m_b) + 1):
+        c = []
+        for n in range(terms):
+            amp = lam**n
+            for m in (m_a, m_b):
+                if cycle < m:
+                    amp *= t_s ** (n * cycle)
+                else:
+                    amp *= t_s ** (n * (m - 1)) * math.sqrt(n) * r * t_s ** (n - 1)
+            c.append(amp)
+        negs.append(schmidt_log_negativity(c))
+    mu = lam * t_s ** (m_a + m_b)
+    return negs + lossless_mash_negativities(mu, rounds, terms)[1:]

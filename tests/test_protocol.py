@@ -193,6 +193,24 @@ def test_decay_starts_at_the_truncated_closed_form_and_falls():
             decay(LAM, LOSS, SUB, CFG, steps)
 
 
+@pytest.mark.parametrize("lam", [0.1, 0.4])
+def test_decay_follows_the_gaussian_closed_forms(lam):
+    # loss alone keeps the squeezed state Gaussian, with transmission
+    # eta = t^(2m) per mode, and a failed attempt on both arms alone maps
+    # lam to lam t_s^2 per cycle; the auto cutoff's own deficit delta_0 at
+    # m = 0 is the largest gap (2.89e-8 and 7.93e-8), and from m = 100 on
+    # the gaps are at most 2.2e-11
+    d = auto_n_max(lam) + 1
+    delta_0 = oracles.tmss_negativity_closed_form(lam) - math.log2(
+        sum(lam**n for n in range(d)) ** 2 / sum(lam ** (2 * n) for n in range(d))
+    )
+    for m, (loss_only, vac_only, _) in enumerate(decay(lam, LOSS, SUB, TruncationConfig(d - 1), 300)):
+        want_loss = oracles.lossy_tmss_negativity(lam, LOSS.t ** (2 * m))
+        want_vac = oracles.tmss_negativity_closed_form(lam * SUB.t_s ** (2 * m))
+        assert abs(loss_only.value - want_loss) <= delta_0 + 1e-12, m
+        assert abs(vac_only.value - want_vac) <= delta_0 + 1e-12, m
+
+
 def test_count_step_names_the_arm_that_vanished():
     # both arms count in one pass; where the joint outcome has no weight,
     # the error names arm A if its count alone vanishes, else arm B
@@ -596,6 +614,75 @@ def test_mash_iterate_matches_the_closed_form_of_each_round(lam):
         assert (out.iterations, out.converged) == (r, False)
         want = oracles.mash_round_oracle(rho_0.coeffs, r)
         assert np.abs(out.rho_final.coeffs - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("lam, m_a, m_b, tol", [(0.1, 1, 1, 1e-13), (0.2, 1, 1, 1e-11),
+                                                (0.4, 1, 3, 1e-8)])
+def test_lossless_protocol_matches_the_pure_state_series(lam, m_a, m_b, tol):
+    # with t = 1 every stage is a pure state, whose untruncated series the
+    # oracle sums; at 12 levels past the auto cutoff the truncation leaves
+    # measured gaps of 1.2e-15, 2.4e-13 and 1.5e-9 over every malting cycle
+    # and mashing round
+    cfg = TruncationConfig(auto_n_max(lam) + 12)
+    schedule = MaltingSchedule(m_a, m_b, LossChannelParams(1.0), SUB)
+    _, out = full_protocol(lam, schedule, cfg)
+    assert out.converged
+    got = out.negativity_by_stage
+    want = oracles.lossless_protocol_negativities(lam, SUB.t_s, m_a, m_b, out.iterations)
+    assert len(got) == len(want) == max(m_a, m_b) + 1 + out.iterations
+    assert max(abs(a - b) for a, b in zip(got, want)) <= tol
+
+
+def _lossless_gain(lam, mu):
+    # the lossless fixed point's gain over the squeezed state, from the
+    # malted series with intensity mu, after 40 rounds
+    fixed = oracles.lossless_mash_negativities(mu, 40, terms=60)[-1]
+    return fixed - oracles.tmss_negativity_closed_form(lam)
+
+
+def _lossless_m_c(lam, t_s):
+    # branch j (arm A at cycle 1, arm B at j) malts with mu_j = lam t_s^(j+1)
+    j = 0
+    while _lossless_gain(lam, lam * t_s ** (j + 2)) > 0.0:
+        j += 1
+    return j
+
+
+def test_first_gain_needs_half_the_intensity_through_the_splitter():
+    # the paper's "about 50 %" law: the malted series has c_1 / c_0 = 2 mu
+    # against lam for the squeezed state, so as lam -> 0 the first branch
+    # (mu = lam t_s^2) gains once T_s = t_s^2 passes 1/2; a larger lam
+    # needs more
+    def first_gain(lam):
+        lo, hi = 0.6, 0.8  # t_s bracketing the first gain
+        for _ in range(40):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if _lossless_gain(lam, lam * mid * mid) > 0.0 else (mid, hi)
+        return hi * hi
+    small, mid, large = (first_gain(lam) for lam in (0.01, 0.1, 0.4))
+    assert 0.5 < small < 0.501
+    assert small < mid < large
+    assert mid == pytest.approx(0.5049, abs=1e-4)
+    assert large == pytest.approx(0.5312, abs=1e-4)
+
+
+@pytest.mark.parametrize("t_s, lossless", [(0.72, 1), (0.8, 2), (0.9, 5)])
+def test_memory_loss_retains_no_more_attempts_than_the_lossless_law(t_s, lossless):
+    # a decaying memory only shortens the run of gaining branches (the
+    # library gives 1/1, 1/2 and 4/5 at tau = 100/1000)
+    assert _lossless_m_c(0.1, t_s) == lossless
+    for tau in (100.0, 1000.0):
+        avg = average_entanglement(0.1, LossChannelParams.from_tau(tau), SubtractionParams(t_s), CFG)
+        assert 1 <= avg.m_c <= lossless
+
+
+@pytest.mark.parametrize("tau, m_c", [(2.0, 0), (10.0, 5), (100.0, 58)])
+def test_near_lossless_splitter_scan_ends_below_its_cap(tau, m_c):
+    # at t_s = 0.9999 the memory alone ends the gain; the scan must end by
+    # itself, so that a silent cut at the cap would show
+    loss = LossChannelParams.from_tau(tau)
+    got = average_entanglement(LAM, loss, SubtractionParams(0.9999), CFG).m_c
+    assert got == m_c < protocol._scan_cap(loss)
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.2, 0.4])

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import make_golden
 import oracles
 from distillery import auto_n_max, channels, cli, core, mashing, negativity, sweep
 from distillery.cli import ConfigError, build_parser, main, parse_ts, validate_config
@@ -521,6 +522,29 @@ def test_workload_matches_its_benchmark_reference(monkeypatch, tmp_path, name):
     out = tmp_path / f"{name}.csv"
     assert main([*workload.argv, "--threads", "1", "--out", str(out)]) == 0
     assert harness.check_output(workload, out, harness.REFS / f"{name}.csv") == []
+
+
+def _golden_cells_differ(got, want):
+    # integers exactly; floats to 1e-12 relative + 1e-15, looser than the
+    # last printed digit, which another numpy build may move
+    try:
+        return int(got) != int(want)
+    except ValueError:
+        return not abs(float(got) - float(want)) <= 1e-12 * abs(float(want)) + 1e-15
+
+
+@pytest.mark.parametrize("name", sorted(make_golden.GOLDEN))
+def test_body_matches_its_golden_file(tmp_path, name):
+    # decay and mc-sweep, which no benchmark workload runs, against the
+    # bodies tests/make_golden.py wrote
+    got = make_golden.csv_body(make_golden.GOLDEN[name], tmp_path / "o.csv")
+    with open(make_golden.GOLDEN_DIR / f"{name}.csv", encoding="utf-8") as f:
+        want = f.read().splitlines()
+    assert got[0] == want[0] and len(got) == len(want)
+    for row, ref in zip(got[1:], want[1:]):
+        cells, ref_cells = row.split(","), ref.split(",")
+        assert len(cells) == len(ref_cells), row
+        assert not any(map(_golden_cells_differ, cells, ref_cells)), (row, ref)
 
 
 def test_distill_csv_stages(tmp_path):
