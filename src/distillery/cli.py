@@ -28,17 +28,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-# argparse settings of the flags a row of sweep.COMMANDS can name; the one
-# that may be left out defaults as in RunConfig
+# the least value of each integer flag a row of sweep.COMMANDS can name
+# (--max-iter 0 runs no mashing round, the malt-only baseline); a flag whose
+# RunConfig default lies below it, "not read", has no default
+_OWN_FLAGS = {"ma": 1, "mb": 1, "steps": 1, "imax": 1, "jmax": 1, "max_iter": 0}
 _DEFAULTS = RunConfig._field_defaults
-_OWN_FLAGS = {
-    "ma": {"type": int},
-    "mb": {"type": int},
-    "steps": {"type": int},
-    "imax": {"type": int},
-    "jmax": {"type": int},
-    "max_iter": {"type": int, "default": _DEFAULTS["max_iter"]},
-}
 
 
 def _flag(name):
@@ -59,7 +53,8 @@ def build_parser():
         sp.add_argument("--out")
         sp.add_argument("--threads", type=int, default=1)
         for field in command.flags:
-            sp.add_argument(_flag(field), **_OWN_FLAGS[field])
+            low, default = _OWN_FLAGS[field], _DEFAULTS[field]
+            sp.add_argument(_flag(field), type=int, default=default if default >= low else None)
     return parser
 
 
@@ -140,11 +135,8 @@ def validate_config(ns):
     if ns.ts is None:
         errors.append("--ts is required")
     else:
-        try:
-            ts_values = parse_ts(ns.ts)
-        except ValueError as exc:
-            errors.append(f"--ts: {exc}")
-        else:
+        ts_values = _build(errors, "--ts", parse_ts, ns.ts)
+        if ts_values is not None:
             # a range endpoint may touch the closed border (a stop of 1.00
             # is a natural way to write a sweep): such grid points are
             # dropped instead of failing the whole run
@@ -164,9 +156,7 @@ def validate_config(ns):
         if val is None:
             errors.append(f"{_flag(field)} is required for {name}")
             continue
-        # --max-iter 0 runs no mashing round: the malt-only baseline
-        low = 0 if field == "max_iter" else 1
-        val = _build(errors, _flag(field), _integer, field, val, low)
+        val = _build(errors, _flag(field), _integer, field, val, _OWN_FLAGS[field])
         if val is not None:
             own[field] = val
 

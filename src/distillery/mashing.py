@@ -3,7 +3,7 @@ malted copy, conditioned on vacuum, iterated to a fixed point.
 
 mash_step is one round on one pair of states, mash_iterate runs rounds to
 the fixed point, and _mash_stack runs them on a stack of states at once
-(the arm-B scan's branches; full_protocol's malted state, a stack of one).
+(the arm-B scan's branches; a single state, a stack of one, in _mash_one).
 """
 
 import math
@@ -436,6 +436,21 @@ def _mash_stack(x_0, max_iter, every_round):
     return runs
 
 
+def _admit(max_iter, dim):
+    """Every mashing run's entry check, as (max_iter, plan): max_iter must
+    be an integer >= 0, and _plan(dim) refuses a cutoff mashing cannot run."""
+    return _integer("max_iter", max_iter, 0), _plan(dim)
+
+
+def _mash_one(x, max_iter, stages):
+    """_mash_stack on one stored array x (d, d, d), every round solved,
+    raising its failure; the caller's solved stages lead negativity_by_stage."""
+    (run,) = _mash_stack(x[None], max_iter, every_round=True)
+    if isinstance(run, Exception):
+        raise run
+    return run._replace(negativity_by_stage=[*stages, *run.negativity_by_stage])
+
+
 def mash_iterate(rho_0, max_iter=MAX_ITER):
     """Iterate mashing rounds against fresh copies of rho_0 until successive
     iterates are within CONV_TOL in trace distance, for at most
@@ -447,11 +462,6 @@ def mash_iterate(rho_0, max_iter=MAX_ITER):
     bound. max_iter = 0 runs no round: the outcome holds rho_0 itself, with
     iterations 0, converged False and tail 0. negativity_by_stage is rho_0's
     value, solved here, then one solved per round."""
-    max_iter = _integer("max_iter", max_iter, 0)
-    _plan(rho_0.dim)  # a cutoff mashing cannot run is refused, with or without rounds
+    max_iter, _ = _admit(max_iter, rho_0.dim)
     _check_normalized(rho_0)
-    (run,) = _mash_stack(rho_0.sector[None], max_iter, every_round=True)
-    if isinstance(run, Exception):
-        raise run
-    first = log_negativity(rho_0).value
-    return run._replace(negativity_by_stage=[first, *run.negativity_by_stage])
+    return _mash_one(rho_0.sector, max_iter, [log_negativity(rho_0).value])

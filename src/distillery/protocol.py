@@ -25,7 +25,7 @@ from .core import (
     _wrap_fresh,
     tmss,
 )
-from .mashing import _mash_stack, _plan
+from .mashing import _admit, _mash_one, _mash_stack
 from .negativity import _log_negativities, log_negativity
 
 
@@ -108,17 +108,15 @@ def malt(lam, schedule, cfg):
     state = tmss(lam, cfg)
     trace = [(0, log_negativity(state).value)]
     cycle_probs = []
-    joint = 1.0
     for cycle in range(1, max(schedule.m_a, schedule.m_b) + 1):
         outcomes = (_arm_outcome(cycle, schedule.m_a), _arm_outcome(cycle, schedule.m_b))
         # rebind `state` so the previous cycle's state is freed before the
         # counts: at large d every extra live state raises peak memory
         state = loss_event(state, schedule.loss)
         state, p_cycle = _count_step(state, schedule.sub, outcomes, cycle)
-        joint *= p_cycle
         cycle_probs.append(p_cycle)
         trace.append((cycle, log_negativity(state).value))
-    return MaltingRecord(state, joint, trace, cycle_probs)
+    return MaltingRecord(state, math.prod(cycle_probs), trace, cycle_probs)
 
 
 def decay(lam, loss, sub, cfg, steps):
@@ -205,14 +203,10 @@ def full_protocol(lam, schedule, cfg, max_iter=MAX_ITER):
     is the malting trace, one value solved per cycle, followed by one value
     solved per mashing round: the malted state is solved once, by malt."""
     # a round cap or a cutoff mashing cannot run is refused before malting
-    max_iter = _integer("max_iter", max_iter, 0)
-    _plan(cfg.dim)
+    max_iter, _ = _admit(max_iter, cfg.dim)
     record = malt(lam, schedule, cfg)
-    (run,) = _mash_stack(record.state.sector[None], max_iter, every_round=True)
-    if isinstance(run, Exception):
-        raise run
-    stages = [n for _, n in record.negativity_trace] + run.negativity_by_stage
-    return record, run._replace(negativity_by_stage=stages)
+    stages = [n for _, n in record.negativity_trace]
+    return record, _mash_one(record.state.sector, max_iter, stages)
 
 
 def _chunks(branches, cap):
@@ -230,10 +224,15 @@ _SCAN_CAP_FACTOR = 3
 
 def _scan_cap(loss):
     """The last arm-B cycle the scan may reach, ceil(tau) * _SCAN_CAP_FACTOR.
+    Read back from t, tau is off by up to about tau^2 eps (2.0000000000000004
+    for tau = 2), so one within 4 tau^2 eps of an integer is that integer.
     Refuses t = 1, whose tau is infinite; a finite tau can round t to 1."""
     if not loss.t < 1.0:
         raise ValueError(f"the arm-B scan needs finite tau (t < 1), got t={loss.t}")
-    return math.ceil(loss.tau) * _SCAN_CAP_FACTOR
+    tau = loss.tau
+    if abs(tau - round(tau)) <= 4.0 * tau * tau * math.ulp(1.0):
+        tau = round(tau)
+    return math.ceil(tau) * _SCAN_CAP_FACTOR
 
 
 def average_entanglement(lam, loss, sub, cfg, max_iter=MAX_ITER):
@@ -261,13 +260,9 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=MAX_ITER):
     mashed (with zero rounds at max_iter = 0), the dropped ones included,
     so the chunks' waste shows.
     """
-    max_iter = _integer("max_iter", max_iter, 0)
-    # chunks of widths 1, 2, 4, ... up to the plan's width: as many branches
-    # as the expansions their runs keep fit into 1 MiB (mashing._plan),
-    # 16 at d = 8, 2 at d = 13 and 1 from d = 14 on; read first, so that
-    # the plan refuses a cutoff mashing cannot run, with or without rounds
-    width = _plan(cfg.dim).width
-    # refused at every lambda, as the CLI refuses it
+    # refused at every lambda, as the CLI refuses them: a round cap or a
+    # cutoff mashing cannot run, then a tau the scan cannot cap
+    max_iter, plan = _admit(max_iter, cfg.dim)
     cap = _scan_cap(loss)
     if lam == 0.0:
         return AvgEntanglement(0.0, [])
@@ -275,7 +270,10 @@ def average_entanglement(lam, loss, sub, cfg, max_iter=MAX_ITER):
     baseline = baseline_negativity(lam)
     terms = []
     total_rounds, worst_cut, worst_tail, mashed = 0, 0.0, 0.0, 0
-    for chunk in _chunks(branches, width):
+    # chunks of widths 1, 2, 4, ... up to the plan's width: as many branches
+    # as the expansions their runs keep fit into 1 MiB (mashing._plan),
+    # 16 at d = 8, 2 at d = 13 and 1 from d = 14 on
+    for chunk in _chunks(branches, plan.width):
         # a malting failure, the walk's last item, stands in for its run
         x = [state.sector for *_, state in chunk if not isinstance(state, ZeroTraceError)]
         runs = iter(_mash_stack(np.stack(x), max_iter, every_round=False) if x else ())

@@ -29,7 +29,8 @@ def partial_transpose(state):
 
 
 def trace_of(state):
-    """Trace re-read from the coefficients (not the cached field)."""
+    """Trace as the dense einsum over the coefficients, beside state.trace,
+    which sums the sector's j = 0 diagonal."""
     return float(np.einsum("nmnm->", state.coeffs))
 
 
@@ -43,7 +44,7 @@ def check_state(state, psd=True):
     """Validate positivity and trace consistency; raise on failure. A state
     is symmetric by construction (state_from_coeffs checks its input)."""
     if abs(trace_of(state) - state.trace) > max(TRACE_TOL, 1e-12):
-        raise ValueError("cached trace disagrees with coefficients")
+        raise ValueError("sector's j = 0 sum disagrees with the dense einsum trace")
     if psd:
         low = min_eigenvalue(state)
         if low < -EIG_TOL:

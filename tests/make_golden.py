@@ -1,4 +1,4 @@
-"""Write the CSV bodies of the subcommands that no benchmark workload runs.
+"""Write the CSV bodies of CLI argvs that no benchmark workload runs.
 
     PYTHONPATH=src python tests/make_golden.py
 
@@ -19,6 +19,10 @@ GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
 GOLDEN = {
     "decay": ["decay", "--lambda", "0.1", "--tau", "100", "--ts", "0.99", "--steps", "50"],
     "mc-sweep": ["mc-sweep", "--lambda", "0.2", "--tau", "100", "--ts", "0.05:0.99:0.02"],
+    "distill-lossless": [
+        "distill", "--lambda", "0.6", "--t", "1", "--ts", "0.99", "--ma", "1", "--mb", "1",
+    ],
+    "avg-ent-range": ["avg-ent", "--lambda", "0.2", "--tau", "100", "--ts", "0.80:0.98:0.06"],
 }
 
 

@@ -648,22 +648,50 @@ def _lossless_m_c(lam, t_s):
     return j
 
 
+def _lossless_first_gain(lam):
+    # the T_s = t_s^2 from which the lossless first branch gains
+    lo, hi = 0.6, 0.8  # t_s bracketing the first gain
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _lossless_gain(lam, lam * mid * mid) > 0.0 else (mid, hi)
+    return hi * hi
+
+
 def test_first_gain_needs_half_the_intensity_through_the_splitter():
     # the paper's "about 50 %" law: the malted series has c_1 / c_0 = 2 mu
     # against lam for the squeezed state, so as lam -> 0 the first branch
     # (mu = lam t_s^2) gains once T_s = t_s^2 passes 1/2; a larger lam
     # needs more
-    def first_gain(lam):
-        lo, hi = 0.6, 0.8  # t_s bracketing the first gain
-        for _ in range(40):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (lo, mid) if _lossless_gain(lam, lam * mid * mid) > 0.0 else (mid, hi)
-        return hi * hi
-    small, mid, large = (first_gain(lam) for lam in (0.01, 0.1, 0.4))
+    small, mid, large = (_lossless_first_gain(lam) for lam in (0.01, 0.1, 0.4))
     assert 0.5 < small < 0.501
     assert small < mid < large
     assert mid == pytest.approx(0.5049, abs=1e-4)
     assert large == pytest.approx(0.5312, abs=1e-4)
+
+
+@pytest.mark.parametrize("lam", [0.1, 0.2])
+def test_lossy_first_gain_needs_a_larger_splitter_than_the_lossless_law(lam):
+    # the memory's loss before arm B's count costs the first branch some of
+    # its gain, so it gains only from a larger t_s than the lossless law
+    # gives, and the longer the memory lives the closer it comes to that law
+    # (measured brackets: 0.71487 / 0.71100 at lam = 0.1, 0.72027 / 0.71568
+    # at lam = 0.2 for tau = 100 / 1000, against 0.71058 and 0.71519)
+    cfg = TruncationConfig(auto_n_max(lam))
+
+    def first_gain(tau):
+        # a t_s bracket (lo, hi] of the first gain: the scan retains no
+        # branch at lo and one at hi
+        loss = LossChannelParams.from_tau(tau)
+        lo, hi = 0.6, 0.95
+        for _ in range(14):
+            mid = 0.5 * (lo + hi)
+            gains = average_entanglement(lam, loss, SubtractionParams(mid), cfg).m_c >= 1
+            lo, hi = (lo, mid) if gains else (mid, hi)
+        return lo, hi
+
+    (lo_100, _), (lo_1000, hi_1000) = first_gain(100.0), first_gain(1000.0)
+    assert math.sqrt(_lossless_first_gain(lam)) < lo_1000
+    assert hi_1000 < lo_100
 
 
 @pytest.mark.parametrize("t_s, lossless", [(0.72, 1), (0.8, 2), (0.9, 5)])
@@ -683,6 +711,21 @@ def test_near_lossless_splitter_scan_ends_below_its_cap(tau, m_c):
     loss = LossChannelParams.from_tau(tau)
     got = average_entanglement(LAM, loss, SubtractionParams(0.9999), CFG).m_c
     assert got == m_c < protocol._scan_cap(loss)
+
+
+def test_scan_cap_is_three_times_the_tau_asked_for():
+    # tau read back from t is off by up to about tau^2 eps (from_tau(2).tau
+    # is 2.0000000000000004), which must not lift the cap by 3
+    taus = range(2, 2001)
+    assert [protocol._scan_cap(LossChannelParams.from_tau(tau)) for tau in taus] == [
+        3 * tau for tau in taus
+    ]
+    caps = [protocol._scan_cap(LossChannelParams.from_tau(tau)) for tau in (2.5, 10.1, 99.99)]
+    assert caps == [9, 33, 300]
+    assert protocol._scan_cap(LossChannelParams(0.99)) == 153  # tau = 50.25...
+    message = "the arm-B scan needs finite tau (t < 1), got t=1.0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        protocol._scan_cap(LossChannelParams(1.0))
 
 
 @pytest.mark.parametrize("lam", [0.1, 0.2, 0.4])
